@@ -416,9 +416,12 @@ def _read_observation_csv(path: Path) -> tuple[str, list[tuple[str, float]]]:
             if len(row) != 2:
                 raise CliError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
             try:
-                rows.append((row[0].strip(), float(row[1])))
+                value = float(row[1])
             except ValueError:
                 raise CliError(f"{path}:{lineno}: not a number: {row[1]!r}") from None
+            if not math.isfinite(value):
+                raise CliError(f"{path}:{lineno}: not a finite number: {row[1]!r}")
+            rows.append((row[0].strip(), value))
     return effect, rows
 
 
@@ -519,8 +522,16 @@ def cmd_desirability(config: dict) -> int:
     profile_path = _require_path(config, "desirability_profile", "file")
     candidates_path = _require_path(config, "candidates", "file")
     out_dir = Path(config["output_dir"])
-    profile = DesirabilityProfile.from_json(profile_path.read_text(encoding="utf-8"))
-    candidates = load_candidates_csv(candidates_path.read_text(encoding="utf-8"))
+    try:
+        profile = DesirabilityProfile.from_json(profile_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliError(
+            f"{profile_path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    try:
+        candidates = load_candidates_csv(candidates_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(f"{candidates_path}: {exc}") from exc
     try:
         ranking = select_best(candidates, profile)
     except ValueError as exc:
@@ -670,7 +681,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"deteval {__version__}")
     parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--jobs", type=int, help="worker count (never changes results)")
+    parser.add_argument("--jobs", type=int, help="worker count, at least 1 (never changes results)")
     parser.add_argument("--seed", type=int, help="RNG seed for augment/split")
     parser.add_argument(
         "--allow-partial",

@@ -92,6 +92,9 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
         config = _merge(config, loaded)
     if overrides:
         config = _merge(config, overrides)
+    jobs = config["jobs"]
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
     return config
 
 
@@ -185,9 +188,9 @@ class RunManifest:
 
 def write_json(path: Path, document: dict) -> None:
     """Canonical JSON serialization: sorted keys, two-space indent, newline
-    at EOF. Identical documents serialize byte-identically."""
+    at EOF. Identical documents serialize byte-identically. NaN and infinity
+    have no JSON form, so a document holding one raises ValueError before
+    anything is written."""
+    text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(text + "\n", encoding="utf-8")

@@ -184,11 +184,17 @@ def load_candidates_csv(text: str) -> list[Candidate]:
     if header is None or [h.strip().lower() for h in header] != ["label", "response", "value"]:
         raise ValueError(f"expected header 'label,response,value', got {header}")
     responses: dict[str, dict[str, float]] = {}
-    for row in reader:
+    for lineno, row in enumerate(reader, start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != 3:
-            raise ValueError(f"expected 3 columns, got {row}")
-        label, response, value = (cell.strip() for cell in row)
-        responses.setdefault(label, {})[response] = float(value)
+            raise ValueError(f"line {lineno}: expected 3 columns, got {row}")
+        label, response, raw = (cell.strip() for cell in row)
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"line {lineno}: not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"line {lineno}: not a finite number: {raw!r}")
+        responses.setdefault(label, {})[response] = value
     return [Candidate(label, resp) for label, resp in responses.items()]

@@ -6,7 +6,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .annotations import ClassRegistry, Detection, GroundTruthObject, iou
+import numpy as np
+
+from .annotations import ClassRegistry, Detection, GroundTruthObject
 
 BACKGROUND = "background"
 
@@ -77,8 +79,84 @@ class MatchReport:
         return {p.truth_index for p in self.pairs}
 
 
-def _confidence_order(detections) -> list[int]:
-    return sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+# Detection rows per IoU block are chosen so that a block holds at most this
+# many pairs, which bounds the working set however crowded an image is.
+_BLOCK_PAIRS = 1 << 15
+
+
+def _box_columns(objects):
+    """Lower corners and upper corners (each 2 x N, x then y) and areas, with
+    the operation order of `annotations.iou`: corners are c -/+ size/2.0
+    and areas come from the corners."""
+    boxes = np.array(
+        [(o.box.cx, o.box.cy, o.box.w, o.box.h) for o in objects], dtype=np.float64
+    ).T
+    half = boxes[2:] / 2.0
+    lo = boxes[:2] - half
+    hi = boxes[:2] + half
+    side = hi - lo
+    return lo, hi, side[0] * side[1]
+
+
+def _candidates(detections, truths, iou_threshold: float) -> list[tuple[int, int, float]]:
+    """(i, j, iou) for every detection/truth pair whose IoU is at or above the
+    threshold, in row-major order.
+
+    One vectorised pass over blocks of detection rows; each IoU is
+    bit-identical to `annotations.iou(detections[i].box, truths[j].box)`.
+    Negative overlaps are clipped to 0, which leaves every positive
+    intersection unchanged and sends every other pair below the (positive)
+    threshold, as the scalar early return does."""
+    if not (0.0 < iou_threshold <= 1.0):
+        raise ValueError(f"iou_threshold out of (0,1]: {iou_threshold}")
+    if not detections or not truths:
+        return []
+    n_dets = len(detections)
+    lo, hi, area = _box_columns((*detections, *truths))
+    d_lo, d_hi, d_area = lo[:, :n_dets, None], hi[:, :n_dets, None], area[:n_dets, None]
+    t_lo, t_hi, t_area = lo[:, None, n_dets:], hi[:, None, n_dets:], area[n_dets:]
+    rows = max(1, _BLOCK_PAIRS // len(truths))
+    overlap_buf = np.empty((2, min(rows, n_dets), len(truths)))
+    spare_buf = np.empty_like(overlap_buf)
+    found = []
+    # 0/0 arises only between boxes too thin to have area; NaN fails the test
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, n_dets, rows):
+            block = slice(start, start + rows)
+            n = min(rows, n_dets - start)
+            overlap, tmp = overlap_buf[:, :n], spare_buf[:, :n]
+            np.minimum(d_hi[:, block], t_hi, out=overlap)
+            overlap -= np.maximum(d_lo[:, block], t_lo, out=tmp)
+            np.maximum(overlap, 0.0, out=overlap)
+            inter = np.multiply(overlap[0], overlap[1], out=tmp[0])
+            union = np.add(d_area[block], t_area, out=tmp[1])
+            union -= inter
+            value = np.divide(inter, union, out=overlap[0])
+            hit = value >= iou_threshold
+            i, j = np.nonzero(hit)
+            found.extend(zip((i + start).tolist(), j.tolist(), value[hit].tolist()))
+    return found
+
+
+def _greedy(detections, truths, candidates, cross_class: bool) -> tuple[MatchedPair, ...]:
+    """Greedy one-to-one assignment over IoU candidates: detections in
+    descending-confidence order (input order breaks ties) each claim the
+    untaken truth of highest IoU; the first truth wins an IoU tie."""
+    options: dict[int, list[tuple[int, float]]] = {}
+    for i, j, value in candidates:
+        if cross_class or detections[i].label == truths[j].label:
+            options.setdefault(i, []).append((j, value))
+    taken = set()
+    pairs = []
+    for i in sorted(options, key=lambda i: (-detections[i].confidence, i)):
+        best_j, best_iou = -1, 0.0
+        for j, value in options[i]:
+            if value > best_iou and j not in taken:
+                best_j, best_iou = j, value
+        if best_j >= 0:
+            taken.add(best_j)
+            pairs.append(MatchedPair(i, best_j, best_iou))
+    return tuple(pairs)
 
 
 def match(
@@ -92,28 +170,11 @@ def match(
     at or above the threshold. With cross_class=False only same-class truths
     are eligible; with cross_class=True any truth is, which is the mode the
     confusion matrix needs."""
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold out of (0,1]: {iou_threshold}")
     detections = tuple(detections)
     truths = tuple(truths)
-    taken = [False] * len(truths)
-    pairs = []
-    for i in _confidence_order(detections):
-        det = detections[i]
-        best_j = -1
-        best_iou = 0.0
-        for j, truth in enumerate(truths):
-            if taken[j]:
-                continue
-            if not cross_class and truth.label != det.label:
-                continue
-            value = iou(det.box, truth.box)
-            if value >= iou_threshold and value > best_iou:
-                best_j, best_iou = j, value
-        if best_j >= 0:
-            taken[best_j] = True
-            pairs.append(MatchedPair(i, best_j, best_iou))
-    return MatchReport(detections, truths, tuple(pairs), iou_threshold, cross_class)
+    candidates = _candidates(detections, truths, iou_threshold)
+    pairs = _greedy(detections, truths, candidates, cross_class)
+    return MatchReport(detections, truths, pairs, iou_threshold, cross_class)
 
 
 def _sum_tallies(report: MatchReport, label: int | None) -> ClassTally:
@@ -184,21 +245,26 @@ class EvalSample:
     truths: tuple[GroundTruthObject, ...]
 
 
-def _image_class_events(sample: EvalSample, class_id: int, iou_threshold: float):
-    """(confidence, is_tp) per detection of the class in one image, plus the
-    image's positive count and TP/FP/FN tally.
+def _class_events(report: MatchReport, class_ids):
+    """Per class: (confidence, is_tp) per detection of the class, the
+    positive count and the TP/FP/FN tally of one image's same-class report.
 
     Matching runs independently per image, so the outcome does not depend on
     image order; ties in confidence are resolved inside each image by input
     order, exactly as `match` does.
     """
-    dets = [d for d in sample.detections if d.label == class_id]
-    truths = [t for t in sample.truths if t.label == class_id]
-    report = match(dets, truths, iou_threshold)
     tp_dets = report.matched_det_indices()
-    events = [(det.confidence, i in tp_dets) for i, det in enumerate(dets)]
-    tally = report.tallies().get(class_id, ClassTally())
-    return events, len(truths), tally
+    tallies = report.tallies()
+    summaries = {}
+    for class_id in class_ids:
+        events = [
+            (det.confidence, i in tp_dets)
+            for i, det in enumerate(report.detections)
+            if det.label == class_id
+        ]
+        npos = sum(1 for truth in report.truths if truth.label == class_id)
+        summaries[class_id] = (events, npos, tallies.get(class_id, ClassTally()))
+    return summaries
 
 
 def _sweep(events, npos: int, class_id: int) -> PRCurve:
@@ -233,7 +299,8 @@ def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     events = []
     npos = 0
     for sample in samples:
-        image_events, image_npos, _ = _image_class_events(sample, class_id, iou_threshold)
+        report = match(sample.detections, sample.truths, iou_threshold)
+        image_events, image_npos, _ = _class_events(report, (class_id,))[class_id]
         events.extend(image_events)
         npos += image_npos
     return _sweep(events, npos, class_id)
@@ -352,14 +419,17 @@ def load_height_records(text: str) -> list[HeightRecord]:
     if header is None or [h.strip().lower() for h in header] != expected:
         raise ValueError(f"expected header {','.join(expected)}, got {header}")
     records = []
-    for row in reader:
+    for lineno, row in enumerate(reader, start=2):
         if not row or not any(cell.strip() for cell in row):
             continue
         if len(row) != 4:
-            raise ValueError(f"expected 4 columns, got {row}")
-        records.append(
-            HeightRecord(row[0].strip(), row[1].strip(), int(row[2]), int(row[3]))
-        )
+            raise ValueError(f"line {lineno}: expected 4 columns, got {row}")
+        try:
+            records.append(
+                HeightRecord(row[0].strip(), row[1].strip(), int(row[2]), int(row[3]))
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -423,13 +493,17 @@ class EvaluationReport:
 def _image_summary(sample: EvalSample, class_ids, iou_threshold: float):
     """Everything the aggregate needs from one image: per-class sweep events,
     positive counts and tallies, plus the cross-class report for the
-    confusion matrix."""
-    per_class = {
-        class_id: _image_class_events(sample, class_id, iou_threshold)
-        for class_id in class_ids
-    }
-    cross = match(sample.detections, sample.truths, iou_threshold, cross_class=True)
-    return per_class, cross
+    confusion matrix. Both passes read one candidate set: classes never
+    compete for a truth, so one label-filtered pass pairs exactly as
+    separate per-class passes would."""
+    dets, truths = sample.detections, sample.truths
+    candidates = _candidates(dets, truths, iou_threshold)
+    same = _greedy(dets, truths, candidates, cross_class=False)
+    cross = _greedy(dets, truths, candidates, cross_class=True)
+    return (
+        _class_events(MatchReport(dets, truths, same, iou_threshold), class_ids),
+        MatchReport(dets, truths, cross, iou_threshold, cross_class=True),
+    )
 
 
 def evaluate_detections(
@@ -442,9 +516,10 @@ def evaluate_detections(
     """Full per-class evaluation over a test set.
 
     Per-class tallies and the PR sweep come from per-image same-class
-    matching; the confusion matrix runs a separate cross-class pass. Each
-    image is an independent work unit and the results fold in image order,
-    so any worker count yields identical output.
+    matching; the confusion matrix comes from a cross-class pass over the
+    same IoU candidates. Each image is an independent work unit and the
+    results fold in image order, so any worker count yields identical
+    output.
     """
     samples = sorted(samples, key=lambda s: s.image_id)
     class_ids = registry.ids()

@@ -5,6 +5,7 @@ import shutil
 import pytest
 
 from deteval.cli import main
+from deteval.config import write_json
 
 
 def run_cli(*argv):
@@ -334,6 +335,17 @@ class TestStats:
         entry = json.loads((out / "stats.json").read_text())["responses"][0]
         assert ">= 2 groups" in entry["error"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_observation_names_file_and_line(self, tmp_path, capsys, value):
+        path = tmp_path / "resp.csv"
+        path.write_text(f"group,observation\na,1\na,2\nb,3\nb,{value}\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "stats", "--inputs", path) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert f"{path}:5: not a finite number" in record["message"]
+        assert not (out / "stats.json").exists()
+
     def test_jobs_do_not_change_bytes(self, fixtures_dir, tmp_path):
         extra = tmp_path / "second.csv"
         extra.write_text(
@@ -381,6 +393,70 @@ class TestDesirabilityCommand:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert "only" in record["message"] and "accuracy_wb" in record["message"]
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_candidate_names_file_and_line(self, fixtures_dir, tmp_path, capsys, value):
+        bad = tmp_path / "cands.csv"
+        bad.write_text(f"label,response,value\nm,map50,0.9\nm,accuracy_wb,{value}\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", fixtures_dir / "desirability" / "profile.json",
+            "--candidates", bad,
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"] == f"{bad}: line 3: not a finite number: {value!r}"
+
+    def test_malformed_profile_names_file_and_position(self, fixtures_dir, tmp_path, capsys):
+        bad = tmp_path / "profile.json"
+        bad.write_text('{"goals": [\n  {"name": "map50",}\n]}\n')
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", bad,
+            "--candidates", fixtures_dir / "desirability" / "candidates.csv",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"].startswith(f"{bad}: invalid JSON at line 2 column 20: ")
+
+
+class TestJobs:
+    @pytest.mark.parametrize("flag", ["--jobs=0", "--jobs=-3"])
+    def test_flag_below_one_rejected(self, fixtures_dir, tmp_path, capsys, flag):
+        code = run_cli(
+            "--output-dir", tmp_path / "out", flag, "stats",
+            "--inputs", fixtures_dir / "stats" / "height_accuracy.csv",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "jobs must be an integer of at least 1" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -3, 1.5, "2", True])
+    def test_config_below_one_rejected(self, fixtures_dir, tmp_path, capsys, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"jobs": value}))
+        code = run_cli(
+            "--config", config, "--output-dir", tmp_path / "out", "stats",
+            "--inputs", fixtures_dir / "stats" / "height_accuracy.csv",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert "jobs must be an integer of at least 1" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+
+def test_write_json_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "doc.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json(path, {"W": value})
+        assert not path.exists()
 
 
 class TestReport:

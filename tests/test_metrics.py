@@ -1,11 +1,21 @@
 import itertools
+import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deteval.annotations import BoundingBox, ClassLabel, ClassRegistry, Detection, GroundTruthObject
+from deteval import metrics
+from deteval.annotations import (
+    BoundingBox,
+    ClassLabel,
+    ClassRegistry,
+    Detection,
+    GroundTruthObject,
+    iou,
+)
 from deteval.metrics import (
     EvalSample,
     HeightRecord,
@@ -128,6 +138,121 @@ class TestMatch:
         assert len(rep.matched_truth_indices()) == len(rep.pairs)
         total_tp = sum(t.tp for t in rep.tallies().values())
         assert total_tp <= min(len(dets), len(truths))
+
+
+def scalar_match(detections, truths, iou_threshold, cross_class=False):
+    """Reference matcher: the scalar loop over every detection/truth pair
+    that `match` replaced with one vectorised IoU pass. Returns the pairs as
+    (det_index, truth_index, iou) in the order they were made."""
+    taken = [False] * len(truths)
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    pairs = []
+    for i in order:
+        det = detections[i]
+        best_j = -1
+        best_iou = 0.0
+        for j, truth in enumerate(truths):
+            if taken[j]:
+                continue
+            if not cross_class and truth.label != det.label:
+                continue
+            value = iou(det.box, truth.box)
+            if value >= iou_threshold and value > best_iou:
+                best_j, best_iou = j, value
+        if best_j >= 0:
+            taken[best_j] = True
+            pairs.append((i, best_j, best_iou))
+    return pairs
+
+
+def scalar_image_summary(sample, class_ids, iou_threshold):
+    """Reference for `metrics._image_summary`: an independent same-class
+    scalar match per class, and a cross-class one over the whole image."""
+    per_class = {}
+    for class_id in class_ids:
+        det_index = [i for i, d in enumerate(sample.detections) if d.label == class_id]
+        truths = [t for t in sample.truths if t.label == class_id]
+        dets = [sample.detections[i] for i in det_index]
+        pairs = scalar_match(dets, truths, iou_threshold)
+        tp = {i for i, _, _ in pairs}
+        events = [(d.confidence, k in tp) for k, d in enumerate(dets)]
+        tally = (len(pairs), len(dets) - len(pairs), len(truths) - len(pairs))
+        per_class[class_id] = (events, len(truths), tally)
+    cross = scalar_match(sample.detections, sample.truths, iou_threshold, cross_class=True)
+    return per_class, cross
+
+
+# Few distinct coordinates make duplicate boxes, and so IoU ties, common;
+# arbitrary floats cover the rest of the box space.
+_COORD = st.one_of(st.sampled_from((0.3, 0.35, 0.4, 0.5)), st.floats(0.0, 1.0))
+_SIZE = st.one_of(
+    st.sampled_from((0.1, 0.2, 0.3)), st.floats(0.0, 1.0, exclude_min=True)
+)
+_BOX = st.builds(BoundingBox, _COORD, _COORD, _SIZE, _SIZE)
+_CONFIDENCE = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
+_THRESHOLD = st.one_of(
+    st.sampled_from((0.5, 1.0, 1 / 3)), st.floats(0.0, 1.0, exclude_min=True)
+)
+_DETECTIONS = st.lists(st.builds(Detection, st.integers(0, 2), _BOX, _CONFIDENCE), max_size=25)
+_TRUTHS = st.lists(st.builds(GroundTruthObject, st.integers(0, 2), _BOX), max_size=25)
+
+
+def _random_image(rng, n_truths, n_dets):
+    def box():
+        return BoundingBox(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
+                           rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3))
+
+    truths = [GroundTruthObject(rng.randrange(2), box()) for _ in range(n_truths)]
+    dets = [Detection(rng.randrange(2), box(), rng.choice((0.25, 0.5, rng.random())))
+            for _ in range(n_dets)]
+    # duplicates of earlier truths tie on IoU with them
+    truths += truths[: n_truths // 10]
+    return tuple(dets), tuple(truths)
+
+
+class TestMatcherOracle:
+    """The vectorised matcher against the scalar reference: same pairs in
+    the same order, and IoU values equal bit for bit."""
+
+    @given(_DETECTIONS, _TRUTHS, _THRESHOLD, st.booleans(), st.sampled_from((1, 7, 1 << 15)))
+    @settings(max_examples=200, deadline=None)
+    def test_match_equals_scalar_loop(self, dets, truths, threshold, cross_class, block):
+        with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
+            rep = match(dets, truths, threshold, cross_class=cross_class)
+        got = [(p.det_index, p.truth_index, p.iou) for p in rep.pairs]
+        assert got == scalar_match(dets, truths, threshold, cross_class)
+
+    @given(_DETECTIONS, _TRUTHS, _THRESHOLD, st.sampled_from((1, 7, 1 << 15)))
+    @settings(max_examples=100, deadline=None)
+    def test_image_summary_equals_per_class_scalar_passes(self, dets, truths, threshold, block):
+        sample = EvalSample("img", tuple(dets), tuple(truths))
+        with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
+            per_class, cross = metrics._image_summary(sample, (0, 1, 2), threshold)
+        want_per_class, want_cross = scalar_image_summary(sample, (0, 1, 2), threshold)
+        assert {
+            c: (events, npos, (t.tp, t.fp, t.fn)) for c, (events, npos, t) in per_class.items()
+        } == want_per_class
+        assert [(p.det_index, p.truth_index, p.iou) for p in cross.pairs] == want_cross
+
+    def test_images_spanning_several_row_blocks(self):
+        rng = random.Random(20261018)
+        for n_truths, n_dets in ((120, 700), (2, 40000)):
+            dets, truths = _random_image(rng, n_truths, n_dets)
+            assert len(dets) * len(truths) > 2 * metrics._BLOCK_PAIRS
+            for threshold in (0.1, 0.5):
+                for cross_class in (False, True):
+                    rep = match(dets, truths, threshold, cross_class=cross_class)
+                    got = [(p.det_index, p.truth_index, p.iou) for p in rep.pairs]
+                    assert got == scalar_match(dets, truths, threshold, cross_class)
+
+    def test_threshold_one_matches_only_identical_boxes(self):
+        other = BoundingBox(0.5, 0.5, 0.2, 0.1999)
+        dets = [Detection(0, other, 0.9), Detection(0, UNIT, 0.9), Detection(0, UNIT, 0.9)]
+        truths = [GroundTruthObject(0, other), GroundTruthObject(0, UNIT)]
+        rep = match(dets, truths, 1.0)
+        assert [(p.det_index, p.truth_index, p.iou) for p in rep.pairs] == [
+            (0, 0, 1.0), (1, 1, 1.0)
+        ]
 
 
 class TestScalarMetrics:
@@ -344,6 +469,12 @@ class TestBagBasedAccuracy:
         assert bottom.mean == pytest.approx(5.0, abs=0.01)
         assert bottom.sd == pytest.approx(15.81, abs=0.01)
         assert len(top.percentages) == 10
+
+    @pytest.mark.parametrize("row", ["b,top,nan,1", "b,top,4,inf", "b,top,4", "b,side,4,1"])
+    def test_bad_height_record_names_line(self, row):
+        text = f"image_id,stratum,placed,detected\na,top,4,2\n{row}\n"
+        with pytest.raises(ValueError, match="^line 3: "):
+            load_height_records(text)
 
     def test_zero_placed_excluded_with_warning(self):
         records = [
