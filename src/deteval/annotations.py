@@ -242,28 +242,21 @@ def format_yolo_prediction(detections) -> str:
     return "".join(lines)
 
 
-def _corners(box: BoundingBox) -> tuple[float, float, float, float]:
-    return box.x1, box.y1, box.x2, box.y2
+def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:
+    """Intersection and union areas, 0 intersection when disjoint. Areas are
+    taken from the same corners as the intersection, which keeps the
+    intersection at or below either area (min/max and subtraction are
+    monotone)."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
+    return inter, (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection-over-union of two boxes; 0 when disjoint.
-
-    Areas are taken from the same corner representation as the intersection,
-    which pins the result inside [0, 1] (min/max and subtraction are
-    monotone, so the intersection can never exceed either area).
-    """
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    """Intersection-over-union of two boxes, in [0, 1]; 0 when disjoint."""
+    inter, union = _inter_union(a, b)
+    return inter / union if union > 0.0 else 0.0
 
 
 def giou(a: BoundingBox, b: BoundingBox) -> float:
@@ -272,15 +265,8 @@ def giou(a: BoundingBox, b: BoundingBox) -> float:
     Ranges over (-1, 1]; equals IoU when the enclosing box is fully covered,
     and goes negative for well-separated boxes.
     """
-    ax1, ay1, ax2, ay2 = _corners(a)
-    bx1, by1, bx2, by2 = _corners(b)
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    inter = iw * ih if (iw > 0.0 and ih > 0.0) else 0.0
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    cw = max(ax2, bx2) - min(ax1, bx1)
-    ch = max(ay2, by2) - min(ay1, by1)
-    c_area = cw * ch
+    inter, union = _inter_union(a, b)
+    c_area = (max(a.x2, b.x2) - min(a.x1, b.x1)) * (max(a.y2, b.y2) - min(a.y1, b.y1))
     base = inter / union if union > 0.0 else 0.0
     if c_area <= 0.0:
         return base

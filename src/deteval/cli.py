@@ -75,24 +75,17 @@ def _require_path(config: dict, key: str, kind: str = "dir") -> Path:
     return path
 
 
-def _read_registry(path: Path) -> ClassRegistry:
+def _parse_file(parse, path: Path, *args):
+    """`parse(text, *args)` on the text of `path`. Parsers report bad input as
+    ValueError (AnnotationError, RegistryError and JSONDecodeError are ones),
+    which becomes a CliError naming the file."""
     try:
-        return ClassRegistry.from_text(path.read_text(encoding="utf-8"))
-    except RegistryError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _parse_annotation_file(path: Path, registry: ClassRegistry | None):
-    try:
-        return parse_yolo_annotation(path.read_text(encoding="utf-8"), registry)
-    except (AnnotationError, RegistryError) as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _parse_prediction_file(path: Path, registry: ClassRegistry | None):
-    try:
-        return parse_yolo_prediction(path.read_text(encoding="utf-8"), registry)
-    except (AnnotationError, RegistryError) as exc:
+        return parse(path.read_text(encoding="utf-8"), *args)
+    except json.JSONDecodeError as exc:
+        raise CliError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -104,37 +97,53 @@ def _jsonable_float(value: float):
     return value if math.isfinite(value) else repr(float(value))
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> RunManifest:
-    manifest = RunManifest(
-        command=command, config=config, input_digests=digest_inputs(inputs)
-    )
+def _write_csv(path: Path, header, rows) -> None:
+    """Write one CSV artifact; every CSV the toolkit writes has this format."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_csv_rows(path: Path, columns: int, expected_header: str) -> tuple[list[str], list]:
+    """The header and the (line number, cells) of every non-blank row of a
+    CSV file whose header and rows all have `columns` cells."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) != columns:
+            raise CliError(f"{path}: expected {expected_header}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row or not any(cell.strip() for cell in row):
+                continue
+            if len(row) != columns:
+                raise CliError(f"{path}:{lineno}: expected {columns} columns, got {len(row)}")
+            rows.append((lineno, row))
+    return header, rows
+
+
+def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
+    manifest = RunManifest(command=command, config=config, input_digests=digest_inputs(inputs))
     write_json(out_dir / "run_manifest.json", manifest.to_dict())
-    return manifest
 
 
-def _parse_wxh(text: str) -> tuple[int, int]:
-    try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except ValueError:
-        raise CliError(f"expected WxH (e.g. 416x416), got {text!r}") from None
-
-
-def _image_sizes(config: dict, gt_dir: Path, ids: list[str]) -> dict[str, tuple[int, int]]:
+def _image_sizes(config: dict, ids: list[str]) -> dict[str, tuple[int, int]]:
     tile_cfg = config["tile"]
     if tile_cfg.get("image_sizes_csv"):
         path = Path(tile_cfg["image_sizes_csv"])
         if not path.is_file():
             raise CliError(f"image_sizes_csv: not a file: {path}")
         sizes = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) != 3:
-                raise CliError(f"{path}: expected header image_id,width_px,height_px")
-            for row in reader:
-                if row and any(cell.strip() for cell in row):
-                    sizes[row[0].strip()] = (int(row[1]), int(row[2]))
+        _, rows = _read_csv_rows(path, 3, "header image_id,width_px,height_px")
+        for lineno, (image_id, *size) in rows:
+            try:
+                width, height = (int(cell) for cell in size)
+            except ValueError:
+                raise CliError(f"{path}:{lineno}: width and height must be integers: {size}") from None
+            if width <= 0 or height <= 0:
+                raise CliError(f"{path}:{lineno}: width and height must be positive: {size}")
+            sizes[image_id.strip()] = (width, height)
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
@@ -143,11 +152,7 @@ def _image_sizes(config: dict, gt_dir: Path, ids: list[str]) -> dict[str, tuple[
         from . import rasters
 
         images_dir = Path(tile_cfg["images_dir"])
-        sizes = {}
-        for image_id in ids:
-            path = _find_image(images_dir, image_id)
-            sizes[image_id] = rasters.image_size(path)
-        return sizes
+        return {i: rasters.image_size(_find_image(images_dir, i)) for i in ids}
     if tile_cfg.get("image_width") and tile_cfg.get("image_height"):
         size = (int(tile_cfg["image_width"]), int(tile_cfg["image_height"]))
         return {i: size for i in ids}
@@ -165,17 +170,25 @@ def _find_image(images_dir: Path, image_id: str) -> Path:
     raise CliError(f"no raster found for {image_id!r} under {images_dir}")
 
 
-def cmd_tile(config: dict) -> int:
+def _ground_truth(config: dict) -> tuple[Path, ClassRegistry | None, list[str]]:
+    """The ground-truth dir, the class registry if one is configured, and the
+    ids of the annotation files, of which there must be at least one."""
     gt_dir = _require_path(config, "ground_truth_dir")
-    out_dir = Path(config["output_dir"])
     registry = None
     if config.get("class_registry"):
-        registry = _read_registry(_require_path(config, "class_registry", "file"))
+        registry_path = _require_path(config, "class_registry", "file")
+        registry = _parse_file(ClassRegistry.from_text, registry_path)
     ids = _annotation_ids(gt_dir)
     if not ids:
         raise CliError(f"no annotation files (*.txt) under {gt_dir}")
+    return gt_dir, registry, ids
+
+
+def cmd_tile(config: dict) -> int:
+    gt_dir, registry, ids = _ground_truth(config)
+    out_dir = Path(config["output_dir"])
     spec = tile_spec_from(config)
-    sizes = _image_sizes(config, gt_dir, ids)
+    sizes = _image_sizes(config, ids)
     images_dir = config["tile"].get("images_dir")
 
     tiles_dir = out_dir / "tiles"
@@ -183,7 +196,7 @@ def cmd_tile(config: dict) -> int:
     manifest_rows = []
     discarded = []
     for image_id in ids:
-        objects = _parse_annotation_file(gt_dir / f"{image_id}.txt", registry)
+        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", registry)
         width, height = sizes[image_id]
         image = AnnotatedImage(image_id, width, height, tuple(objects))
         tiles = plan_tiles(width, height, spec)
@@ -208,10 +221,9 @@ def cmd_tile(config: dict) -> int:
                 _find_image(Path(images_dir), image_id), kept_rects, kept_ids, tiles_dir
             )
 
-    with open(out_dir / "tiles_manifest.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["tile_id", "src_image", "x0", "y0", "w", "h"])
-        writer.writerows(manifest_rows)
+    _write_csv(
+        out_dir / "tiles_manifest.csv", ["tile_id", "src_image", "x0", "y0", "w", "h"], manifest_rows
+    )
     (out_dir / "discarded_tiles.txt").write_text(
         "".join(f"{t}\n" for t in discarded), encoding="utf-8"
     )
@@ -227,14 +239,8 @@ def cmd_tile(config: dict) -> int:
 
 
 def cmd_augment(config: dict) -> int:
-    gt_dir = _require_path(config, "ground_truth_dir")
+    gt_dir, registry, ids = _ground_truth(config)
     out_dir = Path(config["output_dir"])
-    registry = None
-    if config.get("class_registry"):
-        registry = _read_registry(_require_path(config, "class_registry", "file"))
-    ids = _annotation_ids(gt_dir)
-    if not ids:
-        raise CliError(f"no annotation files (*.txt) under {gt_dir}")
     pipeline = augment_pipeline_from(config)
     samples = int(config["augment"]["samples"])
     # Augmentation acts on normalized coordinates; pixel dimensions are
@@ -246,7 +252,7 @@ def cmd_augment(config: dict) -> int:
     aug_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for image_id in ids:
-        objects = _parse_annotation_file(gt_dir / f"{image_id}.txt", registry)
+        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", registry)
         image = AnnotatedImage(image_id, width, height, tuple(objects))
         for k, variant in enumerate(augment(image, pipeline, samples)):
             sample_id = f"{image_id}_aug{k:04d}"
@@ -254,10 +260,7 @@ def cmd_augment(config: dict) -> int:
                 format_yolo_annotation(variant.objects), encoding="utf-8"
             )
             rows.append((sample_id, image_id, len(variant.objects)))
-    with open(out_dir / "augment_manifest.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_id", "src_image", "objects"])
-        writer.writerows(rows)
+    _write_csv(out_dir / "augment_manifest.csv", ["sample_id", "src_image", "objects"], rows)
     _write_manifest(out_dir, "augment", config, {"ground_truth_dir": gt_dir})
     print(f"wrote {len(rows)} augmented annotation sets under {aug_dir}")
     return EXIT_OK
@@ -280,20 +283,15 @@ def cmd_split(config: dict) -> int:
         raise CliError("no image ids to split")
     seed = int(config["seed"])
     if config["split"].get("sample_count"):
-        ids = sample_ids(
-            ids,
-            int(config["split"]["sample_count"]),
-            seed,
-            with_replacement=bool(config["split"].get("with_replacement")),
-        )
+        ids = sample_ids(ids, int(config["split"]["sample_count"]), seed)
     ratio = split_ratio_from(config)
     result = split_dataset(ids, ratio, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "split_manifest.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["image_id", "partition"])
-        for partition, members in (("train", result.train), ("val", result.val), ("test", result.test)):
-            writer.writerows((image_id, partition) for image_id in members)
+    _write_csv(
+        out_dir / "split_manifest.csv",
+        ["image_id", "partition"],
+        ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part)),
+    )
     _write_manifest(out_dir, "split", config, digest_source)
     print(
         f"split {len(ids)} ids into train={len(result.train)} "
@@ -313,7 +311,7 @@ def _metric_entry(value) -> dict:
 def cmd_evaluate(config: dict) -> int:
     gt_dir = _require_path(config, "ground_truth_dir")
     pred_dir = _require_path(config, "predictions_dir")
-    registry = _read_registry(_require_path(config, "class_registry", "file"))
+    registry = _parse_file(ClassRegistry.from_text, _require_path(config, "class_registry", "file"))
     out_dir = Path(config["output_dir"])
     iou_threshold = float(config["iou_threshold"])
     allow_partial = bool(config["allow_partial"])
@@ -335,14 +333,12 @@ def cmd_evaluate(config: dict) -> int:
     for image_id in sorted(set(truth_ids) | set(pred_ids)):
         truth_path = gt_dir / f"{image_id}.txt"
         pred_path = pred_dir / f"{image_id}.txt"
-        truths = _parse_annotation_file(truth_path, registry) if truth_path.is_file() else []
-        dets = _parse_prediction_file(pred_path, registry) if pred_path.is_file() else []
+        truths = _parse_file(parse_yolo_annotation, truth_path, registry) if truth_path.is_file() else []
+        dets = _parse_file(parse_yolo_prediction, pred_path, registry) if pred_path.is_file() else []
         samples.append(EvalSample(image_id, tuple(dets), tuple(truths)))
 
     interpolation = config.get("ap_interpolation", "all-point")
-    report = evaluate_detections(
-        samples, registry, iou_threshold, jobs=int(config["jobs"]), interpolation=interpolation
-    )
+    report = evaluate_detections(samples, registry, iou_threshold, interpolation=interpolation)
 
     per_class = {}
     for entry in report.per_class:
@@ -379,14 +375,14 @@ def cmd_evaluate(config: dict) -> int:
     }
     write_json(out_dir / "evaluation.json", document)
     for entry in report.per_class:
-        curve_path = out_dir / f"pr_curve_{entry.name}.csv"
-        with open(curve_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["threshold", "precision", "recall"])
-            for point in entry.curve.points:
-                writer.writerow(
-                    [f"{point.threshold:.6f}", f"{point.precision:.6f}", f"{point.recall:.6f}"]
-                )
+        _write_csv(
+            out_dir / f"pr_curve_{entry.name}.csv",
+            ["threshold", "precision", "recall"],
+            (
+                (f"{p.threshold:.6f}", f"{p.precision:.6f}", f"{p.recall:.6f}")
+                for p in entry.curve.points
+            ),
+        )
     _write_manifest(
         out_dir, "evaluate", config,
         {
@@ -403,26 +399,17 @@ def cmd_evaluate(config: dict) -> int:
 
 
 def _read_observation_csv(path: Path) -> tuple[str, list[tuple[str, float]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != 2:
-            raise CliError(f"{path}: expected a 2-column header like 'group,observation'")
-        effect = header[0].strip() or "group"
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise CliError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: not a number: {row[1]!r}") from None
-            if not math.isfinite(value):
-                raise CliError(f"{path}:{lineno}: not a finite number: {row[1]!r}")
-            rows.append((row[0].strip(), value))
-    return effect, rows
+    header, rows = _read_csv_rows(path, 2, "a 2-column header like 'group,observation'")
+    observations = []
+    for lineno, (group, raw) in rows:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise CliError(f"{path}:{lineno}: not a number: {raw!r}") from None
+        if not math.isfinite(value):
+            raise CliError(f"{path}:{lineno}: not a finite number: {raw!r}")
+        observations.append((group.strip(), value))
+    return header[0].strip() or "group", observations
 
 
 def _stats_for_file(path: Path) -> dict:
@@ -485,29 +472,19 @@ def cmd_stats(config: dict) -> int:
             raise CliError(f"stats input not found: {path}")
     inputs = sorted(inputs, key=lambda p: str(p))
     out_dir = Path(config["output_dir"])
-
-    jobs = int(config["jobs"])
-    if jobs > 1 and len(inputs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_stats_for_file, inputs))
-    else:
-        entries = [_stats_for_file(path) for path in inputs]
-
+    entries = [_stats_for_file(path) for path in inputs]
     document = {"schema_version": SCHEMA_VERSION, "responses": entries}
     write_json(out_dir / "stats.json", document)
-    with open(out_dir / "stats.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["response", "effect", "F_ratio", "prob_gt_F"])
-        for entry in entries:
-            anova = entry.get("anova")
-            if anova:
-                writer.writerow(
-                    [entry["response"], entry["effect"], anova["f_ratio"], anova["prob_gt_f"]]
-                )
-            else:
-                writer.writerow([entry["response"], entry["effect"], "error", "error"])
+    _write_csv(
+        out_dir / "stats.csv",
+        ["response", "effect", "F_ratio", "prob_gt_F"],
+        (
+            [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
+            if "anova" in e
+            else [e["response"], e["effect"], "error", "error"]
+            for e in entries
+        ),
+    )
     _write_manifest(
         out_dir, "stats", config, {f"input_{i}": p for i, p in enumerate(inputs)}
     )
@@ -522,31 +499,24 @@ def cmd_desirability(config: dict) -> int:
     profile_path = _require_path(config, "desirability_profile", "file")
     candidates_path = _require_path(config, "candidates", "file")
     out_dir = Path(config["output_dir"])
-    try:
-        profile = DesirabilityProfile.from_json(profile_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise CliError(
-            f"{profile_path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    try:
-        candidates = load_candidates_csv(candidates_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CliError(f"{candidates_path}: {exc}") from exc
+    profile = _parse_file(DesirabilityProfile.from_json, profile_path)
+    candidates = _parse_file(load_candidates_csv, candidates_path)
     try:
         ranking = select_best(candidates, profile)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     goal_names = [g.name for g in profile.goals]
-    with open(out_dir / "desirability_ranking.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "label", "D"] + [f"d_{name}" for name in goal_names] + ["tied"])
-        for entry in ranking:
-            writer.writerow(
-                [entry.rank, entry.label, f"{entry.overall:.6f}"]
-                + [f"{entry.components[name]:.6f}" for name in goal_names]
-                + [str(entry.tied).lower()]
-            )
+    _write_csv(
+        out_dir / "desirability_ranking.csv",
+        ["rank", "label", "D"] + [f"d_{name}" for name in goal_names] + ["tied"],
+        (
+            [entry.rank, entry.label, f"{entry.overall:.6f}"]
+            + [f"{entry.components[name]:.6f}" for name in goal_names]
+            + [str(entry.tied).lower()]
+            for entry in ranking
+        ),
+    )
     _write_manifest(
         out_dir, "desirability", config,
         {"desirability_profile": profile_path, "candidates": candidates_path},
@@ -559,37 +529,35 @@ def cmd_desirability(config: dict) -> int:
     return EXIT_OK
 
 
-def _load_section_json(path: Path):
-    if not path.is_file():
-        return "absent"
+def _load_ranking_csv(path: Path) -> list[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [dict(row) for row in csv.DictReader(fh)]
+
+
+def _load_json(path: Path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _load_ranking_csv(path: Path):
-    if not path.is_file():
-        return "absent"
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [dict(row) for row in reader]
+# (section name, the file a prior command wrote into the output dir, loader)
+_REPORT_SECTIONS = (
+    ("evaluation", "evaluation.json", _load_json),
+    ("stats", "stats.json", _load_json),
+    ("desirability", "desirability_ranking.csv", _load_ranking_csv),
+)
 
 
 def cmd_report(config: dict) -> int:
     out_dir = Path(config["output_dir"])
     if not out_dir.is_dir():
         raise CliError(f"output dir with prior command outputs not found: {out_dir}")
-    sections = {
-        "evaluation": _load_section_json(out_dir / "evaluation.json"),
-        "stats": _load_section_json(out_dir / "stats.json"),
-        "desirability": _load_ranking_csv(out_dir / "desirability_ranking.csv"),
-    }
     section_files = {
         name: out_dir / filename
-        for name, filename in (
-            ("evaluation", "evaluation.json"),
-            ("stats", "stats.json"),
-            ("desirability", "desirability_ranking.csv"),
-        )
+        for name, filename, _ in _REPORT_SECTIONS
         if (out_dir / filename).is_file()
+    }
+    sections = {
+        name: load(section_files[name]) if name in section_files else "absent"
+        for name, _, load in _REPORT_SECTIONS
     }
     manifest = RunManifest(
         command="report", config=config, input_digests=digest_inputs(section_files)
@@ -661,14 +629,73 @@ def _render_text_report(document: dict) -> str:
 
 
 _COMMANDS = {
-    "tile": cmd_tile,
-    "augment": cmd_augment,
-    "split": cmd_split,
-    "evaluate": cmd_evaluate,
-    "stats": cmd_stats,
-    "desirability": cmd_desirability,
-    "report": cmd_report,
+    "tile": (cmd_tile, "plan a tile grid and remap annotations per tile"),
+    "augment": (cmd_augment, "generate augmented annotation samples"),
+    "split": (cmd_split, "allocate images to train/val/test"),
+    "evaluate": (cmd_evaluate, "match predictions to ground truth and report metrics"),
+    "stats": (cmd_stats, "normality, ANOVA, and pairwise t per response CSV"),
+    "desirability": (cmd_desirability, "rank candidates by overall desirability"),
+    "report": (cmd_report, "combine prior outputs into one document"),
 }
+
+
+def _path(text: str) -> str:
+    return str(Path(text))
+
+
+def _parse_wxh(text: str) -> tuple[int, int]:
+    try:
+        w, h = text.lower().split("x")
+        return int(w), int(h)
+    except ValueError:
+        raise CliError(f"expected WxH (e.g. 416x416), got {text!r}") from None
+
+
+def _parse_ratio(text: str) -> list[int]:
+    try:
+        return [int(part) for part in text.split(":")]
+    except ValueError:
+        raise CliError(f"expected ratio A:B:C, got {text!r}") from None
+
+
+# Every flag that overrides a config key: (subcommands that take it, or None
+# for a flag given before the subcommand; flag; dotted config path, or a
+# tuple of paths that a tuple value is spread over; argparse options).
+# argparse turns only ValueError, TypeError and ArgumentTypeError from a
+# `type` into a usage error, so the CliError of a malformed WxH or ratio
+# reaches `main` and is reported as a JSON error record like any input error.
+_FLAGS = (
+    (None, "--jobs", "jobs", {"type": int, "help": "accepted for compatibility, at least 1"}),
+    (None, "--seed", "seed", {"type": int, "help": "RNG seed for augment/split"}),
+    (None, "--allow-partial", "allow_partial", {"action": "store_true", "default": None, "help": (
+        "evaluate: treat images missing on one side as empty instead of failing")}),
+    (None, "--output-dir", "output_dir", {"type": _path, "help": "directory for outputs"}),
+    (("tile", "augment", "split", "evaluate"), "--ground-truth-dir", "ground_truth_dir", {"type": _path}),
+    (("tile", "augment", "evaluate"), "--class-registry", "class_registry", {"type": _path}),
+    (("tile",), "--tile-size", ("tile.width", "tile.height"), {
+        "type": _parse_wxh, "help": "WxH, e.g. 416x416"}),
+    (("tile",), "--image-size", ("tile.image_width", "tile.image_height"), {
+        "type": _parse_wxh, "help": "WxH applied to every image"}),
+    (("tile",), "--image-sizes-csv", "tile.image_sizes_csv", {
+        "type": _path, "help": "CSV image_id,width_px,height_px"}),
+    (("tile",), "--images-dir", "tile.images_dir", {
+        "type": _path, "help": "optional rasters (enables tile crops)"}),
+    (("tile",), "--edge-policy", "tile.edge_policy", {"choices": ["anchor-to-edge", "pad"]}),
+    (("tile",), "--min-visibility", "tile.min_visibility", {"type": float}),
+    (("augment",), "--samples", "augment.samples", {"type": int}),
+    (("split",), "--ids-file", "split.ids_file", {"type": _path, "help": "one image id per line"}),
+    (("split",), "--ratio", "split.ratio", {"type": _parse_ratio, "help": "A:B:C, e.g. 15:3:2"}),
+    (("split",), "--sample-count", "split.sample_count", {
+        "type": int, "help": "draw this many ids before splitting"}),
+    (("evaluate",), "--predictions-dir", "predictions_dir", {"type": _path}),
+    (("evaluate",), "--iou-threshold", "iou_threshold", {"type": float}),
+    (("stats",), "--inputs", "stats_inputs", {
+        "type": _path, "nargs": "+", "help": "group,observation CSV files"}),
+    (("desirability",), "--profile", "desirability_profile", {
+        "type": _path, "help": "goal definitions (JSON)"}),
+    (("desirability",), "--candidates", "candidates", {
+        "type": _path, "help": "label,response,value CSV"}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -681,129 +708,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"deteval {__version__}")
     parser.add_argument("--config", type=Path, help="JSON config file")
-    parser.add_argument("--jobs", type=int, help="worker count, at least 1 (never changes results)")
-    parser.add_argument("--seed", type=int, help="RNG seed for augment/split")
-    parser.add_argument(
-        "--allow-partial",
-        action="store_true",
-        default=None,
-        help="evaluate: treat images missing on one side as empty instead of failing",
-    )
-    parser.add_argument("--output-dir", type=Path, help="directory for outputs")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    tile = sub.add_parser("tile", help="plan a tile grid and remap annotations per tile")
-    tile.add_argument("--ground-truth-dir", type=Path)
-    tile.add_argument("--class-registry", type=Path)
-    tile.add_argument("--tile-size", help="WxH, e.g. 416x416")
-    tile.add_argument("--image-size", help="WxH applied to every image")
-    tile.add_argument("--image-sizes-csv", type=Path, help="CSV image_id,width_px,height_px")
-    tile.add_argument("--images-dir", type=Path, help="optional rasters (enables tile crops)")
-    tile.add_argument("--edge-policy", choices=["anchor-to-edge", "pad"])
-    tile.add_argument("--min-visibility", type=float)
-
-    aug = sub.add_parser("augment", help="generate augmented annotation samples")
-    aug.add_argument("--ground-truth-dir", type=Path)
-    aug.add_argument("--class-registry", type=Path)
-    aug.add_argument("--samples", type=int)
-
-    split = sub.add_parser("split", help="allocate images to train/val/test")
-    split.add_argument("--ground-truth-dir", type=Path)
-    split.add_argument("--ids-file", type=Path, help="one image id per line")
-    split.add_argument("--ratio", help="A:B:C, e.g. 15:3:2")
-    split.add_argument("--sample-count", type=int, help="draw this many ids before splitting")
-    split.add_argument("--with-replacement", action="store_true", default=None)
-
-    ev = sub.add_parser("evaluate", help="match predictions to ground truth and report metrics")
-    ev.add_argument("--ground-truth-dir", type=Path)
-    ev.add_argument("--predictions-dir", type=Path)
-    ev.add_argument("--class-registry", type=Path)
-    ev.add_argument("--iou-threshold", type=float)
-
-    st = sub.add_parser("stats", help="normality, ANOVA, and pairwise t per response CSV")
-    st.add_argument("--inputs", type=Path, nargs="+", help="group,observation CSV files")
-
-    des = sub.add_parser("desirability", help="rank candidates by overall desirability")
-    des.add_argument("--profile", type=Path, help="goal definitions (JSON)")
-    des.add_argument("--candidates", type=Path, help="label,response,value CSV")
-
-    sub.add_parser("report", help="combine prior outputs into one document")
+    parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    for commands, flag, _, options in _FLAGS:
+        for target in [parser] if commands is None else [parsers[c] for c in commands]:
+            target.add_argument(flag, **options)
     return parser
 
 
-def _overrides_from_args(args: argparse.Namespace) -> dict:
+def _overrides(args: argparse.Namespace) -> dict:
+    """Nested config overrides from the flags given on the command line."""
     overrides: dict = {}
-
-    def set_if(key, value):
-        if value is not None:
-            overrides[key] = value
-
-    set_if("jobs", args.jobs)
-    set_if("seed", args.seed)
-    set_if("allow_partial", args.allow_partial)
-    if args.output_dir is not None:
-        overrides["output_dir"] = str(args.output_dir)
-    for key in ("ground_truth_dir", "predictions_dir", "class_registry"):
-        if getattr(args, key, None) is not None:
-            overrides[key] = str(getattr(args, key))
-
-    tile: dict = {}
-    if getattr(args, "tile_size", None):
-        tile["width"], tile["height"] = _parse_wxh(args.tile_size)
-    if getattr(args, "image_size", None):
-        tile["image_width"], tile["image_height"] = _parse_wxh(args.image_size)
-    if getattr(args, "image_sizes_csv", None):
-        tile["image_sizes_csv"] = str(args.image_sizes_csv)
-    if getattr(args, "images_dir", None):
-        tile["images_dir"] = str(args.images_dir)
-    if getattr(args, "edge_policy", None):
-        tile["edge_policy"] = args.edge_policy
-    if getattr(args, "min_visibility", None) is not None:
-        tile["min_visibility"] = args.min_visibility
-    if tile:
-        overrides["tile"] = tile
-
-    if getattr(args, "samples", None) is not None:
-        overrides["augment"] = {"samples": args.samples}
-
-    split: dict = {}
-    if getattr(args, "ratio", None):
-        try:
-            split["ratio"] = [int(part) for part in args.ratio.split(":")]
-        except ValueError:
-            raise CliError(f"expected ratio A:B:C, got {args.ratio!r}") from None
-    if getattr(args, "sample_count", None) is not None:
-        split["sample_count"] = args.sample_count
-    if getattr(args, "with_replacement", None) is not None:
-        split["with_replacement"] = args.with_replacement
-    if getattr(args, "ids_file", None):
-        split["ids_file"] = str(args.ids_file)
-    if split:
-        overrides["split"] = split
-
-    if getattr(args, "iou_threshold", None) is not None:
-        overrides["iou_threshold"] = args.iou_threshold
-    if getattr(args, "inputs", None):
-        overrides["stats_inputs"] = [str(p) for p in args.inputs]
-    if getattr(args, "profile", None):
-        overrides["desirability_profile"] = str(args.profile)
-    if getattr(args, "candidates", None):
-        overrides["candidates"] = str(args.candidates)
+    for _, flag, paths, _ in _FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if isinstance(paths, str):
+            paths, value = (paths,), (value,)
+        for path, part in zip(paths, value):
+            *parents, key = path.split(".")
+            node = overrides
+            for name in parents:
+                node = node.setdefault(name, {})
+            node[key] = part
     return overrides
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        overrides = _overrides_from_args(args)
-        config = load_config(args.config, overrides)
-        return _COMMANDS[args.command](config)
-    except CliError as exc:
-        _emit_error(exc)
-        return EXIT_INPUT
-    except (AnnotationError, RegistryError, ConfigError, ValueError, OSError) as exc:
+        args = _build_parser().parse_args(argv)
+        config = load_config(args.config, _overrides(args))
+        return _COMMANDS[args.command][0](config)
+    except (CliError, AnnotationError, RegistryError, ConfigError, ValueError, OSError) as exc:
         _emit_error(exc)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -47,7 +48,6 @@ DEFAULTS = {
     "split": {
         "ratio": [15, 3, 2],
         "sample_count": None,
-        "with_replacement": False,
         "ids_file": None,
     },
     "stats_inputs": [],
@@ -79,9 +79,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 def load_config(path: Path | None, overrides: dict | None = None) -> dict:
     """Defaults <- config file <- CLI overrides, in increasing precedence."""
-    config = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULTS.items()}
-    config["augment"] = json.loads(json.dumps(DEFAULTS["augment"]))
-    config["split"] = dict(DEFAULTS["split"])
+    config = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))

@@ -98,20 +98,22 @@ class DesirabilityProfile:
     @classmethod
     def from_json(cls, text: str) -> DesirabilityProfile:
         data = json.loads(text)
-        goals = data["goals"] if isinstance(data, dict) else data
-        return cls(
-            goals=tuple(
-                ResponseGoal(
-                    name=g["name"],
-                    direction=g["direction"],
-                    low=float(g["low"]),
-                    middle=float(g["middle"]),
-                    high=float(g["high"]),
-                    weight=float(g.get("weight", 1.0)),
+        goals = []
+        for index, g in enumerate(data.get("goals", ()) if isinstance(data, dict) else data):
+            try:
+                goals.append(
+                    ResponseGoal(
+                        name=g["name"],
+                        direction=g["direction"],
+                        low=float(g["low"]),
+                        middle=float(g["middle"]),
+                        high=float(g["high"]),
+                        weight=float(g.get("weight", 1.0)),
+                    )
                 )
-                for g in goals
-            )
-        )
+            except KeyError as exc:
+                raise ValueError(f"goal {index}: missing key {exc.args[0]!r}") from None
+        return cls(goals=tuple(goals))
 
 
 def component_desirabilities(candidate: Candidate, profile: DesirabilityProfile) -> dict[str, float]:

@@ -188,38 +188,37 @@ def _sum_tallies(report: MatchReport, label: int | None) -> ClassTally:
     )
 
 
+def _rates(t: ClassTally) -> tuple[MetricValue, MetricValue, MetricValue, MetricValue]:
+    """Precision, recall, F1 and accuracy of one tally. Accuracy is
+    (TP+TN)/(TP+TN+FP+FN) with TN fixed at 0: open-scene detection has no
+    countable true negatives, so it reduces to TP/(TP+FP+FN)."""
+
+    def ratio(denom: int) -> MetricValue:
+        return MetricValue(t.tp / denom) if denom else MetricValue(0.0, degenerate=True)
+
+    p, r = ratio(t.tp + t.fp), ratio(t.tp + t.fn)
+    if p + r == 0.0:
+        f = MetricValue(0.0, degenerate=True)
+    else:
+        f = MetricValue(2.0 * p * r / (p + r), degenerate=p.degenerate or r.degenerate)
+    return p, r, f, ratio(t.tp + t.fp + t.fn)
+
+
 def precision(report: MatchReport, label: int | None = None) -> MetricValue:
-    t = _sum_tallies(report, label)
-    denom = t.tp + t.fp
-    if denom == 0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(t.tp / denom)
+    return _rates(_sum_tallies(report, label))[0]
 
 
 def recall(report: MatchReport, label: int | None = None) -> MetricValue:
-    t = _sum_tallies(report, label)
-    denom = t.tp + t.fn
-    if denom == 0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(t.tp / denom)
+    return _rates(_sum_tallies(report, label))[1]
 
 
 def f1(report: MatchReport, label: int | None = None) -> MetricValue:
-    p = precision(report, label)
-    r = recall(report, label)
-    if p + r == 0.0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(2.0 * p * r / (p + r), degenerate=p.degenerate or r.degenerate)
+    return _rates(_sum_tallies(report, label))[2]
 
 
 def detection_accuracy(report: MatchReport, label: int | None = None) -> MetricValue:
-    """(TP+TN)/(TP+TN+FP+FN) with TN fixed at 0: open-scene detection has no
-    countable true negatives, so this reduces to TP/(TP+FP+FN)."""
-    t = _sum_tallies(report, label)
-    denom = t.tp + t.fp + t.fn
-    if denom == 0:
-        return MetricValue(0.0, degenerate=True)
-    return MetricValue(t.tp / denom)
+    """TP/(TP+FP+FN): true negatives are counted as 0 (see `_rates`)."""
+    return _rates(_sum_tallies(report, label))[3]
 
 
 @dataclass(frozen=True)
@@ -290,19 +289,26 @@ def _sweep(events, npos: int, class_id: int) -> PRCurve:
     return PRCurve(class_id=class_id, npos=npos, points=tuple(points))
 
 
+def _fold(image_summaries, class_id: int):
+    """One class's sweep events, positive count and tally over all images,
+    from the per-image summaries of `_class_events`."""
+    events, npos, tp, fp, fn = [], 0, 0, 0, 0
+    for summaries in image_summaries:
+        image_events, image_npos, tally = summaries[class_id]
+        events.extend(image_events)
+        npos += image_npos
+        tp, fp, fn = tp + tally.tp, fp + tally.fp, fn + tally.fn
+    return events, npos, ClassTally(tp, fp, fn)
+
+
 def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     """Precision/recall sweep over every distinct confidence value.
 
     Tallies accumulate in descending-confidence order; tied confidences are
     folded into a single sweep step so the curve is independent of input
     ordering."""
-    events = []
-    npos = 0
-    for sample in samples:
-        report = match(sample.detections, sample.truths, iou_threshold)
-        image_events, image_npos, _ = _class_events(report, (class_id,))[class_id]
-        events.extend(image_events)
-        npos += image_npos
+    reports = (match(s.detections, s.truths, iou_threshold) for s in samples)
+    events, npos, _ = _fold((_class_events(r, (class_id,)) for r in reports), class_id)
     return _sweep(events, npos, class_id)
 
 
@@ -510,63 +516,37 @@ def evaluate_detections(
     samples,
     registry: ClassRegistry,
     iou_threshold: float,
-    jobs: int = 1,
     interpolation: str = AP_ALL_POINT,
 ) -> EvaluationReport:
     """Full per-class evaluation over a test set.
 
     Per-class tallies and the PR sweep come from per-image same-class
     matching; the confusion matrix comes from a cross-class pass over the
-    same IoU candidates. Each image is an independent work unit and the
-    results fold in image order, so any worker count yields identical
-    output.
+    same IoU candidates. Each image is matched independently and the
+    results fold in image order.
     """
     samples = sorted(samples, key=lambda s: s.image_id)
     class_ids = registry.ids()
-    if jobs > 1 and len(samples) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(
-                pool.map(lambda s: _image_summary(s, class_ids, iou_threshold), samples)
-            )
-    else:
-        summaries = [_image_summary(s, class_ids, iou_threshold) for s in samples]
+    summaries = [_image_summary(s, class_ids, iou_threshold) for s in samples]
 
     per_class = []
     flags = []
-    aps = []
     for class_id in class_ids:
         name = registry.name_of(class_id)
-        events = []
-        npos = tp = fp = fn = 0
-        for class_summaries, _ in summaries:
-            image_events, image_npos, tally = class_summaries[class_id]
-            events.extend(image_events)
-            npos += image_npos
-            tp, fp, fn = tp + tally.tp, fp + tally.fp, fn + tally.fn
+        events, npos, tally = _fold((classes for classes, _ in summaries), class_id)
         curve = _sweep(events, npos, class_id)
         ap = average_precision(curve, interpolation)
-        tally = ClassTally(tp, fp, fn)
-        p = MetricValue(tp / (tp + fp)) if tp + fp else MetricValue(0.0, True)
-        r = MetricValue(tp / (tp + fn)) if tp + fn else MetricValue(0.0, True)
-        f = (
-            MetricValue(2 * p * r / (p + r), p.degenerate or r.degenerate)
-            if p + r
-            else MetricValue(0.0, True)
-        )
-        acc = MetricValue(tp / (tp + fp + fn)) if tp + fp + fn else MetricValue(0.0, True)
+        p, r, f, acc = _rates(tally)
         for metric_name, value in (
             ("ap", ap), ("precision", p), ("recall", r), ("f1", f), ("accuracy", acc),
         ):
             if value.degenerate:
                 flags.append(f"{metric_name}[{name}]")
-        aps.append(ap)
         per_class.append(ClassEvaluation(class_id, name, tally, p, r, f, acc, ap, curve))
     return EvaluationReport(
         iou_threshold=iou_threshold,
         per_class=tuple(per_class),
-        map50=mean_average_precision(aps),
+        map50=mean_average_precision(c.ap for c in per_class),
         confusion=confusion_matrix([cross for _, cross in summaries], registry),
         degenerate_flags=tuple(flags),
     )

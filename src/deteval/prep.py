@@ -316,14 +316,11 @@ def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
     )
 
 
-def sample_ids(image_ids, count: int, rng_seed: int, with_replacement: bool = False) -> list[str]:
-    """Draw `count` ids with a seeded RNG, with or without replacement."""
+def sample_ids(image_ids, count: int, rng_seed: int) -> list[str]:
+    """Draw `count` distinct ids with a seeded RNG."""
     ids = list(image_ids)
     if count < 0:
         raise ValueError(f"count must be >= 0: {count}")
-    rng = random.Random(rng_seed)
-    if with_replacement:
-        return [ids[rng.randrange(len(ids))] for _ in range(count)]
     if count > len(ids):
         raise ValueError(f"cannot draw {count} of {len(ids)} ids without replacement")
-    return rng.sample(ids, count)
+    return random.Random(rng_seed).sample(ids, count)

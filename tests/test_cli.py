@@ -4,8 +4,9 @@ import shutil
 
 import pytest
 
+from deteval import cli
 from deteval.cli import main
-from deteval.config import write_json
+from deteval.config import DEFAULTS, write_json
 
 
 def run_cli(*argv):
@@ -71,6 +72,31 @@ class TestTile:
             "--output-dir", tmp_path / "out", "tile",
             "--ground-truth-dir", fixtures_dir / "tiling",
         ) == 2
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("a,nan,100", "width and height must be integers"),
+            ("a,100", "expected 3 columns, got 2"),
+            ("a,0,100", "width and height must be positive"),
+            ("a,1600,-1300", "width and height must be positive"),
+        ],
+    )
+    def test_bad_image_size_row_names_file_and_line(self, tmp_path, capsys, row, problem):
+        annots = tmp_path / "annots"
+        annots.mkdir()
+        (annots / "a.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text(f"image_id,width_px,height_px\n\n{row}\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "tile",
+            "--ground-truth-dir", annots,
+            "--image-sizes-csv", sizes,
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"].startswith(f"{sizes}:3: {problem}")
 
     def test_raster_adapter_reads_sizes_and_writes_crops(self, tmp_path):
         Image = pytest.importorskip("PIL.Image")
@@ -423,6 +449,20 @@ class TestDesirabilityCommand:
         assert record["message"].startswith(f"{bad}: invalid JSON at line 2 column 20: ")
 
 
+    def test_goal_missing_key_names_profile_goal_and_key(self, fixtures_dir, tmp_path, capsys):
+        bad = tmp_path / "profile.json"
+        bad.write_text(json.dumps({"goals": [{"name": "map50", "direction": "larger-is-better"}]}))
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", bad,
+            "--candidates", fixtures_dir / "desirability" / "candidates.csv",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"] == f"{bad}: goal 0: missing key 'low'"
+
+
 class TestJobs:
     @pytest.mark.parametrize("flag", ["--jobs=0", "--jobs=-3"])
     def test_flag_below_one_rejected(self, fixtures_dir, tmp_path, capsys, flag):
@@ -532,3 +572,105 @@ class TestManifest:
         code = run_cli("--config", config, "report")
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_removed_with_replacement_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"split": {"with_replacement": true}}')
+        code = run_cli("--config", config, "--output-dir", tmp_path / "out", "report")
+        assert code == 2
+        assert "unknown config key: 'with_replacement'" in capsys.readouterr().err
+
+
+# Per flag: the values given on the command line and the config values they
+# must set, by dotted path. Paths are normalised as pathlib does.
+FLAG_VALUES = {
+    "--jobs": (["3"], {"jobs": 3}),
+    "--seed": (["7"], {"seed": 7}),
+    "--allow-partial": ([], {"allow_partial": True}),
+    "--ground-truth-dir": (["gt//truth/"], {"ground_truth_dir": "gt/truth"}),
+    "--class-registry": (["reg/./classes.txt"], {"class_registry": "reg/classes.txt"}),
+    "--tile-size": (["320x240"], {"tile.width": 320, "tile.height": 240}),
+    "--image-size": (["1600X1300"], {"tile.image_width": 1600, "tile.image_height": 1300}),
+    "--image-sizes-csv": (["sizes//s.csv"], {"tile.image_sizes_csv": "sizes/s.csv"}),
+    "--images-dir": (["img/"], {"tile.images_dir": "img"}),
+    "--edge-policy": (["pad"], {"tile.edge_policy": "pad"}),
+    "--min-visibility": (["0.25"], {"tile.min_visibility": 0.25}),
+    "--samples": (["12"], {"augment.samples": 12}),
+    "--ids-file": (["ids//list.txt"], {"split.ids_file": "ids/list.txt"}),
+    "--ratio": (["7:2:1"], {"split.ratio": [7, 2, 1]}),
+    "--sample-count": (["9"], {"split.sample_count": 9}),
+    "--predictions-dir": (["pred/./x"], {"predictions_dir": "pred/x"}),
+    "--iou-threshold": (["0.75"], {"iou_threshold": 0.75}),
+    "--inputs": (["a.csv", "s//b.csv"], {"stats_inputs": ["a.csv", "s/b.csv"]}),
+    "--profile": (["p//profile.json"], {"desirability_profile": "p/profile.json"}),
+    "--candidates": (["c/./cands.csv"], {"candidates": "c/cands.csv"}),
+}
+
+
+def _paths(row):
+    paths = row[2]
+    return (paths,) if isinstance(paths, str) else paths
+
+
+def _lookup(config, path):
+    for key in path.split("."):
+        config = config[key]
+    return config
+
+
+class TestFlagTable:
+    def test_every_table_path_is_a_config_key(self):
+        for row in cli._FLAGS:
+            for path in _paths(row):
+                *parents, key = path.split(".")
+                node = DEFAULTS
+                for part in parents:
+                    node = node[part]
+                assert key in node, path
+
+    def test_every_flag_lands_at_its_config_path(self, tmp_path, monkeypatch):
+        assert {row[1] for row in cli._FLAGS} == set(FLAG_VALUES) | {"--output-dir"}
+        for row in cli._FLAGS:
+            if row[1] != "--output-dir":
+                assert set(_paths(row)) == set(FLAG_VALUES[row[1]][1])
+
+        def record_config(config):
+            cli._write_manifest(tmp_path / config["output_dir"], "probe", config, {})
+            return 0
+
+        for name, (_, text) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, (record_config, text))
+        for command in cli._COMMANDS:
+            rows = [r for r in cli._FLAGS if r[0] is None or command in r[0]]
+            argv = ["--output-dir", f"runs//{command}/"]
+            for row in rows:
+                if row[0] is None and row[1] != "--output-dir":
+                    argv += [row[1], *FLAG_VALUES[row[1]][0]]
+            argv.append(command)
+            for row in rows:
+                if row[0] is not None:
+                    argv += [row[1], *FLAG_VALUES[row[1]][0]]
+            assert run_cli(*argv) == 0
+            manifest = json.loads((tmp_path / "runs" / command / "run_manifest.json").read_text())
+            config = manifest["config"]
+            assert config["output_dir"] == f"runs/{command}"
+            for row in rows:
+                for path, value in FLAG_VALUES.get(row[1], ([], {}))[1].items():
+                    assert _lookup(config, path) == value, (command, row[1], path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["tile", "--tile-size", "416"], ["tile", "--image-size", "axb"], ["split", "--ratio", "15:x:2"]],
+    )
+    def test_malformed_value_exits_2_with_error_record(self, tmp_path, capsys, argv):
+        code = run_cli("--output-dir", tmp_path / "out", *argv)
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert repr(argv[-1]) in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_with_replacement_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--output-dir", tmp_path / "out", "split", "--with-replacement")
+        assert exc.value.code == 2

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -197,3 +198,17 @@ class TestParsing:
     def test_duplicate_goal_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate goal names"):
             DesirabilityProfile(goals=(MAP_GOAL, MAP_GOAL))
+
+    @pytest.mark.parametrize("key", ["name", "direction", "low", "middle", "high"])
+    def test_goal_missing_key_names_goal_and_key(self, key):
+        goals = [
+            {"name": "a", "direction": "larger-is-better", "low": 0.1, "middle": 0.5, "high": 0.9},
+            {"name": "b", "direction": "larger-is-better", "low": 0.1, "middle": 0.5, "high": 0.9},
+        ]
+        del goals[1][key]
+        with pytest.raises(ValueError, match=f"^goal 1: missing key '{key}'$"):
+            DesirabilityProfile.from_json(json.dumps({"goals": goals}))
+
+    def test_profile_without_goals_rejected(self):
+        with pytest.raises(ValueError, match="at least one goal"):
+            DesirabilityProfile.from_json('{"goal": []}')

@@ -521,9 +521,3 @@ class TestEvaluateDetections:
         assert cm.matrix[0][0] == 3 and cm.matrix[1][1] == 1
         assert cm.matrix[0][2] == 1 and cm.matrix[1][2] == 1 and cm.matrix[2][1] == 1
         assert cm.total() == 7
-
-    def test_jobs_do_not_change_results(self, fixtures_dir):
-        samples = self._samples(fixtures_dir)
-        sequential = evaluate_detections(samples, REGISTRY, 0.5, jobs=1)
-        parallel = evaluate_detections(samples, REGISTRY, 0.5, jobs=8)
-        assert sequential == parallel

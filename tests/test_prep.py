@@ -244,12 +244,6 @@ class TestSampleIds:
         assert len(picked) == len(set(picked)) == 10
         assert sample_ids(ids, 10, 3) == picked
 
-    def test_with_replacement_can_repeat(self):
-        ids = ["a", "b"]
-        picked = sample_ids(ids, 10, 0, with_replacement=True)
-        assert len(picked) == 10
-        assert set(picked) <= {"a", "b"}
-
     def test_overdraw_error(self):
         with pytest.raises(ValueError, match="without replacement"):
             sample_ids(["a"], 2, 0)
