@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import math
 from dataclasses import dataclass
+from functools import partial
 
 COORD_DECIMALS = 6
 
@@ -78,40 +81,32 @@ class ClassRegistry:
     """Immutable id <-> name table for annotation classes."""
 
     def __init__(self, labels):
-        labels = tuple(labels)
-        ids = [lab.id for lab in labels]
-        names = [lab.name for lab in labels]
-        if len(set(ids)) != len(ids):
-            raise RegistryError(f"duplicate class ids: {sorted(ids)}")
-        if len(set(names)) != len(names):
-            raise RegistryError(f"duplicate class names: {sorted(names)}")
-        self._labels = labels
-        self._by_id = {lab.id: lab for lab in labels}
-        self._by_name = {lab.name: lab for lab in labels}
+        self._by_id: dict[int, ClassLabel] = {}
+        self._by_name: dict[str, ClassLabel] = {}
+        for lab in labels:
+            self._add(lab)
+
+    def _add(self, lab: ClassLabel) -> None:
+        if lab.id in self._by_id:
+            raise RegistryError(f"duplicate class ids: {lab.id} is listed twice")
+        if lab.name in self._by_name:
+            raise RegistryError(f"duplicate class names: {lab.name!r} is listed twice")
+        self._by_id[lab.id] = self._by_name[lab.name] = lab
 
     @classmethod
     def from_text(cls, text: str) -> ClassRegistry:
-        """Parse `<id> <name>` lines into a registry."""
-        labels = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise RegistryError(f"line {lineno}: expected '<id> <name>', got {line!r}")
-            try:
-                class_id = int(parts[0])
-            except ValueError:
-                raise RegistryError(f"line {lineno}: class id is not an integer: {parts[0]!r}") from None
-            labels.append(ClassLabel(class_id, parts[1]))
-        return cls(labels)
+        """Parse `<id> <name>` lines into a registry; a repeated id or name is
+        reported on the line that repeats it."""
+        registry, rows = cls(()), map(str.split, text.splitlines())
+        read_rows(rows, 2, lambda i, name: registry._add(ClassLabel(_class_id(i), name)), RegistryError)
+        return registry
 
     def to_text(self) -> str:
-        return "".join(f"{lab.id} {lab.name}\n" for lab in self._labels)
+        return "".join(f"{lab.id} {lab.name}\n" for lab in self._by_id.values())
 
     @property
     def labels(self) -> tuple[ClassLabel, ...]:
-        return self._labels
+        return tuple(self._by_id.values())
 
     def ids(self) -> tuple[int, ...]:
         return tuple(sorted(self._by_id))
@@ -132,7 +127,7 @@ class ClassRegistry:
         return class_id in self._by_id
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return len(self._by_id)
 
 
 @dataclass(frozen=True)
@@ -164,63 +159,71 @@ class AnnotatedImage:
             raise ValueError(f"image size must be positive: {self.width_px}x{self.height_px}")
 
 
-def _parse_fields(line: str, lineno: int, n_fields: int) -> tuple[int, list[float]]:
-    parts = line.split()
-    if len(parts) != n_fields:
-        raise AnnotationError(f"line {lineno}: expected {n_fields} fields, got {len(parts)}")
-    try:
-        class_id = int(parts[0])
-    except ValueError:
-        raise AnnotationError(f"line {lineno}: class id is not an integer: {parts[0]!r}") from None
-    values = []
-    for raw in parts[1:]:
+def read_rows(rows, n_fields: int, convert, error: type[ValueError] = ValueError, start: int = 1) -> list:
+    """`convert(*fields)` for each row of `rows`, an iterable of field lists
+    numbered from `start`, skipping rows whose fields are all empty. A row
+    without `n_fields` fields, or a ValueError from `convert`, raises `error`
+    (or the converter's own ValueError subclass) with `line N: ` in front."""
+    converted = []
+    for lineno, fields in enumerate(rows, start):
+        if not any(fields):
+            continue
         try:
-            values.append(float(raw))
-        except ValueError:
-            raise AnnotationError(f"line {lineno}: not a number: {raw!r}") from None
-    return class_id, values
+            if len(fields) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+            converted.append(convert(*fields))
+        except ValueError as exc:
+            raise (error if type(exc) is ValueError else type(exc))(f"line {lineno}: {exc}") from None
+    return converted
 
 
-def _box_from_values(values: list[float], lineno: int) -> BoundingBox:
-    cx, cy, w, h = values
-    if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
-        raise AnnotationError(f"line {lineno}: box center out of [0,1]: ({cx}, {cy})")
-    if not (0.0 < w <= 1.0 and 0.0 < h <= 1.0):
-        raise AnnotationError(f"line {lineno}: box size out of (0,1]: ({w}, {h})")
-    return BoundingBox(cx, cy, w, h)
+def read_csv(text: str, n_fields: int, convert, header: tuple[str, ...] | None = None) -> tuple:
+    """The header of CSV text and `read_rows` over the rows below it, with
+    cells stripped. The header must have `n_fields` cells, equal to `header`
+    up to case when it is given."""
+    rows = ([cell.strip() for cell in row] for row in csv.reader(text.splitlines()))
+    first = next(rows, None)
+    if first is None or len(first) != n_fields or (header and [c.lower() for c in first] != list(header)):
+        expected = ",".join(header) if header else f"of {n_fields} fields"
+        raise ValueError(f"line 1: expected header {expected}, got {first}")
+    return first, read_rows(rows, n_fields, convert, start=2)
 
 
-def _check_label(class_id: int, registry: ClassRegistry | None, lineno: int) -> None:
+def number(raw: str) -> float:
+    """`float(raw)`; a ValueError unless that is a finite number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
+def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
+    try:
+        class_id = int(raw)
+    except ValueError:
+        raise ValueError(f"class id is not an integer: {raw!r}") from None
     if registry is not None and class_id not in registry:
-        raise RegistryError(f"line {lineno}: unknown class id {class_id}")
+        raise RegistryError(f"unknown class id {class_id}")
+    return class_id
+
+
+def _yolo_row(registry, class_id, cx, cy, w, h, *confidence):
+    label = _class_id(class_id, registry)
+    box = BoundingBox(number(cx), number(cy), number(w), number(h))
+    return Detection(label, box, number(*confidence)) if confidence else GroundTruthObject(label, box)
 
 
 def parse_yolo_annotation(text: str, registry: ClassRegistry | None = None) -> list[GroundTruthObject]:
     """Parse `class_id cx cy w h` lines; values are kept exactly as parsed."""
-    objects = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        class_id, values = _parse_fields(line, lineno, 5)
-        _check_label(class_id, registry, lineno)
-        objects.append(GroundTruthObject(class_id, _box_from_values(values, lineno)))
-    return objects
+    return read_rows(map(str.split, text.splitlines()), 5, partial(_yolo_row, registry), AnnotationError)
 
 
 def parse_yolo_prediction(text: str, registry: ClassRegistry | None = None) -> list[Detection]:
     """Parse `class_id cx cy w h confidence` lines."""
-    detections = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        class_id, values = _parse_fields(line, lineno, 6)
-        _check_label(class_id, registry, lineno)
-        box = _box_from_values(values[:4], lineno)
-        conf = values[4]
-        if not (0.0 <= conf <= 1.0):
-            raise AnnotationError(f"line {lineno}: confidence out of [0,1]: {conf}")
-        detections.append(Detection(class_id, box, conf))
-    return detections
+    return read_rows(map(str.split, text.splitlines()), 6, partial(_yolo_row, registry), AnnotationError)
 
 
 def format_yolo_annotation(objects) -> str:

@@ -13,16 +13,15 @@ from pathlib import Path
 from . import __version__
 from .annotations import (
     AnnotatedImage,
-    AnnotationError,
     ClassRegistry,
-    RegistryError,
     format_yolo_annotation,
+    number,
     parse_yolo_annotation,
     parse_yolo_prediction,
+    read_csv,
 )
 from .config import (
     SCHEMA_VERSION,
-    ConfigError,
     RunManifest,
     augment_pipeline_from,
     digest_inputs,
@@ -105,45 +104,27 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _read_csv_rows(path: Path, columns: int, expected_header: str) -> tuple[list[str], list]:
-    """The header and the (line number, cells) of every non-blank row of a
-    CSV file whose header and rows all have `columns` cells."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != columns:
-            raise CliError(f"{path}: expected {expected_header}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != columns:
-                raise CliError(f"{path}:{lineno}: expected {columns} columns, got {len(row)}")
-            rows.append((lineno, row))
-    return header, rows
-
-
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = RunManifest(command=command, config=config, input_digests=digest_inputs(inputs))
     write_json(out_dir / "run_manifest.json", manifest.to_dict())
 
 
+def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
+    """One `image_id,width_px,height_px` row of an image-sizes CSV."""
+    try:
+        width, height = (int(cell) for cell in cells)
+    except ValueError:
+        raise ValueError(f"width and height must be integers: {list(cells)}") from None
+    if width <= 0 or height <= 0:
+        raise ValueError(f"width and height must be positive: {list(cells)}")
+    return image_id, (width, height)
+
+
 def _image_sizes(config: dict, ids: list[str]) -> dict[str, tuple[int, int]]:
     tile_cfg = config["tile"]
     if tile_cfg.get("image_sizes_csv"):
-        path = Path(tile_cfg["image_sizes_csv"])
-        if not path.is_file():
-            raise CliError(f"image_sizes_csv: not a file: {path}")
-        sizes = {}
-        _, rows = _read_csv_rows(path, 3, "header image_id,width_px,height_px")
-        for lineno, (image_id, *size) in rows:
-            try:
-                width, height = (int(cell) for cell in size)
-            except ValueError:
-                raise CliError(f"{path}:{lineno}: width and height must be integers: {size}") from None
-            if width <= 0 or height <= 0:
-                raise CliError(f"{path}:{lineno}: width and height must be positive: {size}")
-            sizes[image_id.strip()] = (width, height)
+        path = _require_path(tile_cfg, "image_sizes_csv", "file")
+        sizes = dict(_parse_file(read_csv, path, 3, _image_size_row)[1])
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
@@ -268,11 +249,8 @@ def cmd_augment(config: dict) -> int:
 
 def cmd_split(config: dict) -> int:
     out_dir = Path(config["output_dir"])
-    ids_file = config["split"].get("ids_file")
-    if ids_file:
-        path = Path(ids_file)
-        if not path.is_file():
-            raise CliError(f"ids file not found: {path}")
+    if config["split"].get("ids_file"):
+        path = _require_path(config["split"], "ids_file", "file")
         ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
         digest_source: dict = {"ids_file": path}
     else:
@@ -398,24 +376,14 @@ def cmd_evaluate(config: dict) -> int:
     return EXIT_OK
 
 
-def _read_observation_csv(path: Path) -> tuple[str, list[tuple[str, float]]]:
-    header, rows = _read_csv_rows(path, 2, "a 2-column header like 'group,observation'")
-    observations = []
-    for lineno, (group, raw) in rows:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise CliError(f"{path}:{lineno}: not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise CliError(f"{path}:{lineno}: not a finite number: {raw!r}")
-        observations.append((group.strip(), value))
-    return header[0].strip() or "group", observations
+def _observation_row(group: str, raw: str) -> tuple[str, float]:
+    return group, number(raw)
 
 
 def _stats_for_file(path: Path) -> dict:
-    effect, rows = _read_observation_csv(path)
+    header, rows = _parse_file(read_csv, path, 2, _observation_row)
     response = path.stem
-    entry: dict = {"response": response, "effect": effect}
+    entry: dict = {"response": response, "effect": header[0] or "group"}
     try:
         table = ObservationTable.from_rows(response, rows)
     except ValueError as exc:
@@ -739,7 +707,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config, _overrides(args))
         return _COMMANDS[args.command][0](config)
-    except (CliError, AnnotationError, RegistryError, ConfigError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # ConfigError and the parse errors are ValueErrors
         _emit_error(exc)
         return EXIT_INPUT
     except Exception as exc:  # pragma: no cover - defensive

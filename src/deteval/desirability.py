@@ -3,11 +3,11 @@ candidate ranking."""
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
+
+from .annotations import number, read_csv
 
 LARGER_IS_BETTER = "larger-is-better"
 SMALLER_IS_BETTER = "smaller-is-better"
@@ -98,9 +98,14 @@ class DesirabilityProfile:
     @classmethod
     def from_json(cls, text: str) -> DesirabilityProfile:
         data = json.loads(text)
+        entries = data.get("goals", []) if isinstance(data, dict) else data
+        if not isinstance(entries, list):
+            raise ValueError(f"expected a list of goals, got {entries!r}")
         goals = []
-        for index, g in enumerate(data.get("goals", ()) if isinstance(data, dict) else data):
+        for index, g in enumerate(entries):
             try:
+                if not isinstance(g, dict):
+                    raise ValueError(f"expected an object, got {g!r}")
                 goals.append(
                     ResponseGoal(
                         name=g["name"],
@@ -111,8 +116,9 @@ class DesirabilityProfile:
                         weight=float(g.get("weight", 1.0)),
                     )
                 )
-            except KeyError as exc:
-                raise ValueError(f"goal {index}: missing key {exc.args[0]!r}") from None
+            except (KeyError, TypeError, ValueError) as exc:
+                problem = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"goal {index}: {problem}") from None
         return cls(goals=tuple(goals))
 
 
@@ -181,22 +187,13 @@ def select_best(candidates, profile: DesirabilityProfile) -> list[RankedCandidat
 def load_candidates_csv(text: str) -> list[Candidate]:
     """Read long-format `label,response,value` rows into candidates,
     preserving first-seen label order."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != ["label", "response", "value"]:
-        raise ValueError(f"expected header 'label,response,value', got {header}")
     responses: dict[str, dict[str, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns, got {row}")
-        label, response, raw = (cell.strip() for cell in row)
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ValueError(f"line {lineno}: not a number: {raw!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"line {lineno}: not a finite number: {raw!r}")
-        responses.setdefault(label, {})[response] = value
+
+    def add(label, response, raw):
+        values = responses.setdefault(label, {})
+        if response in values:
+            raise ValueError(f"duplicate response {response!r} for candidate {label!r}")
+        values[response] = number(raw)
+
+    read_csv(text, 3, add, ("label", "response", "value"))
     return [Candidate(label, resp) for label, resp in responses.items()]

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import ClassRegistry, Detection, GroundTruthObject
+from .annotations import ClassRegistry, Detection, GroundTruthObject, read_csv
 
 BACKGROUND = "background"
 
@@ -416,27 +416,10 @@ class HeightRecord:
 
 def load_height_records(text: str) -> list[HeightRecord]:
     """Parse `image_id,stratum,placed,detected` CSV rows into records."""
-    import csv
-    import io
+    def record(image_id, stratum, placed, detected):
+        return HeightRecord(image_id, stratum, int(placed), int(detected))
 
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    expected = ["image_id", "stratum", "placed", "detected"]
-    if header is None or [h.strip().lower() for h in header] != expected:
-        raise ValueError(f"expected header {','.join(expected)}, got {header}")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or not any(cell.strip() for cell in row):
-            continue
-        if len(row) != 4:
-            raise ValueError(f"line {lineno}: expected 4 columns, got {row}")
-        try:
-            records.append(
-                HeightRecord(row[0].strip(), row[1].strip(), int(row[2]), int(row[3]))
-            )
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return records
+    return read_csv(text, 4, record, ("image_id", "stratum", "placed", "detected"))[1]
 
 
 @dataclass(frozen=True)

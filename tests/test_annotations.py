@@ -116,6 +116,20 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="line 1"):
             ClassRegistry.from_text("zero wb\n")
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("0 wb\n-1 bb\n", "line 2: class id must be non-negative: -1"),
+            ("0 wb\n\n0 bb\n", "line 3: duplicate class ids: 0"),
+            ("0 wb\n1 wb\n", "line 2: duplicate class names: 'wb'"),
+            ("0 wb extra\n", "line 1: expected 2 fields, got 3"),
+        ],
+    )
+    def test_error_names_line(self, text, problem):
+        with pytest.raises(RegistryError) as info:
+            ClassRegistry.from_text(text)
+        assert str(info.value).startswith(problem)
+
 
 class TestIoU:
     def test_identical_boxes(self):

@@ -77,7 +77,7 @@ class TestTile:
         "row, problem",
         [
             ("a,nan,100", "width and height must be integers"),
-            ("a,100", "expected 3 columns, got 2"),
+            ("a,100", "expected 3 fields, got 2"),
             ("a,0,100", "width and height must be positive"),
             ("a,1600,-1300", "width and height must be positive"),
         ],
@@ -96,7 +96,7 @@ class TestTile:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "CliError"
-        assert record["message"].startswith(f"{sizes}:3: {problem}")
+        assert record["message"].startswith(f"{sizes}: line 3: {problem}")
 
     def test_raster_adapter_reads_sizes_and_writes_crops(self, tmp_path):
         Image = pytest.importorskip("PIL.Image")
@@ -369,7 +369,7 @@ class TestStats:
         assert run_cli("--output-dir", out, "stats", "--inputs", path) == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "CliError"
-        assert f"{path}:5: not a finite number" in record["message"]
+        assert f"{path}: line 5: not a finite number" in record["message"]
         assert not (out / "stats.json").exists()
 
     def test_jobs_do_not_change_bytes(self, fixtures_dir, tmp_path):
@@ -461,6 +461,29 @@ class TestDesirabilityCommand:
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "CliError"
         assert record["message"] == f"{bad}: goal 0: missing key 'low'"
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"goals": ["map50"]}', "goal 0: expected an object"),
+            ("7", "expected a list of goals"),
+            ('{"goals": 5}', "expected a list of goals"),
+        ],
+    )
+    def test_profile_entry_of_the_wrong_type_names_profile(
+        self, fixtures_dir, tmp_path, capsys, text, problem
+    ):
+        bad = tmp_path / "profile.json"
+        bad.write_text(text)
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", bad,
+            "--candidates", fixtures_dir / "desirability" / "candidates.csv",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"].startswith(f"{bad}: {problem}")
 
 
 class TestJobs:

@@ -212,3 +212,25 @@ class TestParsing:
     def test_profile_without_goals_rejected(self):
         with pytest.raises(ValueError, match="at least one goal"):
             DesirabilityProfile.from_json('{"goal": []}')
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"goals": ["map50"]}', "goal 0: expected an object, got 'map50'"),
+            ("7", "expected a list of goals, got 7"),
+            ('{"goals": 5}', "expected a list of goals, got 5"),
+            (
+                '[{"name": "a", "direction": "larger-is-better", "low": null, "middle": 0.5, "high": 0.9}]',
+                "goal 0: float() argument must be",
+            ),
+        ],
+    )
+    def test_entries_of_the_wrong_type_rejected(self, text, problem):
+        with pytest.raises(ValueError) as info:
+            DesirabilityProfile.from_json(text)
+        assert str(info.value).startswith(problem)
+
+    def test_duplicate_candidate_row_rejected(self):
+        text = "label,response,value\nm1,map50,0.5\nm2,map50,0.7\nm1,map50,0.9\n"
+        with pytest.raises(ValueError, match="^line 4: duplicate response 'map50' for candidate 'm1'$"):
+            load_candidates_csv(text)
