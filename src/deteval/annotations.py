@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
+
+import numpy as np
 
 COORD_DECIMALS = 6
 
@@ -224,6 +227,67 @@ def parse_yolo_annotation(text: str, registry: ClassRegistry | None = None) -> l
 def parse_yolo_prediction(text: str, registry: ClassRegistry | None = None) -> list[Detection]:
     """Parse `class_id cx cy w h confidence` lines."""
     return read_rows(map(str.split, text.splitlines()), 6, partial(_yolo_row, registry), AnnotationError)
+
+
+def decode_text(data: bytes) -> str:
+    """The text of a UTF-8 file's bytes with CRLF and CR line ends turned
+    into LF, as reading the file in text mode gives it."""
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+@dataclass(frozen=True)
+class BoxColumns:
+    """The boxes of a sequence of images as columns. Row k has class
+    `labels[k]`, a position in the caller's list of class ids, and `values[k]`
+    = (cx, cy, w, h) for ground truth or (cx, cy, w, h, confidence) for
+    detections; image m owns rows `offsets[m]:offsets[m + 1]`."""
+
+    labels: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
+
+
+def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
+    """YOLO annotation (`n_fields` 5) or prediction (6) files, each given as
+    its bytes, as one `BoxColumns` with labels as positions in
+    `registry.ids()`. Values convert with `int` and `float` as the scalar
+    parsers convert them and are checked all at once. When any file fails a
+    check, the scalar parser's `line N:` error for the first failing file is
+    raised, with that file's position in `files` as its `file_index`."""
+    files = list(files)
+    try:
+        return _yolo_columns(files, n_fields, registry)
+    except (ValueError, KeyError):
+        pass
+    parse = parse_yolo_annotation if n_fields == 5 else parse_yolo_prediction
+    for index, data in enumerate(files):
+        try:
+            parse(decode_text(data), registry)
+        except ValueError as exc:
+            exc.file_index = index
+            raise
+    raise AssertionError("read_yolo rejected files that the scalar parser accepts")
+
+
+def _yolo_columns(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
+    """`read_yolo` on files that pass every check; any other file raises a
+    ValueError or KeyError that says nothing of where."""
+    position = {class_id: k for k, class_id in enumerate(registry.ids())}
+    rows, counts = [], [0]
+    for data in files:
+        lines = [fields for fields in map(str.split, decode_text(data).splitlines()) if fields]
+        rows += lines
+        counts.append(len(lines))
+    if not set(map(len, rows)) <= {n_fields}:
+        raise ValueError("wrong field count")
+    tokens = list(itertools.chain.from_iterable(rows))
+    labels = np.array([position[int(raw)] for raw in tokens[::n_fields]], dtype=np.intp)
+    del tokens[::n_fields]
+    values = np.array(list(map(float, tokens)), dtype=np.float64).reshape(-1, n_fields - 1)
+    # cx, cy and the confidence in [0, 1], w and h in (0, 1]; NaN fails both
+    if not (np.all((values >= 0.0) & (values <= 1.0)) and np.all(values[:, 2:4] > 0.0)):
+        raise ValueError("value out of range")
+    return BoxColumns(labels, values, np.cumsum(counts))
 
 
 def format_yolo_annotation(objects) -> str:

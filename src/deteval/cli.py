@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -14,11 +15,12 @@ from . import __version__
 from .annotations import (
     AnnotatedImage,
     ClassRegistry,
+    decode_text,
     format_yolo_annotation,
     number,
     parse_yolo_annotation,
-    parse_yolo_prediction,
     read_csv,
+    read_yolo,
 )
 from .config import (
     SCHEMA_VERSION,
@@ -26,12 +28,13 @@ from .config import (
     augment_pipeline_from,
     digest_inputs,
     load_config,
+    read_input,
     split_ratio_from,
     tile_spec_from,
     write_json,
 )
 from .desirability import DesirabilityProfile, load_candidates_csv, select_best
-from .metrics import EvalSample, evaluate_detections
+from .metrics import EvalColumns, evaluate_detections
 from .prep import augment, plan_tiles, retile_annotations, sample_ids, split_dataset
 from .stats import ObservationTable, anova_oneway, shapiro_wilk, t_test_pairwise
 
@@ -74,12 +77,13 @@ def _require_path(config: dict, key: str, kind: str = "dir") -> Path:
     return path
 
 
-def _parse_file(parse, path: Path, *args):
-    """`parse(text, *args)` on the text of `path`. Parsers report bad input as
-    ValueError (AnnotationError, RegistryError and JSONDecodeError are ones),
-    which becomes a CliError naming the file."""
+def _parse_file(parse, path: Path, data: bytes, *args):
+    """`parse(text, *args)` on the text of `data`, the bytes of `path`.
+    Parsers report bad input as ValueError (AnnotationError, RegistryError,
+    JSONDecodeError and UnicodeDecodeError are ones), which becomes a
+    CliError naming the file."""
     try:
-        return parse(path.read_text(encoding="utf-8"), *args)
+        return parse(decode_text(data), *args)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -88,8 +92,14 @@ def _parse_file(parse, path: Path, *args):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _annotation_ids(directory: Path) -> list[str]:
-    return sorted(p.stem for p in directory.glob("*.txt"))
+def _annotation_files(tree: dict[str, bytes]) -> dict[str, bytes]:
+    """The bytes of the `<image_id>.txt` files directly in a directory that
+    `read_input` read, by image id, in id order."""
+    return dict(sorted(
+        (name[: -len(".txt")], data)
+        for name, data in tree.items()
+        if "/" not in name and name.endswith(".txt")
+    ))
 
 
 def _jsonable_float(value: float):
@@ -105,6 +115,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
+    """The run manifest, with digests of the inputs as `read_input` read them."""
     manifest = RunManifest(command=command, config=config, input_digests=digest_inputs(inputs))
     write_json(out_dir / "run_manifest.json", manifest.to_dict())
 
@@ -124,7 +135,7 @@ def _image_sizes(config: dict, ids: list[str]) -> dict[str, tuple[int, int]]:
     tile_cfg = config["tile"]
     if tile_cfg.get("image_sizes_csv"):
         path = _require_path(tile_cfg, "image_sizes_csv", "file")
-        sizes = dict(_parse_file(read_csv, path, 3, _image_size_row)[1])
+        sizes = dict(_parse_file(read_csv, path, read_input(path), 3, _image_size_row)[1])
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
@@ -151,22 +162,26 @@ def _find_image(images_dir: Path, image_id: str) -> Path:
     raise CliError(f"no raster found for {image_id!r} under {images_dir}")
 
 
-def _ground_truth(config: dict) -> tuple[Path, ClassRegistry | None, list[str]]:
-    """The ground-truth dir, the class registry if one is configured, and the
-    ids of the annotation files, of which there must be at least one."""
+def _ground_truth(config: dict) -> tuple[Path, ClassRegistry | None, dict[str, bytes], dict]:
+    """The ground-truth dir, the class registry if one is configured, the
+    annotation files by image id, of which there must be at least one, and
+    the ground-truth dir and registry as read, for the manifest."""
     gt_dir = _require_path(config, "ground_truth_dir")
-    registry = None
+    registry = registry_data = None
     if config.get("class_registry"):
         registry_path = _require_path(config, "class_registry", "file")
-        registry = _parse_file(ClassRegistry.from_text, registry_path)
-    ids = _annotation_ids(gt_dir)
-    if not ids:
+        registry_data = read_input(registry_path)
+        registry = _parse_file(ClassRegistry.from_text, registry_path, registry_data)
+    tree = read_input(gt_dir)
+    annotations = _annotation_files(tree)
+    if not annotations:
         raise CliError(f"no annotation files (*.txt) under {gt_dir}")
-    return gt_dir, registry, ids
+    return gt_dir, registry, annotations, {"ground_truth_dir": tree, "class_registry": registry_data}
 
 
 def cmd_tile(config: dict) -> int:
-    gt_dir, registry, ids = _ground_truth(config)
+    gt_dir, registry, annotations, inputs = _ground_truth(config)
+    ids = list(annotations)
     out_dir = Path(config["output_dir"])
     spec = tile_spec_from(config)
     sizes = _image_sizes(config, ids)
@@ -176,8 +191,8 @@ def cmd_tile(config: dict) -> int:
     tiles_dir.mkdir(parents=True, exist_ok=True)
     manifest_rows = []
     discarded = []
-    for image_id in ids:
-        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", registry)
+    for image_id, data in annotations.items():
+        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
         width, height = sizes[image_id]
         image = AnnotatedImage(image_id, width, height, tuple(objects))
         tiles = plan_tiles(width, height, spec)
@@ -208,10 +223,7 @@ def cmd_tile(config: dict) -> int:
     (out_dir / "discarded_tiles.txt").write_text(
         "".join(f"{t}\n" for t in discarded), encoding="utf-8"
     )
-    _write_manifest(
-        out_dir, "tile", config,
-        {"ground_truth_dir": gt_dir, "class_registry": config.get("class_registry")},
-    )
+    _write_manifest(out_dir, "tile", config, inputs)
     print(
         f"tiled {len(ids)} images into {len(manifest_rows)} tiles "
         f"({len(discarded)} discardable); manifest: {out_dir / 'tiles_manifest.csv'}"
@@ -220,7 +232,7 @@ def cmd_tile(config: dict) -> int:
 
 
 def cmd_augment(config: dict) -> int:
-    gt_dir, registry, ids = _ground_truth(config)
+    gt_dir, registry, annotations, inputs = _ground_truth(config)
     out_dir = Path(config["output_dir"])
     pipeline = augment_pipeline_from(config)
     samples = int(config["augment"]["samples"])
@@ -232,8 +244,8 @@ def cmd_augment(config: dict) -> int:
     aug_dir = out_dir / "augmented"
     aug_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for image_id in ids:
-        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", registry)
+    for image_id, data in annotations.items():
+        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
         image = AnnotatedImage(image_id, width, height, tuple(objects))
         for k, variant in enumerate(augment(image, pipeline, samples)):
             sample_id = f"{image_id}_aug{k:04d}"
@@ -242,7 +254,7 @@ def cmd_augment(config: dict) -> int:
             )
             rows.append((sample_id, image_id, len(variant.objects)))
     _write_csv(out_dir / "augment_manifest.csv", ["sample_id", "src_image", "objects"], rows)
-    _write_manifest(out_dir, "augment", config, {"ground_truth_dir": gt_dir})
+    _write_manifest(out_dir, "augment", config, {"ground_truth_dir": inputs["ground_truth_dir"]})
     print(f"wrote {len(rows)} augmented annotation sets under {aug_dir}")
     return EXIT_OK
 
@@ -250,13 +262,13 @@ def cmd_augment(config: dict) -> int:
 def cmd_split(config: dict) -> int:
     out_dir = Path(config["output_dir"])
     if config["split"].get("ids_file"):
-        path = _require_path(config["split"], "ids_file", "file")
-        ids = [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-        digest_source: dict = {"ids_file": path}
+        data = read_input(_require_path(config["split"], "ids_file", "file"))
+        ids = [line.strip() for line in decode_text(data).splitlines() if line.strip()]
+        digest_source: dict = {"ids_file": data}
     else:
-        gt_dir = _require_path(config, "ground_truth_dir")
-        ids = _annotation_ids(gt_dir)
-        digest_source = {"ground_truth_dir": gt_dir}
+        tree = read_input(_require_path(config, "ground_truth_dir"))
+        ids = list(_annotation_files(tree))
+        digest_source = {"ground_truth_dir": tree}
     if not ids:
         raise CliError("no image ids to split")
     seed = int(config["seed"])
@@ -286,20 +298,40 @@ def _metric_entry(value) -> dict:
     return entry
 
 
+def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> EvalColumns:
+    """Ground truth and predictions of the images `ids` as columns, from two
+    sides of (directory, annotation files by image id, fields per row); an
+    image without a file on one side is empty there. A malformed file raises
+    the CliError of the first one in image order, ground truth before
+    predictions, which is the one a file-by-file parse would meet first."""
+    columns, errors = [], []
+    for side, (directory, files, n_fields) in enumerate(sides):
+        try:
+            columns.append(read_yolo([files.get(i, b"") for i in ids], n_fields, registry))
+        except ValueError as exc:
+            errors.append((exc.file_index, side, directory / f"{ids[exc.file_index]}.txt", exc))
+    if errors:
+        *_, path, exc = min(errors, key=lambda error: error[:2])
+        raise CliError(f"{path}: {exc}") from exc
+    return EvalColumns(*columns)
+
+
 def cmd_evaluate(config: dict) -> int:
     gt_dir = _require_path(config, "ground_truth_dir")
     pred_dir = _require_path(config, "predictions_dir")
-    registry = _parse_file(ClassRegistry.from_text, _require_path(config, "class_registry", "file"))
+    registry_path = _require_path(config, "class_registry", "file")
+    registry_data = read_input(registry_path)
+    registry = _parse_file(ClassRegistry.from_text, registry_path, registry_data)
     out_dir = Path(config["output_dir"])
     iou_threshold = float(config["iou_threshold"])
     allow_partial = bool(config["allow_partial"])
 
-    truth_ids = _annotation_ids(gt_dir)
-    pred_ids = _annotation_ids(pred_dir)
-    if not truth_ids:
+    truth_tree, pred_tree = read_input(gt_dir), read_input(pred_dir)
+    truth_files, pred_files = _annotation_files(truth_tree), _annotation_files(pred_tree)
+    if not truth_files:
         raise CliError(f"no annotation files (*.txt) under {gt_dir}")
-    missing = sorted(set(truth_ids) - set(pred_ids))
-    extra = sorted(set(pred_ids) - set(truth_ids))
+    missing = sorted(set(truth_files) - set(pred_files))
+    extra = sorted(set(pred_files) - set(truth_files))
     if (missing or extra) and not allow_partial:
         raise CliError(
             "ground truth and predictions disagree on image ids "
@@ -307,16 +339,10 @@ def cmd_evaluate(config: dict) -> int:
             context={"missing_predictions": missing, "unmatched_prediction_files": extra},
         )
 
-    samples = []
-    for image_id in sorted(set(truth_ids) | set(pred_ids)):
-        truth_path = gt_dir / f"{image_id}.txt"
-        pred_path = pred_dir / f"{image_id}.txt"
-        truths = _parse_file(parse_yolo_annotation, truth_path, registry) if truth_path.is_file() else []
-        dets = _parse_file(parse_yolo_prediction, pred_path, registry) if pred_path.is_file() else []
-        samples.append(EvalSample(image_id, tuple(dets), tuple(truths)))
-
+    ids = sorted(set(truth_files) | set(pred_files))
+    columns = _evaluation_columns(registry, ids, (gt_dir, truth_files, 5), (pred_dir, pred_files, 6))
     interpolation = config.get("ap_interpolation", "all-point")
-    report = evaluate_detections(samples, registry, iou_threshold, interpolation=interpolation)
+    report = evaluate_detections(columns, registry, iou_threshold, interpolation=interpolation)
 
     per_class = {}
     for entry in report.per_class:
@@ -338,7 +364,7 @@ def cmd_evaluate(config: dict) -> int:
             "values": "metrics are fractions in [0,1], not percentages",
         },
         "iou_threshold": iou_threshold,
-        "image_count": len(samples),
+        "image_count": len(ids),
         "missing_predictions": missing,
         "unmatched_prediction_files": extra,
         "per_class": per_class,
@@ -363,14 +389,10 @@ def cmd_evaluate(config: dict) -> int:
         )
     _write_manifest(
         out_dir, "evaluate", config,
-        {
-            "ground_truth_dir": gt_dir,
-            "predictions_dir": pred_dir,
-            "class_registry": config["class_registry"],
-        },
+        {"ground_truth_dir": truth_tree, "predictions_dir": pred_tree, "class_registry": registry_data},
     )
     print(
-        f"evaluated {len(samples)} images: mAP@{int(round(iou_threshold * 100))} = "
+        f"evaluated {len(ids)} images: mAP@{int(round(iou_threshold * 100))} = "
         f"{report.map50:.4f}; report: {out_dir / 'evaluation.json'}"
     )
     return EXIT_OK
@@ -380,8 +402,8 @@ def _observation_row(group: str, raw: str) -> tuple[str, float]:
     return group, number(raw)
 
 
-def _stats_for_file(path: Path) -> dict:
-    header, rows = _parse_file(read_csv, path, 2, _observation_row)
+def _stats_for_file(path: Path, data: bytes) -> dict:
+    header, rows = _parse_file(read_csv, path, data, 2, _observation_row)
     response = path.stem
     entry: dict = {"response": response, "effect": header[0] or "group"}
     try:
@@ -439,8 +461,9 @@ def cmd_stats(config: dict) -> int:
         if not path.is_file():
             raise CliError(f"stats input not found: {path}")
     inputs = sorted(inputs, key=lambda p: str(p))
+    data = [read_input(path) for path in inputs]
     out_dir = Path(config["output_dir"])
-    entries = [_stats_for_file(path) for path in inputs]
+    entries = [_stats_for_file(path, blob) for path, blob in zip(inputs, data)]
     document = {"schema_version": SCHEMA_VERSION, "responses": entries}
     write_json(out_dir / "stats.json", document)
     _write_csv(
@@ -453,9 +476,7 @@ def cmd_stats(config: dict) -> int:
             for e in entries
         ),
     )
-    _write_manifest(
-        out_dir, "stats", config, {f"input_{i}": p for i, p in enumerate(inputs)}
-    )
+    _write_manifest(out_dir, "stats", config, {f"input_{i}": blob for i, blob in enumerate(data)})
     failed = [e["response"] for e in entries if "error" in e]
     if failed:
         raise CliError(f"stats failed for responses: {failed}", context={"responses": failed})
@@ -467,8 +488,9 @@ def cmd_desirability(config: dict) -> int:
     profile_path = _require_path(config, "desirability_profile", "file")
     candidates_path = _require_path(config, "candidates", "file")
     out_dir = Path(config["output_dir"])
-    profile = _parse_file(DesirabilityProfile.from_json, profile_path)
-    candidates = _parse_file(load_candidates_csv, candidates_path)
+    inputs = {"desirability_profile": read_input(profile_path), "candidates": read_input(candidates_path)}
+    profile = _parse_file(DesirabilityProfile.from_json, profile_path, inputs["desirability_profile"])
+    candidates = _parse_file(load_candidates_csv, candidates_path, inputs["candidates"])
     try:
         ranking = select_best(candidates, profile)
     except ValueError as exc:
@@ -485,10 +507,7 @@ def cmd_desirability(config: dict) -> int:
             for entry in ranking
         ),
     )
-    _write_manifest(
-        out_dir, "desirability", config,
-        {"desirability_profile": profile_path, "candidates": candidates_path},
-    )
+    _write_manifest(out_dir, "desirability", config, inputs)
     best = ranking[0]
     print(
         f"ranked {len(ranking)} candidates: best {best.label!r} (D={best.overall:.4f}); "
@@ -497,13 +516,12 @@ def cmd_desirability(config: dict) -> int:
     return EXIT_OK
 
 
-def _load_ranking_csv(path: Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]
+def _load_ranking_csv(data: bytes) -> list[dict]:
+    return [dict(row) for row in csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))]
 
 
-def _load_json(path: Path):
-    return json.loads(path.read_text(encoding="utf-8"))
+def _load_json(data: bytes):
+    return json.loads(decode_text(data))
 
 
 # (section name, the file a prior command wrote into the output dir, loader)
@@ -518,17 +536,17 @@ def cmd_report(config: dict) -> int:
     out_dir = Path(config["output_dir"])
     if not out_dir.is_dir():
         raise CliError(f"output dir with prior command outputs not found: {out_dir}")
-    section_files = {
-        name: out_dir / filename
+    section_data = {
+        name: read_input(out_dir / filename)
         for name, filename, _ in _REPORT_SECTIONS
         if (out_dir / filename).is_file()
     }
     sections = {
-        name: load(section_files[name]) if name in section_files else "absent"
+        name: load(section_data[name]) if name in section_data else "absent"
         for name, _, load in _REPORT_SECTIONS
     }
     manifest = RunManifest(
-        command="report", config=config, input_digests=digest_inputs(section_files)
+        command="report", config=config, input_digests=digest_inputs(section_data)
     )
     document = {
         "schema_version": SCHEMA_VERSION,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -130,34 +131,46 @@ def split_ratio_from(config: dict) -> SplitRatio:
     return SplitRatio(int(ratio[0]), int(ratio[1]), int(ratio[2]))
 
 
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def read_input(path: Path) -> bytes | dict[str, bytes]:
+    """The bytes of an input file, or of every file under an input directory
+    and its subdirectories (symbolic links to directories are not entered),
+    keyed by relative path with `/` between parts, in the order of the parts.
+    Each file is opened once; its bytes serve both parsing and the digest."""
+    path = Path(path)
+    if not path.is_dir():
+        return path.read_bytes()
+    files = {}
+    for parts, file_path in sorted(_tree_files(path, ())):
+        with open(file_path, "rb") as fh:
+            files["/".join(parts)] = fh.read()
+    return files
 
 
-def sha256_tree(path: Path) -> str:
-    """Stable digest of a directory: file names and contents in sorted order."""
-    digest = hashlib.sha256()
-    for child in sorted(p for p in Path(path).rglob("*") if p.is_file()):
-        digest.update(str(child.relative_to(path)).encode("utf-8"))
-        digest.update(b"\x00")
-        digest.update(bytes.fromhex(sha256_file(child)))
-    return digest.hexdigest()
+def _tree_files(directory, parts: tuple[str, ...]):
+    """(relative parts, path) of every file under `directory`."""
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            if entry.is_file():
+                yield (*parts, entry.name), entry.path
+            elif entry.is_dir(follow_symlinks=False):
+                yield from _tree_files(entry.path, (*parts, entry.name))
 
 
-def digest_inputs(paths: dict[str, Path | None]) -> dict[str, str]:
+def digest_inputs(inputs: dict[str, bytes | dict[str, bytes] | None]) -> dict[str, str]:
+    """SHA-256 of each input `read_input` read, by name; None is skipped. A
+    directory's digest covers each file's relative path, a NUL byte and the
+    SHA-256 of its bytes, file by file in `read_input` order."""
     digests = {}
-    for name, path in sorted(paths.items()):
-        if path is None:
+    for name, data in sorted(inputs.items()):
+        if data is None:
             continue
-        path = Path(path)
-        if path.is_dir():
-            digests[name] = f"sha256:{sha256_tree(path)}"
-        elif path.is_file():
-            digests[name] = f"sha256:{sha256_file(path)}"
+        if isinstance(data, dict):
+            digest = hashlib.sha256()
+            for rel, blob in data.items():
+                digest.update(rel.encode("utf-8") + b"\x00" + hashlib.sha256(blob).digest())
+        else:
+            digest = hashlib.sha256(data)
+        digests[name] = f"sha256:{digest.hexdigest()}"
     return digests
 
 

@@ -33,6 +33,11 @@ class ResponseGoal:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"goal name must be a non-empty string, got {self.name!r}")
+        for key in ("low", "middle", "high", "weight"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)}")
         if self.direction not in _DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}; expected one of {_DIRECTIONS}")
         if self.weight <= 0.0:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import ClassRegistry, Detection, GroundTruthObject, read_csv
+from .annotations import BoxColumns, ClassRegistry, Detection, GroundTruthObject, read_csv
 
 BACKGROUND = "background"
 
@@ -79,84 +79,135 @@ class MatchReport:
         return {p.truth_index for p in self.pairs}
 
 
-# Detection rows per IoU block are chosen so that a block holds at most this
-# many pairs, which bounds the working set however crowded an image is.
-_BLOCK_PAIRS = 1 << 15
+@dataclass(frozen=True)
+class EvalSample:
+    """Detections and ground truth for one image, in one coordinate frame."""
+
+    image_id: str
+    detections: tuple[Detection, ...]
+    truths: tuple[GroundTruthObject, ...]
 
 
-def _box_columns(objects):
-    """Lower corners and upper corners (each 2 x N, x then y) and areas, with
-    the operation order of `annotations.iou`: corners are c -/+ size/2.0
-    and areas come from the corners."""
-    boxes = np.array(
-        [(o.box.cx, o.box.cy, o.box.w, o.box.h) for o in objects], dtype=np.float64
-    ).T
+@dataclass(frozen=True)
+class EvalColumns:
+    """Ground truth and detections of a sequence of images as columns (see
+    `BoxColumns`); image m of `truths` is image m of `detections`, and the
+    images fold in this order."""
+
+    truths: BoxColumns
+    detections: BoxColumns
+
+    @classmethod
+    def from_samples(cls, samples, positions: dict[int, int]) -> EvalColumns:
+        """Columns of EvalSamples, class ids mapped to `positions`."""
+        samples = list(samples)
+
+        def columns(images, fields, width):
+            objects = [o for image in images for o in image]
+            return BoxColumns(
+                np.array([positions[o.label] for o in objects], dtype=np.intp),
+                np.array([fields(o) for o in objects], dtype=np.float64).reshape(-1, width),
+                np.cumsum([0] + [len(image) for image in images]),
+            )
+
+        return cls(
+            columns([s.truths for s in samples], lambda t: (t.box.cx, t.box.cy, t.box.w, t.box.h), 4),
+            columns(
+                [s.detections for s in samples],
+                lambda d: (d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence),
+                5,
+            ),
+        )
+
+
+def _positions(*groups) -> dict[int, int]:
+    """Positions of the sorted class ids of the objects in `groups`."""
+    return {c: k for k, c in enumerate(sorted({o.label for group in groups for o in group}))}
+
+
+# Consecutive detection rows, across images, go into one IoU block until it
+# holds this many pairs; a row alone may exceed it. This bounds the working
+# set however crowded an image is.
+_BLOCK_PAIRS = 1 << 12
+
+
+def _corners(values):
+    """Rows x1, y1, x2, y2 and area (a 5 x N array) of boxes, with the
+    operation order of `annotations.iou`: corners are c -/+ size/2.0 and
+    areas come from the corners."""
+    boxes = values[:, :4].T
     half = boxes[2:] / 2.0
     lo = boxes[:2] - half
     hi = boxes[:2] + half
     side = hi - lo
-    return lo, hi, side[0] * side[1]
+    return np.concatenate((lo, hi, (side[0] * side[1])[None]))
 
 
-def _candidates(detections, truths, iou_threshold: float) -> list[tuple[int, int, float]]:
-    """(i, j, iou) for every detection/truth pair whose IoU is at or above the
-    threshold, in row-major order.
+def _candidates(columns: EvalColumns, iou_threshold: float):
+    """(detection rows, truth rows, IoUs) of every pair within one image whose
+    IoU is at or above the threshold, detection-major.
 
-    One vectorised pass over blocks of detection rows; each IoU is
-    bit-identical to `annotations.iou(detections[i].box, truths[j].box)`.
-    Negative overlaps are clipped to 0, which leaves every positive
-    intersection unchanged and sends every other pair below the (positive)
-    threshold, as the scalar early return does."""
+    Each IoU is bit-identical to `annotations.iou` of the two boxes. Negative
+    overlaps are clipped to 0, which leaves every positive intersection
+    unchanged and sends every other pair below the (positive) threshold, as
+    the scalar early return does."""
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold out of (0,1]: {iou_threshold}")
-    if not detections or not truths:
-        return []
-    n_dets = len(detections)
-    lo, hi, area = _box_columns((*detections, *truths))
-    d_lo, d_hi, d_area = lo[:, :n_dets, None], hi[:, :n_dets, None], area[:n_dets, None]
-    t_lo, t_hi, t_area = lo[:, None, n_dets:], hi[:, None, n_dets:], area[n_dets:]
-    rows = max(1, _BLOCK_PAIRS // len(truths))
-    overlap_buf = np.empty((2, min(rows, n_dets), len(truths)))
-    spare_buf = np.empty_like(overlap_buf)
-    found = []
+    dets, truths = columns.detections, columns.truths
+    per_image = np.diff(dets.offsets)
+    # Pairs are numbered detection row by detection row; each row pairs with
+    # the truth rows of its image, and its pair p is with truth row
+    # p + shift[row].
+    n_pairs = np.repeat(np.diff(truths.offsets), per_image)
+    pairs_end = np.cumsum(n_pairs)
+    pairs_start = pairs_end - n_pairs
+    shift = np.repeat(truths.offsets[:-1], per_image) - pairs_start
+    d_box, t_box = _corners(dets.values), _corners(truths.values)
+    found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+    start, n_dets = 0, len(n_pairs)
     # 0/0 arises only between boxes too thin to have area; NaN fails the test
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, n_dets, rows):
-            block = slice(start, start + rows)
-            n = min(rows, n_dets - start)
-            overlap, tmp = overlap_buf[:, :n], spare_buf[:, :n]
-            np.minimum(d_hi[:, block], t_hi, out=overlap)
-            overlap -= np.maximum(d_lo[:, block], t_lo, out=tmp)
+        while start < n_dets:
+            limit = pairs_start[start] + _BLOCK_PAIRS
+            stop = max(start + 1, int(np.searchsorted(pairs_end, limit, "right")))
+            counts = n_pairs[start:stop]
+            rows = np.repeat(np.arange(start, stop), counts)
+            cols = np.arange(pairs_start[start], pairs_end[stop - 1]) + np.repeat(shift[start:stop], counts)
+            d = np.repeat(d_box[:, start:stop], counts, axis=1)
+            t = t_box.take(cols, axis=1)
+            overlap = np.minimum(d[2:4], t[2:4])
+            overlap -= np.maximum(d[:2], t[:2])
             np.maximum(overlap, 0.0, out=overlap)
-            inter = np.multiply(overlap[0], overlap[1], out=tmp[0])
-            union = np.add(d_area[block], t_area, out=tmp[1])
+            inter = overlap[0] * overlap[1]
+            union = d[4] + t[4]
             union -= inter
-            value = np.divide(inter, union, out=overlap[0])
+            value = np.divide(inter, union, out=union)
             hit = value >= iou_threshold
-            i, j = np.nonzero(hit)
-            found.extend(zip((i + start).tolist(), j.tolist(), value[hit].tolist()))
-    return found
+            found.append((rows[hit], cols[hit], value[hit]))
+            start = stop
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
-def _greedy(detections, truths, candidates, cross_class: bool) -> tuple[MatchedPair, ...]:
-    """Greedy one-to-one assignment over IoU candidates: detections in
-    descending-confidence order (input order breaks ties) each claim the
-    untaken truth of highest IoU; the first truth wins an IoU tie."""
-    options: dict[int, list[tuple[int, float]]] = {}
-    for i, j, value in candidates:
-        if cross_class or detections[i].label == truths[j].label:
-            options.setdefault(i, []).append((j, value))
-    taken = set()
-    pairs = []
-    for i in sorted(options, key=lambda i: (-detections[i].confidence, i)):
-        best_j, best_iou = -1, 0.0
-        for j, value in options[i]:
-            if value > best_iou and j not in taken:
-                best_j, best_iou = j, value
-        if best_j >= 0:
-            taken.add(best_j)
-            pairs.append(MatchedPair(i, best_j, best_iou))
-    return tuple(pairs)
+def _greedy(columns: EvalColumns, candidates, cross_class: bool):
+    """(detection rows, truth rows, IoUs) of the pairs a greedy one-to-one
+    assignment makes, in the order it makes them: detections in
+    descending-confidence order (row order breaks ties) each claim the
+    untaken truth of highest IoU among their candidates; the first truth
+    wins an IoU tie. Without cross_class only same-class pairs are eligible.
+    Images share no truths, so one pass over all their candidates, sorted
+    once, pairs each image as a pass of its own would."""
+    rows, cols, ious = candidates
+    if not cross_class:
+        same = columns.detections.labels[rows] == columns.truths.labels[cols]
+        rows, cols, ious = rows[same], cols[same], ious[same]
+    order = np.lexsort((cols, -ious, rows, -columns.detections.values[rows, 4]))
+    det_taken, truth_taken, made = set(), set(), []
+    for k, i, j in zip(order.tolist(), rows[order].tolist(), cols[order].tolist()):
+        if i not in det_taken and j not in truth_taken:
+            det_taken.add(i)
+            truth_taken.add(j)
+            made.append(k)
+    return rows[made], cols[made], ious[made]
 
 
 def match(
@@ -172,9 +223,11 @@ def match(
     confusion matrix needs."""
     detections = tuple(detections)
     truths = tuple(truths)
-    candidates = _candidates(detections, truths, iou_threshold)
-    pairs = _greedy(detections, truths, candidates, cross_class)
-    return MatchReport(detections, truths, pairs, iou_threshold, cross_class)
+    sample = EvalSample("", detections, truths)
+    columns = EvalColumns.from_samples([sample], _positions(detections, truths))
+    pairs = _greedy(columns, _candidates(columns, iou_threshold), cross_class)
+    made = tuple(map(MatchedPair, *(column.tolist() for column in pairs)))
+    return MatchReport(detections, truths, made, iou_threshold, cross_class)
 
 
 def _sum_tallies(report: MatchReport, label: int | None) -> ClassTally:
@@ -235,70 +288,36 @@ class PRCurve:
     points: tuple[PRPoint, ...]
 
 
-@dataclass(frozen=True)
-class EvalSample:
-    """Detections and ground truth for one image, in one coordinate frame."""
-
-    image_id: str
-    detections: tuple[Detection, ...]
-    truths: tuple[GroundTruthObject, ...]
-
-
-def _class_events(report: MatchReport, class_ids):
-    """Per class: (confidence, is_tp) per detection of the class, the
-    positive count and the TP/FP/FN tally of one image's same-class report.
-
-    Matching runs independently per image, so the outcome does not depend on
-    image order; ties in confidence are resolved inside each image by input
-    order, exactly as `match` does.
-    """
-    tp_dets = report.matched_det_indices()
-    tallies = report.tallies()
-    summaries = {}
-    for class_id in class_ids:
-        events = [
-            (det.confidence, i in tp_dets)
-            for i, det in enumerate(report.detections)
-            if det.label == class_id
-        ]
-        npos = sum(1 for truth in report.truths if truth.label == class_id)
-        summaries[class_id] = (events, npos, tallies.get(class_id, ClassTally()))
-    return summaries
-
-
-def _sweep(events, npos: int, class_id: int) -> PRCurve:
-    events = sorted(events, key=lambda e: -e[0])
-    points = []
-    tp = fp = 0
-    idx = 0
-    while idx < len(events):
-        threshold = events[idx][0]
-        while idx < len(events) and events[idx][0] == threshold:
-            if events[idx][1]:
-                tp += 1
-            else:
-                fp += 1
-            idx += 1
-        points.append(
-            PRPoint(
-                threshold=threshold,
-                precision=tp / (tp + fp),
-                recall=tp / npos if npos > 0 else 0.0,
-            )
-        )
+def _sweep(confidence, is_tp, npos: int, class_id: int) -> PRCurve:
+    """PR points of one class's detections, one per distinct confidence,
+    highest first: detections tied on confidence enter in one step, and the
+    step's threshold is the confidence of its first detection in fold order."""
+    if not len(confidence):
+        return PRCurve(class_id=class_id, npos=npos, points=())
+    order = np.argsort(-confidence, kind="stable")
+    confidence = confidence[order]
+    step_end = np.flatnonzero(np.append(confidence[1:] != confidence[:-1], True))
+    threshold = confidence[np.append(0, step_end[:-1] + 1)]
+    tp = np.cumsum(is_tp[order])[step_end]
+    precision = tp / (step_end + 1)
+    recall = tp / npos if npos > 0 else np.zeros(len(tp))
+    points = map(PRPoint, threshold.tolist(), precision.tolist(), recall.tolist())
     return PRCurve(class_id=class_id, npos=npos, points=tuple(points))
 
 
-def _fold(image_summaries, class_id: int):
-    """One class's sweep events, positive count and tally over all images,
-    from the per-image summaries of `_class_events`."""
-    events, npos, tp, fp, fn = [], 0, 0, 0, 0
-    for summaries in image_summaries:
-        image_events, image_npos, tally = summaries[class_id]
-        events.extend(image_events)
-        npos += image_npos
-        tp, fp, fn = tp + tally.tp, fp + tally.fp, fn + tally.fn
-    return events, npos, ClassTally(tp, fp, fn)
+def _class_curve(columns: EvalColumns, is_tp, position: int, class_id: int) -> PRCurve:
+    """The sweep of the detections of the class at `position`."""
+    dets = columns.detections
+    mine = dets.labels == position
+    npos = int(np.count_nonzero(columns.truths.labels == position))
+    return _sweep(dets.values[mine, 4], is_tp[mine], npos, class_id)
+
+
+def _true_positives(columns: EvalColumns, candidates) -> np.ndarray:
+    """Whether each detection is matched by the same-class greedy pass."""
+    is_tp = np.zeros(len(columns.detections.labels), dtype=bool)
+    is_tp[_greedy(columns, candidates, cross_class=False)[0]] = True
+    return is_tp
 
 
 def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
@@ -307,9 +326,12 @@ def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     Tallies accumulate in descending-confidence order; tied confidences are
     folded into a single sweep step so the curve is independent of input
     ordering."""
-    reports = (match(s.detections, s.truths, iou_threshold) for s in samples)
-    events, npos, _ = _fold((_class_events(r, (class_id,)) for r in reports), class_id)
-    return _sweep(events, npos, class_id)
+    samples = list(samples)
+    positions = _positions(*(s.detections for s in samples), *(s.truths for s in samples))
+    positions.setdefault(class_id, len(positions))
+    columns = EvalColumns.from_samples(samples, positions)
+    is_tp = _true_positives(columns, _candidates(columns, iou_threshold))
+    return _class_curve(columns, is_tp, positions[class_id], class_id)
 
 
 AP_ALL_POINT = "all-point"
@@ -369,31 +391,42 @@ class ConfusionMatrix:
         return sum(sum(row) for row in self.matrix)
 
 
+def _confusion(det_labels, truth_labels, pairs, registry: ClassRegistry) -> ConfusionMatrix:
+    """Predicted (rows) vs true (columns) class counts of cross-class pairs
+    (detection rows, truth rows); an unmatched detection counts against the
+    background column and an unmatched truth against the background row.
+    Labels are positions in `registry.ids()`, which is also the row order."""
+    rows, cols = pairs
+    side = len(registry) + 1
+    unmatched_dets = np.delete(det_labels, rows)
+    unmatched_truths = np.delete(truth_labels, cols)
+    cells = np.concatenate((
+        det_labels[rows] * side + truth_labels[cols],
+        unmatched_dets * side + side - 1,
+        (side - 1) * side + unmatched_truths,
+    ))
+    counts = np.bincount(cells, minlength=side * side).reshape(side, side)
+    names = tuple(registry.name_of(class_id) for class_id in registry.ids()) + (BACKGROUND,)
+    return ConfusionMatrix(names, tuple(map(tuple, counts.tolist())))
+
+
 def confusion_matrix(reports, registry: ClassRegistry) -> ConfusionMatrix:
     """Fold cross-class match reports into an (N+1)x(N+1) confusion matrix."""
     reports = list(reports)
     for report in reports:
         if not report.cross_class:
             raise ValueError("confusion_matrix needs reports built with cross_class=True")
-    ids = registry.ids()
-    index = {class_id: k for k, class_id in enumerate(ids)}
-    bg = len(ids)
-    counts = [[0] * (len(ids) + 1) for _ in range(len(ids) + 1)]
+    position = {class_id: k for k, class_id in enumerate(registry.ids())}
+    det_labels, truth_labels, rows, cols = [], [], [], []
     for report in reports:
-        for pair in report.pairs:
-            det = report.detections[pair.det_index]
-            truth = report.truths[pair.truth_index]
-            counts[index[det.label]][index[truth.label]] += 1
-        matched_dets = report.matched_det_indices()
-        matched_truths = report.matched_truth_indices()
-        for i, det in enumerate(report.detections):
-            if i not in matched_dets:
-                counts[index[det.label]][bg] += 1
-        for j, truth in enumerate(report.truths):
-            if j not in matched_truths:
-                counts[bg][index[truth.label]] += 1
-    names = tuple(registry.name_of(class_id) for class_id in ids) + (BACKGROUND,)
-    return ConfusionMatrix(names, tuple(tuple(row) for row in counts))
+        rows += [len(det_labels) + p.det_index for p in report.pairs]
+        cols += [len(truth_labels) + p.truth_index for p in report.pairs]
+        det_labels += [position[d.label] for d in report.detections]
+        truth_labels += [position[t.label] for t in report.truths]
+    pairs = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
+    return _confusion(
+        np.array(det_labels, dtype=np.intp), np.array(truth_labels, dtype=np.intp), pairs, registry
+    )
 
 
 @dataclass(frozen=True)
@@ -479,45 +512,40 @@ class EvaluationReport:
     degenerate_flags: tuple[str, ...] = field(default=())
 
 
-def _image_summary(sample: EvalSample, class_ids, iou_threshold: float):
-    """Everything the aggregate needs from one image: per-class sweep events,
-    positive counts and tallies, plus the cross-class report for the
-    confusion matrix. Both passes read one candidate set: classes never
-    compete for a truth, so one label-filtered pass pairs exactly as
-    separate per-class passes would."""
-    dets, truths = sample.detections, sample.truths
-    candidates = _candidates(dets, truths, iou_threshold)
-    same = _greedy(dets, truths, candidates, cross_class=False)
-    cross = _greedy(dets, truths, candidates, cross_class=True)
-    return (
-        _class_events(MatchReport(dets, truths, same, iou_threshold), class_ids),
-        MatchReport(dets, truths, cross, iou_threshold, cross_class=True),
-    )
-
-
 def evaluate_detections(
     samples,
     registry: ClassRegistry,
     iou_threshold: float,
     interpolation: str = AP_ALL_POINT,
 ) -> EvaluationReport:
-    """Full per-class evaluation over a test set.
+    """Full per-class evaluation over a test set, given as EvalSamples (in
+    any order; they fold in image-id order) or as `EvalColumns` with labels
+    as positions in `registry.ids()` (they fold in column order).
 
-    Per-class tallies and the PR sweep come from per-image same-class
-    matching; the confusion matrix comes from a cross-class pass over the
-    same IoU candidates. Each image is matched independently and the
-    results fold in image order.
+    Per-class tallies and the PR sweep come from same-class greedy matching
+    in each image; the confusion matrix comes from a cross-class pass over
+    the same IoU candidates. Classes never compete for a truth, so one
+    label-filtered pass pairs exactly as separate per-class passes would.
     """
-    samples = sorted(samples, key=lambda s: s.image_id)
     class_ids = registry.ids()
-    summaries = [_image_summary(s, class_ids, iou_threshold) for s in samples]
+    columns = samples
+    if not isinstance(samples, EvalColumns):
+        positions = {class_id: k for k, class_id in enumerate(class_ids)}
+        columns = EvalColumns.from_samples(sorted(samples, key=lambda s: s.image_id), positions)
+    candidates = _candidates(columns, iou_threshold)
+    is_tp = _true_positives(columns, candidates)
+    det_labels, truth_labels = columns.detections.labels, columns.truths.labels
+    n = len(class_ids)
+    dets, npos = np.bincount(det_labels, minlength=n), np.bincount(truth_labels, minlength=n)
+    tps = np.bincount(det_labels[is_tp], minlength=n)
 
     per_class = []
     flags = []
-    for class_id in class_ids:
+    for position, class_id in enumerate(class_ids):
         name = registry.name_of(class_id)
-        events, npos, tally = _fold((classes for classes, _ in summaries), class_id)
-        curve = _sweep(events, npos, class_id)
+        tp = int(tps[position])
+        tally = ClassTally(tp, int(dets[position]) - tp, int(npos[position]) - tp)
+        curve = _class_curve(columns, is_tp, position, class_id)
         ap = average_precision(curve, interpolation)
         p, r, f, acc = _rates(tally)
         for metric_name, value in (
@@ -526,10 +554,11 @@ def evaluate_detections(
             if value.degenerate:
                 flags.append(f"{metric_name}[{name}]")
         per_class.append(ClassEvaluation(class_id, name, tally, p, r, f, acc, ap, curve))
+    cross = _greedy(columns, candidates, cross_class=True)
     return EvaluationReport(
         iou_threshold=iou_threshold,
         per_class=tuple(per_class),
         map50=mean_average_precision(c.ap for c in per_class),
-        confusion=confusion_matrix([cross for _, cross in summaries], registry),
+        confusion=_confusion(det_labels, truth_labels, cross[:2], registry),
         degenerate_flags=tuple(flags),
     )

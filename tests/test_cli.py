@@ -1,6 +1,11 @@
+import builtins
 import csv
+import hashlib
+import io
 import json
+import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,27 @@ from deteval.config import DEFAULTS, write_json
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def oracle_digest_inputs(paths):
+    """Reference input digests: every input read a second time, after the
+    command, by an independent walk of each tree."""
+
+    def sha256_file(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    def sha256_tree(path):
+        digest = hashlib.sha256()
+        for child in sorted(p for p in Path(path).rglob("*") if p.is_file()):
+            digest.update(str(child.relative_to(path)).encode("utf-8"))
+            digest.update(b"\x00")
+            digest.update(bytes.fromhex(sha256_file(child)))
+        return digest.hexdigest()
+
+    return {
+        name: f"sha256:{sha256_tree(path) if Path(path).is_dir() else sha256_file(path)}"
+        for name, path in sorted(paths.items())
+    }
 
 
 def _read_csv(path):
@@ -225,6 +251,53 @@ class TestEvaluate:
         assert code == 2
         message = json.loads(capsys.readouterr().err.strip())["message"]
         assert "img1.txt" in message and "line 2" in message
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (("preds/img1.txt", "truth/img2.txt"), "preds/img1.txt"),
+            (("preds/img2.txt", "truth/img2.txt"), "truth/img2.txt"),
+            (("preds/img2.txt",), "preds/img2.txt"),
+        ],
+    )
+    def test_error_names_the_first_bad_file_in_image_order(
+        self, fixtures_dir, tmp_path, capsys, bad, named
+    ):
+        for side in ("truth", "preds"):
+            shutil.copytree(fixtures_dir / "detection" / side, tmp_path / side)
+        for rel in bad:
+            (tmp_path / rel).write_text("0 0.5 0.5 0.1\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "evaluate",
+            "--ground-truth-dir", tmp_path / "truth",
+            "--predictions-dir", tmp_path / "preds",
+            "--class-registry", fixtures_dir / "detection" / "classes.txt",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        fields = 5 if named.startswith("truth") else 6
+        assert record == {
+            "error": "CliError",
+            "message": f"{tmp_path / named}: line 1: expected {fields} fields, got 4",
+        }
+
+    def test_undecodable_file_is_named_in_image_order(self, fixtures_dir, tmp_path, capsys):
+        for side in ("truth", "preds"):
+            shutil.copytree(fixtures_dir / "detection" / side, tmp_path / side)
+        (tmp_path / "preds" / "img1.txt").write_bytes(b"\xff\n")
+        (tmp_path / "truth" / "img2.txt").write_text("0 0.5 0.5 0.1\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "evaluate",
+            "--ground-truth-dir", tmp_path / "truth",
+            "--predictions-dir", tmp_path / "preds",
+            "--class-registry", fixtures_dir / "detection" / "classes.txt",
+        )
+        assert code == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message == (
+            f"{tmp_path / 'preds' / 'img1.txt'}: "
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        )
 
     def test_id_mismatch_without_flag_exits_2(self, fixtures_dir, tmp_path, capsys):
         preds = tmp_path / "preds"
@@ -486,6 +559,33 @@ class TestDesirabilityCommand:
         assert record["message"].startswith(f"{bad}: {problem}")
 
 
+    @pytest.mark.parametrize(
+        "goal, problem",
+        [
+            ({"low": float("-inf")}, "goal 0: low must be a finite number, got -inf"),
+            ({"weight": float("nan")}, "goal 0: weight must be a finite number, got nan"),
+            ({"name": ["map50"]}, "goal 0: goal name must be a non-empty string, got ['map50']"),
+        ],
+    )
+    def test_bad_goal_value_names_profile_and_goal(self, tmp_path, capsys, goal, problem):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps([{
+            "name": "map50", "direction": "larger-is-better", "low": 0.0, "middle": 0.5, "high": 1.0,
+            **goal,
+        }]))
+        candidates = tmp_path / "cands.csv"
+        candidates.write_text("label,response,value\nm1,map50,0.3\nm2,map50,0.4\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", profile, "--candidates", candidates,
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"] == f"{profile}: {problem}"
+        assert not (tmp_path / "out").exists()
+
+
 class TestJobs:
     @pytest.mark.parametrize("flag", ["--jobs=0", "--jobs=-3"])
     def test_flag_below_one_rejected(self, fixtures_dir, tmp_path, capsys, flag):
@@ -588,6 +688,69 @@ class TestManifest:
         # config snapshots differ only in output_dir
         a["config"].pop("output_dir"), b["config"].pop("output_dir")
         assert a == b
+
+    def test_input_digests_equal_a_second_read_of_each_tree(self, fixtures_dir, tmp_path):
+        # names whose part order differs from their string order, a
+        # subdirectory, a file that is not YOLO text and an empty annotation
+        truth, preds = tmp_path / "truth", tmp_path / "preds"
+        for root in (truth, preds):
+            for rel in ("a/x", "a-b/x", "a/x.txt", "sub/deep/z.txt", "notes.md"):
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_text(f"{root.name} {rel}\n")
+        for name in ("img1.txt", "img2.txt"):
+            shutil.copy(fixtures_dir / "detection" / "truth" / name, truth / name)
+            shutil.copy(fixtures_dir / "detection" / "preds" / name, preds / name)
+        for root in (truth, preds):
+            (root / "empty.txt").write_text("")
+            (root / "a-b.txt").write_text("")
+        registry = fixtures_dir / "detection" / "classes.txt"
+        runs = {
+            "evaluate": (
+                ["evaluate", "--ground-truth-dir", truth, "--predictions-dir", preds,
+                 "--class-registry", registry],
+                {"ground_truth_dir": truth, "predictions_dir": preds, "class_registry": registry},
+            ),
+            "tile": (
+                ["tile", "--ground-truth-dir", truth, "--image-size", "832x832", "--class-registry", registry],
+                {"ground_truth_dir": truth, "class_registry": registry},
+            ),
+            "augment": (
+                ["augment", "--ground-truth-dir", truth, "--samples", "2", "--class-registry", registry],
+                {"ground_truth_dir": truth},
+            ),
+        }
+        for command, (argv, inputs) in runs.items():
+            out = tmp_path / command
+            assert run_cli("--output-dir", out, *argv) == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            assert manifest["input_digests"] == oracle_digest_inputs(inputs), command
+
+    def test_evaluate_opens_each_input_file_once(self, fixtures_dir, tmp_path, monkeypatch):
+        inputs = [tmp_path / "truth", tmp_path / "preds"]
+        shutil.copytree(fixtures_dir / "detection" / "truth", inputs[0])
+        shutil.copytree(fixtures_dir / "detection" / "preds", inputs[1])
+        (inputs[0] / "notes.md").write_text("not parsed, still digested\n")
+        registry = tmp_path / "classes.txt"
+        shutil.copy(fixtures_dir / "detection" / "classes.txt", registry)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.path.realpath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "evaluate",
+            "--ground-truth-dir", inputs[0], "--predictions-dir", inputs[1],
+            "--class-registry", registry,
+        )
+        monkeypatch.undo()
+        assert code == 0
+        files = [registry] + [p for root in inputs for p in root.rglob("*") if p.is_file()]
+        assert len(files) == 6
+        assert {str(f): opened.count(os.path.realpath(f)) for f in files} == {str(f): 1 for f in files}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"

@@ -1,13 +1,14 @@
 import itertools
 import random
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deteval import metrics
+from deteval import cli, metrics
 from deteval.annotations import (
     BoundingBox,
     ClassLabel,
@@ -15,10 +16,13 @@ from deteval.annotations import (
     Detection,
     GroundTruthObject,
     iou,
+    parse_yolo_annotation,
+    parse_yolo_prediction,
 )
 from deteval.metrics import (
     EvalSample,
     HeightRecord,
+    PRCurve,
     PRPoint,
     average_precision,
     bag_based_accuracy,
@@ -166,8 +170,9 @@ def scalar_match(detections, truths, iou_threshold, cross_class=False):
 
 
 def scalar_image_summary(sample, class_ids, iou_threshold):
-    """Reference for `metrics._image_summary`: an independent same-class
-    scalar match per class, and a cross-class one over the whole image."""
+    """Reference for one image's part of an evaluation: an independent
+    same-class scalar match per class, and a cross-class one over the whole
+    image."""
     per_class = {}
     for class_id in class_ids:
         det_index = [i for i, d in enumerate(sample.detections) if d.label == class_id]
@@ -180,6 +185,45 @@ def scalar_image_summary(sample, class_ids, iou_threshold):
         per_class[class_id] = (events, len(truths), tally)
     cross = scalar_match(sample.detections, sample.truths, iou_threshold, cross_class=True)
     return per_class, cross
+
+
+def scalar_sweep(events, npos):
+    """Reference PR points (threshold, precision, recall) of (confidence,
+    is_tp) events in fold order: a stable sort by descending confidence, one
+    point per run of equal confidences, whose threshold is the run's first."""
+    events = sorted(events, key=lambda e: -e[0])
+    points, tp, fp, idx = [], 0, 0, 0
+    while idx < len(events):
+        threshold = events[idx][0]
+        while idx < len(events) and events[idx][0] == threshold:
+            tp, fp = (tp + 1, fp) if events[idx][1] else (tp, fp + 1)
+            idx += 1
+        points.append((threshold, tp / (tp + fp), tp / npos if npos > 0 else 0.0))
+    return points
+
+
+def columnar_image_summaries(samples, class_ids, iou_threshold):
+    """Per image, what `scalar_image_summary` gives, read off one run of the
+    columnar core over all the images at once."""
+    columns = metrics.EvalColumns.from_samples(samples, {c: k for k, c in enumerate(class_ids)})
+    candidates = metrics._candidates(columns, iou_threshold)
+    is_tp = metrics._true_positives(columns, candidates).tolist()
+    cross = list(zip(*(c.tolist() for c in metrics._greedy(columns, candidates, cross_class=True))))
+    d_off, t_off = columns.detections.offsets.tolist(), columns.truths.offsets.tolist()
+    summaries = []
+    for m, sample in enumerate(samples):
+        per_class = {}
+        for class_id in class_ids:
+            events = [
+                (d.confidence, is_tp[d_off[m] + i])
+                for i, d in enumerate(sample.detections) if d.label == class_id
+            ]
+            npos = sum(1 for t in sample.truths if t.label == class_id)
+            tp = sum(1 for _, flag in events if flag)
+            per_class[class_id] = (events, npos, (tp, len(events) - tp, npos - tp))
+        pairs = [(i - d_off[m], j - t_off[m], v) for i, j, v in cross if d_off[m] <= i < d_off[m + 1]]
+        summaries.append((per_class, pairs))
+    return summaries
 
 
 # Few distinct coordinates make duplicate boxes, and so IoU ties, common;
@@ -195,6 +239,41 @@ _THRESHOLD = st.one_of(
 )
 _DETECTIONS = st.lists(st.builds(Detection, st.integers(0, 2), _BOX, _CONFIDENCE), max_size=25)
 _TRUTHS = st.lists(st.builds(GroundTruthObject, st.integers(0, 2), _BOX), max_size=25)
+
+
+REGISTRY3 = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb"), ClassLabel(2, "xb")])
+
+# Images whose boxes and confidences repeat within and across images, with
+# -0.0 and 0.0 both among the confidences; each keeps both files, or only
+# its ground truth ("truth") or only its predictions ("preds").
+_TIED_BOX = st.builds(
+    BoundingBox, *[st.sampled_from(values) for values in ((0.3, 0.5), (0.3, 0.5), (0.2, 0.3), (0.2, 0.3))]
+)
+_IMAGE_BOX = st.one_of(_TIED_BOX, _BOX)
+_IMAGES = st.lists(
+    st.tuples(
+        st.lists(st.builds(Detection, st.integers(0, 2), _IMAGE_BOX, st.one_of(
+            st.sampled_from((-0.0, 0.0, 0.5, 1.0)), _CONFIDENCE)), max_size=14),
+        st.lists(st.builds(GroundTruthObject, st.integers(0, 2), _IMAGE_BOX), max_size=12),
+        st.sampled_from(("both", "both", "truth", "preds")),
+    ),
+    max_size=8,
+)
+
+
+def _yolo_text(objects) -> str:
+    """YOLO text whose values parse back exactly."""
+    return "".join(
+        " ".join(map(repr, (o.label, o.box.cx, o.box.cy, o.box.w, o.box.h)
+                     + ((o.confidence,) if isinstance(o, Detection) else ()))) + "\n"
+        for o in objects
+    )
+
+
+def _bits(points):
+    """PR points as the hex of each float, so -0.0 and 0.0 differ."""
+    return [tuple(float.hex(float(v)) for v in point) for point in
+            ((p.threshold, p.precision, p.recall) if isinstance(p, PRPoint) else p for p in points)]
 
 
 def _random_image(rng, n_truths, n_dets):
@@ -227,12 +306,52 @@ class TestMatcherOracle:
     def test_image_summary_equals_per_class_scalar_passes(self, dets, truths, threshold, block):
         sample = EvalSample("img", tuple(dets), tuple(truths))
         with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
-            per_class, cross = metrics._image_summary(sample, (0, 1, 2), threshold)
-        want_per_class, want_cross = scalar_image_summary(sample, (0, 1, 2), threshold)
-        assert {
-            c: (events, npos, (t.tp, t.fp, t.fn)) for c, (events, npos, t) in per_class.items()
-        } == want_per_class
-        assert [(p.det_index, p.truth_index, p.iou) for p in cross.pairs] == want_cross
+            [summary] = columnar_image_summaries([sample], (0, 1, 2), threshold)
+        assert summary == scalar_image_summary(sample, (0, 1, 2), threshold)
+
+    @given(_IMAGES, _THRESHOLD, st.sampled_from((1, 7, 50, 1 << 15)))
+    @settings(max_examples=100, deadline=None)
+    def test_columnar_evaluation_equals_fold_of_scalar_image_summaries(self, images, threshold, block):
+        # Files go through the columnar reader as `evaluate` reads them; the
+        # oracle parses each file on its own, takes a missing file for an
+        # empty image and folds per-image scalar summaries in image order.
+        ids = [f"img{k}" for k in range(len(images))]
+        truth_files = {i: _yolo_text(t).encode() for i, (_, t, kept) in zip(ids, images) if kept != "preds"}
+        pred_files = {i: _yolo_text(d).encode() for i, (d, _, kept) in zip(ids, images) if kept != "truth"}
+        columns = cli._evaluation_columns(
+            REGISTRY3, ids, (Path("truth"), truth_files, 5), (Path("preds"), pred_files, 6)
+        )
+        with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
+            report = evaluate_detections(columns, REGISTRY3, threshold)
+
+        samples = [
+            EvalSample(
+                i,
+                tuple(parse_yolo_prediction(pred_files[i].decode())) if i in pred_files else (),
+                tuple(parse_yolo_annotation(truth_files[i].decode())) if i in truth_files else (),
+            )
+            for i in ids
+        ]
+        summaries = [scalar_image_summary(s, REGISTRY3.ids(), threshold) for s in samples]
+        for class_id, entry in zip(REGISTRY3.ids(), report.per_class):
+            events = [e for per_class, _ in summaries for e in per_class[class_id][0]]
+            npos = sum(per_class[class_id][1] for per_class, _ in summaries)
+            tally = tuple(sum(per_class[class_id][2][k] for per_class, _ in summaries) for k in range(3))
+            points = scalar_sweep(events, npos)
+            assert (entry.tally.tp, entry.tally.fp, entry.tally.fn) == tally
+            assert _bits(entry.curve.points) == _bits(points)
+            ap = average_precision(PRCurve(class_id, npos, tuple(PRPoint(*p) for p in points)))
+            assert (entry.ap.hex(), entry.ap.degenerate) == (ap.hex(), ap.degenerate)
+
+        confusion = [[0] * 4 for _ in range(4)]
+        for sample, (_, cross) in zip(samples, summaries):
+            for i, j, _ in cross:
+                confusion[sample.detections[i].label][sample.truths[j].label] += 1
+            for i in set(range(len(sample.detections))) - {i for i, _, _ in cross}:
+                confusion[sample.detections[i].label][3] += 1
+            for j in set(range(len(sample.truths))) - {j for _, j, _ in cross}:
+                confusion[3][sample.truths[j].label] += 1
+        assert report.confusion.matrix == tuple(map(tuple, confusion))
 
     def test_images_spanning_several_row_blocks(self):
         rng = random.Random(20261018)

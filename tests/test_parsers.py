@@ -1,10 +1,13 @@
 """Properties shared by every text-input parser: a parser returns only finite
-values, or raises a ValueError subclass whose message starts `line N: `."""
+values, or raises a ValueError subclass whose message starts `line N: `.
+The columnar YOLO reader accepts and rejects what the scalar YOLO parsers
+do, with the same values and the same errors."""
 
 import dataclasses
 import math
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from deteval.annotations import (
     parse_yolo_annotation,
     parse_yolo_prediction,
     read_csv,
+    read_yolo,
 )
 from deteval.desirability import load_candidates_csv
 from deteval.metrics import load_height_records
@@ -49,6 +53,10 @@ PARSERS = {
         ",", 3, "image_id,width_px,height_px", (ValueError,),
     ),
 }
+
+# the parsers above that `read_yolo` replaces for many files: fields per row
+# and a file that parses
+COLUMNAR = {"annotation": (5, b"0 0.5 0.5 0.1 0.1\n"), "prediction": (6, b"0 0.5 0.5 0.1 0.1 0.5\n")}
 
 fields = st.one_of(
     st.integers(-3, 2000).map(str),
@@ -99,8 +107,23 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
                 assert match, (name, text, str(exc))
                 assert int(match.group(1)) <= max(1, len(text.splitlines())), (name, text, str(exc))
                 assert isinstance(exc, errors), (name, text, type(exc))
+                if name in COLUMNAR:
+                    # a good file before the bad one: the error names the second
+                    n_fields, good = COLUMNAR[name]
+                    with pytest.raises(ValueError) as columnar:
+                        read_yolo([good, text.encode()], n_fields, REGISTRY)
+                    assert (type(columnar.value), str(columnar.value)) == (type(exc), str(exc)), (name, text)
+                    assert columnar.value.file_index == 1
             else:
                 assert all(math.isfinite(v) for v in floats_in(result)), (name, text)
+                if name in COLUMNAR:
+                    columns = read_yolo([b"", text.encode(), b""], COLUMNAR[name][0], REGISTRY)
+                    assert columns.offsets.tolist() == [0, 0, len(result), len(result)]
+                    assert columns.labels.tolist() == [REGISTRY.ids().index(o.label) for o in result]
+                    assert [list(map(float.hex, row)) for row in columns.values.tolist()] == [
+                        list(map(float.hex, dataclasses.astuple(o.box) + dataclasses.astuple(o)[2:]))
+                        for o in result
+                    ], (name, text)
 
 
 coords = st.integers(0, 1_000_000).map(lambda k: k / 1e6)
