@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-import numpy as np
-
 COORD_DECIMALS = 6
 
 
@@ -272,6 +270,8 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
 def _yolo_columns(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     """`read_yolo` on files that pass every check; any other file raises a
     ValueError or KeyError that says nothing of where."""
+    import numpy as np
+
     position = {class_id: k for k, class_id in enumerate(registry.ids())}
     rows, counts = [], [0]
     for data in files:

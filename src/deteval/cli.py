@@ -1,5 +1,7 @@
 """Command-line pipeline: tile, augment, split, evaluate, stats,
-desirability, and the consolidated report."""
+desirability, and the consolidated report. Each command imports the modules
+it uses beyond annotations and config itself, so that it pays start-up only
+for what it runs."""
 
 from __future__ import annotations
 
@@ -33,14 +35,11 @@ from .config import (
     tile_spec_from,
     write_json,
 )
-from .desirability import DesirabilityProfile, load_candidates_csv, select_best
-from .metrics import EvalColumns, evaluate_detections
-from .prep import augment, plan_tiles, retile_annotations, sample_ids, split_dataset
-from .stats import ObservationTable, anova_oneway, shapiro_wilk, t_test_pairwise
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INPUT = 2
+EXIT_OUTPUT = 3
 
 TN_CONVENTION = (
     "true negatives are undefined for open-scene detection and counted as 0; "
@@ -180,6 +179,8 @@ def _ground_truth(config: dict) -> tuple[Path, ClassRegistry | None, dict[str, b
 
 
 def cmd_tile(config: dict) -> int:
+    from .prep import plan_tiles, retile_annotations
+
     gt_dir, registry, annotations, inputs = _ground_truth(config)
     ids = list(annotations)
     out_dir = Path(config["output_dir"])
@@ -232,6 +233,8 @@ def cmd_tile(config: dict) -> int:
 
 
 def cmd_augment(config: dict) -> int:
+    from .prep import augment
+
     gt_dir, registry, annotations, inputs = _ground_truth(config)
     out_dir = Path(config["output_dir"])
     pipeline = augment_pipeline_from(config)
@@ -260,6 +263,8 @@ def cmd_augment(config: dict) -> int:
 
 
 def cmd_split(config: dict) -> int:
+    from .prep import sample_ids, split_dataset
+
     out_dir = Path(config["output_dir"])
     if config["split"].get("ids_file"):
         data = read_input(_require_path(config["split"], "ids_file", "file"))
@@ -304,6 +309,8 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
     image without a file on one side is empty there. A malformed file raises
     the CliError of the first one in image order, ground truth before
     predictions, which is the one a file-by-file parse would meet first."""
+    from .metrics import EvalColumns
+
     columns, errors = [], []
     for side, (directory, files, n_fields) in enumerate(sides):
         try:
@@ -317,6 +324,8 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
 
 
 def cmd_evaluate(config: dict) -> int:
+    from .metrics import evaluate_detections
+
     gt_dir = _require_path(config, "ground_truth_dir")
     pred_dir = _require_path(config, "predictions_dir")
     registry_path = _require_path(config, "class_registry", "file")
@@ -403,6 +412,8 @@ def _observation_row(group: str, raw: str) -> tuple[str, float]:
 
 
 def _stats_for_file(path: Path, data: bytes) -> dict:
+    from .stats import ObservationTable, anova_oneway, shapiro_wilk, t_test_pairwise
+
     header, rows = _parse_file(read_csv, path, data, 2, _observation_row)
     response = path.stem
     entry: dict = {"response": response, "effect": header[0] or "group"}
@@ -485,6 +496,8 @@ def cmd_stats(config: dict) -> int:
 
 
 def cmd_desirability(config: dict) -> int:
+    from .desirability import DesirabilityProfile, load_candidates_csv, select_best
+
     profile_path = _require_path(config, "desirability_profile", "file")
     candidates_path = _require_path(config, "candidates", "file")
     out_dir = Path(config["output_dir"])
@@ -725,9 +738,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config, _overrides(args))
         return _COMMANDS[args.command][0](config)
-    except (CliError, ValueError, OSError) as exc:  # ConfigError and the parse errors are ValueErrors
+    except (CliError, ValueError) as exc:  # ConfigError, InputError and the parse errors are ValueErrors
         _emit_error(exc)
         return EXIT_INPUT
+    except OSError as exc:  # inputs that cannot be read raise InputError, so this is a write
+        _emit_error(exc)
+        return EXIT_OUTPUT
     except Exception as exc:  # pragma: no cover - defensive
         _emit_error(exc)
         return EXIT_FAILURE

@@ -11,7 +11,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .prep import AugmentOp, AugmentPipeline, SplitRatio, TileSpec
 
 SCHEMA_VERSION = 1
 
@@ -66,6 +65,10 @@ class ConfigError(ValueError):
     """Bad or missing run configuration."""
 
 
+class InputError(ValueError):
+    """An input file or directory that cannot be read."""
+
+
 def _merge(base: dict, override: dict) -> dict:
     merged = dict(base)
     for key, value in override.items():
@@ -98,6 +101,8 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
 
 
 def tile_spec_from(config: dict) -> TileSpec:
+    from .prep import TileSpec
+
     tile = config["tile"]
     return TileSpec(
         tile_w=int(tile["width"]),
@@ -108,6 +113,8 @@ def tile_spec_from(config: dict) -> TileSpec:
 
 
 def augment_pipeline_from(config: dict) -> AugmentPipeline:
+    from .prep import AugmentOp, AugmentPipeline
+
     aug = config["augment"]
     ops = []
     for op in aug["operations"]:
@@ -125,6 +132,8 @@ def augment_pipeline_from(config: dict) -> AugmentPipeline:
 
 
 def split_ratio_from(config: dict) -> SplitRatio:
+    from .prep import SplitRatio
+
     ratio = config["split"]["ratio"]
     if len(ratio) != 3:
         raise ConfigError(f"split ratio needs 3 weights, got {ratio}")
@@ -135,14 +144,18 @@ def read_input(path: Path) -> bytes | dict[str, bytes]:
     """The bytes of an input file, or of every file under an input directory
     and its subdirectories (symbolic links to directories are not entered),
     keyed by relative path with `/` between parts, in the order of the parts.
-    Each file is opened once; its bytes serve both parsing and the digest."""
+    Each file is opened once; its bytes serve both parsing and the digest.
+    A path that cannot be read raises InputError."""
     path = Path(path)
-    if not path.is_dir():
-        return path.read_bytes()
-    files = {}
-    for parts, file_path in sorted(_tree_files(path, ())):
-        with open(file_path, "rb") as fh:
-            files["/".join(parts)] = fh.read()
+    try:
+        if not path.is_dir():
+            return path.read_bytes()
+        files = {}
+        for parts, file_path in sorted(_tree_files(path, ())):
+            with open(file_path, "rb") as fh:
+                files["/".join(parts)] = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read input {path}: {exc}") from exc
     return files
 
 

@@ -6,8 +6,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .annotations import AnnotatedImage, BoundingBox, GroundTruthObject
 
 EDGE_ANCHOR = "anchor-to-edge"
@@ -217,6 +215,8 @@ def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int)
     """
     if sample_count < 0:
         raise ValueError(f"sample_count must be >= 0: {sample_count}")
+    import numpy as np
+
     samples = []
     for k in range(sample_count):
         rng = np.random.default_rng(

@@ -6,21 +6,31 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .config import InputError
 
-def _require_pillow():
+
+def _read_raster(path: Path, pixels: bool):
+    """The open image at `path`, its pixels read too if `pixels`, through
+    Pillow; a file that cannot be read raises InputError."""
     try:
         from PIL import Image
     except ImportError as exc:  # pragma: no cover - environment dependent
-        raise RuntimeError(
-            "raster support needs Pillow (pip install deteval[raster])"
-        ) from exc
-    return Image
+        raise RuntimeError("raster support needs Pillow (pip install deteval[raster])") from exc
+    img = None
+    try:
+        img = Image.open(path)
+        if pixels:
+            img.load()
+        return img
+    except OSError as exc:
+        if img is not None:
+            img.close()
+        raise InputError(f"cannot read raster {path}: {exc}") from exc
 
 
 def image_size(path: Path) -> tuple[int, int]:
     """(width, height) of an image file, read via Pillow."""
-    Image = _require_pillow()
-    with Image.open(path) as img:
+    with _read_raster(path, pixels=False) as img:
         return img.width, img.height
 
 
@@ -28,10 +38,9 @@ def write_tile_crops(path: Path, tiles, tile_ids, out_dir: Path, suffix: str = "
     """Crop each tile rectangle out of the source raster and write it as
     <tile_id><suffix> under out_dir. Tiles extending past the image edge
     (pad policy) come out padded with black."""
-    Image = _require_pillow()
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    with Image.open(path) as img:
+    with _read_raster(path, pixels=True) as img:
+        out_dir.mkdir(parents=True, exist_ok=True)
         for tile, tile_id in zip(tiles, tile_ids):
             crop = img.crop((tile.x0, tile.y0, tile.x0 + tile.w, tile.y0 + tile.h))
             target = out_dir / f"{tile_id}{suffix}"

@@ -1,17 +1,20 @@
 import builtins
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
 import shutil
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
-from deteval import cli
+from deteval import cli, rasters
 from deteval.cli import main
-from deteval.config import DEFAULTS, write_json
+from deteval.config import DEFAULTS, InputError, read_input, write_json
 
 
 def run_cli(*argv):
@@ -145,6 +148,28 @@ class TestTile:
         assert len(crops) == 1  # only the populated tile is cropped
         with Image.open(crops[0]) as crop:
             assert crop.size == (416, 416)
+
+    def test_unreadable_raster_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        class Unidentified:  # stands in for PIL.Image on a file that is no image
+            @staticmethod
+            def open(path):
+                raise OSError(f"cannot identify image file {str(path)!r}")
+
+        monkeypatch.setitem(sys.modules, "PIL", types.SimpleNamespace(Image=Unidentified))
+        images, annots = tmp_path / "images", tmp_path / "annots"
+        images.mkdir(), annots.mkdir()
+        (images / "plot.png").write_bytes(b"not an image")
+        (annots / "plot.txt").write_text("0 0.250000 0.250000 0.100000 0.100000\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "tile", "--ground-truth-dir", annots, "--images-dir", images
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InputError"
+        assert str(images / "plot.png") in record["message"]
+        with pytest.raises(InputError, match="plot.png"):
+            rasters.write_tile_crops(images / "plot.png", [], [], tmp_path / "crops")
+        assert not (tmp_path / "crops").exists()
 
 
 class TestAugment:
@@ -612,6 +637,58 @@ class TestJobs:
         assert record["error"] == "ConfigError"
         assert "jobs must be an integer of at least 1" in record["message"]
         assert not (tmp_path / "out").exists()
+
+
+class TestExitStatus:
+    """Status 2 when an input is bad or cannot be read, 3 when an output
+    cannot be written."""
+
+    @staticmethod
+    def desirability(fixtures_dir, out, profile=None):
+        return run_cli(
+            "--output-dir", out, "desirability",
+            "--profile", profile or fixtures_dir / "desirability" / "profile.json",
+            "--candidates", fixtures_dir / "desirability" / "candidates.csv",
+        )
+
+    def test_output_dir_that_is_a_file_exits_3(self, fixtures_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert self.desirability(fixtures_dir, out) == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "FileExistsError"
+
+    def test_missing_input_file_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert self.desirability(fixtures_dir, tmp_path / "out", missing) == 2
+        assert str(missing) in json.loads(capsys.readouterr().err.strip())["message"]
+        with pytest.raises(InputError) as exc:
+            read_input(missing)
+        assert str(missing) in str(exc.value)
+
+    def test_unreadable_input_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        profile = fixtures_dir / "desirability" / "profile.json"
+        read_bytes = Path.read_bytes
+
+        def denied(path):
+            if path == profile:
+                raise PermissionError(errno.EACCES, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        assert self.desirability(fixtures_dir, tmp_path / "out") == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InputError"
+        assert str(profile) in record["message"]
+
+    def test_failed_write_exits_3(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        def disk_full(path, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert self.desirability(fixtures_dir, tmp_path / "out") == 3
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "OSError"
+        assert "No space left on device" in record["message"]
 
 
 def test_write_json_refuses_non_finite_values(tmp_path):

@@ -1,0 +1,132 @@
+"""What importing the package and running each command loads, and the
+package's public names."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import deteval
+
+SRC = Path(deteval.__file__).resolve().parent.parent
+
+# Runs `deteval.cli.main(argv)` in a fresh interpreter, then fails unless
+# it loaded numpy exactly when expected and exactly the deteval modules
+# expected.
+_RUN_COMMAND = """
+import sys
+from deteval.cli import main
+
+expected, *argv = sys.argv[1:]
+try:
+    code = main(argv)
+except SystemExit as exc:  # --version exits from argparse
+    code = exc.code
+assert code == 0, f"exit {code}"
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("deteval."))
+assert ",".join(loaded) == expected, f"loaded {loaded}"
+"""
+
+# The modules every command loads: the CLI and what it imports at top level.
+_BASE = ("deteval.annotations", "deteval.cli", "deteval.config")
+
+
+def _child(code, *argv):
+    path = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_deteval_loads_no_module():
+    _child(
+        "import sys, deteval\n"
+        "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('deteval.')]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        ("version", ()),
+        ("tile", ("deteval.prep",)),
+        ("split", ("deteval.prep",)),
+        ("desirability", ("deteval.desirability",)),
+        ("report", ()),
+        ("augment", ("deteval.prep", "numpy")),
+        ("evaluate", ("deteval.metrics", "numpy")),
+        ("stats", ("deteval.stats", "numpy")),
+    ],
+)
+def test_command_loads_only_what_it_runs(fixtures_dir, tmp_path, command, modules):
+    out = tmp_path / "out"
+    detection, desirability = fixtures_dir / "detection", fixtures_dir / "desirability"
+    ids = tmp_path / "ids.txt"
+    ids.write_text("".join(f"img{i}\n" for i in range(20)))
+    argv = {
+        "version": ["--version"],
+        "tile": ["tile", "--ground-truth-dir", fixtures_dir / "tiling",
+                 "--image-sizes-csv", fixtures_dir / "tiling" / "image_sizes.csv"],
+        "split": ["split", "--ids-file", ids],
+        "desirability": ["desirability", "--profile", desirability / "profile.json",
+                         "--candidates", desirability / "candidates.csv"],
+        "report": ["report"],
+        "augment": ["augment", "--ground-truth-dir", detection / "truth", "--samples", "2"],
+        "evaluate": ["evaluate", "--ground-truth-dir", detection / "truth",
+                     "--predictions-dir", detection / "preds", "--class-registry", detection / "classes.txt"],
+        "stats": ["stats", "--inputs", fixtures_dir / "stats" / "height_accuracy.csv"],
+    }[command]
+    out.mkdir()
+    _child(_RUN_COMMAND, ",".join(sorted(_BASE + modules)), "--output-dir", out, *argv)
+
+
+# The package's public names; a name leaves or joins this list only by a
+# declared change to the public API.
+PUBLIC_NAMES = [
+    "AnnotatedImage", "AnnotationError", "AnovaResult", "AugmentOp", "AugmentPipeline", "BoundingBox",
+    "Candidate", "CellPrediction", "CellTarget", "ClassLabel", "ClassRegistry", "ConfusionMatrix",
+    "DesirabilityProfile", "Detection", "EvalSample", "EvaluationReport", "GroundTruthObject",
+    "HeightRecord", "LossConfig", "MatchReport", "MetricValue", "ObservationTable", "PRCurve",
+    "RankedCandidate", "RegistryError", "ResponseGoal", "SWResult", "SampleStats", "SplitRatio",
+    "SplitResult", "TTestResult", "TileRect", "TileSpec", "annotations", "anova_oneway", "augment",
+    "average_precision", "bag_based_accuracy", "classification_loss", "confusion_matrix", "describe",
+    "desirability", "desirability_of", "detection_accuracy", "evaluate_detections", "f1", "f_sf",
+    "format_yolo_annotation", "format_yolo_prediction", "giou", "giou_loss", "hard_swish", "iou",
+    "load_height_records", "losses", "match", "mean_average_precision", "metrics", "objectness_loss",
+    "overall_desirability", "parse_yolo_annotation", "parse_yolo_prediction", "plan_tiles", "pr_curve",
+    "precision", "prep", "recall", "reg_inc_beta", "retile_annotations", "sample_ids", "select_best",
+    "shapiro_wilk", "split_dataset", "stats", "swish", "t_test_pairwise",
+]
+
+
+class TestPublicApi:
+    def test_all_is_the_public_set(self):
+        assert deteval.__all__ == PUBLIC_NAMES
+
+    def test_every_name_resolves_to_its_module_object(self):
+        for name in deteval.__all__:
+            value = getattr(deteval, name)
+            if isinstance(value, types.ModuleType):
+                assert value is sys.modules[f"deteval.{name}"]
+            else:
+                assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(deteval.__all__) <= set(dir(deteval))
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from deteval import *", namespace)
+        assert {name: namespace.get(name) for name in deteval.__all__} == {
+            name: getattr(deteval, name) for name in deteval.__all__
+        }
+
+    def test_unknown_attribute_raises_attribute_error_naming_it(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            deteval.no_such_name
