@@ -74,8 +74,9 @@ class ClassLabel:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"class id must be non-negative: {self.id}")
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ValueError(f"class name must be non-empty and whitespace-free: {self.name!r}")
+        # names become parts of file names (pr_curve_<name>.csv)
+        if not self.name or any(c.isspace() or c in "/\\\0" for c in self.name):
+            raise ValueError(f"class name must be non-empty, without whitespace, '/', '\\' or NUL: {self.name!r}")
 
 
 class ClassRegistry:

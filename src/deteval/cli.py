@@ -388,13 +388,10 @@ def cmd_evaluate(config: dict) -> int:
     }
     write_json(out_dir / "evaluation.json", document)
     for entry in report.per_class:
-        _write_csv(
-            out_dir / f"pr_curve_{entry.name}.csv",
-            ["threshold", "precision", "recall"],
-            (
-                (f"{p.threshold:.6f}", f"{p.precision:.6f}", f"{p.recall:.6f}")
-                for p in entry.curve.points
-            ),
+        # `_write_csv`'s format: the cells need no quoting
+        rows = "".join(map("%.6f,%.6f,%.6f\n".__mod__, entry.curve.points))
+        (out_dir / f"pr_curve_{entry.name}.csv").write_text(
+            "threshold,precision,recall\n" + rows, encoding="utf-8", newline=""
         )
     _write_manifest(
         out_dir, "evaluate", config,

@@ -149,14 +149,22 @@ def read_input(path: Path) -> bytes | dict[str, bytes]:
     path = Path(path)
     try:
         if not path.is_dir():
-            return path.read_bytes()
-        files = {}
-        for parts, file_path in sorted(_tree_files(path, ())):
-            with open(file_path, "rb") as fh:
-                files["/".join(parts)] = fh.read()
+            return _read_file(path)
+        return {"/".join(parts): _read_file(file) for parts, file in sorted(_tree_files(path, ()))}
     except OSError as exc:
         raise InputError(f"cannot read input {path}: {exc}") from exc
-    return files
+
+
+def _read_file(path) -> bytes:
+    """The bytes of one file, read by system calls on an unbuffered descriptor."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _tree_files(directory, parts: tuple[str, ...]):

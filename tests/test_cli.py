@@ -1,8 +1,10 @@
 import builtins
 import csv
+import dataclasses
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -12,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from deteval import cli, rasters
+from deteval import cli, metrics, rasters
 from deteval.cli import main
 from deteval.config import DEFAULTS, InputError, read_input, write_json
+from deteval.metrics import PRPoint
 
 
 def run_cli(*argv):
@@ -262,6 +265,68 @@ class TestEvaluate:
         curve = _read_csv(out / "pr_curve_wb.csv")
         assert curve[0] == ["threshold", "precision", "recall"]
         assert len(curve) - 1 == 4
+
+    # SHA-256 of the fixture run's artifacts as `csv.writer` wrote the curves
+    FIXTURE_DIGESTS = {
+        "evaluation.json": "1b2e13ff4f2d8c53f782c623140eb63e68a6ce22db40875e163c4db6fe69e312",
+        "pr_curve_bb.csv": "b055184cbd2983a8764fdd0567882304028d950f84e18e5860e14a15623c5998",
+        "pr_curve_wb.csv": "cdea0856e63b319f5e168ad2f7b4f595855a977f312bd605119cd4f0a91512a2",
+    }
+
+    def test_fixture_artifacts_equal_pinned_digests(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert self._run(fixtures_dir, out) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.FIXTURE_DIGESTS}
+        assert digests == self.FIXTURE_DIGESTS
+
+    @staticmethod
+    def csv_writer_curve(points) -> bytes:
+        """Reference PR-curve CSV: the points as `csv.writer` writes f-string cells."""
+        text = io.StringIO(newline="")
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["threshold", "precision", "recall"])
+        writer.writerows((f"{p.threshold:.6f}", f"{p.precision:.6f}", f"{p.recall:.6f}") for p in points)
+        return text.getvalue().encode("utf-8")
+
+    def test_pr_curve_csv_equals_csv_writer_rendering(self, fixtures_dir, tmp_path, monkeypatch):
+        values = (0.0, -0.0, 5e-7, 0.9999995, 1 / 3, 1.0)
+        points = tuple(itertools.starmap(PRPoint, itertools.product(values, repeat=3)))
+        evaluate_detections = metrics.evaluate_detections
+
+        def with_points(*args, **kwargs):
+            report = evaluate_detections(*args, **kwargs)
+            per_class = tuple(
+                dataclasses.replace(e, curve=dataclasses.replace(e.curve, points=points))
+                for e in report.per_class
+            )
+            return dataclasses.replace(report, per_class=per_class)
+
+        monkeypatch.setattr(metrics, "evaluate_detections", with_points)
+        out = tmp_path / "out"
+        assert self._run(fixtures_dir, out) == 0
+        expected = self.csv_writer_curve(points)
+        assert expected.count(b"\n") == 1 + len(values) ** 3
+        for name in ("wb", "bb"):
+            assert (out / f"pr_curve_{name}.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b", "a/../../x"])
+    def test_class_name_that_is_no_file_name_exits_2_before_writing(
+        self, fixtures_dir, tmp_path, capsys, name
+    ):
+        registry = tmp_path / "classes.txt"
+        registry.write_text(f"0 {name}\n1 bb\n")
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "evaluate",
+            "--ground-truth-dir", fixtures_dir / "detection" / "truth",
+            "--predictions-dir", fixtures_dir / "detection" / "preds",
+            "--class-registry", registry,
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"].startswith(f"{registry}: line 1: class name must be")
+        assert not out.exists()
 
     def test_parse_error_names_file_and_line(self, fixtures_dir, tmp_path, capsys):
         truth = tmp_path / "truth"
@@ -667,14 +732,14 @@ class TestExitStatus:
 
     def test_unreadable_input_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, monkeypatch):
         profile = fixtures_dir / "desirability" / "profile.json"
-        read_bytes = Path.read_bytes
+        os_open = os.open
 
-        def denied(path):
-            if path == profile:
+        def denied(path, *args, **kwargs):
+            if os.fspath(path) == str(profile):
                 raise PermissionError(errno.EACCES, "Permission denied", str(path))
-            return read_bytes(path)
+            return os_open(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_bytes", denied)
+        monkeypatch.setattr(os, "open", denied)
         assert self.desirability(fixtures_dir, tmp_path / "out") == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InputError"
@@ -697,6 +762,47 @@ def test_write_json_refuses_non_finite_values(tmp_path):
         with pytest.raises(ValueError):
             write_json(path, {"W": value})
         assert not path.exists()
+
+
+class TestReadInput:
+    """`read_input` reads each file whole through one unbuffered descriptor."""
+
+    def test_empty_file(self, tmp_path):
+        (tmp_path / "empty.txt").write_bytes(b"")
+        assert read_input(tmp_path / "empty.txt") == b""
+        assert read_input(tmp_path) == {"empty.txt": b""}
+
+    def test_file_of_several_reads(self, tmp_path, monkeypatch):
+        data = bytes(range(256)) * 700  # 175 KiB
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "big.bin").write_bytes(data)
+        sizes = []
+        os_read = os.read
+
+        def counting_read(fd, n):
+            chunk = os_read(fd, n)
+            sizes.append(len(chunk))
+            return chunk
+
+        monkeypatch.setattr(os, "read", counting_read)
+        assert read_input(tmp_path / "sub" / "big.bin") == data
+        assert len(sizes) > 2 and sizes[-1] == 0 and sum(sizes) == len(data)
+        assert read_input(tmp_path) == {"sub/big.bin": data}
+
+    def test_read_error_exits_2_naming_the_path(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        def failing_read(fd, n):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(os, "read", failing_read)
+        profile = fixtures_dir / "desirability" / "profile.json"
+        for path in (profile, profile.parent):
+            with pytest.raises(InputError, match="Input/output error") as exc:
+                read_input(path)
+            assert str(path) in str(exc.value)
+        assert TestExitStatus.desirability(fixtures_dir, tmp_path / "out") == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "InputError"
+        assert str(profile) in record["message"] and "Input/output error" in record["message"]
 
 
 class TestReport:
@@ -816,8 +922,15 @@ class TestManifest:
             opened.append(os.path.realpath(file) if isinstance(file, (str, os.PathLike)) else file)
             return real_open(file, *args, **kwargs)
 
+        os_open = os.open
+
+        def counting_os_open(file, *args, **kwargs):
+            opened.append(os.path.realpath(file))
+            return os_open(file, *args, **kwargs)
+
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(os, "open", counting_os_open)
         code = run_cli(
             "--output-dir", tmp_path / "out", "evaluate",
             "--ground-truth-dir", inputs[0], "--predictions-dir", inputs[1],

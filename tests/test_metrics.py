@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -363,6 +364,43 @@ class TestMatcherOracle:
                     rep = match(dets, truths, threshold, cross_class=cross_class)
                     got = [(p.det_index, p.truth_index, p.iou) for p in rep.pairs]
                     assert got == scalar_match(dets, truths, threshold, cross_class)
+
+    def test_uncontested_pairs_settle_around_contested_chains(self):
+        # Detection 2 (0.9) overlaps truths 0 and 1 and takes 1; detection 0
+        # (0.5) overlaps only truth 1 and loses it; detection 4 (0.4)
+        # overlaps only truth 0 and gets it. Detections 1 (0.7, between 2
+        # and 0) and 3 (0.1) each overlap a truth no other one does;
+        # detection 5 (0.95) does too, but only across classes.
+        def box(cx, cy):
+            return BoundingBox(cx, cy, 0.1, 0.1)
+
+        truths = [
+            GroundTruthObject(0, box(0.2, 0.5)), GroundTruthObject(0, box(0.25, 0.5)),
+            GroundTruthObject(0, box(0.5, 0.2)), GroundTruthObject(1, box(0.8, 0.8)),
+            GroundTruthObject(0, box(0.5, 0.8)),
+        ]
+        dets = [
+            Detection(0, box(0.29, 0.5), 0.5), Detection(0, box(0.51, 0.21), 0.7),
+            Detection(0, box(0.23, 0.5), 0.9), Detection(1, box(0.8, 0.81), 0.1),
+            Detection(0, box(0.16, 0.5), 0.4), Detection(1, box(0.5, 0.79), 0.95),
+        ]
+        expected = {
+            False: [(2, 1), (1, 2), (4, 0), (3, 3)],
+            True: [(5, 4), (2, 1), (1, 2), (4, 0), (3, 3)],
+        }
+        for cross_class in (False, True):
+            candidates = [
+                (i, j) for i, d in enumerate(dets) for j, t in enumerate(truths)
+                if (cross_class or d.label == t.label) and iou(d.box, t.box) >= 0.3
+            ]
+            per_det = Counter(i for i, _ in candidates)
+            per_truth = Counter(j for _, j in candidates)
+            uncontested = [(i, j) for i, j in candidates if per_det[i] == per_truth[j] == 1]
+            assert len(uncontested) == 2 + cross_class and len(candidates) == len(uncontested) + 4
+            rep = match(dets, truths, 0.3, cross_class=cross_class)
+            got = [(p.det_index, p.truth_index, p.iou.hex()) for p in rep.pairs]
+            assert got == [(i, j, v.hex()) for i, j, v in scalar_match(dets, truths, 0.3, cross_class)]
+            assert [(i, j) for i, j, _ in got] == expected[cross_class]
 
     def test_threshold_one_matches_only_identical_boxes(self):
         other = BoundingBox(0.5, 0.5, 0.2, 0.1999)
