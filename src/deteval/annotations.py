@@ -250,27 +250,9 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     """YOLO annotation (`n_fields` 5) or prediction (6) files, each given as
     its bytes, as one `BoxColumns` with labels as positions in
     `registry.ids()`. Values convert with `int` and `float` as the scalar
-    parsers convert them and are checked all at once. When any file fails a
-    check, the scalar parser's `line N:` error for the first failing file is
-    raised, with that file's position in `files` as its `file_index`."""
-    files = list(files)
-    try:
-        return _yolo_columns(files, n_fields, registry)
-    except (ValueError, KeyError):
-        pass
-    parse = parse_yolo_annotation if n_fields == 5 else parse_yolo_prediction
-    for index, data in enumerate(files):
-        try:
-            parse(decode_text(data), registry)
-        except ValueError as exc:
-            exc.file_index = index
-            raise
-    raise AssertionError("read_yolo rejected files that the scalar parser accepts")
-
-
-def _yolo_columns(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
-    """`read_yolo` on files that pass every check; any other file raises a
-    ValueError or KeyError that says nothing of where."""
+    parsers convert them and are checked all at once: all files convert, or
+    a ValueError or KeyError says nothing of where. The scalar parsers
+    accept and reject the same files and name the line."""
     import numpy as np
 
     position = {class_id: k for k, class_id in enumerate(registry.ids())}

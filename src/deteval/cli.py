@@ -21,6 +21,7 @@ from .annotations import (
     format_yolo_annotation,
     number,
     parse_yolo_annotation,
+    parse_yolo_prediction,
     read_csv,
     read_yolo,
 )
@@ -29,11 +30,11 @@ from .config import (
     RunManifest,
     augment_pipeline_from,
     digest_inputs,
+    json_text,
     load_config,
     read_input,
     split_ratio_from,
     tile_spec_from,
-    write_json,
 )
 
 EXIT_OK = 0
@@ -105,18 +106,30 @@ def _jsonable_float(value: float):
     return value if math.isfinite(value) else repr(float(value))
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write one CSV artifact; every CSV the toolkit writes has this format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv_text(header, rows) -> str:
+    """The text of one CSV artifact; every CSV the toolkit writes has this format."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
+def _manifest(command: str, config: dict, inputs: dict) -> RunManifest:
     """The run manifest, with digests of the inputs as `read_input` read them."""
-    manifest = RunManifest(command=command, config=config, input_digests=digest_inputs(inputs))
-    write_json(out_dir / "run_manifest.json", manifest.to_dict())
+    return RunManifest(command=command, config=config, input_digests=digest_inputs(inputs))
+
+
+def _write_outputs(out_dir: Path, artifacts: dict[str, str], manifest: RunManifest) -> None:
+    """Every file a command writes: the artifacts, `{path under out_dir: text}`,
+    as UTF-8 bytes in order, then the run manifest, so that a manifest is only
+    ever written after its artifacts. Each parent directory is made once."""
+    artifacts = {**artifacts, "run_manifest.json": json_text(manifest.to_dict())}
+    paths = [out_dir / rel for rel in artifacts]
+    for parent in dict.fromkeys(path.parent for path in paths):
+        parent.mkdir(parents=True, exist_ok=True)
+    for path, text in zip(paths, artifacts.values()):
+        path.write_bytes(text.encode("utf-8"))
 
 
 def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
@@ -188,10 +201,7 @@ def cmd_tile(config: dict) -> int:
     sizes = _image_sizes(config, ids)
     images_dir = config["tile"].get("images_dir")
 
-    tiles_dir = out_dir / "tiles"
-    tiles_dir.mkdir(parents=True, exist_ok=True)
-    manifest_rows = []
-    discarded = []
+    artifacts, manifest_rows, discarded, crops = {}, [], [], []
     for image_id, data in annotations.items():
         objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
         width, height = sizes[image_id]
@@ -204,27 +214,24 @@ def cmd_tile(config: dict) -> int:
                 (tile_image.image_id, image_id, rect.x0, rect.y0, rect.w, rect.h)
             )
             if tile_image.objects:
-                (tiles_dir / f"{tile_image.image_id}.txt").write_text(
-                    format_yolo_annotation(tile_image.objects), encoding="utf-8"
-                )
+                artifacts[f"tiles/{tile_image.image_id}.txt"] = format_yolo_annotation(tile_image.objects)
                 kept_rects.append(rect)
                 kept_ids.append(tile_image.image_id)
             else:
                 discarded.append(tile_image.image_id)
         if images_dir and kept_rects:
-            from . import rasters
+            crops.append((_find_image(Path(images_dir), image_id), kept_rects, kept_ids))
 
-            rasters.write_tile_crops(
-                _find_image(Path(images_dir), image_id), kept_rects, kept_ids, tiles_dir
-            )
+    artifacts["tiles_manifest.csv"] = _csv_text(["tile_id", "src_image", "x0", "y0", "w", "h"], manifest_rows)
+    artifacts["discarded_tiles.txt"] = "".join(f"{t}\n" for t in discarded)
+    tiles_dir = out_dir / "tiles"
+    tiles_dir.mkdir(parents=True, exist_ok=True)  # there even when no tile is kept
+    if crops:
+        from . import rasters
 
-    _write_csv(
-        out_dir / "tiles_manifest.csv", ["tile_id", "src_image", "x0", "y0", "w", "h"], manifest_rows
-    )
-    (out_dir / "discarded_tiles.txt").write_text(
-        "".join(f"{t}\n" for t in discarded), encoding="utf-8"
-    )
-    _write_manifest(out_dir, "tile", config, inputs)
+        for image, rects, tile_ids in crops:
+            rasters.write_tile_crops(image, rects, tile_ids, tiles_dir)
+    _write_outputs(out_dir, artifacts, _manifest("tile", config, inputs))
     print(
         f"tiled {len(ids)} images into {len(manifest_rows)} tiles "
         f"({len(discarded)} discardable); manifest: {out_dir / 'tiles_manifest.csv'}"
@@ -244,20 +251,19 @@ def cmd_augment(config: dict) -> int:
     width = int(config["tile"].get("image_width") or config["tile"]["width"])
     height = int(config["tile"].get("image_height") or config["tile"]["height"])
 
-    aug_dir = out_dir / "augmented"
-    aug_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    artifacts, rows = {}, []
     for image_id, data in annotations.items():
         objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
         image = AnnotatedImage(image_id, width, height, tuple(objects))
         for k, variant in enumerate(augment(image, pipeline, samples)):
             sample_id = f"{image_id}_aug{k:04d}"
-            (aug_dir / f"{sample_id}.txt").write_text(
-                format_yolo_annotation(variant.objects), encoding="utf-8"
-            )
+            artifacts[f"augmented/{sample_id}.txt"] = format_yolo_annotation(variant.objects)
             rows.append((sample_id, image_id, len(variant.objects)))
-    _write_csv(out_dir / "augment_manifest.csv", ["sample_id", "src_image", "objects"], rows)
-    _write_manifest(out_dir, "augment", config, {"ground_truth_dir": inputs["ground_truth_dir"]})
+    artifacts["augment_manifest.csv"] = _csv_text(["sample_id", "src_image", "objects"], rows)
+    aug_dir = out_dir / "augmented"
+    aug_dir.mkdir(parents=True, exist_ok=True)  # there even when there are no samples
+    manifest = _manifest("augment", config, {"ground_truth_dir": inputs["ground_truth_dir"]})
+    _write_outputs(out_dir, artifacts, manifest)
     print(f"wrote {len(rows)} augmented annotation sets under {aug_dir}")
     return EXIT_OK
 
@@ -281,13 +287,9 @@ def cmd_split(config: dict) -> int:
         ids = sample_ids(ids, int(config["split"]["sample_count"]), seed)
     ratio = split_ratio_from(config)
     result = split_dataset(ids, ratio, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "split_manifest.csv",
-        ["image_id", "partition"],
-        ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part)),
-    )
-    _write_manifest(out_dir, "split", config, digest_source)
+    partitions = ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part))
+    artifacts = {"split_manifest.csv": _csv_text(["image_id", "partition"], partitions)}
+    _write_outputs(out_dir, artifacts, _manifest("split", config, digest_source))
     print(
         f"split {len(ids)} ids into train={len(result.train)} "
         f"val={len(result.val)} test={len(result.test)}; "
@@ -308,19 +310,19 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
     sides of (directory, annotation files by image id, fields per row); an
     image without a file on one side is empty there. A malformed file raises
     the CliError of the first one in image order, ground truth before
-    predictions, which is the one a file-by-file parse would meet first."""
+    predictions, as the scalar parsers word it."""
     from .metrics import EvalColumns
 
-    columns, errors = [], []
-    for side, (directory, files, n_fields) in enumerate(sides):
-        try:
-            columns.append(read_yolo([files.get(i, b"") for i in ids], n_fields, registry))
-        except ValueError as exc:
-            errors.append((exc.file_index, side, directory / f"{ids[exc.file_index]}.txt", exc))
-    if errors:
-        *_, path, exc = min(errors, key=lambda error: error[:2])
-        raise CliError(f"{path}: {exc}") from exc
-    return EvalColumns(*columns)
+    try:
+        return EvalColumns(*(read_yolo([files.get(i, b"") for i in ids], n_fields, registry)
+                             for _, files, n_fields in sides))
+    except (ValueError, KeyError):
+        pass
+    for image_id in ids:
+        for directory, files, n_fields in sides:
+            parse = parse_yolo_annotation if n_fields == 5 else parse_yolo_prediction
+            _parse_file(parse, directory / f"{image_id}.txt", files.get(image_id, b""), registry)
+    raise AssertionError("read_yolo rejected files that the scalar parsers accept")
 
 
 def cmd_evaluate(config: dict) -> int:
@@ -386,17 +388,13 @@ def cmd_evaluate(config: dict) -> int:
         },
         "degenerate_flags": list(report.degenerate_flags),
     }
-    write_json(out_dir / "evaluation.json", document)
+    artifacts = {"evaluation.json": json_text(document)}
     for entry in report.per_class:
-        # `_write_csv`'s format: the cells need no quoting
+        # `_csv_text`'s format: the cells need no quoting
         rows = "".join(map("%.6f,%.6f,%.6f\n".__mod__, entry.curve.points))
-        (out_dir / f"pr_curve_{entry.name}.csv").write_text(
-            "threshold,precision,recall\n" + rows, encoding="utf-8", newline=""
-        )
-    _write_manifest(
-        out_dir, "evaluate", config,
-        {"ground_truth_dir": truth_tree, "predictions_dir": pred_tree, "class_registry": registry_data},
-    )
+        artifacts[f"pr_curve_{entry.name}.csv"] = "threshold,precision,recall\n" + rows
+    inputs = {"ground_truth_dir": truth_tree, "predictions_dir": pred_tree, "class_registry": registry_data}
+    _write_outputs(out_dir, artifacts, _manifest("evaluate", config, inputs))
     print(
         f"evaluated {len(ids)} images: mAP@{int(round(iou_threshold * 100))} = "
         f"{report.map50:.4f}; report: {out_dir / 'evaluation.json'}"
@@ -472,19 +470,18 @@ def cmd_stats(config: dict) -> int:
     data = [read_input(path) for path in inputs]
     out_dir = Path(config["output_dir"])
     entries = [_stats_for_file(path, blob) for path, blob in zip(inputs, data)]
-    document = {"schema_version": SCHEMA_VERSION, "responses": entries}
-    write_json(out_dir / "stats.json", document)
-    _write_csv(
-        out_dir / "stats.csv",
-        ["response", "effect", "F_ratio", "prob_gt_F"],
-        (
-            [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
-            if "anova" in e
-            else [e["response"], e["effect"], "error", "error"]
-            for e in entries
-        ),
+    summary = (
+        [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
+        if "anova" in e
+        else [e["response"], e["effect"], "error", "error"]
+        for e in entries
     )
-    _write_manifest(out_dir, "stats", config, {f"input_{i}": blob for i, blob in enumerate(data)})
+    artifacts = {
+        "stats.json": json_text({"schema_version": SCHEMA_VERSION, "responses": entries}),
+        "stats.csv": _csv_text(["response", "effect", "F_ratio", "prob_gt_F"], summary),
+    }
+    inputs = {f"input_{i}": blob for i, blob in enumerate(data)}
+    _write_outputs(out_dir, artifacts, _manifest("stats", config, inputs))
     failed = [e["response"] for e in entries if "error" in e]
     if failed:
         raise CliError(f"stats failed for responses: {failed}", context={"responses": failed})
@@ -505,19 +502,16 @@ def cmd_desirability(config: dict) -> int:
         ranking = select_best(candidates, profile)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
     goal_names = [g.name for g in profile.goals]
-    _write_csv(
-        out_dir / "desirability_ranking.csv",
-        ["rank", "label", "D"] + [f"d_{name}" for name in goal_names] + ["tied"],
-        (
-            [entry.rank, entry.label, f"{entry.overall:.6f}"]
-            + [f"{entry.components[name]:.6f}" for name in goal_names]
-            + [str(entry.tied).lower()]
-            for entry in ranking
-        ),
+    rows = (
+        [entry.rank, entry.label, f"{entry.overall:.6f}"]
+        + [f"{entry.components[name]:.6f}" for name in goal_names]
+        + [str(entry.tied).lower()]
+        for entry in ranking
     )
-    _write_manifest(out_dir, "desirability", config, inputs)
+    header = ["rank", "label", "D"] + [f"d_{name}" for name in goal_names] + ["tied"]
+    artifacts = {"desirability_ranking.csv": _csv_text(header, rows)}
+    _write_outputs(out_dir, artifacts, _manifest("desirability", config, inputs))
     best = ranking[0]
     print(
         f"ranked {len(ranking)} candidates: best {best.label!r} (D={best.overall:.4f}); "
@@ -555,9 +549,7 @@ def cmd_report(config: dict) -> int:
         name: load(section_data[name]) if name in section_data else "absent"
         for name, _, load in _REPORT_SECTIONS
     }
-    manifest = RunManifest(
-        command="report", config=config, input_digests=digest_inputs(section_data)
-    )
+    manifest = _manifest("report", config, section_data)
     document = {
         "schema_version": SCHEMA_VERSION,
         "run_metadata": config.get("run_metadata", ""),
@@ -566,9 +558,8 @@ def cmd_report(config: dict) -> int:
         # reproduce this document byte for byte.
         "manifest": manifest.to_dict(with_timestamps=False),
     }
-    write_json(out_dir / "report.json", document)
-    (out_dir / "report.txt").write_text(_render_text_report(document), encoding="utf-8")
-    write_json(out_dir / "run_manifest.json", manifest.to_dict())
+    artifacts = {"report.json": json_text(document), "report.txt": _render_text_report(document)}
+    _write_outputs(out_dir, artifacts, manifest)
     print(f"report: {out_dir / 'report.json'} and {out_dir / 'report.txt'}")
     return EXIT_OK
 

@@ -162,6 +162,10 @@ def _read_file(path) -> bytes:
         chunks = []
         while chunk := os.read(fd, 1 << 16):
             chunks.append(chunk)
+    except OSError as exc:  # `os.read` names no file; in a directory the file is what failed
+        if exc.filename is None:
+            exc.filename = os.fspath(path)
+        raise
     finally:
         os.close(fd)
     return b"".join(chunks)
@@ -218,11 +222,8 @@ class RunManifest:
         return doc
 
 
-def write_json(path: Path, document: dict) -> None:
+def json_text(document: dict) -> str:
     """Canonical JSON serialization: sorted keys, two-space indent, newline
     at EOF. Identical documents serialize byte-identically. NaN and infinity
-    have no JSON form, so a document holding one raises ValueError before
-    anything is written."""
-    text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n", encoding="utf-8")
+    have no JSON form, so a document holding one raises ValueError."""
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"

@@ -4,6 +4,7 @@ and per-stratum bag-detection accuracy."""
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple
@@ -58,21 +59,14 @@ class MatchReport:
 
     def tallies(self) -> dict[int, ClassTally]:
         """Per-class TP/FP/FN counts. Cross-class pairs count as FP for the
-        predicted class and FN for the true class."""
-        classes = {d.label for d in self.detections} | {t.label for t in self.truths}
-        same_class_pairs = [
-            p for p in self.pairs
+        predicted class and FN for the true class; pairs are one-to-one, so
+        what a class's same-class pairs do not take is its FP and FN."""
+        tp = Counter(
+            self.detections[p.det_index].label for p in self.pairs
             if self.detections[p.det_index].label == self.truths[p.truth_index].label
-        ]
-        tp_dets = {p.det_index for p in same_class_pairs}
-        tp_truths = {p.truth_index for p in same_class_pairs}
-        out = {}
-        for c in sorted(classes):
-            tp = sum(1 for p in same_class_pairs if self.detections[p.det_index].label == c)
-            fp = sum(1 for i, d in enumerate(self.detections) if d.label == c and i not in tp_dets)
-            fn = sum(1 for j, t in enumerate(self.truths) if t.label == c and j not in tp_truths)
-            out[c] = ClassTally(tp, fp, fn)
-        return out
+        )
+        dets, truths = Counter(d.label for d in self.detections), Counter(t.label for t in self.truths)
+        return {c: ClassTally(tp[c], dets[c] - tp[c], truths[c] - tp[c]) for c in sorted(dets | truths)}
 
     def matched_det_indices(self) -> set[int]:
         return {p.det_index for p in self.pairs}

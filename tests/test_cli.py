@@ -16,7 +16,7 @@ import pytest
 
 from deteval import cli, metrics, rasters
 from deteval.cli import main
-from deteval.config import DEFAULTS, InputError, read_input, write_json
+from deteval.config import DEFAULTS, InputError, json_text, read_input
 from deteval.metrics import PRPoint
 
 
@@ -48,6 +48,16 @@ def oracle_digest_inputs(paths):
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _good_then_bad(tmp_path):
+    """An annotation dir whose second file, b.txt, is malformed, and an empty
+    output dir."""
+    annots, out = tmp_path / "annots", tmp_path / "out"
+    annots.mkdir(), out.mkdir()
+    (annots / "a.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+    (annots / "b.txt").write_text("0 0.5 0.5 0.2\n")
+    return annots, out
 
 
 class TestTile:
@@ -86,6 +96,13 @@ class TestTile:
         assert len(rows) - 1 == 1
         tile_file = next((out / "tiles").glob("*.txt"))
         assert tile_file.read_text() == "0 0.500000 0.500000 0.200000 0.200000\n"
+
+    def test_malformed_later_file_writes_nothing(self, tmp_path, capsys):
+        annots, out = _good_then_bad(tmp_path)
+        code = run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots, "--image-size", "832x832")
+        assert code == 2
+        assert f"{annots / 'b.txt'}: line 1: " in json.loads(capsys.readouterr().err.strip())["message"]
+        assert list(out.iterdir()) == []
 
     def test_empty_annotation_dir_exits_2(self, tmp_path, capsys):
         empty = tmp_path / "empty"
@@ -192,6 +209,13 @@ class TestAugment:
             assert (out_a / "augmented" / name).read_bytes() == (
                 out_b / "augmented" / name
             ).read_bytes()
+
+    def test_malformed_later_file_writes_nothing(self, tmp_path, capsys):
+        annots, out = _good_then_bad(tmp_path)
+        code = run_cli("--output-dir", out, "augment", "--ground-truth-dir", annots, "--samples", "2")
+        assert code == 2
+        assert f"{annots / 'b.txt'}: line 1: " in json.loads(capsys.readouterr().err.strip())["message"]
+        assert list(out.iterdir()) == []
 
     def test_seed_changes_outputs(self, fixtures_dir, tmp_path):
         outs = {}
@@ -749,19 +773,41 @@ class TestExitStatus:
         def disk_full(path, *args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
-        monkeypatch.setattr(Path, "write_text", disk_full)
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
         assert self.desirability(fixtures_dir, tmp_path / "out") == 3
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "OSError"
         assert "No space left on device" in record["message"]
 
+    def test_failed_second_write_leaves_no_manifest(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        written = []
+        write_bytes = Path.write_bytes
 
-def test_write_json_refuses_non_finite_values(tmp_path):
-    path = tmp_path / "doc.json"
+        def disk_full_on_second(path, data):
+            written.append(path.name)
+            if len(written) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full_on_second)
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "evaluate",
+            "--ground-truth-dir", fixtures_dir / "detection" / "truth",
+            "--predictions-dir", fixtures_dir / "detection" / "preds",
+            "--class-registry", fixtures_dir / "detection" / "classes.txt",
+        )
+        assert code == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
+        assert written[0] == "evaluation.json" and written[1].startswith("pr_curve_")
+        assert sorted(p.name for p in out.iterdir()) == ["evaluation.json"]
+
+
+def test_json_text_refuses_non_finite_values():
+    assert json_text({"W": 0.5}) == '{\n  "W": 0.5\n}\n'
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            write_json(path, {"W": value})
-        assert not path.exists()
+            json_text({"W": value})
 
 
 class TestReadInput:
@@ -795,10 +841,12 @@ class TestReadInput:
 
         monkeypatch.setattr(os, "read", failing_read)
         profile = fixtures_dir / "desirability" / "profile.json"
-        for path in (profile, profile.parent):
+        # the first file that `read_input` reads from the directory
+        first = profile.parent / min(p.name for p in profile.parent.iterdir())
+        for path, failed in ((profile, profile), (profile.parent, first)):
             with pytest.raises(InputError, match="Input/output error") as exc:
                 read_input(path)
-            assert str(path) in str(exc.value)
+            assert str(path) in str(exc.value) and str(failed) in str(exc.value)
         assert TestExitStatus.desirability(fixtures_dir, tmp_path / "out") == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InputError"
@@ -1011,7 +1059,7 @@ class TestFlagTable:
                 assert set(_paths(row)) == set(FLAG_VALUES[row[1]][1])
 
         def record_config(config):
-            cli._write_manifest(tmp_path / config["output_dir"], "probe", config, {})
+            cli._write_outputs(tmp_path / config["output_dir"], {}, cli._manifest("probe", config, {}))
             return 0
 
         for name, (_, text) in cli._COMMANDS.items():

@@ -1,11 +1,13 @@
 """Properties shared by every text-input parser: a parser returns only finite
 values, or raises a ValueError subclass whose message starts `line N: `.
 The columnar YOLO reader accepts and rejects what the scalar YOLO parsers
-do, with the same values and the same errors."""
+do, with the same values, and the CLI reports its failures with the scalar
+parsers' errors."""
 
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -108,12 +110,18 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
                 assert int(match.group(1)) <= max(1, len(text.splitlines())), (name, text, str(exc))
                 assert isinstance(exc, errors), (name, text, type(exc))
                 if name in COLUMNAR:
-                    # a good file before the bad one: the error names the second
+                    # the columnar reader only refuses; the CLI names the
+                    # second of a good and a bad file as the scalar parser does
                     n_fields, good = COLUMNAR[name]
-                    with pytest.raises(ValueError) as columnar:
+                    with pytest.raises((ValueError, KeyError)):
                         read_yolo([good, text.encode()], n_fields, REGISTRY)
-                    assert (type(columnar.value), str(columnar.value)) == (type(exc), str(exc)), (name, text)
-                    assert columnar.value.file_index == 1
+                    bad_side = (Path("dir"), {"a": good, "b": text.encode()}, n_fields)
+                    empty_side = (Path("other"), {}, 11 - n_fields)
+                    sides = (bad_side, empty_side) if n_fields == 5 else (empty_side, bad_side)
+                    with pytest.raises(cli.CliError) as columnar:
+                        cli._evaluation_columns(REGISTRY, ["a", "b"], *sides)
+                    assert str(columnar.value) == f"{Path('dir') / 'b.txt'}: {exc}", (name, text)
+                    assert type(columnar.value.__cause__) is type(exc), (name, text)
             else:
                 assert all(math.isfinite(v) for v in floats_in(result)), (name, text)
                 if name in COLUMNAR:
