@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-COORD_DECIMALS = 6
-
 
 class AnnotationError(ValueError):
     """Malformed annotation or prediction text."""

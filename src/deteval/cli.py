@@ -92,14 +92,28 @@ def _parse_file(parse, path: Path, data: bytes, *args):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _annotation_files(tree: dict[str, bytes]) -> dict[str, bytes]:
-    """The bytes of the `<image_id>.txt` files directly in a directory that
-    `read_input` read, by image id, in id order."""
+def _read(inputs: dict, key: str, path: Path, parse=None, *args):
+    """The one way a command reads an input: the file or directory `path`, read
+    once by `read_input` and recorded as `inputs[key]` for `_manifest`. Returns
+    the bytes (by relative path for a directory), or `parse(text, *args)` as
+    `_parse_file` gives it."""
+    data = inputs[key] = read_input(path)
+    return data if parse is None else _parse_file(parse, path, data, *args)
+
+
+def _annotation_files(inputs: dict, key: str, directory: Path) -> dict[str, bytes]:
+    """The bytes of the `<image_id>.txt` files directly in `directory`, by image
+    id, in id order; the whole directory is read as `inputs[key]`."""
     return dict(sorted(
         (name[: -len(".txt")], data)
-        for name, data in tree.items()
+        for name, data in _read(inputs, key, directory).items()
         if "/" not in name and name.endswith(".txt")
     ))
+
+
+def _registry(config: dict, inputs: dict) -> ClassRegistry:
+    path = _require_path(config, "class_registry", "file")
+    return _read(inputs, "class_registry", path, ClassRegistry.from_text)
 
 
 def _jsonable_float(value: float):
@@ -143,11 +157,11 @@ def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
     return image_id, (width, height)
 
 
-def _image_sizes(config: dict, ids: list[str]) -> dict[str, tuple[int, int]]:
+def _image_sizes(config: dict, ids: list[str], inputs: dict) -> dict[str, tuple[int, int]]:
     tile_cfg = config["tile"]
     if tile_cfg.get("image_sizes_csv"):
         path = _require_path(tile_cfg, "image_sizes_csv", "file")
-        sizes = dict(_parse_file(read_csv, path, read_input(path), 3, _image_size_row)[1])
+        sizes = dict(_read(inputs, "image_sizes_csv", path, read_csv, 3, _image_size_row)[1])
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
@@ -174,31 +188,26 @@ def _find_image(images_dir: Path, image_id: str) -> Path:
     raise CliError(f"no raster found for {image_id!r} under {images_dir}")
 
 
-def _ground_truth(config: dict) -> tuple[Path, ClassRegistry | None, dict[str, bytes], dict]:
-    """The ground-truth dir, the class registry if one is configured, the
-    annotation files by image id, of which there must be at least one, and
-    the ground-truth dir and registry as read, for the manifest."""
+def _ground_truth(config: dict, inputs: dict) -> tuple[Path, ClassRegistry | None, dict[str, bytes]]:
+    """The ground-truth dir, the class registry if one is configured, and the
+    annotation files by image id, of which there must be at least one."""
     gt_dir = _require_path(config, "ground_truth_dir")
-    registry = registry_data = None
-    if config.get("class_registry"):
-        registry_path = _require_path(config, "class_registry", "file")
-        registry_data = read_input(registry_path)
-        registry = _parse_file(ClassRegistry.from_text, registry_path, registry_data)
-    tree = read_input(gt_dir)
-    annotations = _annotation_files(tree)
+    registry = _registry(config, inputs) if config.get("class_registry") else None
+    annotations = _annotation_files(inputs, "ground_truth_dir", gt_dir)
     if not annotations:
         raise CliError(f"no annotation files (*.txt) under {gt_dir}")
-    return gt_dir, registry, annotations, {"ground_truth_dir": tree, "class_registry": registry_data}
+    return gt_dir, registry, annotations
 
 
 def cmd_tile(config: dict) -> int:
     from .prep import plan_tiles, retile_annotations
 
-    gt_dir, registry, annotations, inputs = _ground_truth(config)
+    inputs: dict = {}
+    gt_dir, registry, annotations = _ground_truth(config, inputs)
     ids = list(annotations)
     out_dir = Path(config["output_dir"])
     spec = tile_spec_from(config)
-    sizes = _image_sizes(config, ids)
+    sizes = _image_sizes(config, ids, inputs)
     images_dir = config["tile"].get("images_dir")
 
     artifacts, manifest_rows, discarded, crops = {}, [], [], []
@@ -242,7 +251,8 @@ def cmd_tile(config: dict) -> int:
 def cmd_augment(config: dict) -> int:
     from .prep import augment
 
-    gt_dir, registry, annotations, inputs = _ground_truth(config)
+    inputs: dict = {}
+    gt_dir, registry, annotations = _ground_truth(config, inputs)
     out_dir = Path(config["output_dir"])
     pipeline = augment_pipeline_from(config)
     samples = int(config["augment"]["samples"])
@@ -262,8 +272,7 @@ def cmd_augment(config: dict) -> int:
     artifacts["augment_manifest.csv"] = _csv_text(["sample_id", "src_image", "objects"], rows)
     aug_dir = out_dir / "augmented"
     aug_dir.mkdir(parents=True, exist_ok=True)  # there even when there are no samples
-    manifest = _manifest("augment", config, {"ground_truth_dir": inputs["ground_truth_dir"]})
-    _write_outputs(out_dir, artifacts, manifest)
+    _write_outputs(out_dir, artifacts, _manifest("augment", config, inputs))
     print(f"wrote {len(rows)} augmented annotation sets under {aug_dir}")
     return EXIT_OK
 
@@ -272,14 +281,12 @@ def cmd_split(config: dict) -> int:
     from .prep import sample_ids, split_dataset
 
     out_dir = Path(config["output_dir"])
+    inputs: dict = {}
     if config["split"].get("ids_file"):
-        data = read_input(_require_path(config["split"], "ids_file", "file"))
-        ids = [line.strip() for line in decode_text(data).splitlines() if line.strip()]
-        digest_source: dict = {"ids_file": data}
+        lines = _read(inputs, "ids_file", _require_path(config["split"], "ids_file", "file"), str.splitlines)
+        ids = [line.strip() for line in lines if line.strip()]
     else:
-        tree = read_input(_require_path(config, "ground_truth_dir"))
-        ids = list(_annotation_files(tree))
-        digest_source = {"ground_truth_dir": tree}
+        ids = list(_annotation_files(inputs, "ground_truth_dir", _require_path(config, "ground_truth_dir")))
     if not ids:
         raise CliError("no image ids to split")
     seed = int(config["seed"])
@@ -289,7 +296,7 @@ def cmd_split(config: dict) -> int:
     result = split_dataset(ids, ratio, seed)
     partitions = ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part))
     artifacts = {"split_manifest.csv": _csv_text(["image_id", "partition"], partitions)}
-    _write_outputs(out_dir, artifacts, _manifest("split", config, digest_source))
+    _write_outputs(out_dir, artifacts, _manifest("split", config, inputs))
     print(
         f"split {len(ids)} ids into train={len(result.train)} "
         f"val={len(result.val)} test={len(result.test)}; "
@@ -330,15 +337,14 @@ def cmd_evaluate(config: dict) -> int:
 
     gt_dir = _require_path(config, "ground_truth_dir")
     pred_dir = _require_path(config, "predictions_dir")
-    registry_path = _require_path(config, "class_registry", "file")
-    registry_data = read_input(registry_path)
-    registry = _parse_file(ClassRegistry.from_text, registry_path, registry_data)
+    inputs: dict = {}
+    registry = _registry(config, inputs)
     out_dir = Path(config["output_dir"])
     iou_threshold = float(config["iou_threshold"])
     allow_partial = bool(config["allow_partial"])
 
-    truth_tree, pred_tree = read_input(gt_dir), read_input(pred_dir)
-    truth_files, pred_files = _annotation_files(truth_tree), _annotation_files(pred_tree)
+    truth_files = _annotation_files(inputs, "ground_truth_dir", gt_dir)
+    pred_files = _annotation_files(inputs, "predictions_dir", pred_dir)
     if not truth_files:
         raise CliError(f"no annotation files (*.txt) under {gt_dir}")
     missing = sorted(set(truth_files) - set(pred_files))
@@ -393,7 +399,6 @@ def cmd_evaluate(config: dict) -> int:
         # `_csv_text`'s format: the cells need no quoting
         rows = "".join(map("%.6f,%.6f,%.6f\n".__mod__, entry.curve.points))
         artifacts[f"pr_curve_{entry.name}.csv"] = "threshold,precision,recall\n" + rows
-    inputs = {"ground_truth_dir": truth_tree, "predictions_dir": pred_tree, "class_registry": registry_data}
     _write_outputs(out_dir, artifacts, _manifest("evaluate", config, inputs))
     print(
         f"evaluated {len(ids)} images: mAP@{int(round(iou_threshold * 100))} = "
@@ -406,10 +411,9 @@ def _observation_row(group: str, raw: str) -> tuple[str, float]:
     return group, number(raw)
 
 
-def _stats_for_file(path: Path, data: bytes) -> dict:
+def _stats_for_file(path: Path, header: list[str], rows) -> dict:
     from .stats import ObservationTable, anova_oneway, shapiro_wilk, t_test_pairwise
 
-    header, rows = _parse_file(read_csv, path, data, 2, _observation_row)
     response = path.stem
     entry: dict = {"response": response, "effect": header[0] or "group"}
     try:
@@ -460,16 +464,19 @@ def _stats_for_file(path: Path, data: bytes) -> dict:
 
 
 def cmd_stats(config: dict) -> int:
-    inputs = [Path(p) for p in config.get("stats_inputs") or []]
-    if not inputs:
+    paths = [Path(p) for p in config.get("stats_inputs") or []]
+    if not paths:
         raise CliError("no stats inputs: set stats_inputs in the config or pass --inputs")
-    for path in inputs:
+    for path in paths:
         if not path.is_file():
             raise CliError(f"stats input not found: {path}")
-    inputs = sorted(inputs, key=lambda p: str(p))
-    data = [read_input(path) for path in inputs]
+    paths.sort(key=str)
+    inputs: dict = {}
+    entries = [
+        _stats_for_file(path, *_read(inputs, f"input_{i}", path, read_csv, 2, _observation_row))
+        for i, path in enumerate(paths)
+    ]
     out_dir = Path(config["output_dir"])
-    entries = [_stats_for_file(path, blob) for path, blob in zip(inputs, data)]
     summary = (
         [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
         if "anova" in e
@@ -480,7 +487,6 @@ def cmd_stats(config: dict) -> int:
         "stats.json": json_text({"schema_version": SCHEMA_VERSION, "responses": entries}),
         "stats.csv": _csv_text(["response", "effect", "F_ratio", "prob_gt_F"], summary),
     }
-    inputs = {f"input_{i}": blob for i, blob in enumerate(data)}
     _write_outputs(out_dir, artifacts, _manifest("stats", config, inputs))
     failed = [e["response"] for e in entries if "error" in e]
     if failed:
@@ -495,9 +501,9 @@ def cmd_desirability(config: dict) -> int:
     profile_path = _require_path(config, "desirability_profile", "file")
     candidates_path = _require_path(config, "candidates", "file")
     out_dir = Path(config["output_dir"])
-    inputs = {"desirability_profile": read_input(profile_path), "candidates": read_input(candidates_path)}
-    profile = _parse_file(DesirabilityProfile.from_json, profile_path, inputs["desirability_profile"])
-    candidates = _parse_file(load_candidates_csv, candidates_path, inputs["candidates"])
+    inputs: dict = {}
+    profile = _read(inputs, "desirability_profile", profile_path, DesirabilityProfile.from_json)
+    candidates = _read(inputs, "candidates", candidates_path, load_candidates_csv)
     try:
         ranking = select_best(candidates, profile)
     except ValueError as exc:
@@ -520,19 +526,65 @@ def cmd_desirability(config: dict) -> int:
     return EXIT_OK
 
 
-def _load_ranking_csv(data: bytes) -> list[dict]:
-    return [dict(row) for row in csv.DictReader(io.StringIO(data.decode("utf-8"), newline=""))]
+def _load_ranking_csv(text: str) -> list[dict]:
+    return [dict(row) for row in csv.DictReader(io.StringIO(text, newline=""))]
 
 
-def _load_json(data: bytes):
-    return json.loads(decode_text(data))
+def _evaluation_lines(evaluation: dict) -> list[str]:
+    lines = [
+        f"IoU threshold: {evaluation['iou_threshold']}",
+        f"note: {evaluation['conventions']['true_negatives']}",
+    ]
+    for name, row in sorted(evaluation["per_class"].items()):
+        lines.append(
+            f"  {name}: AP {row['ap']['value'] * 100:.2f}%  "
+            f"P {row['precision']['value'] * 100:.2f}%  "
+            f"R {row['recall']['value'] * 100:.2f}%  "
+            f"F1 {row['f1']['value'] * 100:.2f}%  "
+            f"acc {row['accuracy']['value'] * 100:.2f}%  "
+            f"(tp {row['tp']}, fp {row['fp']}, fn {row['fn']})"
+        )
+    lines.append(f"  mAP@50: {evaluation['map50'] * 100:.2f}%")
+    if evaluation["degenerate_flags"]:
+        lines.append(f"  degenerate: {', '.join(evaluation['degenerate_flags'])}")
+    return lines
 
 
-# (section name, the file a prior command wrote into the output dir, loader)
+def _stats_lines(stats: dict) -> list[str]:
+    lines = []
+    for entry in stats["responses"]:
+        if "error" in entry:
+            lines.append(f"  {entry['response']}: error: {entry['error']}")
+            continue
+        anova = entry["anova"]
+        lines.append(
+            f"  {entry['response']} ~ {entry['effect']}: "
+            f"F = {anova['f_ratio']}  Prob>F = {anova['prob_gt_f']:.6g}  "
+            f"df = {tuple(anova['df'])}"
+        )
+    return lines
+
+
+def _ranking_lines(ranking: list[dict]) -> list[str]:
+    return [f"  {row['rank']}. {row['label']}  D = {row['D']}" for row in ranking]
+
+
+def _report_section(text: str, load, render) -> tuple:
+    """A prior output as `load` parses it and the lines `render` makes of it
+    for `report.txt`; an output that lacks what `render` reads is a ValueError."""
+    section = load(text)
+    try:
+        return section, render(section)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"not a document the report can read: {type(exc).__name__}: {exc}") from None
+
+
+# (section name, the file a prior command wrote into the output dir, loader,
+# heading in report.txt, renderer)
 _REPORT_SECTIONS = (
-    ("evaluation", "evaluation.json", _load_json),
-    ("stats", "stats.json", _load_json),
-    ("desirability", "desirability_ranking.csv", _load_ranking_csv),
+    ("evaluation", "evaluation.json", json.loads, "detection evaluation", _evaluation_lines),
+    ("stats", "stats.json", json.loads, "effect tests", _stats_lines),
+    ("desirability", "desirability_ranking.csv", _load_ranking_csv, "desirability ranking", _ranking_lines),
 )
 
 
@@ -540,16 +592,16 @@ def cmd_report(config: dict) -> int:
     out_dir = Path(config["output_dir"])
     if not out_dir.is_dir():
         raise CliError(f"output dir with prior command outputs not found: {out_dir}")
-    section_data = {
-        name: read_input(out_dir / filename)
-        for name, filename, _ in _REPORT_SECTIONS
-        if (out_dir / filename).is_file()
-    }
-    sections = {
-        name: load(section_data[name]) if name in section_data else "absent"
-        for name, _, load in _REPORT_SECTIONS
-    }
-    manifest = _manifest("report", config, section_data)
+    inputs: dict = {}
+    sections, text = {}, [f"deteval run report (toolkit {__version__})", ""]
+    if config.get("run_metadata"):
+        text += [f"metadata: {config['run_metadata']}", ""]
+    for name, filename, load, heading, render in _REPORT_SECTIONS:
+        sections[name], lines = "absent", ["absent"]
+        if (out_dir / filename).is_file():
+            sections[name], lines = _read(inputs, name, out_dir / filename, _report_section, load, render)
+        text += [f"== {heading} ==", *lines, ""]
+    manifest = _manifest("report", config, inputs)
     document = {
         "schema_version": SCHEMA_VERSION,
         "run_metadata": config.get("run_metadata", ""),
@@ -558,61 +610,10 @@ def cmd_report(config: dict) -> int:
         # reproduce this document byte for byte.
         "manifest": manifest.to_dict(with_timestamps=False),
     }
-    artifacts = {"report.json": json_text(document), "report.txt": _render_text_report(document)}
+    artifacts = {"report.json": json_text(document), "report.txt": "\n".join(text)}
     _write_outputs(out_dir, artifacts, manifest)
     print(f"report: {out_dir / 'report.json'} and {out_dir / 'report.txt'}")
     return EXIT_OK
-
-
-def _render_text_report(document: dict) -> str:
-    lines = [f"deteval run report (toolkit {__version__})", ""]
-    if document.get("run_metadata"):
-        lines += [f"metadata: {document['run_metadata']}", ""]
-    evaluation = document["sections"]["evaluation"]
-    lines.append("== detection evaluation ==")
-    if evaluation == "absent":
-        lines.append("absent")
-    else:
-        lines.append(f"IoU threshold: {evaluation['iou_threshold']}")
-        lines.append(f"note: {evaluation['conventions']['true_negatives']}")
-        for name, row in sorted(evaluation["per_class"].items()):
-            lines.append(
-                f"  {name}: AP {row['ap']['value'] * 100:.2f}%  "
-                f"P {row['precision']['value'] * 100:.2f}%  "
-                f"R {row['recall']['value'] * 100:.2f}%  "
-                f"F1 {row['f1']['value'] * 100:.2f}%  "
-                f"acc {row['accuracy']['value'] * 100:.2f}%  "
-                f"(tp {row['tp']}, fp {row['fp']}, fn {row['fn']})"
-            )
-        lines.append(f"  mAP@50: {evaluation['map50'] * 100:.2f}%")
-        if evaluation["degenerate_flags"]:
-            lines.append(f"  degenerate: {', '.join(evaluation['degenerate_flags'])}")
-    lines.append("")
-    stats = document["sections"]["stats"]
-    lines.append("== effect tests ==")
-    if stats == "absent":
-        lines.append("absent")
-    else:
-        for entry in stats["responses"]:
-            if "error" in entry:
-                lines.append(f"  {entry['response']}: error: {entry['error']}")
-                continue
-            anova = entry["anova"]
-            lines.append(
-                f"  {entry['response']} ~ {entry['effect']}: "
-                f"F = {anova['f_ratio']}  Prob>F = {anova['prob_gt_f']:.6g}  "
-                f"df = {tuple(anova['df'])}"
-            )
-    lines.append("")
-    ranking = document["sections"]["desirability"]
-    lines.append("== desirability ranking ==")
-    if ranking == "absent":
-        lines.append("absent")
-    else:
-        for row in ranking:
-            lines.append(f"  {row['rank']}. {row['label']}  D = {row['D']}")
-    lines.append("")
-    return "\n".join(lines)
 
 
 _COMMANDS = {

@@ -69,15 +69,21 @@ class InputError(ValueError):
     """An input file or directory that cannot be read."""
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _kind(value) -> str:
+    return {dict: "an object", list: "an array", type(None): "null"}.get(type(value), "a scalar")
+
+
+def _merge(base: dict, override: dict, prefix: str = "") -> dict:
+    """`override` over `base`; a key whose default is not null takes only a
+    value of its default's JSON kind: object, array or scalar."""
     merged = dict(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key: {key!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            merged[key] = _merge(base[key], value)
-        else:
-            merged[key] = value
+        default = base[key]
+        if default is not None and _kind(value) != _kind(default):
+            raise ConfigError(f"config key {prefix}{key} must be {_kind(default)}, got {json.dumps(value)}")
+        merged[key] = _merge(default, value, f"{prefix}{key}.") if isinstance(default, dict) else value
     return merged
 
 
@@ -117,13 +123,16 @@ def augment_pipeline_from(config: dict) -> AugmentPipeline:
 
     aug = config["augment"]
     ops = []
-    for op in aug["operations"]:
-        kwargs = {"name": op["op"], "probability": float(op["probability"])}
-        if "angles" in op:
-            kwargs["angles"] = tuple(float(a) for a in op["angles"])
-        if "percentage_area" in op:
-            kwargs["percentage_area"] = float(op["percentage_area"])
-        ops.append(AugmentOp(**kwargs))
+    for i, op in enumerate(aug["operations"]):
+        try:
+            kwargs = {"name": op["op"], "probability": float(op["probability"])}
+            if "angles" in op:
+                kwargs["angles"] = tuple(float(a) for a in op["angles"])
+            if "percentage_area" in op:
+                kwargs["percentage_area"] = float(op["percentage_area"])
+            ops.append(AugmentOp(**kwargs))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise ConfigError(f"augment.operations[{i}]: {type(exc).__name__}: {exc}") from None
     return AugmentPipeline(
         operations=tuple(ops),
         rng_seed=int(config["seed"]),

@@ -265,6 +265,14 @@ class TestSplit:
         ids_file.write_text("a\nb\n")
         assert run_cli("--output-dir", tmp_path / "o", "split", "--ids-file", ids_file) == 2
 
+    def test_undecodable_ids_file_exits_2_naming_it(self, tmp_path, capsys):
+        ids_file = tmp_path / "ids.txt"
+        ids_file.write_bytes(b"img1\nimg\xff2\n")
+        assert run_cli("--output-dir", tmp_path / "o", "split", "--ids-file", ids_file) == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith(f"{ids_file}: ") and "utf-8" in message
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvaluate:
     def _run(self, fixtures_dir, out, *extra):
@@ -901,6 +909,33 @@ class TestReport:
         run_cli("--output-dir", out, "report")
         assert (out / "report.json").read_bytes() == first
 
+    @pytest.mark.parametrize("filename, data, problem", [
+        ("evaluation.json", b'{"iou_threshold": 0.5, "per_class"', "invalid JSON at line 1 column 35"),
+        ("evaluation.json", b"{}", "KeyError: 'iou_threshold'"),
+        ("stats.json", b"[1, 2]", "TypeError"),
+        ("desirability_ranking.csv", b"rank,label,D\n1,\xff,0.5\n", "utf-8"),
+        ("desirability_ranking.csv", b"label\nv5s\n", "KeyError: 'rank'"),
+    ])
+    def test_bad_prior_output_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, filename, data, problem):
+        out = tmp_path / "out"
+        self._populate(fixtures_dir, out)
+        (out / filename).write_bytes(data)
+        capsys.readouterr()
+        assert run_cli("--output-dir", out, "report") == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message.startswith(f"{out / filename}: ") and problem in message
+        assert not (out / "report.json").exists()
+
+    def test_crlf_ranking_reads_as_lf(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        self._populate(fixtures_dir, out)
+        run_cli("--output-dir", out, "report")
+        lf = (out / "report.txt").read_bytes()
+        ranking = out / "desirability_ranking.csv"
+        ranking.write_bytes(ranking.read_bytes().replace(b"\n", b"\r\n"))
+        run_cli("--output-dir", out, "report")
+        assert (out / "report.txt").read_bytes() == lf
+
 
 class TestManifest:
     def test_digests_stable_across_reruns(self, fixtures_dir, tmp_path):
@@ -935,24 +970,43 @@ class TestManifest:
             (root / "empty.txt").write_text("")
             (root / "a-b.txt").write_text("")
         registry = fixtures_dir / "detection" / "classes.txt"
+        sizes, ids = tmp_path / "sizes.csv", tmp_path / "ids.txt"
+        sizes.write_text("image_id,width_px,height_px\n" + "".join(
+            f"{i},832,832\n" for i in ("a-b", "empty", "img1", "img2")))
+        ids.write_text("img1\nimg2\nimg3\n")
+        # two stats inputs whose string order differs from the order given
+        stats_inputs = [tmp_path / "z" / "b.csv", tmp_path / "a.csv"]
+        for path in stats_inputs:
+            path.parent.mkdir(exist_ok=True)
+            shutil.copy(fixtures_dir / "stats" / "height_accuracy.csv", path)
+        profile = fixtures_dir / "desirability" / "profile.json"
+        candidates = fixtures_dir / "desirability" / "candidates.csv"
+        chain = tmp_path / "chain"  # evaluate, stats and desirability write what report reads
+        # command -> (output dir, arguments, the inputs it must digest, by manifest key)
         runs = {
-            "evaluate": (
-                ["evaluate", "--ground-truth-dir", truth, "--predictions-dir", preds,
-                 "--class-registry", registry],
-                {"ground_truth_dir": truth, "predictions_dir": preds, "class_registry": registry},
-            ),
-            "tile": (
-                ["tile", "--ground-truth-dir", truth, "--image-size", "832x832", "--class-registry", registry],
-                {"ground_truth_dir": truth, "class_registry": registry},
-            ),
-            "augment": (
-                ["augment", "--ground-truth-dir", truth, "--samples", "2", "--class-registry", registry],
-                {"ground_truth_dir": truth},
-            ),
+            "evaluate": (chain, ["evaluate", "--ground-truth-dir", truth, "--predictions-dir", preds,
+                                 "--class-registry", registry],
+                         {"ground_truth_dir": truth, "predictions_dir": preds, "class_registry": registry}),
+            "tile": (tmp_path / "tile", ["tile", "--ground-truth-dir", truth, "--image-size", "832x832",
+                                         "--class-registry", registry],
+                     {"ground_truth_dir": truth, "class_registry": registry}),
+            "tile --image-sizes-csv": (
+                tmp_path / "tile-sizes", ["tile", "--ground-truth-dir", truth, "--image-sizes-csv", sizes],
+                {"ground_truth_dir": truth, "image_sizes_csv": sizes}),
+            "augment": (tmp_path / "augment", ["augment", "--ground-truth-dir", truth, "--samples", "2",
+                                               "--class-registry", registry],
+                        {"ground_truth_dir": truth, "class_registry": registry}),
+            "split": (tmp_path / "split", ["split", "--ground-truth-dir", truth], {"ground_truth_dir": truth}),
+            "split --ids-file": (tmp_path / "split-ids", ["split", "--ids-file", ids], {"ids_file": ids}),
+            "stats": (chain, ["stats", "--inputs", *stats_inputs],
+                      {"input_0": stats_inputs[1], "input_1": stats_inputs[0]}),
+            "desirability": (chain, ["desirability", "--profile", profile, "--candidates", candidates],
+                             {"desirability_profile": profile, "candidates": candidates}),
+            "report": (chain, ["report"], {"evaluation": chain / "evaluation.json", "stats": chain / "stats.json",
+                                           "desirability": chain / "desirability_ranking.csv"}),
         }
-        for command, (argv, inputs) in runs.items():
-            out = tmp_path / command
-            assert run_cli("--output-dir", out, *argv) == 0
+        for command, (out, argv, inputs) in runs.items():
+            assert run_cli("--output-dir", out, *argv) == 0, command
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["input_digests"] == oracle_digest_inputs(inputs), command
 
@@ -1003,6 +1057,42 @@ class TestManifest:
         code = run_cli("--config", config, "--output-dir", tmp_path / "out", "report")
         assert code == 2
         assert "unknown config key: 'with_replacement'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, document, problem", [
+        ("tile", {"tile": 5}, "config key tile must be an object, got 5"),
+        ("augment", {"tile": 5}, "config key tile must be an object, got 5"),
+        ("evaluate", {"iou_threshold": {}}, "config key iou_threshold must be a scalar, got {}"),
+        ("split", {"seed": []}, "config key seed must be a scalar, got []"),
+        ("augment", {"augment": {"samples": None}}, "config key augment.samples must be a scalar, got null"),
+        ("split", {"split": {"ratio": 5}}, "config key split.ratio must be an array, got 5"),
+        ("augment", {"augment": {"operations": 3}}, "config key augment.operations must be an array, got 3"),
+        ("augment", {"augment": {"operations": [{"op": "rotate"}]}},
+         "augment.operations[0]: KeyError: 'probability'"),
+        ("augment", {"augment": {"operations": [{"op": "flip_left_right", "probability": 0.5}, 3]}},
+         "augment.operations[1]: TypeError"),
+    ])
+    def test_value_of_the_wrong_kind_exits_2(self, fixtures_dir, tmp_path, capsys, command, document, problem):
+        detection = fixtures_dir / "detection"
+        argv = {
+            "tile": ["--ground-truth-dir", detection / "truth", "--image-size", "832x832"],
+            "augment": ["--ground-truth-dir", detection / "truth", "--samples", "2"],
+            "split": ["--ground-truth-dir", detection / "truth"],
+            "evaluate": ["--ground-truth-dir", detection / "truth", "--predictions-dir", detection / "preds",
+                         "--class-registry", detection / "classes.txt"],
+        }[command]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(document))
+        assert run_cli("--config", config, "--output-dir", tmp_path / "out", command, *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and problem in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_scalar_of_another_type_still_works(self, fixtures_dir, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": "7", "augment": {"samples": "2"}}')
+        code = run_cli("--config", config, "--output-dir", tmp_path / "out", "augment",
+                       "--ground-truth-dir", fixtures_dir / "detection" / "truth")
+        assert code == 0
 
 
 # Per flag: the values given on the command line and the config values they
