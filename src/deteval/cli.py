@@ -10,7 +10,9 @@ import csv
 import io
 import json
 import math
+import stat
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +29,6 @@ from .annotations import (
 )
 from .config import (
     SCHEMA_VERSION,
-    RunManifest,
     augment_pipeline_from,
     digest_inputs,
     json_text,
@@ -65,16 +66,14 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
-def _require_path(config: dict, key: str, kind: str = "dir") -> Path:
-    value = config.get(key)
-    if not value:
+def _config_path(key: str, value) -> Path:
+    """The path that `value`, set for config key `key`, names: an unset value
+    or one that is not a string is a CliError naming the key."""
+    if value is None or value == "":
         raise CliError(f"config key {key!r} is required for this command")
-    path = Path(value)
-    if kind == "dir" and not path.is_dir():
-        raise CliError(f"{key}: not a directory: {path}")
-    if kind == "file" and not path.is_file():
-        raise CliError(f"{key}: not a file: {path}")
-    return path
+    if not isinstance(value, (str, Path)):
+        raise CliError(f"config key {key!r} must be a path, got {json.dumps(value)}")
+    return Path(value)
 
 
 def _parse_file(parse, path: Path, data: bytes, *args):
@@ -92,28 +91,35 @@ def _parse_file(parse, path: Path, data: bytes, *args):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _read(inputs: dict, key: str, path: Path, parse=None, *args):
-    """The one way a command reads an input: the file or directory `path`, read
-    once by `read_input` and recorded as `inputs[key]` for `_manifest`. Returns
-    the bytes (by relative path for a directory), or `parse(text, *args)` as
-    `_parse_file` gives it."""
+def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
+    """The one way a command reads an input: the path `value` of config key
+    `name` (default `key`), a directory when `parse` is None and a file
+    otherwise, read once by `read_input` and recorded as `inputs[key]` for
+    `_manifest`. Returns the directory's bytes by relative path, or the
+    file's `parse(text, *args)` as `_parse_file` gives it."""
+    path = _config_path(name or key, value)
+    try:
+        mode = path.stat().st_mode
+    except (OSError, ValueError):  # missing, or a name the OS cannot hold
+        mode = 0
+    if not (stat.S_ISDIR(mode) if parse is None else stat.S_ISREG(mode)):
+        raise CliError(f"{name or key}: not a {'directory' if parse is None else 'file'}: {path}")
     data = inputs[key] = read_input(path)
     return data if parse is None else _parse_file(parse, path, data, *args)
 
 
-def _annotation_files(inputs: dict, key: str, directory: Path) -> dict[str, bytes]:
-    """The bytes of the `<image_id>.txt` files directly in `directory`, by image
-    id, in id order; the whole directory is read as `inputs[key]`."""
-    return dict(sorted(
-        (name[: -len(".txt")], data)
-        for name, data in _read(inputs, key, directory).items()
-        if "/" not in name and name.endswith(".txt")
+def _annotation_files(inputs: dict, key: str, value) -> tuple[Path, dict[str, bytes]]:
+    """The directory `value` of config key `key` and the bytes of the
+    `<image_id>.txt` files directly in it, by image id, in id order; the
+    whole directory is read as `inputs[key]`."""
+    files = _read(inputs, key, value)
+    return Path(value), dict(sorted(
+        (name[: -len(".txt")], data) for name, data in files.items() if "/" not in name and name.endswith(".txt")
     ))
 
 
 def _registry(config: dict, inputs: dict) -> ClassRegistry:
-    path = _require_path(config, "class_registry", "file")
-    return _read(inputs, "class_registry", path, ClassRegistry.from_text)
+    return _read(inputs, "class_registry", config["class_registry"], ClassRegistry.from_text)
 
 
 def _jsonable_float(value: float):
@@ -129,16 +135,19 @@ def _csv_text(header, rows) -> str:
     return text.getvalue()
 
 
-def _manifest(command: str, config: dict, inputs: dict) -> RunManifest:
-    """The run manifest, with digests of the inputs as `read_input` read them."""
-    return RunManifest(command=command, config=config, input_digests=digest_inputs(inputs))
+def _manifest(command: str, config: dict, inputs: dict) -> dict:
+    """The run manifest, with digests of the inputs as `read_input` read them;
+    `_write_outputs` adds the time it writes the manifest as `created_utc`."""
+    return {"schema_version": SCHEMA_VERSION, "toolkit_version": __version__, "command": command,
+            "config": config, "input_digests": digest_inputs(inputs)}
 
 
-def _write_outputs(out_dir: Path, artifacts: dict[str, str], manifest: RunManifest) -> None:
+def _write_outputs(out_dir: Path, artifacts: dict[str, str], manifest: dict) -> None:
     """Every file a command writes: the artifacts, `{path under out_dir: text}`,
     as UTF-8 bytes in order, then the run manifest, so that a manifest is only
     ever written after its artifacts. Each parent directory is made once."""
-    artifacts = {**artifacts, "run_manifest.json": json_text(manifest.to_dict())}
+    created_utc = datetime.now(timezone.utc).isoformat()
+    artifacts = {**artifacts, "run_manifest.json": json_text({**manifest, "created_utc": created_utc})}
     paths = [out_dir / rel for rel in artifacts]
     for parent in dict.fromkeys(path.parent for path in paths):
         parent.mkdir(parents=True, exist_ok=True)
@@ -157,19 +166,17 @@ def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
     return image_id, (width, height)
 
 
-def _image_sizes(config: dict, ids: list[str], inputs: dict) -> dict[str, tuple[int, int]]:
+def _image_sizes(config: dict, ids: list[str], inputs: dict, images_dir: Path | None) -> dict[str, tuple[int, int]]:
     tile_cfg = config["tile"]
     if tile_cfg.get("image_sizes_csv"):
-        path = _require_path(tile_cfg, "image_sizes_csv", "file")
-        sizes = dict(_read(inputs, "image_sizes_csv", path, read_csv, 3, _image_size_row)[1])
+        sizes = dict(_read(inputs, "image_sizes_csv", tile_cfg["image_sizes_csv"], read_csv, 3, _image_size_row)[1])
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
         return {i: sizes[i] for i in ids}
-    if tile_cfg.get("images_dir"):
+    if images_dir:
         from . import rasters
 
-        images_dir = Path(tile_cfg["images_dir"])
         return {i: rasters.image_size(_find_image(images_dir, i)) for i in ids}
     if tile_cfg.get("image_width") and tile_cfg.get("image_height"):
         size = (int(tile_cfg["image_width"]), int(tile_cfg["image_height"]))
@@ -188,27 +195,25 @@ def _find_image(images_dir: Path, image_id: str) -> Path:
     raise CliError(f"no raster found for {image_id!r} under {images_dir}")
 
 
-def _ground_truth(config: dict, inputs: dict) -> tuple[Path, ClassRegistry | None, dict[str, bytes]]:
-    """The ground-truth dir, the class registry if one is configured, and the
-    annotation files by image id, of which there must be at least one."""
-    gt_dir = _require_path(config, "ground_truth_dir")
-    registry = _registry(config, inputs) if config.get("class_registry") else None
-    annotations = _annotation_files(inputs, "ground_truth_dir", gt_dir)
+def _ground_truth(config: dict, inputs: dict) -> tuple[Path, dict[str, bytes]]:
+    """The ground-truth dir and its annotation files by image id; there must be at least one."""
+    gt_dir, annotations = _annotation_files(inputs, "ground_truth_dir", config["ground_truth_dir"])
     if not annotations:
         raise CliError(f"no annotation files (*.txt) under {gt_dir}")
-    return gt_dir, registry, annotations
+    return gt_dir, annotations
 
 
 def cmd_tile(config: dict) -> int:
     from .prep import plan_tiles, retile_annotations
 
     inputs: dict = {}
-    gt_dir, registry, annotations = _ground_truth(config, inputs)
+    registry = _registry(config, inputs) if config.get("class_registry") else None
+    gt_dir, annotations = _ground_truth(config, inputs)
     ids = list(annotations)
-    out_dir = Path(config["output_dir"])
+    out_dir = _config_path("output_dir", config["output_dir"])
     spec = tile_spec_from(config)
-    sizes = _image_sizes(config, ids, inputs)
-    images_dir = config["tile"].get("images_dir")
+    images_dir = config["tile"].get("images_dir") and _config_path("images_dir", config["tile"]["images_dir"])
+    sizes = _image_sizes(config, ids, inputs, images_dir)
 
     artifacts, manifest_rows, discarded, crops = {}, [], [], []
     for image_id, data in annotations.items():
@@ -229,7 +234,7 @@ def cmd_tile(config: dict) -> int:
             else:
                 discarded.append(tile_image.image_id)
         if images_dir and kept_rects:
-            crops.append((_find_image(Path(images_dir), image_id), kept_rects, kept_ids))
+            crops.append((_find_image(images_dir, image_id), kept_rects, kept_ids))
 
     artifacts["tiles_manifest.csv"] = _csv_text(["tile_id", "src_image", "x0", "y0", "w", "h"], manifest_rows)
     artifacts["discarded_tiles.txt"] = "".join(f"{t}\n" for t in discarded)
@@ -252,8 +257,9 @@ def cmd_augment(config: dict) -> int:
     from .prep import augment
 
     inputs: dict = {}
-    gt_dir, registry, annotations = _ground_truth(config, inputs)
-    out_dir = Path(config["output_dir"])
+    registry = _registry(config, inputs) if config.get("class_registry") else None
+    gt_dir, annotations = _ground_truth(config, inputs)
+    out_dir = _config_path("output_dir", config["output_dir"])
     pipeline = augment_pipeline_from(config)
     samples = int(config["augment"]["samples"])
     # Augmentation acts on normalized coordinates; pixel dimensions are
@@ -280,13 +286,13 @@ def cmd_augment(config: dict) -> int:
 def cmd_split(config: dict) -> int:
     from .prep import sample_ids, split_dataset
 
-    out_dir = Path(config["output_dir"])
+    out_dir = _config_path("output_dir", config["output_dir"])
     inputs: dict = {}
     if config["split"].get("ids_file"):
-        lines = _read(inputs, "ids_file", _require_path(config["split"], "ids_file", "file"), str.splitlines)
+        lines = _read(inputs, "ids_file", config["split"]["ids_file"], str.splitlines)
         ids = [line.strip() for line in lines if line.strip()]
     else:
-        ids = list(_annotation_files(inputs, "ground_truth_dir", _require_path(config, "ground_truth_dir")))
+        ids = list(_annotation_files(inputs, "ground_truth_dir", config["ground_truth_dir"])[1])
     if not ids:
         raise CliError("no image ids to split")
     seed = int(config["seed"])
@@ -335,18 +341,14 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
 def cmd_evaluate(config: dict) -> int:
     from .metrics import evaluate_detections
 
-    gt_dir = _require_path(config, "ground_truth_dir")
-    pred_dir = _require_path(config, "predictions_dir")
     inputs: dict = {}
     registry = _registry(config, inputs)
-    out_dir = Path(config["output_dir"])
+    gt_dir, truth_files = _ground_truth(config, inputs)
+    pred_dir, pred_files = _annotation_files(inputs, "predictions_dir", config["predictions_dir"])
+    out_dir = _config_path("output_dir", config["output_dir"])
     iou_threshold = float(config["iou_threshold"])
-    allow_partial = bool(config["allow_partial"])
+    allow_partial = config["allow_partial"]
 
-    truth_files = _annotation_files(inputs, "ground_truth_dir", gt_dir)
-    pred_files = _annotation_files(inputs, "predictions_dir", pred_dir)
-    if not truth_files:
-        raise CliError(f"no annotation files (*.txt) under {gt_dir}")
     missing = sorted(set(truth_files) - set(pred_files))
     extra = sorted(set(pred_files) - set(truth_files))
     if (missing or extra) and not allow_partial:
@@ -411,9 +413,11 @@ def _observation_row(group: str, raw: str) -> tuple[str, float]:
     return group, number(raw)
 
 
-def _stats_for_file(path: Path, header: list[str], rows) -> dict:
+def _stats_for_file(inputs: dict, i: int, path: Path) -> dict:
+    """The entry of the `i`th stats input, `path`, read as `inputs["input_<i>"]`."""
     from .stats import ObservationTable, anova_oneway, shapiro_wilk, t_test_pairwise
 
+    header, rows = _read(inputs, f"input_{i}", path, read_csv, 2, _observation_row, name="stats_inputs")
     response = path.stem
     entry: dict = {"response": response, "effect": header[0] or "group"}
     try:
@@ -464,19 +468,12 @@ def _stats_for_file(path: Path, header: list[str], rows) -> dict:
 
 
 def cmd_stats(config: dict) -> int:
-    paths = [Path(p) for p in config.get("stats_inputs") or []]
-    if not paths:
+    if not config["stats_inputs"]:
         raise CliError("no stats inputs: set stats_inputs in the config or pass --inputs")
-    for path in paths:
-        if not path.is_file():
-            raise CliError(f"stats input not found: {path}")
-    paths.sort(key=str)
+    paths = sorted((_config_path("stats_inputs", value) for value in config["stats_inputs"]), key=str)
+    out_dir = _config_path("output_dir", config["output_dir"])
     inputs: dict = {}
-    entries = [
-        _stats_for_file(path, *_read(inputs, f"input_{i}", path, read_csv, 2, _observation_row))
-        for i, path in enumerate(paths)
-    ]
-    out_dir = Path(config["output_dir"])
+    entries = [_stats_for_file(inputs, i, path) for i, path in enumerate(paths)]
     summary = (
         [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
         if "anova" in e
@@ -498,12 +495,10 @@ def cmd_stats(config: dict) -> int:
 def cmd_desirability(config: dict) -> int:
     from .desirability import DesirabilityProfile, load_candidates_csv, select_best
 
-    profile_path = _require_path(config, "desirability_profile", "file")
-    candidates_path = _require_path(config, "candidates", "file")
-    out_dir = Path(config["output_dir"])
+    out_dir = _config_path("output_dir", config["output_dir"])
     inputs: dict = {}
-    profile = _read(inputs, "desirability_profile", profile_path, DesirabilityProfile.from_json)
-    candidates = _read(inputs, "candidates", candidates_path, load_candidates_csv)
+    profile = _read(inputs, "desirability_profile", config["desirability_profile"], DesirabilityProfile.from_json)
+    candidates = _read(inputs, "candidates", config["candidates"], load_candidates_csv)
     try:
         ranking = select_best(candidates, profile)
     except ValueError as exc:
@@ -524,6 +519,11 @@ def cmd_desirability(config: dict) -> int:
         f"ranking: {out_dir / 'desirability_ranking.csv'}"
     )
     return EXIT_OK
+
+
+def _load_json(text: str):
+    """A prior JSON output; `NaN` and `Infinity`, which no artifact may hold, are a ValueError."""
+    return json.loads(text, parse_constant=number)
 
 
 def _load_ranking_csv(text: str) -> list[dict]:
@@ -582,14 +582,14 @@ def _report_section(text: str, load, render) -> tuple:
 # (section name, the file a prior command wrote into the output dir, loader,
 # heading in report.txt, renderer)
 _REPORT_SECTIONS = (
-    ("evaluation", "evaluation.json", json.loads, "detection evaluation", _evaluation_lines),
-    ("stats", "stats.json", json.loads, "effect tests", _stats_lines),
+    ("evaluation", "evaluation.json", _load_json, "detection evaluation", _evaluation_lines),
+    ("stats", "stats.json", _load_json, "effect tests", _stats_lines),
     ("desirability", "desirability_ranking.csv", _load_ranking_csv, "desirability ranking", _ranking_lines),
 )
 
 
 def cmd_report(config: dict) -> int:
-    out_dir = Path(config["output_dir"])
+    out_dir = _config_path("output_dir", config["output_dir"])
     if not out_dir.is_dir():
         raise CliError(f"output dir with prior command outputs not found: {out_dir}")
     inputs: dict = {}
@@ -606,9 +606,9 @@ def cmd_report(config: dict) -> int:
         "schema_version": SCHEMA_VERSION,
         "run_metadata": config.get("run_metadata", ""),
         "sections": sections,
-        # Timestamps live only in run_manifest.json so identical inputs
+        # created_utc is added only to run_manifest.json, so identical inputs
         # reproduce this document byte for byte.
-        "manifest": manifest.to_dict(with_timestamps=False),
+        "manifest": manifest,
     }
     artifacts = {"report.json": json_text(document), "report.txt": "\n".join(text)}
     _write_outputs(out_dir, artifacts, manifest)

@@ -1,4 +1,4 @@
-"""Run configuration, defaults, and the per-run provenance manifest."""
+"""Run configuration, defaults, and the reading and digesting of inputs."""
 
 from __future__ import annotations
 
@@ -6,11 +6,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
-
-from . import __version__
 
 SCHEMA_VERSION = 1
 
@@ -75,12 +71,15 @@ def _kind(value) -> str:
 
 def _merge(base: dict, override: dict, prefix: str = "") -> dict:
     """`override` over `base`; a key whose default is not null takes only a
-    value of its default's JSON kind: object, array or scalar."""
+    value of its default's JSON kind: object, array or scalar, where a
+    true/false default takes only true or false."""
     merged = dict(base)
     for key, value in override.items():
         if key not in base:
             raise ConfigError(f"unknown config key: {key!r}")
         default = base[key]
+        if isinstance(default, bool) and not isinstance(value, bool):
+            raise ConfigError(f"config key {prefix}{key} must be true or false, got {json.dumps(value)}")
         if default is not None and _kind(value) != _kind(default):
             raise ConfigError(f"config key {prefix}{key} must be {_kind(default)}, got {json.dumps(value)}")
         merged[key] = _merge(default, value, f"{prefix}{key}.") if isinstance(default, dict) else value
@@ -146,7 +145,11 @@ def split_ratio_from(config: dict) -> SplitRatio:
     ratio = config["split"]["ratio"]
     if len(ratio) != 3:
         raise ConfigError(f"split ratio needs 3 weights, got {ratio}")
-    return SplitRatio(int(ratio[0]), int(ratio[1]), int(ratio[2]))
+    try:
+        weights = [int(weight) for weight in ratio]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split.ratio: {type(exc).__name__}: {exc}") from None
+    return SplitRatio(*weights)
 
 
 def read_input(path: Path) -> bytes | dict[str, bytes]:
@@ -190,14 +193,12 @@ def _tree_files(directory, parts: tuple[str, ...]):
                 yield from _tree_files(entry.path, (*parts, entry.name))
 
 
-def digest_inputs(inputs: dict[str, bytes | dict[str, bytes] | None]) -> dict[str, str]:
-    """SHA-256 of each input `read_input` read, by name; None is skipped. A
-    directory's digest covers each file's relative path, a NUL byte and the
-    SHA-256 of its bytes, file by file in `read_input` order."""
+def digest_inputs(inputs: dict[str, bytes | dict[str, bytes]]) -> dict[str, str]:
+    """SHA-256 of each input `read_input` read, by name. A directory's digest
+    covers each file's relative path, a NUL byte and the SHA-256 of its
+    bytes, file by file in `read_input` order."""
     digests = {}
     for name, data in sorted(inputs.items()):
-        if data is None:
-            continue
         if isinstance(data, dict):
             digest = hashlib.sha256()
             for rel, blob in data.items():
@@ -206,29 +207,6 @@ def digest_inputs(inputs: dict[str, bytes | dict[str, bytes] | None]) -> dict[st
             digest = hashlib.sha256(data)
         digests[name] = f"sha256:{digest.hexdigest()}"
     return digests
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config: dict
-    input_digests: dict[str, str]
-    toolkit_version: str = __version__
-    created_utc: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat()
-    )
-
-    def to_dict(self, with_timestamps: bool = True) -> dict:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "toolkit_version": self.toolkit_version,
-            "command": self.command,
-            "config": self.config,
-            "input_digests": self.input_digests,
-        }
-        if with_timestamps:
-            doc["created_utc"] = self.created_utc
-        return doc
 
 
 def json_text(document: dict) -> str:

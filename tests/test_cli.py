@@ -811,6 +811,84 @@ class TestExitStatus:
         assert sorted(p.name for p in out.iterdir()) == ["evaluation.json"]
 
 
+class TestInputPaths:
+    """`cli._read` turns each config value into an input path: an unset
+    value, a value that is not a string, a missing input or one of the wrong
+    kind exits 2, names the config key and writes nothing."""
+
+    @pytest.mark.parametrize("case", [
+        "required", "missing dir", "file as dir", "dir as file", "missing stats input", "no stats inputs",
+        "no ids", "no annotation files",
+    ])
+    def test_bad_input_path_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, case):
+        detection = fixtures_dir / "detection"
+        empty_dir, empty_file, missing = tmp_path / "empty", tmp_path / "empty.txt", tmp_path / "missing"
+        empty_dir.mkdir()
+        empty_file.write_text("")
+        argv, problem = {
+            "required": (["evaluate", "--ground-truth-dir", detection / "truth",
+                          "--class-registry", detection / "classes.txt"],
+                         "config key 'predictions_dir' is required for this command"),
+            "missing dir": (["split", "--ground-truth-dir", missing], f"ground_truth_dir: not a directory: {missing}"),
+            "file as dir": (["evaluate", "--ground-truth-dir", detection / "classes.txt",
+                             "--predictions-dir", detection / "preds", "--class-registry", detection / "classes.txt"],
+                            f"ground_truth_dir: not a directory: {detection / 'classes.txt'}"),
+            "dir as file": (["evaluate", "--ground-truth-dir", detection / "truth",
+                             "--predictions-dir", detection / "preds", "--class-registry", detection],
+                            f"class_registry: not a file: {detection}"),
+            "missing stats input": (["stats", "--inputs", fixtures_dir / "stats" / "height_accuracy.csv", missing],
+                                    f"stats_inputs: not a file: {missing}"),
+            "no stats inputs": (["stats"], "no stats inputs: set stats_inputs in the config or pass --inputs"),
+            "no ids": (["split", "--ids-file", empty_file], "no image ids to split"),
+            "no annotation files": (["evaluate", "--ground-truth-dir", empty_dir,
+                                     "--predictions-dir", detection / "preds",
+                                     "--class-registry", detection / "classes.txt"],
+                                    f"no annotation files (*.txt) under {empty_dir}"),
+        }[case]
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", problem)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, document, key, shown", [
+        ("evaluate", {"ground_truth_dir": 5}, "ground_truth_dir", "5"),
+        ("evaluate", {"predictions_dir": ["preds"]}, "predictions_dir", '["preds"]'),
+        ("evaluate", {"class_registry": 5}, "class_registry", "5"),
+        ("tile", {"class_registry": True}, "class_registry", "true"),
+        ("tile", {"tile": {"image_width": 832, "image_height": 832, "image_sizes_csv": 5}}, "image_sizes_csv", "5"),
+        ("tile", {"tile": {"image_width": 832, "image_height": 832, "images_dir": 5}}, "images_dir", "5"),
+        ("tile", {"tile": {"image_width": 832, "image_height": 832}, "output_dir": 5}, "output_dir", "5"),
+        ("split", {"output_dir": 5}, "output_dir", "5"),
+        ("split", {"split": {"ids_file": {"path": "ids.txt"}}}, "ids_file", '{"path": "ids.txt"}'),
+        ("stats", {"stats_inputs": ["STATS", 5]}, "stats_inputs", "5"),
+        ("desirability", {"desirability_profile": 1.5}, "desirability_profile", "1.5"),
+        ("desirability", {"candidates": [1]}, "candidates", "[1]"),
+        ("report", {"output_dir": 5}, "output_dir", "5"),
+    ])
+    def test_path_value_that_is_not_a_string_exits_2(
+        self, fixtures_dir, tmp_path, capsys, command, document, key, shown
+    ):
+        detection = fixtures_dir / "detection"
+        stats_input = str(fixtures_dir / "stats" / "height_accuracy.csv")
+        # every input path the command reads is good unless `document` sets it
+        config = {
+            "output_dir": str(tmp_path / "out"),
+            "ground_truth_dir": str(detection / "truth"),
+            "predictions_dir": str(detection / "preds"),
+            "class_registry": str(detection / "classes.txt"),
+            "desirability_profile": str(fixtures_dir / "desirability" / "profile.json"),
+            "candidates": str(fixtures_dir / "desirability" / "candidates.csv"),
+            **document,
+        }
+        config["stats_inputs"] = [stats_input if v == "STATS" else v for v in config.get("stats_inputs", ["STATS"])]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        (tmp_path / "out").mkdir()  # report reads it
+        assert run_cli("--config", tmp_path / "cfg.json", command) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", f"config key {key!r} must be a path, got {shown}")
+        assert list((tmp_path / "out").iterdir()) == []
+
 def test_json_text_refuses_non_finite_values():
     assert json_text({"W": 0.5}) == '{\n  "W": 0.5\n}\n'
     for value in (float("nan"), float("inf")):
@@ -889,6 +967,10 @@ class TestReport:
         assert doc["sections"]["desirability"] != "absent"
         text = (out / "report.txt").read_text()
         assert "mAP@50" in text and "%" in text
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert "created_utc" in manifest
+        del manifest["created_utc"]
+        assert doc["manifest"] == manifest
 
     def test_partial_run_marks_absent(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
@@ -926,6 +1008,26 @@ class TestReport:
         assert message.startswith(f"{out / filename}: ") and problem in message
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("filename, field, constant", [
+        ("evaluation.json", '"iou_threshold": 0.5', "NaN"),
+        ("evaluation.json", '"map50": ', "Infinity"),
+        ("stats.json", '"grand_mean": ', "-Infinity"),
+    ])
+    def test_non_finite_prior_output_exits_2_naming_it(
+        self, fixtures_dir, tmp_path, capsys, filename, field, constant
+    ):
+        out = tmp_path / "out"
+        self._populate(fixtures_dir, out)
+        text = (out / filename).read_text()
+        start = text.index(field) + len(field.split(":")[0]) + 2
+        end = min(text.index(stop, start) for stop in (",", "\n") if stop in text[start:])
+        (out / filename).write_text(text[:start] + constant + text[end:])
+        capsys.readouterr()
+        assert run_cli("--output-dir", out, "report") == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message == f"{out / filename}: not a finite number: {constant!r}"
+        assert not (out / "report.json").exists()
+
     def test_crlf_ranking_reads_as_lf(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
         self._populate(fixtures_dir, out)
@@ -950,6 +1052,8 @@ class TestManifest:
             )
             manifests.append(json.loads((out / "run_manifest.json").read_text()))
         a, b = manifests
+        assert set(a) == set(b) == {
+            "schema_version", "toolkit_version", "command", "config", "input_digests", "created_utc"}
         a.pop("created_utc"), b.pop("created_utc")
         # config snapshots differ only in output_dir
         a["config"].pop("output_dir"), b["config"].pop("output_dir")
@@ -1070,6 +1174,10 @@ class TestManifest:
          "augment.operations[0]: KeyError: 'probability'"),
         ("augment", {"augment": {"operations": [{"op": "flip_left_right", "probability": 0.5}, 3]}},
          "augment.operations[1]: TypeError"),
+        ("evaluate", {"allow_partial": "false"}, 'config key allow_partial must be true or false, got "false"'),
+        ("evaluate", {"allow_partial": 0}, "config key allow_partial must be true or false, got 0"),
+        ("split", {"split": {"ratio": [[], 1, 1]}}, "split.ratio: TypeError"),
+        ("split", {"split": {"ratio": ["a", 1, 1]}}, "split.ratio: ValueError"),
     ])
     def test_value_of_the_wrong_kind_exits_2(self, fixtures_dir, tmp_path, capsys, command, document, problem):
         detection = fixtures_dir / "detection"
