@@ -29,13 +29,11 @@ from .annotations import (
 )
 from .config import (
     SCHEMA_VERSION,
-    augment_pipeline_from,
+    ConfigError,
     digest_inputs,
     json_text,
     load_config,
     read_input,
-    split_ratio_from,
-    tile_spec_from,
 )
 
 EXIT_OK = 0
@@ -66,16 +64,6 @@ def _emit_error(exc: Exception) -> None:
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
-def _config_path(key: str, value) -> Path:
-    """The path that `value`, set for config key `key`, names: an unset value
-    or one that is not a string is a CliError naming the key."""
-    if value is None or value == "":
-        raise CliError(f"config key {key!r} is required for this command")
-    if not isinstance(value, (str, Path)):
-        raise CliError(f"config key {key!r} must be a path, got {json.dumps(value)}")
-    return Path(value)
-
-
 def _parse_file(parse, path: Path, data: bytes, *args):
     """`parse(text, *args)` on the text of `data`, the bytes of `path`.
     Parsers report bad input as ValueError (AnnotationError, RegistryError,
@@ -96,8 +84,11 @@ def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
     `name` (default `key`), a directory when `parse` is None and a file
     otherwise, read once by `read_input` and recorded as `inputs[key]` for
     `_manifest`. Returns the directory's bytes by relative path, or the
-    file's `parse(text, *args)` as `_parse_file` gives it."""
-    path = _config_path(name or key, value)
+    file's `parse(text, *args)` as `_parse_file` gives it. An unset `value`
+    is a CliError naming the key."""
+    if value is None:
+        raise CliError(f"config key {name or key!r} is required for this command")
+    path = Path(value)
     try:
         mode = path.stat().st_mode
     except (OSError, ValueError):  # missing, or a name the OS cannot hold
@@ -166,10 +157,9 @@ def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
     return image_id, (width, height)
 
 
-def _image_sizes(config: dict, ids: list[str], inputs: dict, images_dir: Path | None) -> dict[str, tuple[int, int]]:
-    tile_cfg = config["tile"]
-    if tile_cfg.get("image_sizes_csv"):
-        sizes = dict(_read(inputs, "image_sizes_csv", tile_cfg["image_sizes_csv"], read_csv, 3, _image_size_row)[1])
+def _image_sizes(tile: dict, ids: list[str], inputs: dict, images_dir: Path | None) -> dict[str, tuple[int, int]]:
+    if tile["image_sizes_csv"]:
+        sizes = dict(_read(inputs, "image_sizes_csv", tile["image_sizes_csv"], read_csv, 3, _image_size_row)[1])
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
@@ -178,9 +168,8 @@ def _image_sizes(config: dict, ids: list[str], inputs: dict, images_dir: Path | 
         from . import rasters
 
         return {i: rasters.image_size(_find_image(images_dir, i)) for i in ids}
-    if tile_cfg.get("image_width") and tile_cfg.get("image_height"):
-        size = (int(tile_cfg["image_width"]), int(tile_cfg["image_height"]))
-        return {i: size for i in ids}
+    if tile["image_width"] and tile["image_height"]:
+        return {i: (tile["image_width"], tile["image_height"]) for i in ids}
     raise CliError(
         "image dimensions unknown: set tile.image_width/image_height, "
         "tile.image_sizes_csv, or tile.images_dir"
@@ -204,16 +193,17 @@ def _ground_truth(config: dict, inputs: dict) -> tuple[Path, dict[str, bytes]]:
 
 
 def cmd_tile(config: dict) -> int:
-    from .prep import plan_tiles, retile_annotations
+    from .prep import TileSpec, plan_tiles, retile_annotations
 
     inputs: dict = {}
-    registry = _registry(config, inputs) if config.get("class_registry") else None
+    registry = _registry(config, inputs) if config["class_registry"] else None
     gt_dir, annotations = _ground_truth(config, inputs)
     ids = list(annotations)
-    out_dir = _config_path("output_dir", config["output_dir"])
-    spec = tile_spec_from(config)
-    images_dir = config["tile"].get("images_dir") and _config_path("images_dir", config["tile"]["images_dir"])
-    sizes = _image_sizes(config, ids, inputs, images_dir)
+    out_dir = Path(config["output_dir"])
+    tile = config["tile"]
+    spec = TileSpec(tile["width"], tile["height"], tile["edge_policy"], tile["min_visibility"])
+    images_dir = tile["images_dir"] and Path(tile["images_dir"])
+    sizes = _image_sizes(tile, ids, inputs, images_dir)
 
     artifacts, manifest_rows, discarded, crops = {}, [], [], []
     for image_id, data in annotations.items():
@@ -254,24 +244,30 @@ def cmd_tile(config: dict) -> int:
 
 
 def cmd_augment(config: dict) -> int:
-    from .prep import augment
+    from .prep import AugmentOp, AugmentPipeline, augment
 
     inputs: dict = {}
-    registry = _registry(config, inputs) if config.get("class_registry") else None
+    registry = _registry(config, inputs) if config["class_registry"] else None
     gt_dir, annotations = _ground_truth(config, inputs)
-    out_dir = _config_path("output_dir", config["output_dir"])
-    pipeline = augment_pipeline_from(config)
-    samples = int(config["augment"]["samples"])
+    out_dir = Path(config["output_dir"])
+    ops = []
+    for i, op in enumerate(config["augment"]["operations"]):
+        fields = {name: tuple(value) if name == "angles" else value for name, value in op.items() if name != "op"}
+        try:
+            ops.append(AugmentOp(op["op"], **fields))
+        except ValueError as exc:  # what AugmentOp checks beyond the kind of each field
+            raise ConfigError(f"config key augment.operations[{i}]: {exc}") from None
+    pipeline = AugmentPipeline(tuple(ops), config["seed"], config["augment"]["min_visibility"])
     # Augmentation acts on normalized coordinates; pixel dimensions are
     # carried through unchanged and default to the tile size.
-    width = int(config["tile"].get("image_width") or config["tile"]["width"])
-    height = int(config["tile"].get("image_height") or config["tile"]["height"])
+    width = config["tile"]["image_width"] or config["tile"]["width"]
+    height = config["tile"]["image_height"] or config["tile"]["height"]
 
     artifacts, rows = {}, []
     for image_id, data in annotations.items():
         objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
         image = AnnotatedImage(image_id, width, height, tuple(objects))
-        for k, variant in enumerate(augment(image, pipeline, samples)):
+        for k, variant in enumerate(augment(image, pipeline, config["augment"]["samples"])):
             sample_id = f"{image_id}_aug{k:04d}"
             artifacts[f"augmented/{sample_id}.txt"] = format_yolo_annotation(variant.objects)
             rows.append((sample_id, image_id, len(variant.objects)))
@@ -284,22 +280,21 @@ def cmd_augment(config: dict) -> int:
 
 
 def cmd_split(config: dict) -> int:
-    from .prep import sample_ids, split_dataset
+    from .prep import SplitRatio, sample_ids, split_dataset
 
-    out_dir = _config_path("output_dir", config["output_dir"])
+    out_dir = Path(config["output_dir"])
     inputs: dict = {}
-    if config["split"].get("ids_file"):
-        lines = _read(inputs, "ids_file", config["split"]["ids_file"], str.splitlines)
+    split = config["split"]
+    if split["ids_file"]:
+        lines = _read(inputs, "ids_file", split["ids_file"], str.splitlines)
         ids = [line.strip() for line in lines if line.strip()]
     else:
         ids = list(_annotation_files(inputs, "ground_truth_dir", config["ground_truth_dir"])[1])
     if not ids:
         raise CliError("no image ids to split")
-    seed = int(config["seed"])
-    if config["split"].get("sample_count"):
-        ids = sample_ids(ids, int(config["split"]["sample_count"]), seed)
-    ratio = split_ratio_from(config)
-    result = split_dataset(ids, ratio, seed)
+    if split["sample_count"]:
+        ids = sample_ids(ids, split["sample_count"], config["seed"])
+    result = split_dataset(ids, SplitRatio(*split["ratio"]), config["seed"])
     partitions = ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part))
     artifacts = {"split_manifest.csv": _csv_text(["image_id", "partition"], partitions)}
     _write_outputs(out_dir, artifacts, _manifest("split", config, inputs))
@@ -345,13 +340,12 @@ def cmd_evaluate(config: dict) -> int:
     registry = _registry(config, inputs)
     gt_dir, truth_files = _ground_truth(config, inputs)
     pred_dir, pred_files = _annotation_files(inputs, "predictions_dir", config["predictions_dir"])
-    out_dir = _config_path("output_dir", config["output_dir"])
-    iou_threshold = float(config["iou_threshold"])
-    allow_partial = config["allow_partial"]
+    out_dir = Path(config["output_dir"])
+    iou_threshold = config["iou_threshold"]
 
     missing = sorted(set(truth_files) - set(pred_files))
     extra = sorted(set(pred_files) - set(truth_files))
-    if (missing or extra) and not allow_partial:
+    if (missing or extra) and not config["allow_partial"]:
         raise CliError(
             "ground truth and predictions disagree on image ids "
             "(use --allow-partial to treat the missing side as empty)",
@@ -360,7 +354,7 @@ def cmd_evaluate(config: dict) -> int:
 
     ids = sorted(set(truth_files) | set(pred_files))
     columns = _evaluation_columns(registry, ids, (gt_dir, truth_files, 5), (pred_dir, pred_files, 6))
-    interpolation = config.get("ap_interpolation", "all-point")
+    interpolation = config["ap_interpolation"]
     report = evaluate_detections(columns, registry, iou_threshold, interpolation=interpolation)
 
     per_class = {}
@@ -403,7 +397,7 @@ def cmd_evaluate(config: dict) -> int:
         artifacts[f"pr_curve_{entry.name}.csv"] = "threshold,precision,recall\n" + rows
     _write_outputs(out_dir, artifacts, _manifest("evaluate", config, inputs))
     print(
-        f"evaluated {len(ids)} images: mAP@{int(round(iou_threshold * 100))} = "
+        f"evaluated {len(ids)} images: mAP@{round(iou_threshold * 100)} = "
         f"{report.map50:.4f}; report: {out_dir / 'evaluation.json'}"
     )
     return EXIT_OK
@@ -470,8 +464,8 @@ def _stats_for_file(inputs: dict, i: int, path: Path) -> dict:
 def cmd_stats(config: dict) -> int:
     if not config["stats_inputs"]:
         raise CliError("no stats inputs: set stats_inputs in the config or pass --inputs")
-    paths = sorted((_config_path("stats_inputs", value) for value in config["stats_inputs"]), key=str)
-    out_dir = _config_path("output_dir", config["output_dir"])
+    paths = sorted(map(Path, config["stats_inputs"]), key=str)
+    out_dir = Path(config["output_dir"])
     inputs: dict = {}
     entries = [_stats_for_file(inputs, i, path) for i, path in enumerate(paths)]
     summary = (
@@ -495,7 +489,7 @@ def cmd_stats(config: dict) -> int:
 def cmd_desirability(config: dict) -> int:
     from .desirability import DesirabilityProfile, load_candidates_csv, select_best
 
-    out_dir = _config_path("output_dir", config["output_dir"])
+    out_dir = Path(config["output_dir"])
     inputs: dict = {}
     profile = _read(inputs, "desirability_profile", config["desirability_profile"], DesirabilityProfile.from_json)
     candidates = _read(inputs, "candidates", config["candidates"], load_candidates_csv)
@@ -589,12 +583,12 @@ _REPORT_SECTIONS = (
 
 
 def cmd_report(config: dict) -> int:
-    out_dir = _config_path("output_dir", config["output_dir"])
+    out_dir = Path(config["output_dir"])
     if not out_dir.is_dir():
         raise CliError(f"output dir with prior command outputs not found: {out_dir}")
     inputs: dict = {}
     sections, text = {}, [f"deteval run report (toolkit {__version__})", ""]
-    if config.get("run_metadata"):
+    if config["run_metadata"]:
         text += [f"metadata: {config['run_metadata']}", ""]
     for name, filename, load, heading, render in _REPORT_SECTIONS:
         sections[name], lines = "absent", ["absent"]
@@ -604,7 +598,7 @@ def cmd_report(config: dict) -> int:
     manifest = _manifest("report", config, inputs)
     document = {
         "schema_version": SCHEMA_VERSION,
-        "run_metadata": config.get("run_metadata", ""),
+        "run_metadata": config["run_metadata"],
         "sections": sections,
         # created_utc is added only to run_manifest.json, so identical inputs
         # reproduce this document byte for byte.
@@ -628,7 +622,7 @@ _COMMANDS = {
 
 
 def _path(text: str) -> str:
-    return str(Path(text))
+    return text and str(Path(text))  # "" stays "", which is no path, not "."
 
 
 def _parse_wxh(text: str) -> tuple[int, int]:
@@ -668,7 +662,7 @@ _FLAGS = (
         "type": _path, "help": "CSV image_id,width_px,height_px"}),
     (("tile",), "--images-dir", "tile.images_dir", {
         "type": _path, "help": "optional rasters (enables tile crops)"}),
-    (("tile",), "--edge-policy", "tile.edge_policy", {"choices": ["anchor-to-edge", "pad"]}),
+    (("tile",), "--edge-policy", "tile.edge_policy", {"help": "anchor-to-edge or pad"}),
     (("tile",), "--min-visibility", "tile.min_visibility", {"type": float}),
     (("augment",), "--samples", "augment.samples", {"type": int}),
     (("split",), "--ids-file", "split.ids_file", {"type": _path, "help": "one image id per line"}),

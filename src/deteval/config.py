@@ -1,4 +1,5 @@
-"""Run configuration, defaults, and the reading and digesting of inputs."""
+"""Run configuration: every key with its default and kind, and the reading
+and digesting of inputs."""
 
 from __future__ import annotations
 
@@ -6,55 +7,10 @@ import copy
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 SCHEMA_VERSION = 1
-
-# Augmentation defaults mirror the study pipeline this toolkit reproduces:
-# rotate p=0.7, flip_left_right p=0.4, zoom_random p=0.4 at 80% area,
-# flip_top_bottom p=0.4.
-DEFAULT_AUGMENT_OPERATIONS = (
-    {"op": "rotate", "probability": 0.7, "angles": [90, 180, 270]},
-    {"op": "flip_left_right", "probability": 0.4},
-    {"op": "zoom_random", "probability": 0.4, "percentage_area": 0.8},
-    {"op": "flip_top_bottom", "probability": 0.4},
-)
-
-DEFAULTS = {
-    "ground_truth_dir": None,
-    "predictions_dir": None,
-    "class_registry": None,
-    "output_dir": "out",
-    "iou_threshold": 0.5,
-    "tile": {
-        "width": 416,
-        "height": 416,
-        "edge_policy": "anchor-to-edge",
-        "min_visibility": 0.3,
-        "image_width": None,
-        "image_height": None,
-        "image_sizes_csv": None,
-        "images_dir": None,
-    },
-    "augment": {
-        "samples": 1000,
-        "min_visibility": 0.3,
-        "operations": list(DEFAULT_AUGMENT_OPERATIONS),
-    },
-    "split": {
-        "ratio": [15, 3, 2],
-        "sample_count": None,
-        "ids_file": None,
-    },
-    "stats_inputs": [],
-    "ap_interpolation": "all-point",
-    "desirability_profile": None,
-    "candidates": None,
-    "run_metadata": "",
-    "seed": 0,
-    "jobs": 1,
-    "allow_partial": False,
-}
 
 
 class ConfigError(ValueError):
@@ -65,29 +21,129 @@ class InputError(ValueError):
     """An input file or directory that cannot be read."""
 
 
-def _kind(value) -> str:
-    return {dict: "an object", list: "an array", type(None): "null"}.get(type(value), "a scalar")
+def _kind(what: str, ok, convert=None):
+    """A kind of config value: one that `ok` holds of, as `convert(value, key)`
+    makes it, or as given without `convert`. Any other is a ConfigError naming the key."""
+
+    def kind(value, key: str):
+        if not ok(value):
+            raise ConfigError(f"config key {key} must be {what}, got {json.dumps(value)}")
+        return convert(value, key) if convert else value
+
+    return kind
 
 
-def _merge(base: dict, override: dict, prefix: str = "") -> dict:
-    """`override` over `base`; a key whose default is not null takes only a
-    value of its default's JSON kind: object, array or scalar, where a
-    true/false default takes only true or false."""
-    merged = dict(base)
-    for key, value in override.items():
-        if key not in base:
-            raise ConfigError(f"unknown config key: {key!r}")
-        default = base[key]
-        if isinstance(default, bool) and not isinstance(value, bool):
-            raise ConfigError(f"config key {prefix}{key} must be true or false, got {json.dumps(value)}")
-        if default is not None and _kind(value) != _kind(default):
-            raise ConfigError(f"config key {prefix}{key} must be {_kind(default)}, got {json.dumps(value)}")
-        merged[key] = _merge(default, value, f"{prefix}{key}.") if isinstance(default, dict) else value
-    return merged
+def _number(what: str, ok):
+    """An integer or float that `ok` holds of, as a float; true and false are not numbers."""
+    return _kind(what, lambda value: type(value) in (int, float) and ok(value), lambda value, _: float(value))
+
+
+def _array(item, length: int | None = None):
+    """An array, of `length` items when that is set, each of kind `item`."""
+    return _kind(f"an array of {length} items" if length else "an array",
+                 lambda value: isinstance(value, list) and length in (None, len(value)),
+                 lambda value, key: [item(entry, f"{key}[{i}]") for i, entry in enumerate(value)])
+
+
+def _one_of(*choices: str):
+    return _kind("one of " + ", ".join(map(json.dumps, choices)), lambda value: value in choices)
+
+
+PATH = _kind("a path", lambda value: isinstance(value, str) and value != "")
+STRING = _kind("a string", lambda value: isinstance(value, str))
+BOOLEAN = _kind("true or false", lambda value: isinstance(value, bool))
+OBJECT = _kind("an object", lambda value: isinstance(value, dict))
+COUNT = _kind("an integer of at least 0", lambda value: type(value) is int and value >= 0)
+POSITIVE = _kind("an integer of at least 1", lambda value: type(value) is int and value >= 1)
+SEED = _kind("an integer in [0, 2**64 - 1]", lambda value: type(value) is int and 0 <= value < 2**64)
+NUMBER = _number("a finite number", lambda value: abs(value) <= sys.float_info.max)
+FRACTION = _number("a number in [0, 1]", lambda value: 0 <= value <= 1)
+SHARE = _number("a number in (0, 1]", lambda value: 0 < value <= 1)
+
+# The kind of each field of an `augment.operations` entry, and of the entry.
+_OPERATION = {
+    "op": _one_of("rotate", "flip_left_right", "flip_top_bottom", "zoom_random"),
+    "probability": FRACTION,
+    "angles": _array(NUMBER),
+    "percentage_area": SHARE,
+}
+_operation = _kind(
+    'an object of "op", "probability" and optionally "angles" and "percentage_area"',
+    lambda value: isinstance(value, dict) and {"op", "probability"} <= value.keys() <= _OPERATION.keys(),
+    lambda value, key: {name: _OPERATION[name](field, f"{key}.{name}") for name, field in value.items()},
+)
+
+
+# Every config key once: (default, kind), or an object of keys. A key whose
+# default is null also takes null. Augmentation defaults mirror the study
+# pipeline this toolkit reproduces: rotate p=0.7, flip_left_right p=0.4,
+# zoom_random p=0.4 at 80% area, flip_top_bottom p=0.4.
+SCHEMA = {
+    "ground_truth_dir": (None, PATH),
+    "predictions_dir": (None, PATH),
+    "class_registry": (None, PATH),
+    "output_dir": ("out", PATH),
+    "iou_threshold": (0.5, SHARE),
+    "tile": {
+        "width": (416, POSITIVE),
+        "height": (416, POSITIVE),
+        "edge_policy": ("anchor-to-edge", _one_of("anchor-to-edge", "pad")),
+        "min_visibility": (0.3, FRACTION),
+        "image_width": (None, POSITIVE),
+        "image_height": (None, POSITIVE),
+        "image_sizes_csv": (None, PATH),
+        "images_dir": (None, PATH),
+    },
+    "augment": {
+        "samples": (1000, COUNT),
+        "min_visibility": (0.3, FRACTION),
+        "operations": ([
+            {"op": "rotate", "probability": 0.7, "angles": [90, 180, 270]},
+            {"op": "flip_left_right", "probability": 0.4},
+            {"op": "zoom_random", "probability": 0.4, "percentage_area": 0.8},
+            {"op": "flip_top_bottom", "probability": 0.4},
+        ], _array(_operation)),
+    },
+    "split": {
+        "ratio": ([15, 3, 2], _array(POSITIVE, 3)),
+        "sample_count": (None, POSITIVE),
+        "ids_file": (None, PATH),
+    },
+    "stats_inputs": ([], _array(PATH)),
+    "ap_interpolation": ("all-point", _one_of("all-point", "11-point")),
+    "desirability_profile": (None, PATH),
+    "candidates": (None, PATH),
+    "run_metadata": ("", STRING),
+    "seed": (0, SEED),
+    "jobs": (1, POSITIVE),
+    "allow_partial": (False, BOOLEAN),
+}
+
+
+def _defaults(schema: dict) -> dict:
+    return {name: _defaults(node) if isinstance(node, dict) else node[0] for name, node in schema.items()}
+
+
+DEFAULTS = _defaults(SCHEMA)
+
+
+def _merge(config: dict, schema: dict, values: dict, prefix: str = "") -> None:
+    """Set each of `values` in `config` as its kind in `schema` converts it;
+    null is taken only where the default is null."""
+    for name, value in values.items():
+        if name not in schema:
+            raise ConfigError(f"unknown config key: {name!r}")
+        node, key = schema[name], prefix + name
+        if isinstance(node, dict):
+            _merge(config[name], node, OBJECT(value, key), f"{key}.")
+        else:
+            default, kind = node
+            config[name] = None if value is None and default is None else kind(value, key)
 
 
 def load_config(path: Path | None, overrides: dict | None = None) -> dict:
-    """Defaults <- config file <- CLI overrides, in increasing precedence."""
+    """Defaults <- config file <- CLI overrides, in increasing precedence;
+    each value given is converted and checked by its kind in SCHEMA."""
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
@@ -96,60 +152,9 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config root must be a JSON object: {path}")
-        config = _merge(config, loaded)
-    if overrides:
-        config = _merge(config, overrides)
-    jobs = config["jobs"]
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ConfigError(f"jobs must be an integer of at least 1, got {jobs!r}")
+        _merge(config, SCHEMA, loaded)
+    _merge(config, SCHEMA, overrides or {})
     return config
-
-
-def tile_spec_from(config: dict) -> TileSpec:
-    from .prep import TileSpec
-
-    tile = config["tile"]
-    return TileSpec(
-        tile_w=int(tile["width"]),
-        tile_h=int(tile["height"]),
-        edge_policy=tile["edge_policy"],
-        min_visibility=float(tile["min_visibility"]),
-    )
-
-
-def augment_pipeline_from(config: dict) -> AugmentPipeline:
-    from .prep import AugmentOp, AugmentPipeline
-
-    aug = config["augment"]
-    ops = []
-    for i, op in enumerate(aug["operations"]):
-        try:
-            kwargs = {"name": op["op"], "probability": float(op["probability"])}
-            if "angles" in op:
-                kwargs["angles"] = tuple(float(a) for a in op["angles"])
-            if "percentage_area" in op:
-                kwargs["percentage_area"] = float(op["percentage_area"])
-            ops.append(AugmentOp(**kwargs))
-        except (LookupError, TypeError, ValueError) as exc:
-            raise ConfigError(f"augment.operations[{i}]: {type(exc).__name__}: {exc}") from None
-    return AugmentPipeline(
-        operations=tuple(ops),
-        rng_seed=int(config["seed"]),
-        min_visibility=float(aug["min_visibility"]),
-    )
-
-
-def split_ratio_from(config: dict) -> SplitRatio:
-    from .prep import SplitRatio
-
-    ratio = config["split"]["ratio"]
-    if len(ratio) != 3:
-        raise ConfigError(f"split ratio needs 3 weights, got {ratio}")
-    try:
-        weights = [int(weight) for weight in ratio]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"split.ratio: {type(exc).__name__}: {exc}") from None
-    return SplitRatio(*weights)
 
 
 def read_input(path: Path) -> bytes | dict[str, bytes]:

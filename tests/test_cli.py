@@ -16,7 +16,7 @@ import pytest
 
 from deteval import cli, metrics, rasters
 from deteval.cli import main
-from deteval.config import DEFAULTS, InputError, json_text, read_input
+from deteval.config import DEFAULTS, SCHEMA, InputError, json_text, load_config, read_input
 from deteval.metrics import PRPoint
 
 
@@ -812,9 +812,9 @@ class TestExitStatus:
 
 
 class TestInputPaths:
-    """`cli._read` turns each config value into an input path: an unset
-    value, a value that is not a string, a missing input or one of the wrong
-    kind exits 2, names the config key and writes nothing."""
+    """Each input path comes from a config value: an unset value, a value
+    that is not a path, a missing input or one of the wrong kind exits 2,
+    names the config key and writes nothing."""
 
     @pytest.mark.parametrize("case", [
         "required", "missing dir", "file as dir", "dir as file", "missing stats input", "no stats inputs",
@@ -856,12 +856,15 @@ class TestInputPaths:
         ("evaluate", {"predictions_dir": ["preds"]}, "predictions_dir", '["preds"]'),
         ("evaluate", {"class_registry": 5}, "class_registry", "5"),
         ("tile", {"class_registry": True}, "class_registry", "true"),
-        ("tile", {"tile": {"image_width": 832, "image_height": 832, "image_sizes_csv": 5}}, "image_sizes_csv", "5"),
-        ("tile", {"tile": {"image_width": 832, "image_height": 832, "images_dir": 5}}, "images_dir", "5"),
+        pytest.param("tile", {"tile": {"image_width": 832, "image_height": 832, "image_sizes_csv": 5}},
+                     "tile.image_sizes_csv", "5", id="tile-document4-image_sizes_csv-5"),
+        pytest.param("tile", {"tile": {"image_width": 832, "image_height": 832, "images_dir": 5}},
+                     "tile.images_dir", "5", id="tile-document5-images_dir-5"),
         ("tile", {"tile": {"image_width": 832, "image_height": 832}, "output_dir": 5}, "output_dir", "5"),
         ("split", {"output_dir": 5}, "output_dir", "5"),
-        ("split", {"split": {"ids_file": {"path": "ids.txt"}}}, "ids_file", '{"path": "ids.txt"}'),
-        ("stats", {"stats_inputs": ["STATS", 5]}, "stats_inputs", "5"),
+        pytest.param("split", {"split": {"ids_file": {"path": "ids.txt"}}}, "split.ids_file", '{"path": "ids.txt"}',
+                     id='split-document8-ids_file-{"path": "ids.txt"}'),
+        pytest.param("stats", {"stats_inputs": ["STATS", 5]}, "stats_inputs[1]", "5", id="stats-document9-stats_inputs-5"),
         ("desirability", {"desirability_profile": 1.5}, "desirability_profile", "1.5"),
         ("desirability", {"candidates": [1]}, "candidates", "[1]"),
         ("report", {"output_dir": 5}, "output_dir", "5"),
@@ -886,7 +889,7 @@ class TestInputPaths:
         (tmp_path / "out").mkdir()  # report reads it
         assert run_cli("--config", tmp_path / "cfg.json", command) == 2
         record = json.loads(capsys.readouterr().err.strip())
-        assert (record["error"], record["message"]) == ("CliError", f"config key {key!r} must be a path, got {shown}")
+        assert (record["error"], record["message"]) == ("ConfigError", f"config key {key} must be a path, got {shown}")
         assert list((tmp_path / "out").iterdir()) == []
 
 def test_json_text_refuses_non_finite_values():
@@ -1165,19 +1168,22 @@ class TestManifest:
     @pytest.mark.parametrize("command, document, problem", [
         ("tile", {"tile": 5}, "config key tile must be an object, got 5"),
         ("augment", {"tile": 5}, "config key tile must be an object, got 5"),
-        ("evaluate", {"iou_threshold": {}}, "config key iou_threshold must be a scalar, got {}"),
-        ("split", {"seed": []}, "config key seed must be a scalar, got []"),
-        ("augment", {"augment": {"samples": None}}, "config key augment.samples must be a scalar, got null"),
-        ("split", {"split": {"ratio": 5}}, "config key split.ratio must be an array, got 5"),
+        ("evaluate", {"iou_threshold": {}}, "config key iou_threshold must be a number in (0, 1], got {}"),
+        ("split", {"seed": []}, "config key seed must be an integer in [0, 2**64 - 1], got []"),
+        ("augment", {"augment": {"samples": None}},
+         "config key augment.samples must be an integer of at least 0, got null"),
+        ("split", {"split": {"ratio": 5}}, "config key split.ratio must be an array of 3 items, got 5"),
         ("augment", {"augment": {"operations": 3}}, "config key augment.operations must be an array, got 3"),
         ("augment", {"augment": {"operations": [{"op": "rotate"}]}},
-         "augment.operations[0]: KeyError: 'probability'"),
+         'augment.operations[0] must be an object of "op", "probability" and optionally "angles" and '
+         '"percentage_area", got {"op": "rotate"}'),
         ("augment", {"augment": {"operations": [{"op": "flip_left_right", "probability": 0.5}, 3]}},
-         "augment.operations[1]: TypeError"),
+         'augment.operations[1] must be an object of "op", "probability" and optionally "angles" and '
+         '"percentage_area", got 3'),
         ("evaluate", {"allow_partial": "false"}, 'config key allow_partial must be true or false, got "false"'),
         ("evaluate", {"allow_partial": 0}, "config key allow_partial must be true or false, got 0"),
-        ("split", {"split": {"ratio": [[], 1, 1]}}, "split.ratio: TypeError"),
-        ("split", {"split": {"ratio": ["a", 1, 1]}}, "split.ratio: ValueError"),
+        ("split", {"split": {"ratio": [[], 1, 1]}}, "split.ratio[0] must be an integer of at least 1, got []"),
+        ("split", {"split": {"ratio": ["a", 1, 1]}}, 'split.ratio[0] must be an integer of at least 1, got "a"'),
     ])
     def test_value_of_the_wrong_kind_exits_2(self, fixtures_dir, tmp_path, capsys, command, document, problem):
         detection = fixtures_dir / "detection"
@@ -1195,12 +1201,16 @@ class TestManifest:
         assert record["error"] == "ConfigError" and problem in record["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_scalar_of_another_type_still_works(self, fixtures_dir, tmp_path):
+    def test_number_given_as_a_string_is_refused(self, fixtures_dir, tmp_path, capsys):
         config = tmp_path / "cfg.json"
-        config.write_text('{"seed": "7", "augment": {"samples": "2"}}')
-        code = run_cli("--config", config, "--output-dir", tmp_path / "out", "augment",
-                       "--ground-truth-dir", fixtures_dir / "detection" / "truth")
-        assert code == 0
+        for text, key in [('{"seed": "7"}', "seed"), ('{"augment": {"samples": "2"}}', "augment.samples")]:
+            config.write_text(text)
+            code = run_cli("--config", config, "--output-dir", tmp_path / "out", "augment",
+                           "--ground-truth-dir", fixtures_dir / "detection" / "truth")
+            assert code == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            assert record["error"] == "ConfigError" and record["message"].startswith(f"config key {key} must be ")
+            assert not (tmp_path / "out").exists()
 
 
 # Per flag: the values given on the command line and the config values they
@@ -1296,3 +1306,201 @@ class TestFlagTable:
         with pytest.raises(SystemExit) as exc:
             run_cli("--output-dir", tmp_path / "out", "split", "--with-replacement")
         assert exc.value.code == 2
+
+
+def _nested(key, value):
+    """The config document that sets dotted `key` to `value`."""
+    for name in reversed(key.split(".")):
+        value = {name: value}
+    return value
+
+
+def _deep_merge(base, document):
+    merged = dict(base)
+    for name, value in document.items():
+        both = isinstance(base.get(name), dict) and isinstance(value, dict)
+        merged[name] = _deep_merge(base[name], value) if both else value
+    return merged
+
+
+def _schema_leaves(schema, prefix=""):
+    for name, node in schema.items():
+        if isinstance(node, dict):
+            yield from _schema_leaves(node, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+_NOT_A_PATH = ["", 5, 1.5, True, ["a"], {"a": "b"}]
+_NOT_AN_INTEGER = ["7", 7.9, 7.0, True, [7], {"n": 7}]
+_NOT_A_NUMBER = ["0.5", True, [0.5], {"p": 0.5}, float("nan"), float("inf")]
+
+
+def _operation(**fields):
+    return [{"op": "rotate", "probability": 0.5, **fields}]
+
+
+# Per config key: values of each kind the key does not take and values out of
+# its range. A key whose default is not null is also given null. Each must
+# exit 2, name the key and write nothing. `(value, named)` names an item or a
+# field under the key.
+BAD_CONFIG_VALUES = {
+    "ground_truth_dir": _NOT_A_PATH,
+    "predictions_dir": _NOT_A_PATH,
+    "class_registry": _NOT_A_PATH,
+    "output_dir": _NOT_A_PATH,
+    "iou_threshold": _NOT_A_NUMBER + ["x", 0, -0.5, 1.5],
+    "tile": [5, 1.5, "tile", True, [416]],
+    "tile.width": _NOT_AN_INTEGER + [41.6, 0, -416],
+    "tile.height": _NOT_AN_INTEGER + [0, -1],
+    "tile.edge_policy": [5, 1.5, True, ["pad"], {"p": "pad"}, "Pad", "mirror"],
+    "tile.min_visibility": _NOT_A_NUMBER + [-0.1, 1.5, 2],
+    "tile.image_width": _NOT_AN_INTEGER + [[832], 0, -832],
+    "tile.image_height": _NOT_AN_INTEGER + [0, -832],
+    "tile.image_sizes_csv": _NOT_A_PATH,
+    "tile.images_dir": _NOT_A_PATH,
+    "augment": [5, 1.5, "augment", False, []],
+    "augment.samples": _NOT_AN_INTEGER + [2.5, -1],
+    "augment.min_visibility": _NOT_A_NUMBER + [-0.1, 1.01, 2],
+    "augment.operations": [
+        3, 1.5, "rotate", True, {"op": "rotate", "probability": 0.5},
+        ([3], "augment.operations[0]"),
+        ([{"op": "rotate"}], "augment.operations[0]"),
+        ([{"probability": 0.5}], "augment.operations[0]"),
+        (_operation(weight=1), "augment.operations[0]"),
+        (_operation(op="spin"), "augment.operations[0].op"),
+        (_operation(op=3), "augment.operations[0].op"),
+        (_operation(probability=True), "augment.operations[0].probability"),
+        (_operation(probability="0.5"), "augment.operations[0].probability"),
+        (_operation(probability=None), "augment.operations[0].probability"),
+        (_operation(probability=1.5), "augment.operations[0].probability"),
+        (_operation(angles=[True, "90"]), "augment.operations[0].angles[0]"),
+        (_operation(angles=[90, "90"]), "augment.operations[0].angles[1]"),
+        (_operation(angles=90), "augment.operations[0].angles"),
+        (_operation(angles=[float("inf")]), "augment.operations[0].angles[0]"),
+        (_operation(angles=[]), "augment.operations[0]"),
+        (_operation(op="zoom_random"), "augment.operations[0]"),
+        (_operation(percentage_area=0), "augment.operations[0].percentage_area"),
+        (_operation(percentage_area=1.5), "augment.operations[0].percentage_area"),
+        (_operation(percentage_area="0.8"), "augment.operations[0].percentage_area"),
+    ],
+    "split": [5, 1.5, "split", True, [15, 3, 2]],
+    "split.ratio": [
+        5, 1.5, "15:3:2", True, {"train": 15}, [15, 3], [15, 3, 2, 1],
+        ([1.5, 3, 2], "split.ratio[0]"), ([True, 3, 2], "split.ratio[0]"), ([15, "3", 2], "split.ratio[1]"),
+        ([15, 3, None], "split.ratio[2]"), ([0, 3, 2], "split.ratio[0]"), ([15, 3, -2], "split.ratio[2]"),
+    ],
+    "split.sample_count": _NOT_AN_INTEGER + [[3], 0, -1],
+    "split.ids_file": _NOT_A_PATH,
+    "stats_inputs": [
+        "a.csv", 5, 1.5, True, {"a": "a.csv"},
+        ([5], "stats_inputs[0]"), (["a.csv", ""], "stats_inputs[1]"), ([["a.csv"]], "stats_inputs[0]"),
+    ],
+    "ap_interpolation": [5, 1.5, True, ["all-point"], {"a": 1}, "all_point", "11"],
+    "desirability_profile": _NOT_A_PATH,
+    "candidates": _NOT_A_PATH,
+    "run_metadata": [5, 1.5, True, ["run"], {"run": 1}],
+    "seed": _NOT_AN_INTEGER + ["x", -1, -3, 2**64],
+    "jobs": _NOT_AN_INTEGER + [0, -3],
+    "allow_partial": ["false", "true", 0, 1, 1.0, [True], {"on": True}],
+}
+
+
+def _bad_config_cases():
+    for key, values in BAD_CONFIG_VALUES.items():
+        default = _lookup(DEFAULTS, key)
+        for case in values + ([] if default is None else [None]):
+            value, named = case if isinstance(case, tuple) else (case, key)
+            yield pytest.param(key, value, named, id=f"{key}={json.dumps(value)}")
+
+
+class TestConfigSchema:
+    """Every config value, from the file or a flag, is converted and checked
+    by its kind in `config.SCHEMA` when the config is loaded."""
+
+    @staticmethod
+    def augment(fixtures_dir, tmp_path, document=None):
+        """`augment` run from a config that is good but for `document`."""
+        base = {
+            "output_dir": str(tmp_path / "out"),
+            "ground_truth_dir": str(fixtures_dir / "detection" / "truth"),
+            "augment": {"samples": 2},
+        }
+        (tmp_path / "cfg.json").write_text(json.dumps(_deep_merge(base, document or {})))
+        return run_cli("--config", tmp_path / "cfg.json", "augment")
+
+    def test_good_config_runs(self, fixtures_dir, tmp_path):
+        assert self.augment(fixtures_dir, tmp_path) == 0
+        assert (tmp_path / "out" / "run_manifest.json").is_file()
+
+    @pytest.mark.parametrize("key, value, named", _bad_config_cases())
+    def test_bad_value_exits_2_naming_the_key(self, fixtures_dir, tmp_path, capsys, key, value, named):
+        assert self.augment(fixtures_dir, tmp_path, _nested(key, value)) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert f"config key {named} " in record["message"] or f"config key {named}:" in record["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_every_schema_key_has_bad_values(self):
+        leaves = set(_schema_leaves(SCHEMA))
+        assert leaves == set(_schema_leaves(DEFAULTS))
+        assert leaves <= set(BAD_CONFIG_VALUES)
+        assert set(BAD_CONFIG_VALUES) - leaves == {"tile", "augment", "split"}
+
+    @pytest.mark.parametrize("argv, document", [pytest.param(*case, id=" ".join(case[0])) for case in [
+        (["--seed", "-3", "augment"], {"seed": -3}),
+        (["--seed", str(2**64), "split"], {"seed": 2**64}),
+        (["--jobs", "0", "report"], {"jobs": 0}),
+        (["evaluate", "--iou-threshold", "1.5"], {"iou_threshold": 1.5}),
+        (["evaluate", "--iou-threshold", "0"], {"iou_threshold": 0.0}),
+        (["tile", "--tile-size", "0x416"], {"tile": {"width": 0}}),
+        (["tile", "--image-size", "832x-1"], {"tile": {"image_height": -1}}),
+        (["tile", "--edge-policy", "mirror"], {"tile": {"edge_policy": "mirror"}}),
+        (["tile", "--min-visibility", "2"], {"tile": {"min_visibility": 2.0}}),
+        (["augment", "--samples", "-1"], {"augment": {"samples": -1}}),
+        (["split", "--sample-count", "0"], {"split": {"sample_count": 0}}),
+        (["split", "--ratio", "15:0:2"], {"split": {"ratio": [15, 0, 2]}}),
+        (["split", "--ground-truth-dir", ""], {"ground_truth_dir": ""}),
+        (["stats", "--inputs", "a.csv", ""], {"stats_inputs": ["a.csv", ""]}),
+    ]])
+    def test_flag_is_checked_as_its_config_key(self, tmp_path, capsys, argv, document):
+        command = next(arg for arg in argv if arg in cli._COMMANDS)
+        (tmp_path / "cfg.json").write_text(json.dumps(document))
+        records = []
+        for run in (["--output-dir", tmp_path / "out", *argv],
+                    ["--config", tmp_path / "cfg.json", "--output-dir", tmp_path / "out", command]):
+            assert run_cli(*run) == 2
+            records.append(json.loads(capsys.readouterr().err.strip()))
+            assert not (tmp_path / "out").exists()
+        assert records[0] == records[1]
+        assert records[0]["error"] == "ConfigError" and records[0]["message"].startswith("config key ")
+
+    def test_manifest_records_the_converted_config(self, fixtures_dir, tmp_path):
+        detection = fixtures_dir / "detection"
+        (tmp_path / "cfg.json").write_text(json.dumps({"iou_threshold": 1, "tile": {"min_visibility": 0}}))
+        assert run_cli(
+            "--config", tmp_path / "cfg.json", "--output-dir", tmp_path / "out", "evaluate",
+            "--ground-truth-dir", detection / "truth", "--predictions-dir", detection / "preds",
+            "--class-registry", detection / "classes.txt",
+        ) == 0
+        config = json.loads((tmp_path / "out" / "run_manifest.json").read_text())["config"]
+        assert (config["iou_threshold"], config["tile"]["min_visibility"]) == (1.0, 0.0)
+        assert '"iou_threshold": 1.0,' in (tmp_path / "out" / "evaluation.json").read_text()
+
+    def test_every_default_is_a_value_of_its_kind(self):
+        assert load_config(None) == DEFAULTS
+        assert load_config(None, DEFAULTS) == DEFAULTS
+
+    def test_each_set_of_names_takes_every_name_the_program_defines(self):
+        from deteval.metrics import AP_11_POINT, AP_ALL_POINT
+        from deteval.prep import _KNOWN_OPS, EDGE_ANCHOR, EDGE_PAD
+
+        for policy in (EDGE_ANCHOR, EDGE_PAD):
+            assert load_config(None, {"tile": {"edge_policy": policy}})["tile"]["edge_policy"] == policy
+        for interpolation in (AP_ALL_POINT, AP_11_POINT):
+            assert load_config(None, {"ap_interpolation": interpolation})["ap_interpolation"] == interpolation
+        for name in _KNOWN_OPS:
+            operation = {"op": name, "probability": 1, "percentage_area": 0.5}
+            assert load_config(None, {"augment": {"operations": [operation]}})["augment"]["operations"] == [
+                {"op": name, "probability": 1.0, "percentage_area": 0.5}
+            ]
