@@ -29,7 +29,6 @@ from .annotations import (
 )
 from .config import (
     SCHEMA_VERSION,
-    ConfigError,
     digest_inputs,
     json_text,
     load_config,
@@ -250,14 +249,8 @@ def cmd_augment(config: dict) -> int:
     registry = _registry(config, inputs) if config["class_registry"] else None
     gt_dir, annotations = _ground_truth(config, inputs)
     out_dir = Path(config["output_dir"])
-    ops = []
-    for i, op in enumerate(config["augment"]["operations"]):
-        fields = {name: tuple(value) if name == "angles" else value for name, value in op.items() if name != "op"}
-        try:
-            ops.append(AugmentOp(op["op"], **fields))
-        except ValueError as exc:  # what AugmentOp checks beyond the kind of each field
-            raise ConfigError(f"config key augment.operations[{i}]: {exc}") from None
-    pipeline = AugmentPipeline(tuple(ops), config["seed"], config["augment"]["min_visibility"])
+    ops = tuple(map(AugmentOp.from_config, config["augment"]["operations"]))
+    pipeline = AugmentPipeline(ops, config["seed"], config["augment"]["min_visibility"])
     # Augmentation acts on normalized coordinates; pixel dimensions are
     # carried through unchanged and default to the tile size.
     width = config["tile"]["image_width"] or config["tile"]["width"]
@@ -285,6 +278,7 @@ def cmd_split(config: dict) -> int:
     out_dir = Path(config["output_dir"])
     inputs: dict = {}
     split = config["split"]
+    source = "split.ids_file" if split["ids_file"] else "ground_truth_dir"
     if split["ids_file"]:
         lines = _read(inputs, "ids_file", split["ids_file"], str.splitlines)
         ids = [line.strip() for line in lines if line.strip()]
@@ -292,8 +286,14 @@ def cmd_split(config: dict) -> int:
         ids = list(_annotation_files(inputs, "ground_truth_dir", config["ground_truth_dir"])[1])
     if not ids:
         raise CliError("no image ids to split")
+    count = split["sample_count"] or len(ids)
+    if count > len(ids):
+        raise CliError(f"split.sample_count is {count}, more than the {len(ids)} ids in {source}")
+    if count < 3:
+        raise CliError(f"3 partitions need at least 3 ids, got {count} "
+                       f"(split.sample_count is {json.dumps(split['sample_count'])}, {len(ids)} ids in {source})")
     if split["sample_count"]:
-        ids = sample_ids(ids, split["sample_count"], config["seed"])
+        ids = sample_ids(ids, count, config["seed"])
     result = split_dataset(ids, SplitRatio(*split["ratio"]), config["seed"])
     partitions = ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part))
     artifacts = {"split_manifest.csv": _csv_text(["image_id", "partition"], partitions)}

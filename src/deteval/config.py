@@ -67,10 +67,25 @@ _OPERATION = {
     "angles": _array(NUMBER),
     "percentage_area": SHARE,
 }
+
+
+def _augment_op(value: dict, key: str) -> dict:
+    """The entry with each field as its kind converts it, if `prep.AugmentOp`,
+    which holds the rules across fields, takes it; prep is loaded only here."""
+    from .prep import AugmentOp
+
+    entry = {name: _OPERATION[name](field, f"{key}.{name}") for name, field in value.items()}
+    try:
+        AugmentOp.from_config(entry)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from None
+    return entry
+
+
 _operation = _kind(
     'an object of "op", "probability" and optionally "angles" and "percentage_area"',
     lambda value: isinstance(value, dict) and {"op", "probability"} <= value.keys() <= _OPERATION.keys(),
-    lambda value, key: {name: _OPERATION[name](field, f"{key}.{name}") for name, field in value.items()},
+    _augment_op,
 )
 
 

@@ -121,7 +121,7 @@ class DesirabilityProfile:
                         weight=float(g.get("weight", 1.0)),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 problem = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"goal {index}: {problem}") from None
         return cls(goals=tuple(goals))

@@ -65,51 +65,53 @@ def plan_tiles(img_w: int, img_h: int, spec: TileSpec) -> list[TileRect]:
     return [TileRect(x, y, spec.tile_w, spec.tile_h) for y in ys for x in xs]
 
 
-def retile_annotations(
-    image: AnnotatedImage, tiles, spec: TileSpec
-) -> list[AnnotatedImage]:
+def retile_annotations(image: AnnotatedImage, tiles, spec: TileSpec) -> list[AnnotatedImage]:
     """Clip each ground-truth box into each intersecting tile.
 
-    A clipped box is kept only when its remaining area fraction is at least
-    spec.min_visibility (any positive overlap when min_visibility is 0).
+    A clipped box is kept when at least spec.min_visibility of its area is
+    in the tile (any overlap when min_visibility is 0) and its width and
+    height in the tile would not be written as 0.000000.
     Tiles without retained objects come back empty; callers treat empty
     tiles as discardable.
     """
+    width, height = float(image.width_px), float(image.height_px)
+    boxes = [
+        (obj.label, obj.box.x1 * width, obj.box.y1 * height, obj.box.x2 * width, obj.box.y2 * height)
+        for obj in image.objects
+    ]
     out = []
-    width = float(image.width_px)
-    height = float(image.height_px)
     for index, tile in enumerate(tiles):
         tx1, ty1 = float(tile.x0), float(tile.y0)
-        tx2, ty2 = tx1 + tile.w, ty1 + tile.h
-        kept = []
-        for obj in image.objects:
-            bx1 = obj.box.x1 * width
-            by1 = obj.box.y1 * height
-            bx2 = obj.box.x2 * width
-            by2 = obj.box.y2 * height
-            ix1, iy1 = max(bx1, tx1), max(by1, ty1)
-            ix2, iy2 = min(bx2, tx2), min(by2, ty2)
-            if ix2 <= ix1 or iy2 <= iy1:
-                continue
-            visibility = ((ix2 - ix1) * (iy2 - iy1)) / ((bx2 - bx1) * (by2 - by1))
-            if visibility < spec.min_visibility:
-                continue
-            box = BoundingBox.from_corners(
-                (ix1 - tx1) / tile.w,
-                (iy1 - ty1) / tile.h,
-                (ix2 - tx1) / tile.w,
-                (iy2 - ty1) / tile.h,
-            )
-            kept.append(GroundTruthObject(obj.label, box))
-        out.append(
-            AnnotatedImage(
-                image_id=f"{image.image_id}_{index:03d}",
-                width_px=tile.w,
-                height_px=tile.h,
-                objects=tuple(kept),
-            )
-        )
+        window = (tx1, ty1, tx1 + tile.w, ty1 + tile.h)
+        objects = _objects(_clip(*box, window, spec.min_visibility) for box in boxes)
+        out.append(AnnotatedImage(f"{image.image_id}_{index:03d}", tile.w, tile.h, objects))
     return out
+
+
+def _clip(lab, x1, y1, x2, y2, window, min_visibility):
+    """Box (x1, y1, x2, y2) clipped to `window` (wx1, wy1, wx2, wy2), both in
+    the box's frame, as (lab, cx, cy, w, h) in the window's unit frame, each
+    v as (v - w1) / (w2 - w1); None when less than `min_visibility` of the
+    box's area is left (no overlap when it is 0), the box has no area, or a
+    side left would be written as 0.000000 by `format_yolo_annotation`."""
+    wx1, wy1, wx2, wy2 = window
+    cx1, cy1 = max(x1, wx1), max(y1, wy1)
+    cx2, cy2 = min(x2, wx2), min(y2, wy2)
+    if cx2 <= cx1 or cy2 <= cy1:
+        return None
+    ux1, ux2 = (cx1 - wx1) / (wx2 - wx1), (cx2 - wx1) / (wx2 - wx1)
+    uy1, uy2 = (cy1 - wy1) / (wy2 - wy1), (cy2 - wy1) / (wy2 - wy1)
+    area = (x2 - x1) * (y2 - y1)
+    if area == 0.0 or round(ux2 - ux1, 6) == 0.0 or round(uy2 - uy1, 6) == 0.0:
+        return None
+    if (cx2 - cx1) * (cy2 - cy1) / area < min_visibility:
+        return None
+    return (lab, (ux1 + ux2) / 2.0, (uy1 + uy2) / 2.0, ux2 - ux1, uy2 - uy1)
+
+
+def _objects(boxes) -> tuple[GroundTruthObject, ...]:
+    """Ground-truth objects of (label, cx, cy, w, h) rows; None, a box `_clip` dropped, is left out."""
+    return tuple(GroundTruthObject(lab, BoundingBox(cx, cy, w, h)) for lab, cx, cy, w, h in filter(None, boxes))
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,12 @@ class AugmentOp:
             if self.percentage_area is None or not (0.0 < self.percentage_area <= 1.0):
                 raise ValueError(f"zoom_random needs percentage_area in (0,1]: {self.percentage_area}")
 
+    @classmethod
+    def from_config(cls, entry: dict) -> AugmentOp:
+        """The op of one `augment.operations` config entry: "op" names it, the other keys are its fields."""
+        fields = {name: tuple(value) if name == "angles" else value for name, value in entry.items() if name != "op"}
+        return cls(entry["op"], **fields)
+
 
 @dataclass(frozen=True)
 class AugmentPipeline:
@@ -145,7 +153,11 @@ class AugmentPipeline:
 
 
 # Boxes travel through the ops as (label, cx, cy, w, h) tuples so the
-# right-angle transforms stay exact (no corner round trip).
+# right-angle transforms stay exact (no corner round trip). Zoom and
+# arbitrary-angle rotation map the corners, then clip them to the unit square.
+_UNIT = (0.0, 0.0, 1.0, 1.0)
+
+
 def _flip_lr(boxes):
     return [(lab, 1.0 - cx, cy, w, h) for lab, cx, cy, w, h in boxes]
 
@@ -174,36 +186,19 @@ def _rotate_envelope(boxes, angle_deg: float, min_visibility: float):
             px, py = cx - 0.5 + dx, cy - 0.5 + dy
             xs.append(0.5 + px * cos_t - py * sin_t)
             ys.append(0.5 + px * sin_t + py * cos_t)
-        clipped = _clip_unit(lab, min(xs), min(ys), max(xs), max(ys), min_visibility)
-        if clipped is not None:
-            out.append(clipped)
-    return out
+        out.append(_clip(lab, min(xs), min(ys), max(xs), max(ys), _UNIT, min_visibility))
+    return list(filter(None, out))
 
 
 def _zoom(boxes, percentage_area: float, min_visibility: float):
     side = math.sqrt(percentage_area)
     offset = (1.0 - side) / 2.0
-    out = []
-    for lab, cx, cy, w, h in boxes:
-        x1 = (cx - w / 2 - offset) / side
-        x2 = (cx + w / 2 - offset) / side
-        y1 = (cy - h / 2 - offset) / side
-        y2 = (cy + h / 2 - offset) / side
-        clipped = _clip_unit(lab, x1, y1, x2, y2, min_visibility)
-        if clipped is not None:
-            out.append(clipped)
-    return out
-
-
-def _clip_unit(lab, x1, y1, x2, y2, min_visibility):
-    cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
-    cx2, cy2 = min(x2, 1.0), min(y2, 1.0)
-    if cx2 <= cx1 or cy2 <= cy1:
-        return None
-    visibility = ((cx2 - cx1) * (cy2 - cy1)) / ((x2 - x1) * (y2 - y1))
-    if visibility < min_visibility or visibility <= 0.0:
-        return None
-    return (lab, (cx1 + cx2) / 2.0, (cy1 + cy2) / 2.0, cx2 - cx1, cy2 - cy1)
+    corners = (
+        (lab, (cx - w / 2 - offset) / side, (cy - h / 2 - offset) / side,
+         (cx + w / 2 - offset) / side, (cy + h / 2 - offset) / side)
+        for lab, cx, cy, w, h in boxes
+    )
+    return list(filter(None, (_clip(*box, _UNIT, min_visibility) for box in corners)))
 
 
 def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int) -> list[AnnotatedImage]:
@@ -219,9 +214,7 @@ def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int)
 
     samples = []
     for k in range(sample_count):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=pipeline.rng_seed, spawn_key=(k,))
-        )
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=pipeline.rng_seed, spawn_key=(k,)))
         boxes = [(o.label, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in image.objects]
         for op in pipeline.operations:
             if rng.random() >= op.probability:
@@ -240,17 +233,7 @@ def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int)
                     boxes = _rotate_envelope(boxes, angle, pipeline.min_visibility)
             elif op.name == OP_ZOOM:
                 boxes = _zoom(boxes, op.percentage_area, pipeline.min_visibility)
-        samples.append(
-            AnnotatedImage(
-                image_id=image.image_id,
-                width_px=image.width_px,
-                height_px=image.height_px,
-                objects=tuple(
-                    GroundTruthObject(lab, BoundingBox(cx, cy, w, h))
-                    for lab, cx, cy, w, h in boxes
-                ),
-            )
-        )
+        samples.append(AnnotatedImage(image.image_id, image.width_px, image.height_px, _objects(boxes)))
     return samples
 
 

@@ -97,6 +97,30 @@ class TestTile:
         tile_file = next((out / "tiles").glob("*.txt"))
         assert tile_file.read_text() == "0 0.500000 0.500000 0.200000 0.200000\n"
 
+    @staticmethod
+    def tile_row(tmp_path, row, *flags):
+        """`tile` of one 1600x1300 image `a` annotated by `row` into tmp_path/out."""
+        src = tmp_path / "annot"
+        src.mkdir()
+        (src / "a.txt").write_text(row + "\n")
+        (tmp_path / "sizes.csv").write_text("image_id,width_px,height_px\na,1600,1300\n")
+        return run_cli("--output-dir", tmp_path / "out", "tile", "--ground-truth-dir", src,
+                       "--image-sizes-csv", tmp_path / "sizes.csv", *flags)
+
+    def test_box_whose_area_underflows_is_dropped(self, tmp_path):
+        assert self.tile_row(tmp_path, "0 1e-200 1e-200 2e-200 2e-200") == 0
+        assert list((tmp_path / "out" / "tiles").iterdir()) == []
+        assert len((tmp_path / "out" / "discarded_tiles.txt").read_text().splitlines()) == 16
+
+    def test_clipped_sliver_is_dropped_so_tiles_read_back(self, tmp_path):
+        # the box crosses x = 416 px by 0.0001 px, a width written as 0.000000
+        assert self.tile_row(tmp_path, "0 0.22375003125 0.115385 0.0725000625 0.076923", "--min-visibility", "0") == 0
+        tiles = tmp_path / "out" / "tiles"
+        assert sorted(p.name for p in tiles.iterdir()) == ["a_000.txt"]
+        assert (tiles / "a_000.txt").read_text() == "0 0.860577 0.360578 0.278846 0.240384\n"
+        assert run_cli("--output-dir", tmp_path / "again", "tile", "--ground-truth-dir", tiles,
+                       "--image-size", "416x416") == 0
+
     def test_malformed_later_file_writes_nothing(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         code = run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots, "--image-size", "832x832")
@@ -210,6 +234,17 @@ class TestAugment:
                 out_b / "augmented" / name
             ).read_bytes()
 
+    def test_zoomed_box_whose_area_underflows_is_dropped(self, tmp_path):
+        src = tmp_path / "annot"
+        src.mkdir()
+        (src / "a.txt").write_text("0 1e-200 1e-200 2e-200 2e-200\n")
+        (tmp_path / "cfg.json").write_text(json.dumps({"augment": {"operations": [
+            {"op": "zoom_random", "probability": 1.0, "percentage_area": 1.0}]}}))
+        out = tmp_path / "out"
+        assert run_cli("--config", tmp_path / "cfg.json", "--output-dir", out, "augment",
+                       "--ground-truth-dir", src, "--samples", "2") == 0
+        assert [p.read_text() for p in sorted((out / "augmented").iterdir())] == ["", ""]
+
     def test_malformed_later_file_writes_nothing(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         code = run_cli("--output-dir", out, "augment", "--ground-truth-dir", annots, "--samples", "2")
@@ -264,6 +299,22 @@ class TestSplit:
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("a\nb\n")
         assert run_cli("--output-dir", tmp_path / "o", "split", "--ids-file", ids_file) == 2
+
+    @pytest.mark.parametrize("ids, argv, problem", [
+        (None, ["--sample-count", "5"], "split.sample_count is 5, more than the 2 ids in ground_truth_dir"),
+        ("a\nb\n", [], "3 partitions need at least 3 ids, got 2 (split.sample_count is null, 2 ids in split.ids_file)"),
+        ("a\nb\nc\n", ["--sample-count", "2"],
+         "3 partitions need at least 3 ids, got 2 (split.sample_count is 2, 3 ids in split.ids_file)"),
+    ], ids=["sample over ids", "too few ids", "too small a sample"])
+    def test_id_count_error_names_the_key_and_the_source(self, fixtures_dir, tmp_path, capsys, ids, argv, problem):
+        source = ["--ground-truth-dir", fixtures_dir / "detection" / "truth"]
+        if ids is not None:
+            (tmp_path / "ids.txt").write_text(ids)
+            source = ["--ids-file", tmp_path / "ids.txt"]
+        assert run_cli("--output-dir", tmp_path / "o", "split", *source, *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", problem)
+        assert not (tmp_path / "o").exists()
 
     def test_undecodable_ids_file_exits_2_naming_it(self, tmp_path, capsys):
         ids_file = tmp_path / "ids.txt"
@@ -687,6 +738,7 @@ class TestDesirabilityCommand:
             ({"low": float("-inf")}, "goal 0: low must be a finite number, got -inf"),
             ({"weight": float("nan")}, "goal 0: weight must be a finite number, got nan"),
             ({"name": ["map50"]}, "goal 0: goal name must be a non-empty string, got ['map50']"),
+            ({"low": 10**400}, "goal 0: int too large to convert to float"),
         ],
     )
     def test_bad_goal_value_names_profile_and_goal(self, tmp_path, capsys, goal, problem):
@@ -1432,6 +1484,19 @@ class TestConfigSchema:
     def test_good_config_runs(self, fixtures_dir, tmp_path):
         assert self.augment(fixtures_dir, tmp_path) == 0
         assert (tmp_path / "out" / "run_manifest.json").is_file()
+
+    @pytest.mark.parametrize("operation, problem", [
+        ({"op": "zoom_random", "probability": 0.5}, "zoom_random needs percentage_area in (0,1]: None"),
+        ({"op": "rotate", "probability": 0.5, "angles": []}, "rotate needs a non-empty angle set"),
+    ])
+    def test_operation_augment_cannot_run_is_refused_by_every_command(self, tmp_path, capsys, operation, problem):
+        (tmp_path / "cfg.json").write_text(json.dumps({"augment": {"operations": [operation]}}))
+        (tmp_path / "ids.txt").write_text("a\nb\nc\n")
+        assert run_cli("--config", tmp_path / "cfg.json", "--output-dir", tmp_path / "out", "split",
+                       "--ids-file", tmp_path / "ids.txt") == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("ConfigError", f"config key augment.operations[0]: {problem}")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, named", _bad_config_cases())
     def test_bad_value_exits_2_naming_the_key(self, fixtures_dir, tmp_path, capsys, key, value, named):

@@ -1,8 +1,12 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deteval import prep
 from deteval.annotations import AnnotatedImage, BoundingBox, GroundTruthObject
 from deteval.prep import (
     AugmentOp,
@@ -20,6 +24,78 @@ from deteval.prep import (
 
 def _image(objects, image_id="img", w=1600, h=1300):
     return AnnotatedImage(image_id, w, h, tuple(objects))
+
+
+def _reference_retile(image, tiles, spec):
+    """Scalar reference for `retile_annotations`: the clip written out inline,
+    reading each box's corners once per tile."""
+    out = []
+    width = float(image.width_px)
+    height = float(image.height_px)
+    for index, tile in enumerate(tiles):
+        tx1, ty1 = float(tile.x0), float(tile.y0)
+        tx2, ty2 = tx1 + tile.w, ty1 + tile.h
+        kept = []
+        for obj in image.objects:
+            bx1 = obj.box.x1 * width
+            by1 = obj.box.y1 * height
+            bx2 = obj.box.x2 * width
+            by2 = obj.box.y2 * height
+            ix1, iy1 = max(bx1, tx1), max(by1, ty1)
+            ix2, iy2 = min(bx2, tx2), min(by2, ty2)
+            if ix2 <= ix1 or iy2 <= iy1:
+                continue
+            visibility = ((ix2 - ix1) * (iy2 - iy1)) / ((bx2 - bx1) * (by2 - by1))
+            if visibility < spec.min_visibility:
+                continue
+            box = BoundingBox.from_corners(
+                (ix1 - tx1) / tile.w,
+                (iy1 - ty1) / tile.h,
+                (ix2 - tx1) / tile.w,
+                (iy2 - ty1) / tile.h,
+            )
+            kept.append(GroundTruthObject(obj.label, box))
+        out.append(AnnotatedImage(f"{image.image_id}_{index:03d}", tile.w, tile.h, tuple(kept)))
+    return out
+
+
+def _reference_clip_unit(lab, x1, y1, x2, y2, min_visibility):
+    """Scalar reference for the clip to the unit square that zoom and
+    arbitrary-angle rotation use."""
+    cx1, cy1 = max(x1, 0.0), max(y1, 0.0)
+    cx2, cy2 = min(x2, 1.0), min(y2, 1.0)
+    if cx2 <= cx1 or cy2 <= cy1:
+        return None
+    visibility = ((cx2 - cx1) * (cy2 - cy1)) / ((x2 - x1) * (y2 - y1))
+    if visibility < min_visibility or visibility <= 0.0:
+        return None
+    return (lab, (cx1 + cx2) / 2.0, (cy1 + cy2) / 2.0, cx2 - cx1, cy2 - cy1)
+
+
+def _reference_clip(lab, x1, y1, x2, y2, window, min_visibility):
+    assert window == (0.0, 0.0, 1.0, 1.0)
+    return _reference_clip_unit(lab, x1, y1, x2, y2, min_visibility)
+
+
+def _bits(objects):
+    """Objects as labels and the exact bits of each coordinate (-0.0 is not 0.0)."""
+    return [(o.label, *map(float.hex, (o.box.cx, o.box.cy, o.box.w, o.box.h))) for o in objects]
+
+
+def _expected(reference, image, n_outputs):
+    """The objects of each of `n_outputs` images that `reference(image)` makes,
+    one object at a time, without the two cases the toolkit drops: an object
+    whose area underflows to 0.0 (the reference divides by it) and a clipped
+    box whose width or height would be written as 0.000000."""
+    kept = [[] for _ in range(n_outputs)]
+    for obj in image.objects:
+        try:
+            outputs = reference(dataclasses.replace(image, objects=(obj,)))
+        except ZeroDivisionError:
+            continue
+        for objects, output in zip(kept, outputs):
+            objects += [o for o in output.objects if "0.000000" not in (f"{o.box.w:.6f}", f"{o.box.h:.6f}")]
+    return [_bits(objects) for objects in kept]
 
 
 class TestPlanTiles:
@@ -195,6 +271,92 @@ class TestAugment:
             AugmentOp("zoom_random", 0.5)
         with pytest.raises(ValueError, match="probability"):
             AugmentOp("rotate", 1.5)
+
+
+# Tile edges of a 1600x1300 image under 416x416 tiles, both edge policies.
+_EDGES_X = (0.0, 416.0, 832.0, 1184.0, 1248.0, 1600.0)
+_EDGES_Y = (0.0, 416.0, 832.0, 884.0, 1248.0, 1300.0)
+
+
+@st.composite
+def _span(draw, edges, extent):
+    """(center, size) in pixels along one axis: anywhere, or across one of
+    `edges` with 0.3, 0.5 or any fraction of it on the low side, or past an
+    edge by a sliver; sizes include ones whose squares underflow to 0.0."""
+    size = draw(st.one_of(st.sampled_from([1e-4, 1.0, 96.0, 192.0, 3e-197]), st.floats(1e-4, extent)))
+    edge = draw(st.sampled_from(edges))
+    low = draw(st.one_of(
+        st.floats(-size, extent).map(lambda x: (x, 0.0)),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]).map(lambda f: (edge, f)),
+        st.floats(0.0, 1.0).map(lambda f: (edge, f)),
+        st.sampled_from([1e-4, 1e-5]).map(lambda d: (edge, 1.0 - d / size)),
+    ))
+    start, fraction = low
+    center = min(max(start - fraction * size + size / 2.0, 0.0), extent)
+    return center, min(size, extent)
+
+
+@st.composite
+def _objects_about(draw, edges_x, edges_y, width=1.0, height=1.0):
+    """One to four objects placed by `_span` in a width x height frame, normalized to it."""
+    objects = []
+    for label in range(draw(st.integers(1, 4))):
+        cx, w = draw(_span(edges_x, width))
+        cy, h = draw(_span(edges_y, height))
+        objects.append(GroundTruthObject(label, BoundingBox(cx / width, cy / height, w / width, h / height)))
+    return objects
+
+
+def _zoom_objects(percentage_area):
+    """Boxes about the edges of the window a zoom to `percentage_area` keeps."""
+    edges = (0.0, (1.0 - percentage_area**0.5) / 2.0, (1.0 + percentage_area**0.5) / 2.0, 1.0)
+    return st.tuples(st.just(percentage_area), _objects_about(edges, edges))
+
+
+_VISIBILITIES = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+_ZOOMS = st.sampled_from([0.04, 0.25, 0.5, 0.8, 1.0]).flatmap(_zoom_objects)
+
+
+class TestOneClip:
+    """Retiling, zoom and arbitrary-angle rotation share one clip; each keeps
+    the boxes of its scalar reference bit for bit, except those the reference
+    divides by a zero area for or writes with a size of 0.000000."""
+
+    @given(_objects_about(_EDGES_X, _EDGES_Y, 1600.0, 1300.0), st.sampled_from(["anchor-to-edge", "pad"]), _VISIBILITIES)
+    @example([GroundTruthObject(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))], "anchor-to-edge", 0.3)
+    @example([GroundTruthObject(0, BoundingBox(0.22375003125, 0.115385, 0.0725000625, 0.076923))], "pad", 0.0)
+    # visibility 0.3 exactly as a quotient of areas, though not as 0.3 times the area
+    @example([GroundTruthObject(0, BoundingBox(0.2995, 0.2, 0.1975, 77 / 1300))], "anchor-to-edge", 0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_retile_matches_the_reference(self, objects, policy, min_visibility):
+        image = _image(objects)
+        spec = TileSpec(416, 416, policy, min_visibility)
+        tiles = plan_tiles(1600, 1300, spec)
+        expected = _expected(lambda one: _reference_retile(one, tiles, spec), image, len(tiles))
+        assert [_bits(t.objects) for t in retile_annotations(image, tiles, spec)] == expected
+
+    @given(_ZOOMS, _VISIBILITIES)
+    @example((1.0, [GroundTruthObject(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))]), 0.3)
+    @settings(max_examples=200, deadline=None)
+    def test_zoom_matches_the_reference(self, zoom, min_visibility):
+        percentage_area, objects = zoom
+        self.check_augment(objects, AugmentOp("zoom_random", 1.0, percentage_area=percentage_area), min_visibility)
+
+    @given(_objects_about((0.0, 0.5, 1.0), (0.0, 0.5, 1.0)), _VISIBILITIES)
+    @settings(max_examples=200, deadline=None)
+    def test_rotate_45_matches_the_reference(self, objects, min_visibility):
+        self.check_augment(objects, AugmentOp("rotate", 1.0, angles=(45.0,)), min_visibility)
+
+    @staticmethod
+    def check_augment(objects, op, min_visibility):
+        image = _image(objects)
+        pipeline = _pipeline(op, min_visibility=min_visibility)
+
+        def reference(one):
+            with mock.patch.object(prep, "_clip", _reference_clip):
+                return augment(one, pipeline, 1)
+
+        assert [_bits(v.objects) for v in augment(image, pipeline, 1)] == _expected(reference, image, 1)
 
 
 class TestSplit:
