@@ -1,7 +1,9 @@
 """Command-line pipeline: tile, augment, split, evaluate, stats,
-desirability, and the consolidated report. Each command imports the modules
-it uses beyond annotations and config itself, so that it pays start-up only
-for what it runs."""
+desirability, and the consolidated report. A command reads its inputs through
+`_read` and returns its artifacts and the summary it prints (or the CliError it
+exits with); `main` writes them and the run manifest. Each command imports the
+modules it uses beyond annotations and config itself, so that it pays start-up
+only for what it runs."""
 
 from __future__ import annotations
 
@@ -132,17 +134,19 @@ def _manifest(command: str, config: dict, inputs: dict) -> dict:
             "config": config, "input_digests": digest_inputs(inputs)}
 
 
-def _write_outputs(out_dir: Path, artifacts: dict[str, str], manifest: dict) -> None:
+def _write_outputs(out_dir: Path, artifacts: dict[str, str | None], manifest: dict) -> None:
     """Every file a command writes: the artifacts, `{path under out_dir: text}`,
     as UTF-8 bytes in order, then the run manifest, so that a manifest is only
-    ever written after its artifacts. Each parent directory is made once."""
+    ever written after its artifacts. A None text names a directory that must
+    exist even when nothing is written into it. Each directory is made once."""
     created_utc = datetime.now(timezone.utc).isoformat()
     artifacts = {**artifacts, "run_manifest.json": json_text({**manifest, "created_utc": created_utc})}
     paths = [out_dir / rel for rel in artifacts]
-    for parent in dict.fromkeys(path.parent for path in paths):
-        parent.mkdir(parents=True, exist_ok=True)
+    for directory in dict.fromkeys(p if t is None else p.parent for p, t in zip(paths, artifacts.values())):
+        directory.mkdir(parents=True, exist_ok=True)
     for path, text in zip(paths, artifacts.values()):
-        path.write_bytes(text.encode("utf-8"))
+        if text is not None:
+            path.write_bytes(text.encode("utf-8"))
 
 
 def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
@@ -191,31 +195,34 @@ def _ground_truth(config: dict, inputs: dict) -> tuple[Path, dict[str, bytes]]:
     return gt_dir, annotations
 
 
-def cmd_tile(config: dict) -> int:
-    from .prep import TileSpec, plan_tiles, retile_annotations
-
-    inputs: dict = {}
+def _ground_truth_objects(config: dict, inputs: dict) -> dict[str, tuple]:
+    """The objects of each ground-truth annotation file by image id, in id
+    order, with class ids checked against the registry when one is set."""
     registry = _registry(config, inputs) if config["class_registry"] else None
     gt_dir, annotations = _ground_truth(config, inputs)
-    ids = list(annotations)
-    out_dir = Path(config["output_dir"])
+    return {image_id: tuple(_parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry))
+            for image_id, data in annotations.items()}
+
+
+def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
+    from .prep import TileSpec, plan_tiles, retile_annotations
+
+    annotations = _ground_truth_objects(config, inputs)
     tile = config["tile"]
     spec = TileSpec(tile["width"], tile["height"], tile["edge_policy"], tile["min_visibility"])
     images_dir = tile["images_dir"] and Path(tile["images_dir"])
-    sizes = _image_sizes(tile, ids, inputs, images_dir)
+    sizes = _image_sizes(tile, list(annotations), inputs, images_dir)
 
-    artifacts, manifest_rows, discarded, crops = {}, [], [], []
-    for image_id, data in annotations.items():
-        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
+    # `tiles/` is there even when no tile is kept
+    artifacts, manifest_rows, discarded, crops = {"tiles": None}, [], [], []
+    for image_id, objects in annotations.items():
         width, height = sizes[image_id]
-        image = AnnotatedImage(image_id, width, height, tuple(objects))
+        image = AnnotatedImage(image_id, width, height, objects)
         tiles = plan_tiles(width, height, spec)
         tiled = retile_annotations(image, tiles, spec)
         kept_rects, kept_ids = [], []
         for rect, tile_image in zip(tiles, tiled):
-            manifest_rows.append(
-                (tile_image.image_id, image_id, rect.x0, rect.y0, rect.w, rect.h)
-            )
+            manifest_rows.append((tile_image.image_id, image_id, rect.x0, rect.y0, rect.w, rect.h))
             if tile_image.objects:
                 artifacts[f"tiles/{tile_image.image_id}.txt"] = format_yolo_annotation(tile_image.objects)
                 kept_rects.append(rect)
@@ -227,28 +234,22 @@ def cmd_tile(config: dict) -> int:
 
     artifacts["tiles_manifest.csv"] = _csv_text(["tile_id", "src_image", "x0", "y0", "w", "h"], manifest_rows)
     artifacts["discarded_tiles.txt"] = "".join(f"{t}\n" for t in discarded)
-    tiles_dir = out_dir / "tiles"
-    tiles_dir.mkdir(parents=True, exist_ok=True)  # there even when no tile is kept
-    if crops:
+    out_dir = Path(config["output_dir"])
+    if crops:  # written here, before `main` writes the text artifacts
         from . import rasters
 
         for image, rects, tile_ids in crops:
-            rasters.write_tile_crops(image, rects, tile_ids, tiles_dir)
-    _write_outputs(out_dir, artifacts, _manifest("tile", config, inputs))
-    print(
-        f"tiled {len(ids)} images into {len(manifest_rows)} tiles "
+            rasters.write_tile_crops(image, rects, tile_ids, out_dir / "tiles")
+    return artifacts, (
+        f"tiled {len(annotations)} images into {len(manifest_rows)} tiles "
         f"({len(discarded)} discardable); manifest: {out_dir / 'tiles_manifest.csv'}"
     )
-    return EXIT_OK
 
 
-def cmd_augment(config: dict) -> int:
+def cmd_augment(config: dict, inputs: dict) -> tuple[dict, str]:
     from .prep import AugmentOp, AugmentPipeline, augment
 
-    inputs: dict = {}
-    registry = _registry(config, inputs) if config["class_registry"] else None
-    gt_dir, annotations = _ground_truth(config, inputs)
-    out_dir = Path(config["output_dir"])
+    annotations = _ground_truth_objects(config, inputs)
     ops = tuple(map(AugmentOp.from_config, config["augment"]["operations"]))
     pipeline = AugmentPipeline(ops, config["seed"], config["augment"]["min_visibility"])
     # Augmentation acts on normalized coordinates; pixel dimensions are
@@ -256,27 +257,21 @@ def cmd_augment(config: dict) -> int:
     width = config["tile"]["image_width"] or config["tile"]["width"]
     height = config["tile"]["image_height"] or config["tile"]["height"]
 
-    artifacts, rows = {}, []
-    for image_id, data in annotations.items():
-        objects = _parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry)
-        image = AnnotatedImage(image_id, width, height, tuple(objects))
+    # `augmented/` is there even when there are no samples
+    artifacts, rows = {"augmented": None}, []
+    for image_id, objects in annotations.items():
+        image = AnnotatedImage(image_id, width, height, objects)
         for k, variant in enumerate(augment(image, pipeline, config["augment"]["samples"])):
             sample_id = f"{image_id}_aug{k:04d}"
             artifacts[f"augmented/{sample_id}.txt"] = format_yolo_annotation(variant.objects)
             rows.append((sample_id, image_id, len(variant.objects)))
     artifacts["augment_manifest.csv"] = _csv_text(["sample_id", "src_image", "objects"], rows)
-    aug_dir = out_dir / "augmented"
-    aug_dir.mkdir(parents=True, exist_ok=True)  # there even when there are no samples
-    _write_outputs(out_dir, artifacts, _manifest("augment", config, inputs))
-    print(f"wrote {len(rows)} augmented annotation sets under {aug_dir}")
-    return EXIT_OK
+    return artifacts, f"wrote {len(rows)} augmented annotation sets under {Path(config['output_dir']) / 'augmented'}"
 
 
-def cmd_split(config: dict) -> int:
+def cmd_split(config: dict, inputs: dict) -> tuple[dict, str]:
     from .prep import SplitRatio, sample_ids, split_dataset
 
-    out_dir = Path(config["output_dir"])
-    inputs: dict = {}
     split = config["split"]
     source = "split.ids_file" if split["ids_file"] else "ground_truth_dir"
     if split["ids_file"]:
@@ -292,18 +287,15 @@ def cmd_split(config: dict) -> int:
     if count < 3:
         raise CliError(f"3 partitions need at least 3 ids, got {count} "
                        f"(split.sample_count is {json.dumps(split['sample_count'])}, {len(ids)} ids in {source})")
-    if split["sample_count"]:
-        ids = sample_ids(ids, count, config["seed"])
-    result = split_dataset(ids, SplitRatio(*split["ratio"]), config["seed"])
+    drawn = sample_ids(ids, count, config["seed"]) if split["sample_count"] else ids
+    try:
+        result = split_dataset(drawn, SplitRatio(*split["ratio"]), config["seed"])
+    except ValueError as exc:
+        raise CliError(f"{exc} (split.ratio is {json.dumps(split['ratio'])}, {len(ids)} ids in {source})") from exc
     partitions = ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part))
     artifacts = {"split_manifest.csv": _csv_text(["image_id", "partition"], partitions)}
-    _write_outputs(out_dir, artifacts, _manifest("split", config, inputs))
-    print(
-        f"split {len(ids)} ids into train={len(result.train)} "
-        f"val={len(result.val)} test={len(result.test)}; "
-        f"manifest: {out_dir / 'split_manifest.csv'}"
-    )
-    return EXIT_OK
+    return artifacts, (f"split {count} ids into train={len(result.train)} val={len(result.val)} "
+                       f"test={len(result.test)}; manifest: {Path(config['output_dir']) / 'split_manifest.csv'}")
 
 
 def _metric_entry(value) -> dict:
@@ -333,14 +325,12 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
     raise AssertionError("read_yolo rejected files that the scalar parsers accept")
 
 
-def cmd_evaluate(config: dict) -> int:
+def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
     from .metrics import evaluate_detections
 
-    inputs: dict = {}
     registry = _registry(config, inputs)
     gt_dir, truth_files = _ground_truth(config, inputs)
     pred_dir, pred_files = _annotation_files(inputs, "predictions_dir", config["predictions_dir"])
-    out_dir = Path(config["output_dir"])
     iou_threshold = config["iou_threshold"]
 
     missing = sorted(set(truth_files) - set(pred_files))
@@ -357,18 +347,10 @@ def cmd_evaluate(config: dict) -> int:
     interpolation = config["ap_interpolation"]
     report = evaluate_detections(columns, registry, iou_threshold, interpolation=interpolation)
 
-    per_class = {}
-    for entry in report.per_class:
-        per_class[entry.name] = {
-            "ap": _metric_entry(entry.ap),
-            "precision": _metric_entry(entry.precision),
-            "recall": _metric_entry(entry.recall),
-            "f1": _metric_entry(entry.f1),
-            "accuracy": _metric_entry(entry.accuracy),
-            "tp": entry.tally.tp,
-            "fp": entry.tally.fp,
-            "fn": entry.tally.fn,
-        }
+    scores = ("ap", "precision", "recall", "f1", "accuracy")
+    per_class = {entry.name: {**{name: _metric_entry(getattr(entry, name)) for name in scores},
+                              "tp": entry.tally.tp, "fp": entry.tally.fp, "fn": entry.tally.fn}
+                 for entry in report.per_class}
     document = {
         "schema_version": SCHEMA_VERSION,
         "conventions": {
@@ -395,12 +377,10 @@ def cmd_evaluate(config: dict) -> int:
         # `_csv_text`'s format: the cells need no quoting
         rows = "".join(map("%.6f,%.6f,%.6f\n".__mod__, entry.curve.points))
         artifacts[f"pr_curve_{entry.name}.csv"] = "threshold,precision,recall\n" + rows
-    _write_outputs(out_dir, artifacts, _manifest("evaluate", config, inputs))
-    print(
+    return artifacts, (
         f"evaluated {len(ids)} images: mAP@{round(iou_threshold * 100)} = "
-        f"{report.map50:.4f}; report: {out_dir / 'evaluation.json'}"
+        f"{report.map50:.4f}; report: {Path(config['output_dir']) / 'evaluation.json'}"
     )
-    return EXIT_OK
 
 
 def _observation_row(group: str, raw: str) -> tuple[str, float]:
@@ -461,12 +441,10 @@ def _stats_for_file(inputs: dict, i: int, path: Path) -> dict:
     return entry
 
 
-def cmd_stats(config: dict) -> int:
+def cmd_stats(config: dict, inputs: dict) -> tuple[dict, str | CliError]:
     if not config["stats_inputs"]:
         raise CliError("no stats inputs: set stats_inputs in the config or pass --inputs")
     paths = sorted(map(Path, config["stats_inputs"]), key=str)
-    out_dir = Path(config["output_dir"])
-    inputs: dict = {}
     entries = [_stats_for_file(inputs, i, path) for i, path in enumerate(paths)]
     summary = (
         [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
@@ -478,19 +456,15 @@ def cmd_stats(config: dict) -> int:
         "stats.json": json_text({"schema_version": SCHEMA_VERSION, "responses": entries}),
         "stats.csv": _csv_text(["response", "effect", "F_ratio", "prob_gt_F"], summary),
     }
-    _write_outputs(out_dir, artifacts, _manifest("stats", config, inputs))
     failed = [e["response"] for e in entries if "error" in e]
-    if failed:
-        raise CliError(f"stats failed for responses: {failed}", context={"responses": failed})
-    print(f"analyzed {len(entries)} responses; report: {out_dir / 'stats.json'}")
-    return EXIT_OK
+    if failed:  # the documents are written all the same, with each response's error
+        return artifacts, CliError(f"stats failed for responses: {failed}", context={"responses": failed})
+    return artifacts, f"analyzed {len(entries)} responses; report: {Path(config['output_dir']) / 'stats.json'}"
 
 
-def cmd_desirability(config: dict) -> int:
+def cmd_desirability(config: dict, inputs: dict) -> tuple[dict, str]:
     from .desirability import DesirabilityProfile, load_candidates_csv, select_best
 
-    out_dir = Path(config["output_dir"])
-    inputs: dict = {}
     profile = _read(inputs, "desirability_profile", config["desirability_profile"], DesirabilityProfile.from_json)
     candidates = _read(inputs, "candidates", config["candidates"], load_candidates_csv)
     try:
@@ -505,14 +479,11 @@ def cmd_desirability(config: dict) -> int:
         for entry in ranking
     )
     header = ["rank", "label", "D"] + [f"d_{name}" for name in goal_names] + ["tied"]
-    artifacts = {"desirability_ranking.csv": _csv_text(header, rows)}
-    _write_outputs(out_dir, artifacts, _manifest("desirability", config, inputs))
     best = ranking[0]
-    print(
+    return {"desirability_ranking.csv": _csv_text(header, rows)}, (
         f"ranked {len(ranking)} candidates: best {best.label!r} (D={best.overall:.4f}); "
-        f"ranking: {out_dir / 'desirability_ranking.csv'}"
+        f"ranking: {Path(config['output_dir']) / 'desirability_ranking.csv'}"
     )
-    return EXIT_OK
 
 
 def _load_json(text: str):
@@ -582,11 +553,10 @@ _REPORT_SECTIONS = (
 )
 
 
-def cmd_report(config: dict) -> int:
+def cmd_report(config: dict, inputs: dict) -> tuple[dict, str]:
     out_dir = Path(config["output_dir"])
     if not out_dir.is_dir():
         raise CliError(f"output dir with prior command outputs not found: {out_dir}")
-    inputs: dict = {}
     sections, text = {}, [f"deteval run report (toolkit {__version__})", ""]
     if config["run_metadata"]:
         text += [f"metadata: {config['run_metadata']}", ""]
@@ -595,19 +565,17 @@ def cmd_report(config: dict) -> int:
         if (out_dir / filename).is_file():
             sections[name], lines = _read(inputs, name, out_dir / filename, _report_section, load, render)
         text += [f"== {heading} ==", *lines, ""]
-    manifest = _manifest("report", config, inputs)
     document = {
         "schema_version": SCHEMA_VERSION,
         "run_metadata": config["run_metadata"],
         "sections": sections,
-        # created_utc is added only to run_manifest.json, so identical inputs
-        # reproduce this document byte for byte.
-        "manifest": manifest,
+        # the manifest `main` writes, but for created_utc, which is added
+        # only to run_manifest.json, so identical inputs reproduce this
+        # document byte for byte.
+        "manifest": _manifest("report", config, inputs),
     }
     artifacts = {"report.json": json_text(document), "report.txt": "\n".join(text)}
-    _write_outputs(out_dir, artifacts, manifest)
-    print(f"report: {out_dir / 'report.json'} and {out_dir / 'report.txt'}")
-    return EXIT_OK
+    return artifacts, f"report: {out_dir / 'report.json'} and {out_dir / 'report.txt'}"
 
 
 _COMMANDS = {
@@ -720,7 +688,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config, _overrides(args))
-        return _COMMANDS[args.command][0](config)
+        inputs: dict = {}
+        artifacts, outcome = _COMMANDS[args.command][0](config, inputs)
+        _write_outputs(Path(config["output_dir"]), artifacts, _manifest(args.command, config, inputs))
+        if isinstance(outcome, CliError):
+            raise outcome
+        print(outcome)
+        return EXIT_OK
     except (CliError, ValueError) as exc:  # ConfigError, InputError and the parse errors are ValueErrors
         _emit_error(exc)
         return EXIT_INPUT

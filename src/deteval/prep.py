@@ -102,11 +102,16 @@ def _clip(lab, x1, y1, x2, y2, window, min_visibility):
     ux1, ux2 = (cx1 - wx1) / (wx2 - wx1), (cx2 - wx1) / (wx2 - wx1)
     uy1, uy2 = (cy1 - wy1) / (wy2 - wy1), (cy2 - wy1) / (wy2 - wy1)
     area = (x2 - x1) * (y2 - y1)
-    if area == 0.0 or round(ux2 - ux1, 6) == 0.0 or round(uy2 - uy1, 6) == 0.0:
+    if area == 0.0 or not _writable(ux2 - ux1, uy2 - uy1):
         return None
     if (cx2 - cx1) * (cy2 - cy1) / area < min_visibility:
         return None
     return (lab, (ux1 + ux2) / 2.0, (uy1 + uy2) / 2.0, ux2 - ux1, uy2 - uy1)
+
+
+def _writable(w: float, h: float) -> bool:
+    """Whether `format_yolo_annotation` writes neither side of a w x h unit box as 0.000000."""
+    return round(w, 6) != 0.0 and round(h, 6) != 0.0
 
 
 def _objects(boxes) -> tuple[GroundTruthObject, ...]:
@@ -233,7 +238,8 @@ def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int)
                     boxes = _rotate_envelope(boxes, angle, pipeline.min_visibility)
             elif op.name == OP_ZOOM:
                 boxes = _zoom(boxes, op.percentage_area, pipeline.min_visibility)
-        samples.append(AnnotatedImage(image.image_id, image.width_px, image.height_px, _objects(boxes)))
+        kept = (box for box in boxes if _writable(box[3], box[4]))  # ops that do not clip keep any size
+        samples.append(AnnotatedImage(image.image_id, image.width_px, image.height_px, _objects(kept)))
     return samples
 
 
@@ -277,10 +283,9 @@ def apportion(total: int, weights) -> list[int]:
 
 
 def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
-    """Partition ids into train/val/test with largest-remainder sizes.
-
-    Sizes depend only on the count and ratio; membership comes from a
-    seeded shuffle.
+    """Partition ids into train/val/test with largest-remainder sizes, each
+    at least 1. Sizes depend only on the count and ratio; membership comes
+    from a seeded shuffle.
     """
     ids = list(image_ids)
     if not ids:
@@ -289,7 +294,10 @@ def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
         raise ValueError(f"need at least 3 images for 3 partitions, got {len(ids)}")
     if len(set(ids)) != len(ids):
         raise ValueError("image ids must be unique")
-    n_train, n_val, n_test = apportion(len(ids), ratio.weights)
+    n_train, n_val, _ = sizes = apportion(len(ids), ratio.weights)
+    if 0 in sizes:
+        empty = ("train", "val", "test")[sizes.index(0)]
+        raise ValueError(f"{len(ids)} ids leave the {empty} partition empty; each partition needs at least 1")
     shuffled = list(ids)
     random.Random(rng_seed).shuffle(shuffled)
     return SplitResult(

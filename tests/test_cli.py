@@ -171,6 +171,13 @@ class TestTile:
         assert record["error"] == "CliError"
         assert record["message"].startswith(f"{sizes}: line 3: {problem}")
 
+    def test_bad_annotation_is_reported_before_bad_image_sizes(self, tmp_path, capsys):
+        annots, out = _good_then_bad(tmp_path)
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text("image_id,width_px,height_px\na,0,100\n")
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots, "--image-sizes-csv", sizes) == 2
+        assert json.loads(capsys.readouterr().err.strip())["message"].startswith(f"{annots / 'b.txt'}: line 1: ")
+
     def test_raster_adapter_reads_sizes_and_writes_crops(self, tmp_path):
         Image = pytest.importorskip("PIL.Image")
         images = tmp_path / "images"
@@ -245,6 +252,19 @@ class TestAugment:
                        "--ground-truth-dir", src, "--samples", "2") == 0
         assert [p.read_text() for p in sorted((out / "augmented").iterdir())] == ["", ""]
 
+    @pytest.mark.parametrize("seed, samples", [(0, 1), (1, 3)], ids=["untouched", "right-angle turn"])
+    def test_box_with_a_side_written_as_zero_is_dropped_so_samples_read_back(self, tmp_path, seed, samples):
+        src = tmp_path / "annot"
+        src.mkdir()
+        (src / "a.txt").write_text("0 0.5 0.5 2e-7 0.1\n1 0.3 0.3 0.2 0.2\n")
+        out = tmp_path / "out"
+        assert run_cli("--seed", seed, "--output-dir", out, "augment", "--ground-truth-dir", src,
+                       "--samples", samples) == 0
+        rows = [row.split() for p in sorted((out / "augmented").iterdir()) for row in p.read_text().splitlines()]
+        assert len(rows) == samples and all(row[0] == "1" for row in rows)
+        assert run_cli("--output-dir", tmp_path / "again", "tile", "--ground-truth-dir", out / "augmented",
+                       "--image-size", "416x416") == 0
+
     def test_malformed_later_file_writes_nothing(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         code = run_cli("--output-dir", out, "augment", "--ground-truth-dir", annots, "--samples", "2")
@@ -315,6 +335,39 @@ class TestSplit:
         record = json.loads(capsys.readouterr().err.strip())
         assert (record["error"], record["message"]) == ("CliError", problem)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n, argv, problem", [
+        (3, [], "3 ids leave the test partition empty; each partition needs at least 1 "
+                "(split.ratio is [15, 3, 2], 3 ids in split.ids_file)"),
+        (4, [], "4 ids leave the test partition empty; each partition needs at least 1 "
+                "(split.ratio is [15, 3, 2], 4 ids in split.ids_file)"),
+        (10, ["--sample-count", "4"], "4 ids leave the test partition empty; each partition needs at least 1 "
+                                      "(split.ratio is [15, 3, 2], 10 ids in split.ids_file)"),
+        (3, ["--ratio", "1:1:5"], "3 ids leave the val partition empty; each partition needs at least 1 "
+                                  "(split.ratio is [1, 1, 5], 3 ids in split.ids_file)"),
+    ], ids=["3 ids", "4 ids", "sample of 4", "val empty"])
+    def test_count_that_leaves_a_partition_empty_exits_2(self, tmp_path, capsys, n, argv, problem):
+        (tmp_path / "ids.txt").write_text("".join(f"img{k}\n" for k in range(n)))
+        assert run_cli("--output-dir", tmp_path / "o", "split", "--ids-file", tmp_path / "ids.txt", *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", problem)
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_partition_names_the_ground_truth_dir(self, tmp_path, capsys):
+        truth = tmp_path / "truth"
+        truth.mkdir()
+        for image_id in ("a", "b", "c", "d", "e"):
+            (truth / f"{image_id}.txt").write_text("")
+        assert run_cli("--output-dir", tmp_path / "o", "split", "--ground-truth-dir", truth) == 2
+        assert json.loads(capsys.readouterr().err.strip())["message"] == (
+            "5 ids leave the test partition empty; each partition needs at least 1 "
+            "(split.ratio is [15, 3, 2], 5 ids in ground_truth_dir)")
+        assert not (tmp_path / "o").exists()
+
+    def test_fewest_ids_that_fill_every_partition(self, tmp_path, capsys):
+        (tmp_path / "ids.txt").write_text("".join(f"img{k}\n" for k in range(6)))
+        assert run_cli("--output-dir", tmp_path / "o", "split", "--ids-file", tmp_path / "ids.txt") == 0
+        assert "train=4 val=1 test=1" in capsys.readouterr().out
 
     def test_undecodable_ids_file_exits_2_naming_it(self, tmp_path, capsys):
         ids_file = tmp_path / "ids.txt"
@@ -1094,6 +1147,51 @@ class TestReport:
         assert (out / "report.txt").read_bytes() == lf
 
 
+class TestOneEnding:
+    """`main` alone writes what a command returns, with the run manifest."""
+
+    def _files(self, out):
+        return sorted(str(p.relative_to(out)) for p in out.rglob("*")) if out.exists() else []
+
+    def test_each_command_writes_once_after_it_returns(self, fixtures_dir, tmp_path, monkeypatch):
+        calls = []
+        write_outputs = cli._write_outputs
+
+        def recording(out_dir, artifacts, manifest):
+            calls.append((out_dir, manifest["command"], self._files(out_dir), list(artifacts)))
+            write_outputs(out_dir, artifacts, manifest)
+
+        monkeypatch.setattr(cli, "_write_outputs", recording)
+        tiling, detection = fixtures_dir / "tiling", fixtures_dir / "detection"
+        ids, report = tmp_path / "ids.txt", tmp_path / "report"
+        runs = [
+            ("tile", ["--ground-truth-dir", tiling, "--image-sizes-csv", tiling / "image_sizes.csv"]),
+            ("augment", ["--ground-truth-dir", tmp_path / "tile" / "tiles", "--samples", "2"]),
+            ("split", ["--ids-file", ids]),
+            ("evaluate", ["--ground-truth-dir", detection / "truth", "--predictions-dir", detection / "preds",
+                          "--class-registry", detection / "classes.txt"]),
+            ("stats", ["--inputs", fixtures_dir / "stats" / "height_accuracy.csv"]),
+            ("desirability", ["--profile", fixtures_dir / "desirability" / "profile.json",
+                              "--candidates", fixtures_dir / "desirability" / "candidates.csv"]),
+            ("report", []),
+        ]
+        for command, argv in runs:
+            out = tmp_path / command
+            if command == "split":
+                ids.write_text("".join(row[0] + "\n" for row in _read_csv(tmp_path / "tile" / "tiles_manifest.csv")[1:]))
+            if command == "report":  # the outputs it reads, and nothing else
+                report.mkdir()
+                for prior in ("evaluate/evaluation.json", "stats/stats.json", "desirability/desirability_ranking.csv"):
+                    shutil.copy(tmp_path / prior, report)
+            before = self._files(out)
+            del calls[:]
+            assert run_cli("--output-dir", out, command, *argv) == 0, command
+            assert [call[:3] for call in calls] == [(out, command, before)], command
+            written = {*before, "run_manifest.json", *calls[0][3]}
+            written |= {str(Path(rel).parent) for rel in written} - {"."}
+            assert self._files(out) == sorted(written), command
+
+
 class TestManifest:
     def test_digests_stable_across_reruns(self, fixtures_dir, tmp_path):
         manifests = []
@@ -1155,8 +1253,11 @@ class TestManifest:
             "augment": (tmp_path / "augment", ["augment", "--ground-truth-dir", truth, "--samples", "2",
                                                "--class-registry", registry],
                         {"ground_truth_dir": truth, "class_registry": registry}),
-            "split": (tmp_path / "split", ["split", "--ground-truth-dir", truth], {"ground_truth_dir": truth}),
-            "split --ids-file": (tmp_path / "split-ids", ["split", "--ids-file", ids], {"ids_file": ids}),
+            # 1:1:1, so that 4 and 3 ids give every partition one
+            "split": (tmp_path / "split", ["split", "--ground-truth-dir", truth, "--ratio", "1:1:1"],
+                      {"ground_truth_dir": truth}),
+            "split --ids-file": (tmp_path / "split-ids", ["split", "--ids-file", ids, "--ratio", "1:1:1"],
+                                 {"ids_file": ids}),
             "stats": (chain, ["stats", "--inputs", *stats_inputs],
                       {"input_0": stats_inputs[1], "input_1": stats_inputs[0]}),
             "desirability": (chain, ["desirability", "--profile", profile, "--candidates", candidates],
@@ -1318,10 +1419,10 @@ class TestFlagTable:
             if row[1] != "--output-dir":
                 assert set(_paths(row)) == set(FLAG_VALUES[row[1]][1])
 
-        def record_config(config):
-            cli._write_outputs(tmp_path / config["output_dir"], {}, cli._manifest("probe", config, {}))
-            return 0
+        def record_config(config, inputs):
+            return {}, ""  # `main` writes the manifest, config included
 
+        monkeypatch.chdir(tmp_path)
         for name, (_, text) in cli._COMMANDS.items():
             monkeypatch.setitem(cli._COMMANDS, name, (record_config, text))
         for command in cli._COMMANDS:

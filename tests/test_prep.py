@@ -384,11 +384,16 @@ class TestSplit:
     @settings(max_examples=60)
     def test_partition_property(self, n, seed):
         ids = [f"i{k}" for k in range(n)]
+        if 0 in apportion(n, (15, 3, 2)):
+            with pytest.raises(ValueError, match="partition empty"):
+                split_dataset(ids, SplitRatio(15, 3, 2), seed)
+            return
         result = split_dataset(ids, SplitRatio(15, 3, 2), seed)
         parts = [set(result.train), set(result.val), set(result.test)]
         assert parts[0] | parts[1] | parts[2] == set(ids)
         assert sum(len(p) for p in (result.train, result.val, result.test)) == n
         assert not (parts[0] & parts[1] or parts[0] & parts[2] or parts[1] & parts[2])
+        assert all(parts)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
