@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+BACKGROUND = "background"  # the confusion matrix's row and column of unmatched boxes; ClassLabel refuses it
+
 
 class AnnotationError(ValueError):
     """Malformed annotation or prediction text."""
@@ -75,6 +77,8 @@ class ClassLabel:
         # names become parts of file names (pr_curve_<name>.csv)
         if not self.name or any(c.isspace() or c in "/\\\0" for c in self.name):
             raise ValueError(f"class name must be non-empty, without whitespace, '/', '\\' or NUL: {self.name!r}")
+        if self.name == BACKGROUND:
+            raise ValueError(f"class name {BACKGROUND!r} is reserved for the confusion matrix")
 
 
 class ClassRegistry:
@@ -97,12 +101,9 @@ class ClassRegistry:
     def from_text(cls, text: str) -> ClassRegistry:
         """Parse `<id> <name>` lines into a registry; a repeated id or name is
         reported on the line that repeats it."""
-        registry, rows = cls(()), map(str.split, text.splitlines())
+        registry, rows = cls(()), map(str.split, split_lines(text))
         read_rows(rows, 2, lambda i, name: registry._add(ClassLabel(_class_id(i), name)), RegistryError)
         return registry
-
-    def to_text(self) -> str:
-        return "".join(f"{lab.id} {lab.name}\n" for lab in self._by_id.values())
 
     @property
     def labels(self) -> tuple[ClassLabel, ...]:
@@ -181,7 +182,7 @@ def read_csv(text: str, n_fields: int, convert, header: tuple[str, ...] | None =
     """The header of CSV text and `read_rows` over the rows below it, with
     cells stripped. The header must have `n_fields` cells, equal to `header`
     up to case when it is given."""
-    rows = ([cell.strip() for cell in row] for row in csv.reader(text.splitlines()))
+    rows = ([cell.strip() for cell in row] for row in csv.reader(split_lines(text)))
     first = next(rows, None)
     if first is None or len(first) != n_fields or (header and [c.lower() for c in first] != list(header)):
         expected = ",".join(header) if header else f"of {n_fields} fields"
@@ -218,18 +219,24 @@ def _yolo_row(registry, class_id, cx, cy, w, h, *confidence):
 
 def parse_yolo_annotation(text: str, registry: ClassRegistry | None = None) -> list[GroundTruthObject]:
     """Parse `class_id cx cy w h` lines; values are kept exactly as parsed."""
-    return read_rows(map(str.split, text.splitlines()), 5, partial(_yolo_row, registry), AnnotationError)
+    return read_rows(map(str.split, split_lines(text)), 5, partial(_yolo_row, registry), AnnotationError)
 
 
 def parse_yolo_prediction(text: str, registry: ClassRegistry | None = None) -> list[Detection]:
     """Parse `class_id cx cy w h confidence` lines."""
-    return read_rows(map(str.split, text.splitlines()), 6, partial(_yolo_row, registry), AnnotationError)
+    return read_rows(map(str.split, split_lines(text)), 6, partial(_yolo_row, registry), AnnotationError)
 
 
 def decode_text(data: bytes) -> str:
     """The text of a UTF-8 file's bytes with CRLF and CR line ends turned
     into LF, as reading the file in text mode gives it."""
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`, ended by LF, CRLF or CR only, as text mode reads them (`str.splitlines` ends more)."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines if lines[-1] else lines[:-1]
 
 
 @dataclass(frozen=True)
@@ -256,7 +263,7 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     position = {class_id: k for k, class_id in enumerate(registry.ids())}
     rows, counts = [], [0]
     for data in files:
-        lines = [fields for fields in map(str.split, decode_text(data).splitlines()) if fields]
+        lines = [fields for fields in map(str.split, split_lines(decode_text(data))) if fields]
         rows += lines
         counts.append(len(lines))
     if not set(map(len, rows)) <= {n_fields}:

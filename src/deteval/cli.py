@@ -28,6 +28,7 @@ from .annotations import (
     parse_yolo_prediction,
     read_csv,
     read_yolo,
+    split_lines,
 )
 from .config import (
     SCHEMA_VERSION,
@@ -162,7 +163,14 @@ def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
 
 def _image_sizes(tile: dict, ids: list[str], inputs: dict, images_dir: Path | None) -> dict[str, tuple[int, int]]:
     if tile["image_sizes_csv"]:
-        sizes = dict(_read(inputs, "image_sizes_csv", tile["image_sizes_csv"], read_csv, 3, _image_size_row)[1])
+        sizes: dict[str, tuple[int, int]] = {}
+
+        def add(*row):  # a repeated id is refused on its line
+            image_id, size = _image_size_row(*row)
+            if sizes.setdefault(image_id, size) is not size:
+                raise ValueError(f"image id {image_id!r} is listed twice")
+
+        _read(inputs, "image_sizes_csv", tile["image_sizes_csv"], read_csv, 3, add)
         missing = [i for i in ids if i not in sizes]
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
@@ -273,28 +281,20 @@ def cmd_split(config: dict, inputs: dict) -> tuple[dict, str]:
     from .prep import SplitRatio, sample_ids, split_dataset
 
     split = config["split"]
-    source = "split.ids_file" if split["ids_file"] else "ground_truth_dir"
     if split["ids_file"]:
-        lines = _read(inputs, "ids_file", split["ids_file"], str.splitlines)
+        source, lines = "split.ids_file", _read(inputs, "ids_file", split["ids_file"], split_lines)
         ids = [line.strip() for line in lines if line.strip()]
     else:
-        ids = list(_annotation_files(inputs, "ground_truth_dir", config["ground_truth_dir"])[1])
-    if not ids:
-        raise CliError("no image ids to split")
-    count = split["sample_count"] or len(ids)
-    if count > len(ids):
-        raise CliError(f"split.sample_count is {count}, more than the {len(ids)} ids in {source}")
-    if count < 3:
-        raise CliError(f"3 partitions need at least 3 ids, got {count} "
-                       f"(split.sample_count is {json.dumps(split['sample_count'])}, {len(ids)} ids in {source})")
-    drawn = sample_ids(ids, count, config["seed"]) if split["sample_count"] else ids
+        source, ids = "ground_truth_dir", list(_ground_truth(config, inputs)[1])
     try:
+        drawn = sample_ids(ids, split["sample_count"], config["seed"]) if split["sample_count"] else ids
         result = split_dataset(drawn, SplitRatio(*split["ratio"]), config["seed"])
     except ValueError as exc:
-        raise CliError(f"{exc} (split.ratio is {json.dumps(split['ratio'])}, {len(ids)} ids in {source})") from exc
+        raise CliError(f"{exc} (split.sample_count is {json.dumps(split['sample_count'])}, "
+                       f"split.ratio is {json.dumps(split['ratio'])}, {len(ids)} ids in {source})") from exc
     partitions = ((image_id, part) for part in ("train", "val", "test") for image_id in getattr(result, part))
     artifacts = {"split_manifest.csv": _csv_text(["image_id", "partition"], partitions)}
-    return artifacts, (f"split {count} ids into train={len(result.train)} val={len(result.val)} "
+    return artifacts, (f"split {len(drawn)} ids into train={len(result.train)} val={len(result.val)} "
                        f"test={len(result.test)}; manifest: {Path(config['output_dir']) / 'split_manifest.csv'}")
 
 

@@ -11,9 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .annotations import BoxColumns, ClassRegistry, Detection, GroundTruthObject, read_csv
-
-BACKGROUND = "background"
+from .annotations import BACKGROUND, BoxColumns, ClassRegistry, Detection, GroundTruthObject, read_csv
 
 STRATA = ("top", "middle", "bottom")
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .annotations import AnnotatedImage, BoundingBox, GroundTruthObject
 
@@ -282,34 +284,32 @@ def apportion(total: int, weights) -> list[int]:
     return sizes
 
 
-def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
-    """Partition ids into train/val/test with largest-remainder sizes, each
-    at least 1. Sizes depend only on the count and ratio; membership comes
-    from a seeded shuffle.
-    """
+def _distinct(image_ids) -> list[str]:
+    """The ids as a list; an id listed more than once is a ValueError naming it."""
     ids = list(image_ids)
-    if not ids:
-        raise ValueError("cannot split an empty id list")
-    if len(ids) < 3:
-        raise ValueError(f"need at least 3 images for 3 partitions, got {len(ids)}")
     if len(set(ids)) != len(ids):
-        raise ValueError("image ids must be unique")
-    n_train, n_val, _ = sizes = apportion(len(ids), ratio.weights)
+        repeated = next(image_id for image_id, n in Counter(ids).items() if n > 1)
+        raise ValueError(f"image id {repeated!r} is listed more than once")
+    return ids
+
+
+def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
+    """Partition distinct ids into train/val/test with largest-remainder
+    sizes, each at least 1. Sizes depend only on the count and ratio;
+    membership comes from a seeded shuffle.
+    """
+    ids = _distinct(image_ids)
+    sizes = apportion(len(ids), ratio.weights)
     if 0 in sizes:
         empty = ("train", "val", "test")[sizes.index(0)]
         raise ValueError(f"{len(ids)} ids leave the {empty} partition empty; each partition needs at least 1")
-    shuffled = list(ids)
-    random.Random(rng_seed).shuffle(shuffled)
-    return SplitResult(
-        train=tuple(shuffled[:n_train]),
-        val=tuple(shuffled[n_train : n_train + n_val]),
-        test=tuple(shuffled[n_train + n_val :]),
-    )
+    random.Random(rng_seed).shuffle(ids)
+    return SplitResult(*(tuple(ids[end - size : end]) for size, end in zip(sizes, accumulate(sizes))))
 
 
 def sample_ids(image_ids, count: int, rng_seed: int) -> list[str]:
-    """Draw `count` distinct ids with a seeded RNG."""
-    ids = list(image_ids)
+    """Draw `count` of the distinct ids with a seeded RNG."""
+    ids = _distinct(image_ids)
     if count < 0:
         raise ValueError(f"count must be >= 0: {count}")
     if count > len(ids):

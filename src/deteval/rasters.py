@@ -34,16 +34,11 @@ def image_size(path: Path) -> tuple[int, int]:
         return img.width, img.height
 
 
-def write_tile_crops(path: Path, tiles, tile_ids, out_dir: Path, suffix: str = ".png") -> list[Path]:
+def write_tile_crops(path: Path, tiles, tile_ids, out_dir: Path) -> None:
     """Crop each tile rectangle out of the source raster and write it as
-    <tile_id><suffix> under out_dir. Tiles extending past the image edge
+    <tile_id>.png under out_dir. Tiles extending past the image edge
     (pad policy) come out padded with black."""
-    written = []
     with _read_raster(path, pixels=True) as img:
         out_dir.mkdir(parents=True, exist_ok=True)
         for tile, tile_id in zip(tiles, tile_ids):
-            crop = img.crop((tile.x0, tile.y0, tile.x0 + tile.w, tile.y0 + tile.h))
-            target = out_dir / f"{tile_id}{suffix}"
-            crop.save(target)
-            written.append(target)
-    return written
+            img.crop((tile.x0, tile.y0, tile.x0 + tile.w, tile.y0 + tile.h)).save(out_dir / f"{tile_id}.png")

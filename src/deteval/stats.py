@@ -100,7 +100,6 @@ class ObservationTable:
 
     response: str
     groups: tuple[tuple[str, tuple[float, ...]], ...]
-    units: str = ""
 
     def __post_init__(self) -> None:
         if len(self.groups) < 2:
@@ -113,16 +112,12 @@ class ObservationTable:
                 raise ValueError(f"group {label!r} has no observations")
 
     @classmethod
-    def from_rows(cls, response: str, rows, units: str = "") -> ObservationTable:
+    def from_rows(cls, response: str, rows) -> ObservationTable:
         """Build from (group, observation) rows, preserving first-seen group order."""
         grouped: dict[str, list[float]] = {}
         for group, value in rows:
             grouped.setdefault(str(group), []).append(float(value))
-        return cls(
-            response=response,
-            groups=tuple((g, tuple(v)) for g, v in grouped.items()),
-            units=units,
-        )
+        return cls(response=response, groups=tuple((g, tuple(v)) for g, v in grouped.items()))
 
     def require_replicates(self) -> None:
         for label, obs in self.groups:

@@ -171,6 +171,18 @@ class TestTile:
         assert record["error"] == "CliError"
         assert record["message"].startswith(f"{sizes}: line 3: {problem}")
 
+    def test_repeated_image_size_row_names_file_and_line(self, tmp_path, capsys):
+        annots = tmp_path / "annots"
+        annots.mkdir()
+        (annots / "a.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text("image_id,width_px,height_px\na,1600,1300\na,416,416\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots, "--image-sizes-csv", sizes) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", f"{sizes}: line 3: image id 'a' is listed twice")
+        assert not out.exists()
+
     def test_bad_annotation_is_reported_before_bad_image_sizes(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         sizes = tmp_path / "sizes.csv"
@@ -321,10 +333,13 @@ class TestSplit:
         assert run_cli("--output-dir", tmp_path / "o", "split", "--ids-file", ids_file) == 2
 
     @pytest.mark.parametrize("ids, argv, problem", [
-        (None, ["--sample-count", "5"], "split.sample_count is 5, more than the 2 ids in ground_truth_dir"),
-        ("a\nb\n", [], "3 partitions need at least 3 ids, got 2 (split.sample_count is null, 2 ids in split.ids_file)"),
+        (None, ["--sample-count", "5"], "cannot draw 5 of 2 ids without replacement "
+                                        "(split.sample_count is 5, split.ratio is [15, 3, 2], 2 ids in ground_truth_dir)"),
+        ("a\nb\n", [], "2 ids leave the val partition empty; each partition needs at least 1 "
+                       "(split.sample_count is null, split.ratio is [15, 3, 2], 2 ids in split.ids_file)"),
         ("a\nb\nc\n", ["--sample-count", "2"],
-         "3 partitions need at least 3 ids, got 2 (split.sample_count is 2, 3 ids in split.ids_file)"),
+         "2 ids leave the val partition empty; each partition needs at least 1 "
+         "(split.sample_count is 2, split.ratio is [15, 3, 2], 3 ids in split.ids_file)"),
     ], ids=["sample over ids", "too few ids", "too small a sample"])
     def test_id_count_error_names_the_key_and_the_source(self, fixtures_dir, tmp_path, capsys, ids, argv, problem):
         source = ["--ground-truth-dir", fixtures_dir / "detection" / "truth"]
@@ -338,13 +353,13 @@ class TestSplit:
 
     @pytest.mark.parametrize("n, argv, problem", [
         (3, [], "3 ids leave the test partition empty; each partition needs at least 1 "
-                "(split.ratio is [15, 3, 2], 3 ids in split.ids_file)"),
+                "(split.sample_count is null, split.ratio is [15, 3, 2], 3 ids in split.ids_file)"),
         (4, [], "4 ids leave the test partition empty; each partition needs at least 1 "
-                "(split.ratio is [15, 3, 2], 4 ids in split.ids_file)"),
+                "(split.sample_count is null, split.ratio is [15, 3, 2], 4 ids in split.ids_file)"),
         (10, ["--sample-count", "4"], "4 ids leave the test partition empty; each partition needs at least 1 "
-                                      "(split.ratio is [15, 3, 2], 10 ids in split.ids_file)"),
+                                      "(split.sample_count is 4, split.ratio is [15, 3, 2], 10 ids in split.ids_file)"),
         (3, ["--ratio", "1:1:5"], "3 ids leave the val partition empty; each partition needs at least 1 "
-                                  "(split.ratio is [1, 1, 5], 3 ids in split.ids_file)"),
+                                  "(split.sample_count is null, split.ratio is [1, 1, 5], 3 ids in split.ids_file)"),
     ], ids=["3 ids", "4 ids", "sample of 4", "val empty"])
     def test_count_that_leaves_a_partition_empty_exits_2(self, tmp_path, capsys, n, argv, problem):
         (tmp_path / "ids.txt").write_text("".join(f"img{k}\n" for k in range(n)))
@@ -361,7 +376,18 @@ class TestSplit:
         assert run_cli("--output-dir", tmp_path / "o", "split", "--ground-truth-dir", truth) == 2
         assert json.loads(capsys.readouterr().err.strip())["message"] == (
             "5 ids leave the test partition empty; each partition needs at least 1 "
-            "(split.ratio is [15, 3, 2], 5 ids in ground_truth_dir)")
+            "(split.sample_count is null, split.ratio is [15, 3, 2], 5 ids in ground_truth_dir)")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_id_is_refused_for_every_seed(self, tmp_path, capsys, seed):
+        (tmp_path / "ids.txt").write_text("a\nb\na\nc\nd\ne\nf\n")
+        argv = ["--seed", seed, "split", "--ids-file", tmp_path / "ids.txt", "--sample-count", "6", "--ratio", "1:1:1"]
+        assert run_cli("--output-dir", tmp_path / "o", *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", (
+            "image id 'a' is listed more than once "
+            "(split.sample_count is 6, split.ratio is [1, 1, 1], 7 ids in split.ids_file)"))
         assert not (tmp_path / "o").exists()
 
     def test_fewest_ids_that_fill_every_partition(self, tmp_path, capsys):
@@ -445,9 +471,12 @@ class TestEvaluate:
         for name in ("wb", "bb"):
             assert (out / f"pr_curve_{name}.csv").read_bytes() == expected
 
-    @pytest.mark.parametrize("name", ["a/b", "a\\b", "a\0b", "a/../../x"])
+    @pytest.mark.parametrize("name, problem", [
+        *((name, "class name must be") for name in ["a/b", "a\\b", "a\0b", "a/../../x"]),
+        ("background", "class name 'background' is reserved for the confusion matrix"),
+    ], ids=["a/b", "a\\b", "a\0b", "a/../../x", "background"])
     def test_class_name_that_is_no_file_name_exits_2_before_writing(
-        self, fixtures_dir, tmp_path, capsys, name
+        self, fixtures_dir, tmp_path, capsys, name, problem
     ):
         registry = tmp_path / "classes.txt"
         registry.write_text(f"0 {name}\n1 bb\n")
@@ -461,7 +490,7 @@ class TestEvaluate:
         assert code == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "CliError"
-        assert record["message"].startswith(f"{registry}: line 1: class name must be")
+        assert record["message"].startswith(f"{registry}: line 1: {problem}")
         assert not out.exists()
 
     def test_parse_error_names_file_and_line(self, fixtures_dir, tmp_path, capsys):
@@ -923,7 +952,7 @@ class TestInputPaths:
 
     @pytest.mark.parametrize("case", [
         "required", "missing dir", "file as dir", "dir as file", "missing stats input", "no stats inputs",
-        "no ids", "no annotation files",
+        "no ids", "no annotation files", "no annotation files to split",
     ])
     def test_bad_input_path_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, case):
         detection = fixtures_dir / "detection"
@@ -944,7 +973,11 @@ class TestInputPaths:
             "missing stats input": (["stats", "--inputs", fixtures_dir / "stats" / "height_accuracy.csv", missing],
                                     f"stats_inputs: not a file: {missing}"),
             "no stats inputs": (["stats"], "no stats inputs: set stats_inputs in the config or pass --inputs"),
-            "no ids": (["split", "--ids-file", empty_file], "no image ids to split"),
+            "no ids": (["split", "--ids-file", empty_file],
+                       "0 ids leave the train partition empty; each partition needs at least 1 "
+                       "(split.sample_count is null, split.ratio is [15, 3, 2], 0 ids in split.ids_file)"),
+            "no annotation files to split": (["split", "--ground-truth-dir", empty_dir],
+                                             f"no annotation files (*.txt) under {empty_dir}"),
             "no annotation files": (["evaluate", "--ground-truth-dir", empty_dir,
                                      "--predictions-dir", detection / "preds",
                                      "--class-registry", detection / "classes.txt"],

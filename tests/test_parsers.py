@@ -5,6 +5,7 @@ do, with the same values, and the CLI reports its failures with the scalar
 parsers' errors."""
 
 import dataclasses
+import io
 import math
 import re
 from pathlib import Path
@@ -28,6 +29,7 @@ from deteval.annotations import (
     parse_yolo_prediction,
     read_csv,
     read_yolo,
+    split_lines,
 )
 from deteval.desirability import load_candidates_csv
 from deteval.metrics import load_height_records
@@ -56,6 +58,9 @@ PARSERS = {
     ),
 }
 
+# the breaks of `str.splitlines` that text mode does not end a line at
+NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 # the parsers above that `read_yolo` replaces for many files: fields per row
 # and a file that parses
 COLUMNAR = {"annotation": (5, b"0 0.5 0.5 0.1 0.1\n"), "prediction": (6, b"0 0.5 0.5 0.1 0.1 0.5\n")}
@@ -66,6 +71,7 @@ fields = st.one_of(
     st.floats().map(repr),
     st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-0.0"]),
     st.sampled_from(["", " ", "top", "middle", "bottom", "wb", "bb", "map50", "m1", "x", '"a,b"']),
+    st.sampled_from(NOT_LINE_ENDS),
 )
 # each row: up to 7 fields, how many of them it has (None: as many as the
 # parser reads) and its separator (None: the parser's own)
@@ -73,10 +79,15 @@ rows = st.lists(
     st.tuples(
         st.lists(fields, min_size=7, max_size=7),
         st.one_of(st.none(), st.integers(0, 7)),
-        st.sampled_from([None, None, None, " ", ",", "\t", " , "]),
+        st.sampled_from([None, None, None, " ", ",", "\t", " , ", *NOT_LINE_ENDS]),
     ),
     max_size=6,
 )
+
+
+def text_mode_lines(text):
+    """The lines of `text` as a file opened in text mode yields them, without their ends."""
+    return [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
 
 def floats_in(value):
@@ -107,7 +118,7 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
             except ValueError as exc:
                 match = re.match(r"line ([1-9][0-9]*): ", str(exc))
                 assert match, (name, text, str(exc))
-                assert int(match.group(1)) <= max(1, len(text.splitlines())), (name, text, str(exc))
+                assert int(match.group(1)) <= max(1, len(text_mode_lines(text))), (name, text, str(exc))
                 assert isinstance(exc, errors), (name, text, type(exc))
                 if name in COLUMNAR:
                     # the columnar reader only refuses; the CLI names the
@@ -156,3 +167,17 @@ def test_yolo_round_trip_with_registry_and_blank_lines(items, blanks):
         for k, blank in enumerate(blanks):
             rows.insert(k * 2 % (len(rows) + 1), blank)
         assert parse("\n".join(rows), REGISTRY) == values
+
+
+@given(st.text(st.sampled_from(["a", " ", ",", "\n", "\r", *NOT_LINE_ENDS])))
+def test_lines_end_where_text_mode_ends_them(text):
+    assert split_lines(text) == text_mode_lines(text)
+
+
+@pytest.mark.parametrize("separator", NOT_LINE_ENDS)
+def test_only_text_mode_line_ends_count_as_lines(separator):
+    with pytest.raises(AnnotationError, match="^line 2: expected 5 fields, got 4$"):
+        parse_yolo_annotation(f"0 0.5 0.5 0.2 0.2{separator}\n0 0.5 0.5 0.2\n")
+    row = separator.join(["0", "0.5", "0.5", "0.2", "0.2"])
+    assert parse_yolo_annotation(row) == [GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))]
+    assert ClassRegistry.from_text(f"0 wb{separator}\n1 bb\n").labels == REGISTRY.labels

@@ -398,7 +398,7 @@ class TestSplit:
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
             split_dataset([], SplitRatio(15, 3, 2), 0)
-        with pytest.raises(ValueError, match="at least 3"):
+        with pytest.raises(ValueError, match="2 ids leave the val partition empty"):
             split_dataset(["a", "b"], SplitRatio(15, 3, 2), 0)
         with pytest.raises(ValueError, match="positive"):
             SplitRatio(15, 0, 2)
@@ -410,6 +410,14 @@ class TestSampleIds:
         picked = sample_ids(ids, 10, 3)
         assert len(picked) == len(set(picked)) == 10
         assert sample_ids(ids, 10, 3) == picked
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_id_is_refused_before_drawing(self, seed):
+        ids = ["a", "b", "a", "c", "d", "e", "f"]
+        with pytest.raises(ValueError, match="^image id 'a' is listed more than once$"):
+            sample_ids(ids, 6, seed)
+        with pytest.raises(ValueError, match="^image id 'a' is listed more than once$"):
+            split_dataset(ids, SplitRatio(1, 1, 1), seed)
 
     def test_overdraw_error(self):
         with pytest.raises(ValueError, match="without replacement"):
