@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 
 # The public names of each module that the package exports.
 _EXPORTS = {
-    "annotations": """AnnotatedImage AnnotationError BoundingBox ClassLabel ClassRegistry Detection
-        GroundTruthObject RegistryError format_yolo_annotation format_yolo_prediction giou iou
-        parse_yolo_annotation parse_yolo_prediction""".split(),
+    "annotations": """AnnotationError BoundingBox ClassLabel ClassRegistry Detection GroundTruthObject
+        RegistryError format_yolo_annotation format_yolo_prediction format_yolo_rows giou iou
+        parse_yolo_annotation parse_yolo_prediction yolo_rows""".split(),
     "desirability": """Candidate DesirabilityProfile RankedCandidate ResponseGoal desirability_of
         overall_desirability select_best""".split(),
     "losses": """CellPrediction CellTarget LossConfig classification_loss giou_loss hard_swish

@@ -34,10 +34,7 @@ class BoundingBox:
     h: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.cx <= 1.0 and 0.0 <= self.cy <= 1.0):
-            raise ValueError(f"box center out of [0,1]: ({self.cx}, {self.cy})")
-        if not (0.0 < self.w <= 1.0 and 0.0 < self.h <= 1.0):
-            raise ValueError(f"box size out of (0,1]: ({self.w}, {self.h})")
+        _box(self.cx, self.cy, self.w, self.h)
 
     @property
     def x1(self) -> float:
@@ -144,20 +141,22 @@ class Detection:
     confidence: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence out of [0,1]: {self.confidence}")
+        _confidence(self.confidence)
 
 
-@dataclass(frozen=True)
-class AnnotatedImage:
-    image_id: str
-    width_px: int
-    height_px: int
-    objects: tuple[GroundTruthObject, ...]
+def _box(cx: float, cy: float, w: float, h: float) -> tuple[float, float, float, float]:
+    """(cx, cy, w, h) if the center is in [0, 1] and the size in (0, 1]; a ValueError otherwise."""
+    if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
+        raise ValueError(f"box center out of [0,1]: ({cx}, {cy})")
+    if not (0.0 < w <= 1.0 and 0.0 < h <= 1.0):
+        raise ValueError(f"box size out of (0,1]: ({w}, {h})")
+    return cx, cy, w, h
 
-    def __post_init__(self) -> None:
-        if self.width_px <= 0 or self.height_px <= 0:
-            raise ValueError(f"image size must be positive: {self.width_px}x{self.height_px}")
+
+def _confidence(confidence: float) -> float:
+    if not (0.0 <= confidence <= 1.0):
+        raise ValueError(f"confidence out of [0,1]: {confidence}")
+    return confidence
 
 
 def read_rows(rows, n_fields: int, convert, error: type[ValueError] = ValueError, start: int = 1) -> list:
@@ -212,25 +211,29 @@ def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
 
 
 def _yolo_row(registry, class_id, cx, cy, w, h, *confidence):
-    label = _class_id(class_id, registry)
-    box = BoundingBox(number(cx), number(cy), number(w), number(h))
-    return Detection(label, box, number(*confidence)) if confidence else GroundTruthObject(label, box)
+    row = (_class_id(class_id, registry), *_box(number(cx), number(cy), number(w), number(h)))
+    return (*row, _confidence(number(*confidence))) if confidence else row
+
+
+def yolo_rows(text: str, n_fields: int, registry: ClassRegistry | None = None) -> list[tuple]:
+    """The rows of YOLO annotation (`n_fields` 5: `class_id cx cy w h`) or
+    prediction (6: `... confidence`) text as tuples of an int class id and
+    floats, kept exactly as parsed."""
+    return read_rows(map(str.split, split_lines(text)), n_fields, partial(_yolo_row, registry), AnnotationError)
 
 
 def parse_yolo_annotation(text: str, registry: ClassRegistry | None = None) -> list[GroundTruthObject]:
-    """Parse `class_id cx cy w h` lines; values are kept exactly as parsed."""
-    return read_rows(map(str.split, split_lines(text)), 5, partial(_yolo_row, registry), AnnotationError)
+    return [GroundTruthObject(label, BoundingBox(*box)) for label, *box in yolo_rows(text, 5, registry)]
 
 
 def parse_yolo_prediction(text: str, registry: ClassRegistry | None = None) -> list[Detection]:
-    """Parse `class_id cx cy w h confidence` lines."""
-    return read_rows(map(str.split, split_lines(text)), 6, partial(_yolo_row, registry), AnnotationError)
+    return [Detection(label, BoundingBox(*box), conf) for label, *box, conf in yolo_rows(text, 6, registry)]
 
 
 def decode_text(data: bytes) -> str:
-    """The text of a UTF-8 file's bytes with CRLF and CR line ends turned
-    into LF, as reading the file in text mode gives it."""
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    """The text of a UTF-8 file's bytes as text mode reads it with the `utf-8-sig`
+    encoding: without a leading byte-order mark, CRLF and CR line ends as LF."""
+    return data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def split_lines(text: str) -> list[str]:
@@ -254,10 +257,10 @@ class BoxColumns:
 def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     """YOLO annotation (`n_fields` 5) or prediction (6) files, each given as
     its bytes, as one `BoxColumns` with labels as positions in
-    `registry.ids()`. Values convert with `int` and `float` as the scalar
-    parsers convert them and are checked all at once: all files convert, or
-    a ValueError or KeyError says nothing of where. The scalar parsers
-    accept and reject the same files and name the line."""
+    `registry.ids()`. Values convert with `int` and `float` as `yolo_rows`
+    converts them and are checked all at once: all files convert, or a
+    ValueError or KeyError says nothing of where. `yolo_rows` accepts and
+    rejects the same files and names the line."""
     import numpy as np
 
     position = {class_id: k for k, class_id in enumerate(registry.ids())}
@@ -278,23 +281,17 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     return BoxColumns(labels, values, np.cumsum(counts))
 
 
+def format_yolo_rows(rows) -> str:
+    """YOLO text of `yolo_rows` rows, one line each, every value after the class id with 6 decimals."""
+    return "".join(f"{label} {' '.join(map('{:.6f}'.format, values))}\n" for label, *values in rows)
+
+
 def format_yolo_annotation(objects) -> str:
-    """Serialize ground-truth objects, one per line, 6-decimal coordinates."""
-    lines = []
-    for obj in objects:
-        b = obj.box
-        lines.append(f"{obj.label} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f}\n")
-    return "".join(lines)
+    return format_yolo_rows((o.label, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in objects)
 
 
 def format_yolo_prediction(detections) -> str:
-    lines = []
-    for det in detections:
-        b = det.box
-        lines.append(
-            f"{det.label} {b.cx:.6f} {b.cy:.6f} {b.w:.6f} {b.h:.6f} {det.confidence:.6f}\n"
-        )
-    return "".join(lines)
+    return format_yolo_rows((d.label, d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence) for d in detections)
 
 
 def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:

@@ -19,16 +19,14 @@ from pathlib import Path
 
 from . import __version__
 from .annotations import (
-    AnnotatedImage,
     ClassRegistry,
     decode_text,
-    format_yolo_annotation,
+    format_yolo_rows,
     number,
-    parse_yolo_annotation,
-    parse_yolo_prediction,
     read_csv,
     read_yolo,
     split_lines,
+    yolo_rows,
 )
 from .config import (
     SCHEMA_VERSION,
@@ -203,19 +201,19 @@ def _ground_truth(config: dict, inputs: dict) -> tuple[Path, dict[str, bytes]]:
     return gt_dir, annotations
 
 
-def _ground_truth_objects(config: dict, inputs: dict) -> dict[str, tuple]:
-    """The objects of each ground-truth annotation file by image id, in id
+def _ground_truth_rows(config: dict, inputs: dict) -> dict[str, list]:
+    """The `yolo_rows` of each ground-truth annotation file by image id, in id
     order, with class ids checked against the registry when one is set."""
     registry = _registry(config, inputs) if config["class_registry"] else None
     gt_dir, annotations = _ground_truth(config, inputs)
-    return {image_id: tuple(_parse_file(parse_yolo_annotation, gt_dir / f"{image_id}.txt", data, registry))
+    return {image_id: _parse_file(yolo_rows, gt_dir / f"{image_id}.txt", data, 5, registry)
             for image_id, data in annotations.items()}
 
 
 def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
     from .prep import TileSpec, plan_tiles, retile_annotations
 
-    annotations = _ground_truth_objects(config, inputs)
+    annotations = _ground_truth_rows(config, inputs)
     tile = config["tile"]
     spec = TileSpec(tile["width"], tile["height"], tile["edge_policy"], tile["min_visibility"])
     images_dir = tile["images_dir"] and Path(tile["images_dir"])
@@ -223,20 +221,22 @@ def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
 
     # `tiles/` is there even when no tile is kept
     artifacts, manifest_rows, discarded, crops = {"tiles": None}, [], [], []
-    for image_id, objects in annotations.items():
+    for image_id, rows in annotations.items():
         width, height = sizes[image_id]
-        image = AnnotatedImage(image_id, width, height, objects)
-        tiles = plan_tiles(width, height, spec)
-        tiled = retile_annotations(image, tiles, spec)
+        try:
+            tiles = plan_tiles(width, height, spec)
+        except ValueError as exc:
+            raise CliError(f"image {image_id!r}: {exc}") from exc
         kept_rects, kept_ids = [], []
-        for rect, tile_image in zip(tiles, tiled):
-            manifest_rows.append((tile_image.image_id, image_id, rect.x0, rect.y0, rect.w, rect.h))
-            if tile_image.objects:
-                artifacts[f"tiles/{tile_image.image_id}.txt"] = format_yolo_annotation(tile_image.objects)
+        for index, (rect, tile_rows) in enumerate(zip(tiles, retile_annotations(rows, width, height, tiles, spec))):
+            tile_id = f"{image_id}_{index:03d}"
+            manifest_rows.append((tile_id, image_id, rect.x0, rect.y0, rect.w, rect.h))
+            if tile_rows:
+                artifacts[f"tiles/{tile_id}.txt"] = format_yolo_rows(tile_rows)
                 kept_rects.append(rect)
-                kept_ids.append(tile_image.image_id)
+                kept_ids.append(tile_id)
             else:
-                discarded.append(tile_image.image_id)
+                discarded.append(tile_id)
         if images_dir and kept_rects:
             crops.append((_find_image(images_dir, image_id), kept_rects, kept_ids))
 
@@ -257,22 +257,17 @@ def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
 def cmd_augment(config: dict, inputs: dict) -> tuple[dict, str]:
     from .prep import AugmentOp, AugmentPipeline, augment
 
-    annotations = _ground_truth_objects(config, inputs)
+    annotations = _ground_truth_rows(config, inputs)
     ops = tuple(map(AugmentOp.from_config, config["augment"]["operations"]))
     pipeline = AugmentPipeline(ops, config["seed"], config["augment"]["min_visibility"])
-    # Augmentation acts on normalized coordinates; pixel dimensions are
-    # carried through unchanged and default to the tile size.
-    width = config["tile"]["image_width"] or config["tile"]["width"]
-    height = config["tile"]["image_height"] or config["tile"]["height"]
 
     # `augmented/` is there even when there are no samples
     artifacts, rows = {"augmented": None}, []
-    for image_id, objects in annotations.items():
-        image = AnnotatedImage(image_id, width, height, objects)
-        for k, variant in enumerate(augment(image, pipeline, config["augment"]["samples"])):
+    for image_id, boxes in annotations.items():
+        for k, sample in enumerate(augment(boxes, pipeline, config["augment"]["samples"])):
             sample_id = f"{image_id}_aug{k:04d}"
-            artifacts[f"augmented/{sample_id}.txt"] = format_yolo_annotation(variant.objects)
-            rows.append((sample_id, image_id, len(variant.objects)))
+            artifacts[f"augmented/{sample_id}.txt"] = format_yolo_rows(sample)
+            rows.append((sample_id, image_id, len(sample)))
     artifacts["augment_manifest.csv"] = _csv_text(["sample_id", "src_image", "objects"], rows)
     return artifacts, f"wrote {len(rows)} augmented annotation sets under {Path(config['output_dir']) / 'augmented'}"
 
@@ -310,7 +305,7 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
     sides of (directory, annotation files by image id, fields per row); an
     image without a file on one side is empty there. A malformed file raises
     the CliError of the first one in image order, ground truth before
-    predictions, as the scalar parsers word it."""
+    predictions, as `yolo_rows` words it."""
     from .metrics import EvalColumns
 
     try:
@@ -320,9 +315,8 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
         pass
     for image_id in ids:
         for directory, files, n_fields in sides:
-            parse = parse_yolo_annotation if n_fields == 5 else parse_yolo_prediction
-            _parse_file(parse, directory / f"{image_id}.txt", files.get(image_id, b""), registry)
-    raise AssertionError("read_yolo rejected files that the scalar parsers accept")
+            _parse_file(yolo_rows, directory / f"{image_id}.txt", files.get(image_id, b""), n_fields, registry)
+    raise AssertionError("read_yolo rejected files that yolo_rows accepts")
 
 
 def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:

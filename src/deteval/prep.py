@@ -8,8 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .annotations import AnnotatedImage, BoundingBox, GroundTruthObject
-
 EDGE_ANCHOR = "anchor-to-edge"
 EDGE_PAD = "pad"
 
@@ -18,6 +16,8 @@ OP_FLIP_LR = "flip_left_right"
 OP_FLIP_TB = "flip_top_bottom"
 OP_ZOOM = "zoom_random"
 _KNOWN_OPS = (OP_ROTATE, OP_FLIP_LR, OP_FLIP_TB, OP_ZOOM)
+
+MAX_TILES_PER_IMAGE = 65_536
 
 
 @dataclass(frozen=True)
@@ -47,18 +47,18 @@ class TileRect:
 
 
 def plan_tiles(img_w: int, img_h: int, spec: TileSpec) -> list[TileRect]:
-    """Lay out a ceil(w/tw) x ceil(h/th) tile grid covering the whole image.
+    """Lay out a ceil(w/tw) x ceil(h/th) tile grid covering the whole image;
+    a grid of more than MAX_TILES_PER_IMAGE tiles is a ValueError.
 
     Under the anchor-to-edge policy the last row/column is shifted back so
     tiles stay inside the image (adjacent tiles may overlap); under the pad
     policy tiles stay on the grid and may extend past the image.
     """
     if img_w < spec.tile_w or img_h < spec.tile_h:
-        raise ValueError(
-            f"image {img_w}x{img_h} smaller than tile {spec.tile_w}x{spec.tile_h}"
-        )
-    nx = math.ceil(img_w / spec.tile_w)
-    ny = math.ceil(img_h / spec.tile_h)
+        raise ValueError(f"image {img_w}x{img_h} smaller than tile {spec.tile_w}x{spec.tile_h}")
+    nx, ny = -(-img_w // spec.tile_w), -(-img_h // spec.tile_h)
+    if nx * ny > MAX_TILES_PER_IMAGE:
+        raise ValueError(f"image needs more than {MAX_TILES_PER_IMAGE} tiles of {spec.tile_w}x{spec.tile_h}")
     xs = [i * spec.tile_w for i in range(nx)]
     ys = [j * spec.tile_h for j in range(ny)]
     if spec.edge_policy == EDGE_ANCHOR:
@@ -67,26 +67,25 @@ def plan_tiles(img_w: int, img_h: int, spec: TileSpec) -> list[TileRect]:
     return [TileRect(x, y, spec.tile_w, spec.tile_h) for y in ys for x in xs]
 
 
-def retile_annotations(image: AnnotatedImage, tiles, spec: TileSpec) -> list[AnnotatedImage]:
-    """Clip each ground-truth box into each intersecting tile.
+def retile_annotations(rows, width: int, height: int, tiles, spec: TileSpec) -> list[list[tuple]]:
+    """The rows of each tile: each (label, cx, cy, w, h) row of a width x
+    height image clipped into each intersecting tile.
 
     A clipped box is kept when at least spec.min_visibility of its area is
     in the tile (any overlap when min_visibility is 0) and its width and
     height in the tile would not be written as 0.000000.
-    Tiles without retained objects come back empty; callers treat empty
+    Tiles without retained rows come back empty; callers treat empty
     tiles as discardable.
     """
-    width, height = float(image.width_px), float(image.height_px)
     boxes = [
-        (obj.label, obj.box.x1 * width, obj.box.y1 * height, obj.box.x2 * width, obj.box.y2 * height)
-        for obj in image.objects
+        (lab, (cx - w / 2.0) * width, (cy - h / 2.0) * height, (cx + w / 2.0) * width, (cy + h / 2.0) * height)
+        for lab, cx, cy, w, h in rows
     ]
     out = []
-    for index, tile in enumerate(tiles):
+    for tile in tiles:
         tx1, ty1 = float(tile.x0), float(tile.y0)
         window = (tx1, ty1, tx1 + tile.w, ty1 + tile.h)
-        objects = _objects(_clip(*box, window, spec.min_visibility) for box in boxes)
-        out.append(AnnotatedImage(f"{image.image_id}_{index:03d}", tile.w, tile.h, objects))
+        out.append(list(filter(None, (_clip(*box, window, spec.min_visibility) for box in boxes))))
     return out
 
 
@@ -95,7 +94,7 @@ def _clip(lab, x1, y1, x2, y2, window, min_visibility):
     the box's frame, as (lab, cx, cy, w, h) in the window's unit frame, each
     v as (v - w1) / (w2 - w1); None when less than `min_visibility` of the
     box's area is left (no overlap when it is 0), the box has no area, or a
-    side left would be written as 0.000000 by `format_yolo_annotation`."""
+    side left would be written as 0.000000 by `format_yolo_rows`."""
     wx1, wy1, wx2, wy2 = window
     cx1, cy1 = max(x1, wx1), max(y1, wy1)
     cx2, cy2 = min(x2, wx2), min(y2, wy2)
@@ -112,13 +111,8 @@ def _clip(lab, x1, y1, x2, y2, window, min_visibility):
 
 
 def _writable(w: float, h: float) -> bool:
-    """Whether `format_yolo_annotation` writes neither side of a w x h unit box as 0.000000."""
+    """Whether `format_yolo_rows` writes neither side of a w x h unit box as 0.000000."""
     return round(w, 6) != 0.0 and round(h, 6) != 0.0
-
-
-def _objects(boxes) -> tuple[GroundTruthObject, ...]:
-    """Ground-truth objects of (label, cx, cy, w, h) rows; None, a box `_clip` dropped, is left out."""
-    return tuple(GroundTruthObject(lab, BoundingBox(cx, cy, w, h)) for lab, cx, cy, w, h in filter(None, boxes))
 
 
 @dataclass(frozen=True)
@@ -208,8 +202,9 @@ def _zoom(boxes, percentage_area: float, min_visibility: float):
     return list(filter(None, (_clip(*box, _UNIT, min_visibility) for box in corners)))
 
 
-def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int) -> list[AnnotatedImage]:
-    """Generate sample_count augmented variants of an annotated image.
+def augment(rows, pipeline: AugmentPipeline, sample_count: int) -> list[list[tuple]]:
+    """The rows of sample_count augmented variants of an image's sequence of
+    (label, cx, cy, w, h) rows.
 
     Each sample draws its RNG stream from (rng_seed, sample index), so any
     sample can be regenerated independently and concurrent generation is
@@ -222,7 +217,7 @@ def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int)
     samples = []
     for k in range(sample_count):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=pipeline.rng_seed, spawn_key=(k,)))
-        boxes = [(o.label, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in image.objects]
+        boxes = rows
         for op in pipeline.operations:
             if rng.random() >= op.probability:
                 continue
@@ -240,8 +235,7 @@ def augment(image: AnnotatedImage, pipeline: AugmentPipeline, sample_count: int)
                     boxes = _rotate_envelope(boxes, angle, pipeline.min_visibility)
             elif op.name == OP_ZOOM:
                 boxes = _zoom(boxes, op.percentage_area, pipeline.min_visibility)
-        kept = (box for box in boxes if _writable(box[3], box[4]))  # ops that do not clip keep any size
-        samples.append(AnnotatedImage(image.image_id, image.width_px, image.height_px, _objects(kept)))
+        samples.append([box for box in boxes if _writable(box[3], box[4])])  # ops that do not clip keep any size
     return samples
 
 

@@ -11,10 +11,12 @@ from deteval.annotations import (
     RegistryError,
     format_yolo_annotation,
     format_yolo_prediction,
+    format_yolo_rows,
     giou,
     iou,
     parse_yolo_annotation,
     parse_yolo_prediction,
+    yolo_rows,
 )
 
 # Coordinates drawn on the 6-decimal grid: the domain the text format produces.
@@ -94,6 +96,33 @@ class TestParsing:
 
         dets = [Detection(1, box, conf)]
         assert parse_yolo_prediction(format_yolo_prediction(dets)) == dets
+
+
+class TestRows:
+    def test_rows_are_tuples_of_the_class_id_and_the_values(self, registry):
+        text = "1 0.3 0.3 0.2 0.2 0.91\n\n0 0.6 0.6 0.1 0.1 0.40\n"
+        assert yolo_rows(text, 6, registry) == [(1, 0.3, 0.3, 0.2, 0.2, 0.91), (0, 0.6, 0.6, 0.1, 0.1, 0.4)]
+        assert yolo_rows("0 0.5 0.5 0.1 0.2", 5) == [(0, 0.5, 0.5, 0.1, 0.2)]
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("x 2 -1 0 0 7", AnnotationError, "class id is not an integer: 'x'"),
+        ("7 2 -1 0 0 x", RegistryError, "unknown class id 7"),
+        ("0 0.5 x 0 0 x", AnnotationError, "not a number: 'x'"),
+        ("0 2 -1 0 0 x", AnnotationError, r"box center out of \[0,1\]: \(2.0, -1.0\)"),
+        ("0 0.5 0.5 0 2 x", AnnotationError, r"box size out of \(0,1\]: \(0.0, 2.0\)"),
+        ("0 0.5 0.5 0.1 0.1 x", AnnotationError, "not a number: 'x'"),
+        ("0 0.5 0.5 0.1 0.1 2", AnnotationError, r"confidence out of \[0,1\]: 2.0"),
+    ])
+    def test_checks_run_in_field_order(self, registry, line, error, message):
+        with pytest.raises(error, match=f"^line 2: {message}$"):
+            yolo_rows(f"1 0.5 0.5 0.1 0.1 0.5\n{line}\n", 6, registry)
+
+    def test_every_value_after_the_class_id_is_written_with_6_decimals(self):
+        rows = [(1, 0.3, 1 / 3, 0.2, 1e-7, 0.91), (0, 0.5, 0.5, 1.0, 0.1)]
+        assert format_yolo_rows(rows) == (
+            "1 0.300000 0.333333 0.200000 0.000000 0.910000\n0 0.500000 0.500000 1.000000 0.100000\n"
+        )
+        assert format_yolo_rows([]) == ""
 
 
 class TestRegistry:

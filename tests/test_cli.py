@@ -183,6 +183,19 @@ class TestTile:
         assert (record["error"], record["message"]) == ("CliError", f"{sizes}: line 3: image id 'a' is listed twice")
         assert not out.exists()
 
+    @pytest.mark.parametrize("sizes", ["a,1600," + "9" * 400, f"a,{257 * 416},{256 * 416}"],
+                             ids=["400 nines", "257x256 tiles"])
+    def test_image_past_the_tile_cap_exits_2_writing_nothing(self, tmp_path, capsys, sizes):
+        annots, out = tmp_path / "annots", tmp_path / "out"
+        annots.mkdir()
+        (annots / "a.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        (tmp_path / "sizes.csv").write_text(f"image_id,width_px,height_px\n{sizes}\n")
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots,
+                       "--image-sizes-csv", tmp_path / "sizes.csv") == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError", "message": "image 'a': image needs more than 65536 tiles of 416x416"}
+        assert not out.exists()
+
     def test_bad_annotation_is_reported_before_bad_image_sizes(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         sizes = tmp_path / "sizes.csv"
@@ -276,6 +289,17 @@ class TestAugment:
         assert len(rows) == samples and all(row[0] == "1" for row in rows)
         assert run_cli("--output-dir", tmp_path / "again", "tile", "--ground-truth-dir", out / "augmented",
                        "--image-size", "416x416") == 0
+
+    def test_outputs_do_not_depend_on_the_tile_keys(self, fixtures_dir, tmp_path):
+        outputs = []
+        for k, tile in enumerate([{}, {"image_width": 1600, "image_height": 1300}, {"width": 32, "height": 64}]):
+            (tmp_path / f"cfg{k}.json").write_text(json.dumps({"tile": tile}))
+            out = tmp_path / f"out{k}"
+            assert run_cli("--config", tmp_path / f"cfg{k}.json", "--output-dir", out, "--seed", "5", "augment",
+                           "--ground-truth-dir", fixtures_dir / "tiling", "--samples", "6") == 0
+            artifacts = (p for p in out.rglob("*.*") if p.name != "run_manifest.json")
+            outputs.append({p.relative_to(out): p.read_bytes() for p in artifacts})
+        assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0]) == 7
 
     def test_malformed_later_file_writes_nothing(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)

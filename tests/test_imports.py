@@ -89,7 +89,7 @@ def test_command_loads_only_what_it_runs(fixtures_dir, tmp_path, command, module
 # The package's public names; a name leaves or joins this list only by a
 # declared change to the public API.
 PUBLIC_NAMES = [
-    "AnnotatedImage", "AnnotationError", "AnovaResult", "AugmentOp", "AugmentPipeline", "BoundingBox",
+    "AnnotationError", "AnovaResult", "AugmentOp", "AugmentPipeline", "BoundingBox",
     "Candidate", "CellPrediction", "CellTarget", "ClassLabel", "ClassRegistry", "ConfusionMatrix",
     "DesirabilityProfile", "Detection", "EvalSample", "EvaluationReport", "GroundTruthObject",
     "HeightRecord", "LossConfig", "MatchReport", "MetricValue", "ObservationTable", "PRCurve",
@@ -97,11 +97,11 @@ PUBLIC_NAMES = [
     "SplitResult", "TTestResult", "TileRect", "TileSpec", "annotations", "anova_oneway", "augment",
     "average_precision", "bag_based_accuracy", "classification_loss", "confusion_matrix", "describe",
     "desirability", "desirability_of", "detection_accuracy", "evaluate_detections", "f1", "f_sf",
-    "format_yolo_annotation", "format_yolo_prediction", "giou", "giou_loss", "hard_swish", "iou",
+    "format_yolo_annotation", "format_yolo_prediction", "format_yolo_rows", "giou", "giou_loss", "hard_swish", "iou",
     "load_height_records", "losses", "match", "mean_average_precision", "metrics", "objectness_loss",
     "overall_desirability", "parse_yolo_annotation", "parse_yolo_prediction", "plan_tiles", "pr_curve",
     "precision", "prep", "recall", "reg_inc_beta", "retile_annotations", "sample_ids", "select_best",
-    "shapiro_wilk", "split_dataset", "stats", "swish", "t_test_pairwise",
+    "shapiro_wilk", "split_dataset", "stats", "swish", "t_test_pairwise", "yolo_rows",
 ]
 
 

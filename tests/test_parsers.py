@@ -181,3 +181,35 @@ def test_only_text_mode_line_ends_count_as_lines(separator):
     row = separator.join(["0", "0.5", "0.5", "0.2", "0.2"])
     assert parse_yolo_annotation(row) == [GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))]
     assert ClassRegistry.from_text(f"0 wb{separator}\n1 bb\n").labels == REGISTRY.labels
+
+
+BOM = "\ufeff".encode()
+
+# a file that each parser above reads
+FILES = {
+    "annotation": b"0 0.5 0.5 0.2 0.2\n1 0.25 0.75 0.1 0.3\n",
+    "annotation, no registry": b"7 0.5 0.5 0.2 0.2\n0 0.25 0.75 0.1 0.3\n",
+    "prediction": b"1 0.5 0.5 0.2 0.2 0.9\n0 0.25 0.75 0.1 0.3 0.5\n",
+    "registry": b"0 wb\n1 bb\n",
+    "height records": b"image_id,stratum,placed,detected\nimg01,top,8,5\n",
+    "candidates": b"label,response,value\nm1,map50,0.8\n",
+    "observations": b"group,observation\ntop,62.5\n",
+    "image sizes": b"image_id,width_px,height_px\nfield01,1600,1300\n",
+}
+
+
+@pytest.mark.parametrize("name", PARSERS)
+def test_a_byte_order_mark_is_not_part_of_the_text(name):
+    def read(data):
+        result = cli._parse_file(PARSERS[name][0], Path("f.txt"), data)
+        return result.labels if isinstance(result, ClassRegistry) else result
+
+    assert read(BOM + FILES[name]) == read(FILES[name])
+
+
+@pytest.mark.parametrize("name", COLUMNAR)
+def test_read_yolo_reads_past_a_byte_order_mark(name):
+    n_fields, good = COLUMNAR[name]
+    with_bom = read_yolo([BOM + good, good], n_fields, REGISTRY)
+    without = read_yolo([good, good], n_fields, REGISTRY)
+    assert [a.tolist() for a in dataclasses.astuple(with_bom)] == [a.tolist() for a in dataclasses.astuple(without)]

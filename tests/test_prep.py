@@ -7,23 +7,54 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deteval import prep
-from deteval.annotations import AnnotatedImage, BoundingBox, GroundTruthObject
+from deteval.annotations import BoundingBox, GroundTruthObject
 from deteval.prep import (
+    MAX_TILES_PER_IMAGE,
     AugmentOp,
     AugmentPipeline,
     SplitRatio,
     TileSpec,
     apportion,
-    augment,
     plan_tiles,
-    retile_annotations,
     sample_ids,
     split_dataset,
 )
 
 
+@dataclasses.dataclass(frozen=True)
+class AnnotatedImage:
+    """An image's id, pixel size and ground-truth objects: what the scalar
+    references below read and make."""
+
+    image_id: str
+    width_px: int
+    height_px: int
+    objects: tuple
+
+
 def _image(objects, image_id="img", w=1600, h=1300):
     return AnnotatedImage(image_id, w, h, tuple(objects))
+
+
+def _rows(image):
+    return [(o.label, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in image.objects]
+
+
+def _objects(rows):
+    return tuple(GroundTruthObject(label, BoundingBox(*box)) for label, *box in rows)
+
+
+def _retile(image, tiles, spec):
+    """`prep.retile_annotations` on the rows of `image`, as images named as `cmd_tile` names tiles."""
+    tiled = prep.retile_annotations(_rows(image), image.width_px, image.height_px, tiles, spec)
+    return [AnnotatedImage(f"{image.image_id}_{index:03d}", tile.w, tile.h, _objects(rows))
+            for index, (tile, rows) in enumerate(zip(tiles, tiled))]
+
+
+def _augment(image, pipeline, sample_count):
+    """`prep.augment` on the rows of `image`, each sample as a copy of `image` with the sample's objects."""
+    return [dataclasses.replace(image, objects=_objects(rows))
+            for rows in prep.augment(_rows(image), pipeline, sample_count)]
 
 
 def _reference_retile(image, tiles, spec):
@@ -124,6 +155,14 @@ class TestPlanTiles:
         with pytest.raises(ValueError, match="smaller than tile"):
             plan_tiles(400, 500, TileSpec(416, 416))
 
+    def test_tile_count_is_capped(self):
+        spec = TileSpec(416, 416)
+        assert len(plan_tiles(256 * 416, 256 * 416, spec)) == MAX_TILES_PER_IMAGE
+        # 257 x 256 tiles, and a side of 400 nines, which `math.ceil` of a float quotient overflows on
+        for width, height in ((257 * 416, 256 * 416), (1600, int("9" * 400))):
+            with pytest.raises(ValueError, match=f"^image needs more than {MAX_TILES_PER_IMAGE} tiles of 416x416$"):
+                plan_tiles(width, height, spec)
+
     def test_pad_policy_grid_positions(self):
         tiles = plan_tiles(500, 500, TileSpec(416, 416, edge_policy="pad"))
         assert {(t.x0, t.y0) for t in tiles} == {(0, 0), (416, 0), (0, 416), (416, 416)}
@@ -148,7 +187,7 @@ class TestRetile:
         image = _image([GroundTruthObject(0, box)])
         spec = TileSpec(416, 416)
         tiles = plan_tiles(1600, 1300, spec)
-        tiled = retile_annotations(image, tiles, spec)
+        tiled = _retile(image, tiles, spec)
         populated = [t for t in tiled if t.objects]
         assert len(populated) == 1
         out = populated[0].objects[0].box
@@ -164,7 +203,7 @@ class TestRetile:
         image = _image([GroundTruthObject(0, box)])
         spec = TileSpec(416, 416, min_visibility=0.5)
         tiles = plan_tiles(1600, 1300, spec)
-        tiled = retile_annotations(image, tiles, spec)
+        tiled = _retile(image, tiles, spec)
         populated = [(t, timg) for t, timg in zip(tiles, tiled) if timg.objects]
         assert len(populated) == 1
         assert populated[0][0].x0 == 0
@@ -173,7 +212,7 @@ class TestRetile:
         box = BoundingBox(0.13, 0.16, 0.1, 0.1)
         image = _image([GroundTruthObject(0, box)])
         spec = TileSpec(416, 416)
-        tiled = retile_annotations(image, plan_tiles(1600, 1300, spec), spec)
+        tiled = _retile(image, plan_tiles(1600, 1300, spec), spec)
         empty = [t for t in tiled if not t.objects]
         assert len(empty) == 15  # all but the tile holding the box
 
@@ -184,8 +223,8 @@ class TestRetile:
         keep_all = TileSpec(416, 416, min_visibility=0.0)
         strict = TileSpec(416, 416, min_visibility=1.0)
         tiles = plan_tiles(1600, 1300, keep_all)
-        kept_all = sum(len(t.objects) for t in retile_annotations(image, tiles, keep_all))
-        kept_strict = sum(len(t.objects) for t in retile_annotations(image, tiles, strict))
+        kept_all = sum(len(t.objects) for t in _retile(image, tiles, keep_all))
+        kept_strict = sum(len(t.objects) for t in _retile(image, tiles, strict))
         assert kept_all == 4
         assert kept_all >= kept_strict
         assert kept_strict == 0
@@ -203,34 +242,34 @@ class TestAugment:
             AugmentOp("flip_left_right", 0.0),
             AugmentOp("zoom_random", 0.0, percentage_area=0.8),
         )
-        for variant in augment(image, pipeline, 5):
+        for variant in _augment(image, pipeline, 5):
             assert variant == image
 
     def test_flip_twice_restores(self):
         # dyadic coordinates mirror exactly; see the module's flip note
         image = _image([GroundTruthObject(0, BoundingBox(0.25, 0.5, 0.125, 0.25))])
         pipeline = _pipeline(AugmentOp("flip_left_right", 1.0), AugmentOp("flip_left_right", 1.0))
-        for variant in augment(image, pipeline, 3):
+        for variant in _augment(image, pipeline, 3):
             assert variant.objects == image.objects
 
     def test_rotate_90_about_center(self):
         image = _image([GroundTruthObject(0, BoundingBox(0.25, 0.5, 0.1, 0.2))])
         pipeline = _pipeline(AugmentOp("rotate", 1.0, angles=(90.0,)))
-        variant = augment(image, pipeline, 1)[0]
+        variant = _augment(image, pipeline, 1)[0]
         assert variant.objects[0].box == BoundingBox(0.5, 0.25, 0.2, 0.1)
 
     def test_rotate_envelope_arbitrary_angle(self):
         # 45-degree rotation of a centered square: envelope side = diagonal
         image = _image([GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))])
         pipeline = _pipeline(AugmentOp("rotate", 1.0, angles=(45.0,)))
-        box = augment(image, pipeline, 1)[0].objects[0].box
+        box = _augment(image, pipeline, 1)[0].objects[0].box
         assert box.cx == pytest.approx(0.5)
         assert box.w == pytest.approx(0.2 * 2**0.5)
 
     def test_zoom_centered_crop(self):
         image = _image([GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))])
         pipeline = _pipeline(AugmentOp("zoom_random", 1.0, percentage_area=0.25))
-        box = augment(image, pipeline, 1)[0].objects[0].box
+        box = _augment(image, pipeline, 1)[0].objects[0].box
         assert (box.cx, box.cy) == (0.5, 0.5)
         assert box.w == pytest.approx(0.4)
         assert box.h == pytest.approx(0.4)
@@ -239,7 +278,7 @@ class TestAugment:
         edge_box = BoundingBox(0.05, 0.05, 0.1, 0.1)
         image = _image([GroundTruthObject(0, edge_box)])
         pipeline = _pipeline(AugmentOp("zoom_random", 1.0, percentage_area=0.25), min_visibility=0.5)
-        assert augment(image, pipeline, 1)[0].objects == ()
+        assert _augment(image, pipeline, 1)[0].objects == ()
 
     def test_deterministic_per_seed_and_index(self):
         image = _image(
@@ -255,13 +294,13 @@ class TestAugment:
             AugmentOp("flip_top_bottom", 0.4),
             seed=1234,
         )
-        first = augment(image, pipeline, 20)
-        second = augment(image, pipeline, 20)
+        first = _augment(image, pipeline, 20)
+        second = _augment(image, pipeline, 20)
         assert first == second
         # samples vary across indices
         assert len({tuple(v.objects) for v in first}) > 1
         # a different seed diverges
-        other = augment(image, _pipeline(*pipeline.operations, seed=99), 20)
+        other = _augment(image, _pipeline(*pipeline.operations, seed=99), 20)
         assert other != first
 
     def test_validation(self):
@@ -333,7 +372,7 @@ class TestOneClip:
         spec = TileSpec(416, 416, policy, min_visibility)
         tiles = plan_tiles(1600, 1300, spec)
         expected = _expected(lambda one: _reference_retile(one, tiles, spec), image, len(tiles))
-        assert [_bits(t.objects) for t in retile_annotations(image, tiles, spec)] == expected
+        assert [_bits(t.objects) for t in _retile(image, tiles, spec)] == expected
 
     @given(_ZOOMS, _VISIBILITIES)
     @example((1.0, [GroundTruthObject(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))]), 0.3)
@@ -354,9 +393,9 @@ class TestOneClip:
 
         def reference(one):
             with mock.patch.object(prep, "_clip", _reference_clip):
-                return augment(one, pipeline, 1)
+                return _augment(one, pipeline, 1)
 
-        assert [_bits(v.objects) for v in augment(image, pipeline, 1)] == _expected(reference, image, 1)
+        assert [_bits(v.objects) for v in _augment(image, pipeline, 1)] == _expected(reference, image, 1)
 
 
 class TestSplit:
