@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import os
 import stat
 import sys
 from datetime import datetime, timezone
@@ -679,6 +680,8 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
+    # deteval makes no BLAS call big enough for threads; OpenBLAS starts its pool on import
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config, _overrides(args))

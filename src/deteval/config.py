@@ -53,7 +53,8 @@ PATH = _kind("a path", lambda value: isinstance(value, str) and value != "")
 STRING = _kind("a string", lambda value: isinstance(value, str))
 BOOLEAN = _kind("true or false", lambda value: isinstance(value, bool))
 OBJECT = _kind("an object", lambda value: isinstance(value, dict))
-COUNT = _kind("an integer of at least 0", lambda value: type(value) is int and value >= 0)
+# `augment` names sample k of a source `_aug{k:04d}`, four digits up to 10,000 samples
+SAMPLES = _kind("an integer in [0, 10000]", lambda value: type(value) is int and 0 <= value <= 10_000)
 POSITIVE = _kind("an integer of at least 1", lambda value: type(value) is int and value >= 1)
 SEED = _kind("an integer in [0, 2**64 - 1]", lambda value: type(value) is int and 0 <= value < 2**64)
 NUMBER = _number("a finite number", lambda value: abs(value) <= sys.float_info.max)
@@ -110,7 +111,7 @@ SCHEMA = {
         "images_dir": (None, PATH),
     },
     "augment": {
-        "samples": (1000, COUNT),
+        "samples": (1000, SAMPLES),
         "min_visibility": (0.3, FRACTION),
         "operations": ([
             {"op": "rotate", "probability": 0.7, "angles": [90, 180, 270]},

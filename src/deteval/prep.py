@@ -18,6 +18,8 @@ OP_ZOOM = "zoom_random"
 _KNOWN_OPS = (OP_ROTATE, OP_FLIP_LR, OP_FLIP_TB, OP_ZOOM)
 
 MAX_TILES_PER_IMAGE = 65_536
+# The largest side at which every pixel coordinate is exact as a float
+MAX_SIDE = 2**53
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ class TileRect:
 
 def plan_tiles(img_w: int, img_h: int, spec: TileSpec) -> list[TileRect]:
     """Lay out a ceil(w/tw) x ceil(h/th) tile grid covering the whole image;
-    a grid of more than MAX_TILES_PER_IMAGE tiles is a ValueError.
+    a grid of more than MAX_TILES_PER_IMAGE tiles, or a side above MAX_SIDE,
+    is a ValueError.
 
     Under the anchor-to-edge policy the last row/column is shifted back so
     tiles stay inside the image (adjacent tiles may overlap); under the pad
@@ -59,6 +62,8 @@ def plan_tiles(img_w: int, img_h: int, spec: TileSpec) -> list[TileRect]:
     nx, ny = -(-img_w // spec.tile_w), -(-img_h // spec.tile_h)
     if nx * ny > MAX_TILES_PER_IMAGE:
         raise ValueError(f"image needs more than {MAX_TILES_PER_IMAGE} tiles of {spec.tile_w}x{spec.tile_h}")
+    if max(img_w, img_h, spec.tile_w, spec.tile_h) > MAX_SIDE:
+        raise ValueError(f"image or tile side above 2**53: image {img_w}x{img_h}, tile {spec.tile_w}x{spec.tile_h}")
     xs = [i * spec.tile_w for i in range(nx)]
     ys = [j * spec.tile_h for j in range(ny)]
     if spec.edge_policy == EDGE_ANCHOR:

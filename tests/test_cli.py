@@ -196,6 +196,18 @@ class TestTile:
             "error": "CliError", "message": "image 'a': image needs more than 65536 tiles of 416x416"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("side", ["9" * 400, str(2**53 + 1)], ids=["400 nines", "2**53 + 1"])
+    def test_side_above_2_to_the_53_exits_2_writing_nothing(self, tmp_path, capsys, side):
+        annots, out = tmp_path / "annots", tmp_path / "out"
+        annots.mkdir()
+        (annots / "a.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots,
+                       "--tile-size", f"{side}x416", "--image-size", f"{side}x1300") == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError",
+            "message": f"image 'a': image or tile side above 2**53: image {side}x1300, tile {side}x416"}
+        assert not out.exists()
+
     def test_bad_annotation_is_reported_before_bad_image_sizes(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         sizes = tmp_path / "sizes.csv"
@@ -265,6 +277,18 @@ class TestAugment:
             assert (out_a / "augmented" / name).read_bytes() == (
                 out_b / "augmented" / name
             ).read_bytes()
+
+    def test_samples_past_four_digit_ids_are_refused_before_any_draw(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        from deteval import prep
+
+        monkeypatch.setattr(prep, "augment", lambda *args: pytest.fail("a sample was drawn"))
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "augment", "--ground-truth-dir", fixtures_dir / "detection" / "truth",
+                       "--samples", "10001") == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ConfigError", "message": "config key augment.samples must be an integer in [0, 10000], got 10001"}
+        assert not out.exists()
+        assert load_config(None, {"augment": {"samples": 10_000}})["augment"]["samples"] == 10_000
 
     def test_zoomed_box_whose_area_underflows_is_dropped(self, tmp_path):
         src = tmp_path / "annot"
@@ -1381,7 +1405,7 @@ class TestManifest:
         ("evaluate", {"iou_threshold": {}}, "config key iou_threshold must be a number in (0, 1], got {}"),
         ("split", {"seed": []}, "config key seed must be an integer in [0, 2**64 - 1], got []"),
         ("augment", {"augment": {"samples": None}},
-         "config key augment.samples must be an integer of at least 0, got null"),
+         "config key augment.samples must be an integer in [0, 10000], got null"),
         ("split", {"split": {"ratio": 5}}, "config key split.ratio must be an array of 3 items, got 5"),
         ("augment", {"augment": {"operations": 3}}, "config key augment.operations must be an array, got 3"),
         ("augment", {"augment": {"operations": [{"op": "rotate"}]}},
@@ -1570,7 +1594,7 @@ BAD_CONFIG_VALUES = {
     "tile.image_sizes_csv": _NOT_A_PATH,
     "tile.images_dir": _NOT_A_PATH,
     "augment": [5, 1.5, "augment", False, []],
-    "augment.samples": _NOT_AN_INTEGER + [2.5, -1],
+    "augment.samples": _NOT_AN_INTEGER + [2.5, -1, 10_001],
     "augment.min_visibility": _NOT_A_NUMBER + [-0.1, 1.01, 2],
     "augment.operations": [
         3, 1.5, "rotate", True, {"op": "rotate", "probability": 0.5},
@@ -1681,6 +1705,7 @@ class TestConfigSchema:
         (["tile", "--edge-policy", "mirror"], {"tile": {"edge_policy": "mirror"}}),
         (["tile", "--min-visibility", "2"], {"tile": {"min_visibility": 2.0}}),
         (["augment", "--samples", "-1"], {"augment": {"samples": -1}}),
+        (["augment", "--samples", "10001"], {"augment": {"samples": 10_001}}),
         (["split", "--sample-count", "0"], {"split": {"sample_count": 0}}),
         (["split", "--ratio", "15:0:2"], {"split": {"ratio": [15, 0, 2]}}),
         (["split", "--ground-truth-dir", ""], {"ground_truth_dir": ""}),

@@ -15,11 +15,14 @@ SRC = Path(deteval.__file__).resolve().parent.parent
 
 # Runs `deteval.cli.main(argv)` in a fresh interpreter, then fails unless
 # it loaded numpy exactly when expected and exactly the deteval modules
-# expected.
+# expected, and left the process with one thread: numpy's BLAS started no
+# worker threads. Importing the CLI sets no environment variable.
 _RUN_COMMAND = """
+import os
 import sys
 from deteval.cli import main
 
+assert "OPENBLAS_NUM_THREADS" not in os.environ
 expected, *argv = sys.argv[1:]
 try:
     code = main(argv)
@@ -28,15 +31,24 @@ except SystemExit as exc:  # --version exits from argparse
 assert code == 0, f"exit {code}"
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("deteval."))
 assert ",".join(loaded) == expected, f"loaded {loaded}"
+if os.path.isdir("/proc/self/task"):
+    threads = os.listdir("/proc/self/task")
+    assert len(threads) == 1, f"threads {threads}"
 """
 
 # The modules every command loads: the CLI and what it imports at top level.
 _BASE = ("deteval.annotations", "deteval.cli", "deteval.config")
 
 
-def _child(code, *argv):
+# Variables that set the thread count of numpy's BLAS; the child runs
+# without them unless a test sets one.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
+
+
+def _child(code, *argv, **variables):
     path = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARIABLES}
+    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, env=env, timeout=120
     )
@@ -84,6 +96,19 @@ def test_command_loads_only_what_it_runs(fixtures_dir, tmp_path, command, module
     }[command]
     out.mkdir()
     _child(_RUN_COMMAND, ",".join(sorted(_BASE + modules)), "--output-dir", out, *argv)
+
+
+def test_blas_thread_count_already_set_is_kept(fixtures_dir, tmp_path):
+    detection = fixtures_dir / "detection"
+    _child(
+        "import os, sys\n"
+        "from deteval.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "assert os.environ['OPENBLAS_NUM_THREADS'] == '2', os.environ['OPENBLAS_NUM_THREADS']\n",
+        "--output-dir", tmp_path / "out", "evaluate", "--ground-truth-dir", detection / "truth",
+        "--predictions-dir", detection / "preds", "--class-registry", detection / "classes.txt",
+        OPENBLAS_NUM_THREADS="2",
+    )
 
 
 # The package's public names; a name leaves or joins this list only by a

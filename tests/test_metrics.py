@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deteval import cli, metrics
@@ -296,6 +296,17 @@ class TestMatcherOracle:
 
     @given(_DETECTIONS, _TRUTHS, _THRESHOLD, st.booleans(), st.sampled_from((1, 7, 1 << 15)))
     @settings(max_examples=200, deadline=None)
+    # boxes that touch along x (no overlap there), then one that overlaps the detection
+    @example([Detection(0, BoundingBox(0.25, 0.5, 0.5, 0.2), 0.9)],
+             [GroundTruthObject(0, BoundingBox(0.75, 0.5, 0.5, 0.2)),
+              GroundTruthObject(0, BoundingBox(0.3, 0.5, 0.5, 0.2))], 0.5, False, 1)
+    # boxes that overlap along x and touch along y
+    @example([Detection(0, BoundingBox(0.5, 0.25, 0.2, 0.5), 0.9)],
+             [GroundTruthObject(0, BoundingBox(0.55, 0.75, 0.2, 0.5))], 0.5, True, 1 << 15)
+    # an IoU equal to the threshold
+    @example([Detection(0, BoundingBox(0.5, 0.5, 0.5, 0.5), 0.9)],
+             [GroundTruthObject(1, BoundingBox(0.75, 0.5, 0.5, 0.5))],
+             iou(BoundingBox(0.5, 0.5, 0.5, 0.5), BoundingBox(0.75, 0.5, 0.5, 0.5)), True, 7)
     def test_match_equals_scalar_loop(self, dets, truths, threshold, cross_class, block):
         with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
             rep = match(dets, truths, threshold, cross_class=cross_class)

@@ -163,6 +163,13 @@ class TestPlanTiles:
             with pytest.raises(ValueError, match=f"^image needs more than {MAX_TILES_PER_IMAGE} tiles of 416x416$"):
                 plan_tiles(width, height, spec)
 
+    def test_side_is_bounded_where_pixel_coordinates_stay_exact(self):
+        assert len(plan_tiles(2**53, 1300, TileSpec(2**53, 416))) == 4
+        for side in (2**53 + 1, int("9" * 400)):
+            for image, spec in (((side, 1300), TileSpec(side, 416)), ((1300, side), TileSpec(416, side))):
+                with pytest.raises(ValueError, match=r"^image or tile side above 2\*\*53: "):
+                    plan_tiles(*image, spec)
+
     def test_pad_policy_grid_positions(self):
         tiles = plan_tiles(500, 500, TileSpec(416, 416, edge_policy="pad"))
         assert {(t.x0, t.y0) for t in tiles} == {(0, 0), (416, 0), (0, 416), (416, 416)}
