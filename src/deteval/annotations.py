@@ -74,6 +74,9 @@ class ClassLabel:
         # names become parts of file names (pr_curve_<name>.csv)
         if not self.name or any(c.isspace() or c in "/\\\0" for c in self.name):
             raise ValueError(f"class name must be non-empty, without whitespace, '/', '\\' or NUL: {self.name!r}")
+        size = len(self.name.encode("utf-8"))
+        if size > 242:  # pr_curve_<name>.csv is then longer than a 255-byte file name
+            raise ValueError(f"class name must be at most 242 UTF-8 bytes, got {size}")
         if self.name == BACKGROUND:
             raise ValueError(f"class name {BACKGROUND!r} is reserved for the confusion matrix")
 

@@ -84,7 +84,7 @@ def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
     """The one way a command reads an input: the path `value` of config key
     `name` (default `key`), a directory when `parse` is None and a file
     otherwise, read once by `read_input` and recorded as `inputs[key]` for
-    `_manifest`. Returns the directory's bytes by relative path, or the
+    `_manifest`. Returns the directory's `*.txt` bytes by file name, or the
     file's `parse(text, *args)` as `_parse_file` gives it. An unset `value`
     is a CliError naming the key."""
     if value is None:
@@ -102,12 +102,9 @@ def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
 
 def _annotation_files(inputs: dict, key: str, value) -> tuple[Path, dict[str, bytes]]:
     """The directory `value` of config key `key` and the bytes of the
-    `<image_id>.txt` files directly in it, by image id, in id order; the
-    whole directory is read as `inputs[key]`."""
+    `<image_id>.txt` files `read_input` reads from it, by image id, in id order."""
     files = _read(inputs, key, value)
-    return Path(value), dict(sorted(
-        (name[: -len(".txt")], data) for name, data in files.items() if "/" not in name and name.endswith(".txt")
-    ))
+    return Path(value), dict(sorted((name[: -len(".txt")], data) for name, data in files.items()))
 
 
 def _registry(config: dict, inputs: dict) -> ClassRegistry:

@@ -10,6 +10,8 @@ import os
 import sys
 from pathlib import Path
 
+from .annotations import decode_text
+
 SCHEMA_VERSION = 1
 
 
@@ -159,13 +161,17 @@ def _merge(config: dict, schema: dict, values: dict, prefix: str = "") -> None:
 
 def load_config(path: Path | None, overrides: dict | None = None) -> dict:
     """Defaults <- config file <- CLI overrides, in increasing precedence;
-    each value given is converted and checked by its kind in SCHEMA."""
+    each value given is converted and checked by its kind in SCHEMA. The
+    file is read by `read_input` and decoded by `decode_text`, as every input is."""
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
+        if Path(path).is_dir():  # `read_input` would read the directory's `*.txt` files
+            raise ConfigError(f"cannot read config {path}: is a directory")
         try:
-            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            loaded = json.loads(decode_text(read_input(path)))
+        except ValueError as exc:  # InputError, UnicodeDecodeError or JSONDecodeError
+            # an InputError's cause is the OSError, which names the path once
+            raise ConfigError(f"cannot read config {path}: {exc.__cause__ or exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config root must be a JSON object: {path}")
         _merge(config, SCHEMA, loaded)
@@ -174,16 +180,17 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
 
 
 def read_input(path: Path) -> bytes | dict[str, bytes]:
-    """The bytes of an input file, or of every file under an input directory
-    and its subdirectories (symbolic links to directories are not entered),
-    keyed by relative path with `/` between parts, in the order of the parts.
-    Each file is opened once; its bytes serve both parsing and the digest.
-    A path that cannot be read raises InputError."""
+    """The bytes of an input file, or of each regular `*.txt` file directly
+    in an input directory, keyed by file name, in name order; nothing else in
+    the directory is opened. Each file is opened once; its bytes serve both
+    parsing and the digest. A path that cannot be read raises InputError."""
     path = Path(path)
     try:
         if not path.is_dir():
             return _read_file(path)
-        return {"/".join(parts): _read_file(file) for parts, file in sorted(_tree_files(path, ()))}
+        with os.scandir(path) as entries:
+            files = sorted((e.name, e.path) for e in entries if e.name.endswith(".txt") and e.is_file())
+        return {name: _read_file(file) for name, file in files}
     except OSError as exc:
         raise InputError(f"cannot read input {path}: {exc}") from exc
 
@@ -204,20 +211,10 @@ def _read_file(path) -> bytes:
     return b"".join(chunks)
 
 
-def _tree_files(directory, parts: tuple[str, ...]):
-    """(relative parts, path) of every file under `directory`."""
-    with os.scandir(directory) as entries:
-        for entry in entries:
-            if entry.is_file():
-                yield (*parts, entry.name), entry.path
-            elif entry.is_dir(follow_symlinks=False):
-                yield from _tree_files(entry.path, (*parts, entry.name))
-
-
 def digest_inputs(inputs: dict[str, bytes | dict[str, bytes]]) -> dict[str, str]:
     """SHA-256 of each input `read_input` read, by name. A directory's digest
-    covers each file's relative path, a NUL byte and the SHA-256 of its
-    bytes, file by file in `read_input` order."""
+    covers each file's name, a NUL byte and the SHA-256 of its bytes, file by
+    file in `read_input` order."""
     digests = {}
     for name, data in sorted(inputs.items()):
         if isinstance(data, dict):

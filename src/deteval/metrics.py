@@ -93,7 +93,8 @@ class EvalColumns:
 
     @classmethod
     def from_samples(cls, samples, positions: dict[int, int]) -> EvalColumns:
-        """Columns of EvalSamples, class ids mapped to `positions`."""
+        """Columns of samples with `truths` and `detections` (EvalSamples,
+        MatchReports), class ids mapped to `positions`."""
         samples = list(samples)
 
         def columns(images, fields, width):
@@ -416,17 +417,11 @@ def confusion_matrix(reports, registry: ClassRegistry) -> ConfusionMatrix:
     for report in reports:
         if not report.cross_class:
             raise ValueError("confusion_matrix needs reports built with cross_class=True")
-    position = {class_id: k for k, class_id in enumerate(registry.ids())}
-    det_labels, truth_labels, rows, cols = [], [], [], []
-    for report in reports:
-        rows += [len(det_labels) + p.det_index for p in report.pairs]
-        cols += [len(truth_labels) + p.truth_index for p in report.pairs]
-        det_labels += [position[d.label] for d in report.detections]
-        truth_labels += [position[t.label] for t in report.truths]
-    pairs = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))
-    return _confusion(
-        np.array(det_labels, dtype=np.intp), np.array(truth_labels, dtype=np.intp), pairs, registry
-    )
+    columns = EvalColumns.from_samples(reports, {class_id: k for k, class_id in enumerate(registry.ids())})
+    pairs = [(m, p) for m, report in enumerate(reports) for p in report.pairs]
+    rows = np.array([columns.detections.offsets[m] + p.det_index for m, p in pairs], dtype=np.intp)
+    cols = np.array([columns.truths.offsets[m] + p.truth_index for m, p in pairs], dtype=np.intp)
+    return _confusion(columns.detections.labels, columns.truths.labels, (rows, cols), registry)
 
 
 @dataclass(frozen=True)
@@ -483,11 +478,10 @@ def bag_based_accuracy(records, stratum: str) -> StratumAccuracy:
         pcts.append(100.0 * rec.detected / rec.placed)
     if not pcts:
         raise ValueError(f"no usable records for stratum {stratum!r}")
-    mean = sum(pcts) / len(pcts)
-    sd = None
-    if len(pcts) >= 2:
-        sd = (sum((p - mean) ** 2 for p in pcts) / (len(pcts) - 1)) ** 0.5
-    return StratumAccuracy(stratum, tuple(ids), tuple(pcts), mean, sd)
+    from .stats import describe
+
+    summary = describe(pcts)
+    return StratumAccuracy(stratum, tuple(ids), tuple(pcts), summary.mean, summary.sd)
 
 
 @dataclass(frozen=True)

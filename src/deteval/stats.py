@@ -165,6 +165,8 @@ def anova_oneway(table: ObservationTable) -> AnovaResult:
     residuals = tuple(tuple(float(v) for v in g - m) for g, m in zip(groups, group_means))
     ss_between = float(sum(g.size * e * e for g, e in zip(groups, effects)))
     ss_within = float(sum(((g - m) ** 2).sum() for g, m in zip(groups, group_means)))
+    if not (math.isfinite(ss_between) and math.isfinite(ss_within)):
+        raise ValueError("a sum of squares is not finite: the observations are too large")
     df = (k - 1, n_total - k)
     ms_between = ss_between / df[0]
     ms_within = ss_within / df[1]
@@ -320,6 +322,8 @@ def shapiro_wilk(sample) -> SWResult:
     coeffs[n - n2:] = a[::-1]
     centered = x - x.mean()
     w = float((coeffs @ centered) ** 2 / (centered @ centered))
+    if not math.isfinite(w):
+        raise ValueError("W is not finite: the spread of the sample overflows or underflows")
     w = min(w, 1.0)
 
     if n == 3:

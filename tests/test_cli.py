@@ -26,15 +26,15 @@ def run_cli(*argv):
 
 def oracle_digest_inputs(paths):
     """Reference input digests: every input read a second time, after the
-    command, by an independent walk of each tree."""
+    command, by an independent listing of each directory's `*.txt` files."""
 
     def sha256_file(path):
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
     def sha256_tree(path):
         digest = hashlib.sha256()
-        for child in sorted(p for p in Path(path).rglob("*") if p.is_file()):
-            digest.update(str(child.relative_to(path)).encode("utf-8"))
+        for child in sorted(p for p in Path(path).glob("*.txt") if p.is_file()):
+            digest.update(child.name.encode("utf-8"))
             digest.update(b"\x00")
             digest.update(bytes.fromhex(sha256_file(child)))
         return digest.hexdigest()
@@ -522,7 +522,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("name, problem", [
         *((name, "class name must be") for name in ["a/b", "a\\b", "a\0b", "a/../../x"]),
         ("background", "class name 'background' is reserved for the confusion matrix"),
-    ], ids=["a/b", "a\\b", "a\0b", "a/../../x", "background"])
+        # 243 UTF-8 bytes in 122 characters: pr_curve_<name>.csv would be 256 bytes
+        ("x" + "é" * 121, "class name must be at most 242 UTF-8 bytes, got 243"),
+    ], ids=["a/b", "a\\b", "a\0b", "a/../../x", "background", "243 bytes"])
     def test_class_name_that_is_no_file_name_exits_2_before_writing(
         self, fixtures_dir, tmp_path, capsys, name, problem
     ):
@@ -540,6 +542,21 @@ class TestEvaluate:
         assert record["error"] == "CliError"
         assert record["message"].startswith(f"{registry}: line 1: {problem}")
         assert not out.exists()
+
+    def test_class_name_of_242_bytes_names_its_curve(self, fixtures_dir, tmp_path):
+        name = "é" * 121  # 242 UTF-8 bytes: pr_curve_<name>.csv is a 255-byte file name
+        registry = tmp_path / "classes.txt"
+        registry.write_text(f"0 {name}\n1 bb\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code = run_cli(
+            "--output-dir", out, "evaluate",
+            "--ground-truth-dir", fixtures_dir / "detection" / "truth",
+            "--predictions-dir", fixtures_dir / "detection" / "preds",
+            "--class-registry", registry,
+        )
+        assert code == 0
+        assert len(f"pr_curve_{name}.csv".encode()) == 255
+        assert (out / f"pr_curve_{name}.csv").is_file()
 
     def test_parse_error_names_file_and_line(self, fixtures_dir, tmp_path, capsys):
         truth = tmp_path / "truth"
@@ -736,6 +753,33 @@ class TestStats:
         assert code == 2
         entry = json.loads((out / "stats.json").read_text())["responses"][0]
         assert ">= 2 groups" in entry["error"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_statistic_fails_only_its_response(self, fixtures_dir, tmp_path, capsys):
+        fixture = fixtures_dir / "stats" / "height_accuracy.csv"
+        huge, tiny = tmp_path / "huge.csv", tmp_path / "tiny.csv"
+        # sums of squares overflow in every group and in the ANOVA
+        huge.write_text("group,observation\na,1e308\na,-1e308\na,1e308\nb,1e308\nb,-1e308\nb,-1e308\n")
+        # group a's squares underflow, so its W is 0/0; the ANOVA is finite
+        tiny.write_text("group,observation\na,1e-300\na,2e-300\na,4e-300\nb,1\nb,2\nb,4\n")
+        assert run_cli("--output-dir", tmp_path / "alone", "stats", "--inputs", fixture) == 0
+        alone = json.loads((tmp_path / "alone" / "stats.json").read_text())["responses"]
+        capsys.readouterr()
+
+        assert run_cli("--output-dir", tmp_path / "huge_out", "stats", "--inputs", fixture, huge) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["context"] == {"responses": ["huge"]}
+        fixture_entry, entry = json.loads((tmp_path / "huge_out" / "stats.json").read_text())["responses"]
+        assert fixture_entry == alone[0]
+        assert entry["error"].startswith("a sum of squares is not finite")
+        assert [g["error"][:15] for g in entry["shapiro_wilk"]] == ["W is not finite"] * 2
+
+        assert run_cli("--output-dir", tmp_path / "tiny_out", "stats", "--inputs", fixture, tiny) == 0
+        fixture_entry, entry = json.loads((tmp_path / "tiny_out" / "stats.json").read_text())["responses"]
+        assert fixture_entry == alone[0]
+        assert "anova" in entry and "error" not in entry
+        assert entry["shapiro_wilk"][0]["error"].startswith("W is not finite")
+        assert entry["shapiro_wilk"][1]["W"] > 0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_observation_names_file_and_line(self, tmp_path, capsys, value):
@@ -1095,8 +1139,7 @@ class TestReadInput:
 
     def test_file_of_several_reads(self, tmp_path, monkeypatch):
         data = bytes(range(256)) * 700  # 175 KiB
-        (tmp_path / "sub").mkdir()
-        (tmp_path / "sub" / "big.bin").write_bytes(data)
+        (tmp_path / "big.txt").write_bytes(data)
         sizes = []
         os_read = os.read
 
@@ -1106,9 +1149,20 @@ class TestReadInput:
             return chunk
 
         monkeypatch.setattr(os, "read", counting_read)
-        assert read_input(tmp_path / "sub" / "big.bin") == data
+        assert read_input(tmp_path / "big.txt") == data
         assert len(sizes) > 2 and sizes[-1] == 0 and sum(sizes) == len(data)
-        assert read_input(tmp_path) == {"sub/big.bin": data}
+        assert read_input(tmp_path) == {"big.txt": data}
+
+    def test_directory_is_its_txt_files(self, tmp_path):
+        # regular `*.txt` files directly inside, by name; not a subdirectory
+        # or its files, a directory named like a text file, or other names
+        for rel in ("b.txt", "a-b.txt", "a.txt", "notes.md", "big.png", "a.TXT", "sub/c.txt"):
+            (tmp_path / rel).parent.mkdir(exist_ok=True)
+            (tmp_path / rel).write_text(rel)
+        (tmp_path / "dir.txt").mkdir()
+        files = read_input(tmp_path)
+        assert list(files) == ["a-b.txt", "a.txt", "b.txt"]
+        assert files == {name: name.encode() for name in files}
 
     def test_read_error_exits_2_naming_the_path(self, fixtures_dir, tmp_path, capsys, monkeypatch):
         def failing_read(fd, n):
@@ -1116,9 +1170,10 @@ class TestReadInput:
 
         monkeypatch.setattr(os, "read", failing_read)
         profile = fixtures_dir / "desirability" / "profile.json"
+        truth = fixtures_dir / "detection" / "truth"
         # the first file that `read_input` reads from the directory
-        first = profile.parent / min(p.name for p in profile.parent.iterdir())
-        for path, failed in ((profile, profile), (profile.parent, first)):
+        first = truth / min(p.name for p in truth.glob("*.txt"))
+        for path, failed in ((profile, profile), (truth, first)):
             with pytest.raises(InputError, match="Input/output error") as exc:
                 read_input(path)
             assert str(path) in str(exc.value) and str(failed) in str(exc.value)
@@ -1294,8 +1349,9 @@ class TestManifest:
         assert a == b
 
     def test_input_digests_equal_a_second_read_of_each_tree(self, fixtures_dir, tmp_path):
-        # names whose part order differs from their string order, a
-        # subdirectory, a file that is not YOLO text and an empty annotation
+        # names whose id order differs from their string order (a-b.txt,
+        # a.txt), subdirectories and a file that is not YOLO text, which are
+        # not read, and an empty annotation
         truth, preds = tmp_path / "truth", tmp_path / "preds"
         for root in (truth, preds):
             for rel in ("a/x", "a-b/x", "a/x.txt", "sub/deep/z.txt", "notes.md"):
@@ -1355,7 +1411,12 @@ class TestManifest:
         inputs = [tmp_path / "truth", tmp_path / "preds"]
         shutil.copytree(fixtures_dir / "detection" / "truth", inputs[0])
         shutil.copytree(fixtures_dir / "detection" / "preds", inputs[1])
-        (inputs[0] / "notes.md").write_text("not parsed, still digested\n")
+        # not parsed, so not opened: a note, a file in a subdirectory, a large raster
+        unread = [inputs[0] / "notes.md", inputs[0] / "sub" / "img3.txt", inputs[1] / "big.png"]
+        unread[1].parent.mkdir()
+        for path in unread[:2]:
+            path.write_text("0 0.5 0.5 0.2 0.2\n")
+        unread[2].write_bytes(bytes(1 << 22))
         registry = tmp_path / "classes.txt"
         shutil.copy(fixtures_dir / "detection" / "classes.txt", registry)
         opened = []
@@ -1381,9 +1442,10 @@ class TestManifest:
         )
         monkeypatch.undo()
         assert code == 0
-        files = [registry] + [p for root in inputs for p in root.rglob("*") if p.is_file()]
-        assert len(files) == 6
+        files = [registry] + [p for root in inputs for p in root.glob("*.txt")]
+        assert len(files) == 5
         assert {str(f): opened.count(os.path.realpath(f)) for f in files} == {str(f): 1 for f in files}
+        assert {str(f): opened.count(os.path.realpath(f)) for f in unread} == {str(f): 0 for f in unread}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -1666,6 +1728,36 @@ class TestConfigSchema:
     def test_good_config_runs(self, fixtures_dir, tmp_path):
         assert self.augment(fixtures_dir, tmp_path) == 0
         assert (tmp_path / "out" / "run_manifest.json").is_file()
+
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path):
+        (tmp_path / "ids.txt").write_text("".join(f"id{k}\n" for k in range(8)))
+        document = b'{"seed": 3, "split": {"ratio": [1, 1, 1]}}\r\n'
+        outputs = []
+        for name, data in (("plain.json", document), ("bom.json", b"\xef\xbb\xbf" + document)):
+            (tmp_path / name).write_bytes(data)
+            out = tmp_path / name.replace(".json", "_out")
+            assert run_cli("--config", tmp_path / name, "--output-dir", out, "split",
+                           "--ids-file", tmp_path / "ids.txt") == 0
+            manifest = json.loads((out / "run_manifest.json").read_text())
+            outputs.append(((out / "split_manifest.csv").read_bytes(), manifest["config"]["seed"]))
+        assert outputs[0] == outputs[1] and outputs[0][1] == 3
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+    def test_config_that_cannot_be_read_exits_2(self, tmp_path, capsys, kind):
+        config = tmp_path / "cfg.json"
+        if kind == "directory":  # holding a file `read_input` would read
+            config.mkdir()
+            (config / "a.txt").write_text("{}")
+        elif kind == "not UTF-8":
+            config.write_bytes(b'{"seed": "\xff"}')
+        (tmp_path / "ids.txt").write_text("a\nb\nc\n")
+        assert run_cli("--config", config, "--output-dir", tmp_path / "out", "split",
+                       "--ids-file", tmp_path / "ids.txt") == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["message"].startswith(f"cannot read config {config}: ")
+        assert record["message"].count(str(config)) <= 2  # the prefix and the OS error, once each
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("operation, problem", [
         ({"op": "zoom_random", "probability": 0.5}, "zoom_random needs percentage_area in (0,1]: None"),

@@ -136,6 +136,11 @@ class TestAnova:
         with pytest.raises(ValueError, match=">= 2 groups"):
             ObservationTable("y", (("only", (1.0, 2.0)),))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_sum_of_squares_that_overflows_rejected(self):
+        with pytest.raises(ValueError, match="sum of squares is not finite"):
+            anova_oneway(_table([1e308, -1e308, 1e308], [1e308, -1e308, -1e308]))
+
     @given(
         st.lists(
             st.lists(st.floats(-50, 50, allow_nan=False), min_size=2, max_size=8),
@@ -244,6 +249,15 @@ class TestShapiroWilk:
     def test_constant_sample_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             shapiro_wilk([1.0, 1.0, 1.0, 1.0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sample", [
+        [1e-300, 2e-300, 4e-300],  # the squares underflow: W is 0/0
+        [-1e308, 1e308, 1e308],  # the squares overflow: W is inf/inf
+    ])
+    def test_non_finite_w_rejected(self, sample):
+        with pytest.raises(ValueError, match="W is not finite"):
+            shapiro_wilk(sample)
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
