@@ -257,31 +257,45 @@ class BoxColumns:
     offsets: np.ndarray
 
 
+_BLOCK_BYTES = 1 << 18  # input bytes `read_yolo` tokenises before it converts them and drops the tokens
+
+
 def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     """YOLO annotation (`n_fields` 5) or prediction (6) files, each given as
     its bytes, as one `BoxColumns` with labels as positions in
-    `registry.ids()`. Values convert with `int` and `float` as `yolo_rows`
-    converts them and are checked all at once: all files convert, or a
-    ValueError or KeyError says nothing of where. `yolo_rows` accepts and
-    rejects the same files and names the line."""
+    `registry.ids()`. Files are tokenised in blocks of at most `_BLOCK_BYTES`
+    (a larger file is a block of its own), and each block's values convert
+    with `int` and `float` as `yolo_rows` converts them and are checked all
+    at once: all files convert, or a ValueError or KeyError says nothing of
+    where. `yolo_rows` accepts and rejects the same files and names the line."""
     import numpy as np
 
     position = {class_id: k for k, class_id in enumerate(registry.ids())}
-    rows, counts = [], [0]
+    labels, values, counts, rows, size = [], [], [0], [], 0
+
+    def convert():
+        if not set(map(len, rows)) <= {n_fields}:
+            raise ValueError("wrong field count")
+        tokens = list(itertools.chain.from_iterable(rows))
+        rows.clear()
+        labels.append(np.array([position[int(raw)] for raw in tokens[::n_fields]], dtype=np.intp))
+        del tokens[::n_fields]
+        values.append(np.array(list(map(float, tokens)), dtype=np.float64).reshape(-1, n_fields - 1))
+
     for data in files:
+        if size + len(data) > _BLOCK_BYTES:
+            convert()
+            size = 0
         lines = [fields for fields in map(str.split, split_lines(decode_text(data))) if fields]
         rows += lines
         counts.append(len(lines))
-    if not set(map(len, rows)) <= {n_fields}:
-        raise ValueError("wrong field count")
-    tokens = list(itertools.chain.from_iterable(rows))
-    labels = np.array([position[int(raw)] for raw in tokens[::n_fields]], dtype=np.intp)
-    del tokens[::n_fields]
-    values = np.array(list(map(float, tokens)), dtype=np.float64).reshape(-1, n_fields - 1)
+        size += len(data)
+    convert()
+    values = np.concatenate(values)
     # cx, cy and the confidence in [0, 1], w and h in (0, 1]; NaN fails both
     if not (np.all((values >= 0.0) & (values <= 1.0)) and np.all(values[:, 2:4] > 0.0)):
         raise ValueError("value out of range")
-    return BoxColumns(labels, values, np.cumsum(counts))
+    return BoxColumns(np.concatenate(labels), values, np.cumsum(counts))
 
 
 def format_yolo_rows(rows) -> str:

@@ -68,25 +68,25 @@ def _emit_error(exc: Exception) -> None:
 def _parse_file(parse, path: Path, data: bytes, *args):
     """`parse(text, *args)` on the text of `data`, the bytes of `path`.
     Parsers report bad input as ValueError (AnnotationError, RegistryError,
-    JSONDecodeError and UnicodeDecodeError are ones), which becomes a
-    CliError naming the file."""
+    JSONDecodeError and UnicodeDecodeError are ones), and JSON nested too
+    deeply as RecursionError; either becomes a CliError naming the file."""
     try:
         return parse(decode_text(data), *args)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
     """The one way a command reads an input: the path `value` of config key
     `name` (default `key`), a directory when `parse` is None and a file
-    otherwise, read once by `read_input` and recorded as `inputs[key]` for
-    `_manifest`. Returns the directory's `*.txt` bytes by file name, or the
-    file's `parse(text, *args)` as `_parse_file` gives it. An unset `value`
-    is a CliError naming the key."""
+    otherwise, read once by `read_input`, with its digest recorded as
+    `inputs[key]` for `_manifest`. Returns the directory's `*.txt` bytes by
+    file name, or the file's `parse(text, *args)` as `_parse_file` gives it.
+    An unset `value` is a CliError naming the key."""
     if value is None:
         raise CliError(f"config key {name or key!r} is required for this command")
     path = Path(value)
@@ -96,7 +96,8 @@ def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
         mode = 0
     if not (stat.S_ISDIR(mode) if parse is None else stat.S_ISREG(mode)):
         raise CliError(f"{name or key}: not a {'directory' if parse is None else 'file'}: {path}")
-    data = inputs[key] = read_input(path)
+    data = read_input(path)
+    inputs[key] = digest_inputs(data)
     return data if parse is None else _parse_file(parse, path, data, *args)
 
 
@@ -125,10 +126,10 @@ def _csv_text(header, rows) -> str:
 
 
 def _manifest(command: str, config: dict, inputs: dict) -> dict:
-    """The run manifest, with digests of the inputs as `read_input` read them;
+    """The run manifest, with the digests `_read` recorded of the inputs;
     `_write_outputs` adds the time it writes the manifest as `created_utc`."""
     return {"schema_version": SCHEMA_VERSION, "toolkit_version": __version__, "command": command,
-            "config": config, "input_digests": digest_inputs(inputs)}
+            "config": config, "input_digests": dict(inputs)}
 
 
 def _write_outputs(out_dir: Path, artifacts: dict[str, str | None], manifest: dict) -> None:
@@ -336,6 +337,7 @@ def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
 
     ids = sorted(set(truth_files) | set(pred_files))
     columns = _evaluation_columns(registry, ids, (gt_dir, truth_files, 5), (pred_dir, pred_files, 6))
+    del truth_files, pred_files  # the columns hold what evaluation reads of them
     interpolation = config["ap_interpolation"]
     report = evaluate_detections(columns, registry, iou_threshold, interpolation=interpolation)
 

@@ -169,7 +169,7 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"cannot read config {path}: is a directory")
         try:
             loaded = json.loads(decode_text(read_input(path)))
-        except ValueError as exc:  # InputError, UnicodeDecodeError or JSONDecodeError
+        except (ValueError, RecursionError) as exc:  # unreadable, undecodable, bad or too deeply nested JSON
             # an InputError's cause is the OSError, which names the path once
             raise ConfigError(f"cannot read config {path}: {exc.__cause__ or exc}") from exc
         if not isinstance(loaded, dict):
@@ -211,20 +211,17 @@ def _read_file(path) -> bytes:
     return b"".join(chunks)
 
 
-def digest_inputs(inputs: dict[str, bytes | dict[str, bytes]]) -> dict[str, str]:
-    """SHA-256 of each input `read_input` read, by name. A directory's digest
-    covers each file's name, a NUL byte and the SHA-256 of its bytes, file by
-    file in `read_input` order."""
-    digests = {}
-    for name, data in sorted(inputs.items()):
-        if isinstance(data, dict):
-            digest = hashlib.sha256()
-            for rel, blob in data.items():
-                digest.update(rel.encode("utf-8") + b"\x00" + hashlib.sha256(blob).digest())
-        else:
-            digest = hashlib.sha256(data)
-        digests[name] = f"sha256:{digest.hexdigest()}"
-    return digests
+def digest_inputs(data: bytes | dict[str, bytes]) -> str:
+    """The `sha256:` digest of one input as `read_input` read it: a file's
+    SHA-256, or for a directory the SHA-256 of each file's name, a NUL byte
+    and the SHA-256 of its bytes, file by file in `read_input` order."""
+    if isinstance(data, dict):
+        digest = hashlib.sha256()
+        for rel, blob in data.items():
+            digest.update(rel.encode("utf-8") + b"\x00" + hashlib.sha256(blob).digest())
+    else:
+        digest = hashlib.sha256(data)
+    return f"sha256:{digest.hexdigest()}"
 
 
 def json_text(document: dict) -> str:

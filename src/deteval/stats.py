@@ -144,6 +144,8 @@ class AnovaResult:
     degenerate: bool = False
 
 
+# overflow and NaN are caught by the finiteness checks, which raise a ValueError instead of numpy's warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def anova_oneway(table: ObservationTable) -> AnovaResult:
     """One-way fixed-effects ANOVA by least squares.
 
@@ -273,6 +275,7 @@ def _poly(coeffs, x: float) -> float:
     return result
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def shapiro_wilk(sample) -> SWResult:
     """Shapiro-Wilk W and its p-value via Royston's AS R94 approximation.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from deteval import cli, metrics, rasters
+from deteval import annotations, cli, metrics, rasters
 from deteval.cli import main
 from deteval.config import DEFAULTS, SCHEMA, InputError, json_text, load_config, read_input
 from deteval.metrics import PRPoint
@@ -581,25 +581,28 @@ class TestEvaluate:
         ],
     )
     def test_error_names_the_first_bad_file_in_image_order(
-        self, fixtures_dir, tmp_path, capsys, bad, named
+        self, fixtures_dir, tmp_path, capsys, monkeypatch, bad, named
     ):
         for side in ("truth", "preds"):
             shutil.copytree(fixtures_dir / "detection" / side, tmp_path / side)
         for rel in bad:
             (tmp_path / rel).write_text("0 0.5 0.5 0.1\n")
-        code = run_cli(
-            "--output-dir", tmp_path / "out", "evaluate",
-            "--ground-truth-dir", tmp_path / "truth",
-            "--predictions-dir", tmp_path / "preds",
-            "--class-registry", fixtures_dir / "detection" / "classes.txt",
-        )
-        assert code == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        fields = 5 if named.startswith("truth") else 6
-        assert record == {
-            "error": "CliError",
-            "message": f"{tmp_path / named}: line 1: expected {fields} fields, got 4",
-        }
+        # all files in one block, then each file a block of its own
+        for block_bytes in (annotations._BLOCK_BYTES, 1):
+            monkeypatch.setattr(annotations, "_BLOCK_BYTES", block_bytes)
+            code = run_cli(
+                "--output-dir", tmp_path / "out", "evaluate",
+                "--ground-truth-dir", tmp_path / "truth",
+                "--predictions-dir", tmp_path / "preds",
+                "--class-registry", fixtures_dir / "detection" / "classes.txt",
+            )
+            assert code == 2
+            record = json.loads(capsys.readouterr().err.strip())
+            fields = 5 if named.startswith("truth") else 6
+            assert record == {
+                "error": "CliError",
+                "message": f"{tmp_path / named}: line 1: expected {fields} fields, got 4",
+            }
 
     def test_undecodable_file_is_named_in_image_order(self, fixtures_dir, tmp_path, capsys):
         for side in ("truth", "preds"):
@@ -754,7 +757,7 @@ class TestStats:
         entry = json.loads((out / "stats.json").read_text())["responses"][0]
         assert ">= 2 groups" in entry["error"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would precede the error record
     def test_non_finite_statistic_fails_only_its_response(self, fixtures_dir, tmp_path, capsys):
         fixture = fixtures_dir / "stats" / "height_accuracy.csv"
         huge, tiny = tmp_path / "huge.csv", tmp_path / "tiny.csv"
@@ -767,7 +770,9 @@ class TestStats:
         capsys.readouterr()
 
         assert run_cli("--output-dir", tmp_path / "huge_out", "stats", "--inputs", fixture, huge) == 2
-        record = json.loads(capsys.readouterr().err.strip())
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        record = json.loads(err)
         assert record["context"] == {"responses": ["huge"]}
         fixture_entry, entry = json.loads((tmp_path / "huge_out" / "stats.json").read_text())["responses"]
         assert fixture_entry == alone[0]
@@ -868,6 +873,20 @@ class TestDesirabilityCommand:
         assert record["error"] == "CliError"
         assert record["message"].startswith(f"{bad}: invalid JSON at line 2 column 20: ")
 
+
+    def test_too_deeply_nested_profile_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys):
+        bad = tmp_path / "profile.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", bad,
+            "--candidates", fixtures_dir / "desirability" / "candidates.csv",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"].startswith(f"{bad}: maximum recursion depth exceeded")
+        assert not (tmp_path / "out").exists()
 
     def test_goal_missing_key_names_profile_goal_and_key(self, fixtures_dir, tmp_path, capsys):
         bad = tmp_path / "profile.json"
@@ -1241,6 +1260,8 @@ class TestReport:
         ("stats.json", b"[1, 2]", "TypeError"),
         ("desirability_ranking.csv", b"rank,label,D\n1,\xff,0.5\n", "utf-8"),
         ("desirability_ranking.csv", b"label\nv5s\n", "KeyError: 'rank'"),
+        pytest.param("evaluation.json", b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded",
+                     id="evaluation.json-nested-too-deep"),
     ])
     def test_bad_prior_output_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, filename, data, problem):
         out = tmp_path / "out"
@@ -1348,7 +1369,7 @@ class TestManifest:
         a["config"].pop("output_dir"), b["config"].pop("output_dir")
         assert a == b
 
-    def test_input_digests_equal_a_second_read_of_each_tree(self, fixtures_dir, tmp_path):
+    def test_input_digests_equal_a_second_read_of_each_tree(self, fixtures_dir, tmp_path, monkeypatch):
         # names whose id order differs from their string order (a-b.txt,
         # a.txt), subdirectories and a file that is not YOLO text, which are
         # not read, and an empty annotation
@@ -1402,10 +1423,23 @@ class TestManifest:
             "report": (chain, ["report"], {"evaluation": chain / "evaluation.json", "stats": chain / "stats.json",
                                            "desirability": chain / "desirability_ranking.csv"}),
         }
+        # each command's `inputs` after it returns: a digest per input, no bytes
+        recorded = []
+
+        def recording(run):
+            def command(config, inputs):
+                result = run(config, inputs)
+                recorded.append(dict(inputs))
+                return result
+            return command
+
+        for name, (run, text) in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, (recording(run), text))
         for command, (out, argv, inputs) in runs.items():
             assert run_cli("--output-dir", out, *argv) == 0, command
             manifest = json.loads((out / "run_manifest.json").read_text())
             assert manifest["input_digests"] == oracle_digest_inputs(inputs), command
+            assert recorded.pop() == manifest["input_digests"], command
 
     def test_evaluate_opens_each_input_file_once(self, fixtures_dir, tmp_path, monkeypatch):
         inputs = [tmp_path / "truth", tmp_path / "preds"]
@@ -1742,7 +1776,7 @@ class TestConfigSchema:
             outputs.append(((out / "split_manifest.csv").read_bytes(), manifest["config"]["seed"]))
         assert outputs[0] == outputs[1] and outputs[0][1] == 3
 
-    @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8", "nested too deeply"])
     def test_config_that_cannot_be_read_exits_2(self, tmp_path, capsys, kind):
         config = tmp_path / "cfg.json"
         if kind == "directory":  # holding a file `read_input` would read
@@ -1750,6 +1784,8 @@ class TestConfigSchema:
             (config / "a.txt").write_text("{}")
         elif kind == "not UTF-8":
             config.write_bytes(b'{"seed": "\xff"}')
+        elif kind == "nested too deeply":  # for the JSON decoder's recursion
+            config.write_text("[" * 100_000 + "]" * 100_000)
         (tmp_path / "ids.txt").write_text("a\nb\nc\n")
         assert run_cli("--config", config, "--output-dir", tmp_path / "out", "split",
                        "--ids-file", tmp_path / "ids.txt") == 2
