@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
+from array import array
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 BACKGROUND = "background"  # the confusion matrix's row and column of unmatched boxes; ClassLabel refuses it
 
@@ -203,6 +205,11 @@ def number(raw: str) -> float:
     return value
 
 
+def left_sum(terms) -> float:
+    """0.0 plus each term in turn, as builtin `sum` adds floats before Python 3.12 (later ones compensate)."""
+    return reduce(operator.add, terms, 0.0)
+
+
 def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
     try:
         class_id = int(raw)
@@ -265,22 +272,22 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     its bytes, as one `BoxColumns` with labels as positions in
     `registry.ids()`. Files are tokenised in blocks of at most `_BLOCK_BYTES`
     (a larger file is a block of its own), and each block's values convert
-    with `int` and `float` as `yolo_rows` converts them and are checked all
-    at once: all files convert, or a ValueError or KeyError says nothing of
-    where. `yolo_rows` accepts and rejects the same files and names the line."""
+    with `int` and `float` as `yolo_rows` converts them, straight into typed
+    arrays. All are checked at once: all files convert, or a ValueError or
+    KeyError says nothing of where. `yolo_rows` does the same and names the line."""
     import numpy as np
 
     position = {class_id: k for k, class_id in enumerate(registry.ids())}
-    labels, values, counts, rows, size = [], [], [0], [], 0
+    labels, values, counts, rows, size = array("q"), array("d"), [0], [], 0
 
     def convert():
         if not set(map(len, rows)) <= {n_fields}:
             raise ValueError("wrong field count")
         tokens = list(itertools.chain.from_iterable(rows))
         rows.clear()
-        labels.append(np.array([position[int(raw)] for raw in tokens[::n_fields]], dtype=np.intp))
+        labels.fromlist([position[int(raw)] for raw in tokens[::n_fields]])
         del tokens[::n_fields]
-        values.append(np.array(list(map(float, tokens)), dtype=np.float64).reshape(-1, n_fields - 1))
+        values.fromlist(list(map(float, tokens)))
 
     for data in files:
         if size + len(data) > _BLOCK_BYTES:
@@ -291,11 +298,11 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
         counts.append(len(lines))
         size += len(data)
     convert()
-    values = np.concatenate(values)
+    values = np.frombuffer(values, dtype=np.float64).reshape(-1, n_fields - 1)
     # cx, cy and the confidence in [0, 1], w and h in (0, 1]; NaN fails both
     if not (np.all((values >= 0.0) & (values <= 1.0)) and np.all(values[:, 2:4] > 0.0)):
         raise ValueError("value out of range")
-    return BoxColumns(np.concatenate(labels), values, np.cumsum(counts))
+    return BoxColumns(np.frombuffer(labels, dtype=np.int64), values, np.cumsum(counts))
 
 
 def format_yolo_rows(rows) -> str:

@@ -369,7 +369,9 @@ def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
     artifacts = {"evaluation.json": json_text(document)}
     for entry in report.per_class:
         # `_csv_text`'s format: the cells need no quoting
-        rows = "".join(map("%.6f,%.6f,%.6f\n".__mod__, entry.curve.points))
+        curve = entry.curve
+        columns = zip(curve.threshold.tolist(), curve.precision.tolist(), curve.recall.tolist())
+        rows = "".join(map("%.6f,%.6f,%.6f\n".__mod__, columns))
         artifacts[f"pr_curve_{entry.name}.csv"] = "threshold,precision,recall\n" + rows
     return artifacts, (
         f"evaluated {len(ids)} images: mAP@{round(iou_threshold * 100)} = "

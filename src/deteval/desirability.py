@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .annotations import number, read_csv
+from .annotations import left_sum, number, read_csv
 
 LARGER_IS_BETTER = "larger-is-better"
 SMALLER_IS_BETTER = "smaller-is-better"
@@ -140,7 +140,7 @@ def overall_desirability(candidate: Candidate, profile: DesirabilityProfile) -> 
     """Weighted geometric mean of the per-goal desirabilities; any zero
     component annihilates the whole score."""
     components = component_desirabilities(candidate, profile)
-    total_weight = sum(g.weight for g in profile.goals)
+    total_weight = left_sum(g.weight for g in profile.goals)
     log_sum = 0.0
     for goal in profile.goals:
         d = components[goal.name]

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .annotations import BoundingBox, giou
+from .annotations import BoundingBox, giou, left_sum
 
 
 def swish(x: float) -> float:
@@ -133,9 +133,7 @@ def classification_loss(predictions, targets, cfg: LossConfig) -> float:
                 f"class dimensionality mismatch at cell {pred.cell}: "
                 f"{len(pred.class_scores)} vs {len(tgt.class_probs)}"
             )
-        total += sum(
-            (s - p) ** 2 for s, p in zip(pred.class_scores, tgt.class_probs)
-        )
+        total += left_sum((s - p) ** 2 for s, p in zip(pred.class_scores, tgt.class_probs))
     return total
 
 

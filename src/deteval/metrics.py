@@ -6,12 +6,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .annotations import BACKGROUND, BoxColumns, ClassRegistry, Detection, GroundTruthObject, read_csv
+from .annotations import BACKGROUND, BoxColumns, ClassRegistry, Detection, GroundTruthObject, left_sum, read_csv
 
 STRATA = ("top", "middle", "bottom")
 
@@ -281,11 +280,27 @@ class PRPoint(NamedTuple):
     recall: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PRCurve:
+    """A class's PR sweep as float64 columns, one entry per distinct
+    confidence, highest first. `points` reads them as `PRPoint` tuples;
+    curves are equal when their class id, `npos` and points are."""
+
     class_id: int
     npos: int
-    points: tuple[PRPoint, ...]
+    threshold: np.ndarray
+    precision: np.ndarray
+    recall: np.ndarray
+
+    @property
+    def points(self) -> tuple[PRPoint, ...]:
+        columns = (self.threshold.tolist(), self.precision.tolist(), self.recall.tolist())
+        return tuple(map(PRPoint._make, zip(*columns)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.class_id, self.npos, self.points) == (other.class_id, other.npos, other.points)
 
 
 def _sweep(confidence, is_tp, npos: int, class_id: int) -> PRCurve:
@@ -293,17 +308,14 @@ def _sweep(confidence, is_tp, npos: int, class_id: int) -> PRCurve:
     highest first: detections tied on confidence enter in one step, and the
     step's threshold is the confidence of its first detection in fold order."""
     if not len(confidence):
-        return PRCurve(class_id=class_id, npos=npos, points=())
+        return PRCurve(class_id, npos, np.empty(0), np.empty(0), np.empty(0))
     order = np.argsort(-confidence, kind="stable")
     confidence = confidence[order]
     step_end = np.flatnonzero(np.append(confidence[1:] != confidence[:-1], True))
     threshold = confidence[np.append(0, step_end[:-1] + 1)]
     tp = np.cumsum(is_tp[order])[step_end]
-    precision = tp / (step_end + 1)
     recall = tp / npos if npos > 0 else np.zeros(len(tp))
-    points = zip(threshold.tolist(), precision.tolist(), recall.tolist())
-    # tuple.__new__ skips the Python-level NamedTuple constructor: a third of the cost
-    return PRCurve(class_id=class_id, npos=npos, points=tuple(map(tuple.__new__, repeat(PRPoint), points)))
+    return PRCurve(class_id, npos, threshold, tp / (step_end + 1), recall)
 
 
 def _class_curve(columns: EvalColumns, is_tp, position: int, class_id: int) -> PRCurve:
@@ -342,34 +354,21 @@ AP_11_POINT = "11-point"
 def average_precision(curve: PRCurve, interpolation: str = AP_ALL_POINT) -> MetricValue:
     """Interpolated AP over a PR sweep.
 
-    "all-point" (default) sums recall increments times the monotone precision
-    envelope (the largest precision at any recall at or beyond the
-    increment); "11-point" averages that envelope at recalls 0.0, 0.1, ...,
-    1.0."""
+    "all-point" (default) adds up, in point order, recall increments times
+    the monotone precision envelope (the largest precision at any recall at
+    or beyond the increment); "11-point" averages that envelope at recalls
+    0.0, 0.1, ..., 1.0, added in that order."""
     if interpolation not in (AP_ALL_POINT, AP_11_POINT):
         raise ValueError(f"unknown AP interpolation: {interpolation!r}")
-    if not curve.points or curve.npos == 0:
+    if not len(curve.recall) or curve.npos == 0:
         return MetricValue(0.0, degenerate=True)
-    envelope = [0.0] * len(curve.points)
-    running = 0.0
-    for i in range(len(curve.points) - 1, -1, -1):
-        running = max(running, curve.points[i].precision)
-        envelope[i] = running
+    # the largest precision at or after each point, never below 0.0
+    envelope = np.maximum.accumulate(np.maximum(curve.precision, 0.0)[::-1])[::-1]
     if interpolation == AP_11_POINT:
-        total = 0.0
-        for step in range(11):
-            level = step / 10.0
-            total += next(
-                (env for point, env in zip(curve.points, envelope) if point.recall >= level),
-                0.0,
-            )
-        return MetricValue(total / 11.0)
-    ap = 0.0
-    prev_recall = 0.0
-    for point, env in zip(curve.points, envelope):
-        ap += (point.recall - prev_recall) * env
-        prev_recall = point.recall
-    return MetricValue(ap)
+        # the envelope at the first point whose recall reaches each level, 0.0 past the last
+        first = np.searchsorted(np.maximum.accumulate(curve.recall), np.arange(11) / 10.0)
+        return MetricValue(left_sum(np.append(envelope, 0.0)[first].tolist()) / 11.0)
+    return MetricValue(left_sum((np.diff(curve.recall, prepend=0.0) * envelope).tolist()))
 
 
 def mean_average_precision(aps) -> float:
@@ -377,7 +376,7 @@ def mean_average_precision(aps) -> float:
     values = list(aps.values()) if hasattr(aps, "values") else list(aps)
     if not values:
         raise ValueError("mean_average_precision needs at least one class AP")
-    return float(sum(values) / len(values))
+    return left_sum(values) / len(values)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .annotations import left_sum
+
 _LENTZ_TOL = 1e-14
 _LENTZ_MAX_ITER = 300
 _FPMIN = 1e-300
@@ -165,8 +167,8 @@ def anova_oneway(table: ObservationTable) -> AnovaResult:
     group_means = [float(g.mean()) for g in groups]
     effects = tuple(m - grand_mean for m in group_means)
     residuals = tuple(tuple(float(v) for v in g - m) for g, m in zip(groups, group_means))
-    ss_between = float(sum(g.size * e * e for g, e in zip(groups, effects)))
-    ss_within = float(sum(((g - m) ** 2).sum() for g, m in zip(groups, group_means)))
+    ss_between = float(left_sum(g.size * e * e for g, e in zip(groups, effects)))
+    ss_within = float(left_sum(((g - m) ** 2).sum() for g, m in zip(groups, group_means)))
     if not (math.isfinite(ss_between) and math.isfinite(ss_within)):
         raise ValueError("a sum of squares is not finite: the observations are too large")
     df = (k - 1, n_total - k)

@@ -7,12 +7,17 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
 import sys
+import tempfile
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deteval import annotations, cli, metrics, rasters
 from deteval.cli import main
@@ -506,7 +511,7 @@ class TestEvaluate:
         def with_points(*args, **kwargs):
             report = evaluate_detections(*args, **kwargs)
             per_class = tuple(
-                dataclasses.replace(e, curve=dataclasses.replace(e.curve, points=points))
+                dataclasses.replace(e, curve=metrics.PRCurve(e.curve.class_id, e.curve.npos, *np.array(points).T))
                 for e in report.per_class
             )
             return dataclasses.replace(report, per_class=per_class)
@@ -1054,6 +1059,83 @@ class TestExitStatus:
         assert json.loads(capsys.readouterr().err.strip())["error"] == "OSError"
         assert written[0] == "evaluation.json" and written[1].startswith("pr_curve_")
         assert sorted(p.name for p in out.iterdir()) == ["evaluation.json"]
+
+
+# Values a mutated input token takes: extreme numbers, non-finite words, forms
+# that Python's int() and float() accept (an underscore, an Arabic-Indic digit),
+# separators that str.split takes for whitespace and csv does not, a
+# byte-order mark and an empty field.
+_HOSTILE = ("1e-200", "1e308", "9" * 400, "-0", "nan", "inf", "1_0", "\u0663", "\v", "\f", "\ufeff", "")
+
+# Each command's argv, with its input paths relative to a copy of the fixture
+# corpus, and the input files in it that a mutation may hit.
+_FUZZ_COMMANDS = {
+    "evaluate": (
+        ["evaluate", "--ground-truth-dir", Path("detection/truth"), "--predictions-dir", Path("detection/preds"),
+         "--class-registry", Path("detection/classes.txt")],
+        ["detection/truth/img1.txt", "detection/truth/img2.txt", "detection/preds/img1.txt",
+         "detection/preds/img2.txt", "detection/classes.txt"],
+    ),
+    "tile": (
+        ["tile", "--ground-truth-dir", Path("tiling"), "--image-sizes-csv", Path("tiling/image_sizes.csv")],
+        ["tiling/field01.txt", "tiling/image_sizes.csv"],
+    ),
+    "augment": (
+        ["augment", "--ground-truth-dir", Path("detection/truth"), "--samples", "2"],
+        ["detection/truth/img1.txt", "detection/truth/img2.txt"],
+    ),
+    "stats": (["stats", "--inputs", Path("stats/height_accuracy.csv")], ["stats/height_accuracy.csv"]),
+    "desirability": (
+        ["desirability", "--profile", Path("desirability/profile.json"),
+         "--candidates", Path("desirability/candidates.csv")],
+        ["desirability/profile.json", "desirability/candidates.csv"],
+    ),
+}
+
+
+class TestMutationFuzz:
+    """A command whose fixture input has 1-3 tokens replaced by hostile values
+    exits 0 or 2, never 1. Exit 2 writes nothing but `stats`' documents,
+    which carry each response's error; exit 0 writes tiles and augmented
+    samples that `tile` reads back."""
+
+    @given(
+        st.sampled_from(sorted(_FUZZ_COMMANDS)),
+        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(0, 999), st.sampled_from(_HOSTILE), st.booleans()), min_size=1, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    # a box moved onto the left edge (in tile also made a 1e-200 sliver): tiles and samples are written and read back
+    @example("tile", 0, [(1, "-0", False), (4, "1e-200", False)])
+    @example("augment", 1, [(1, "-0", False), (3, "\v", True)])
+    # a 400-digit image width, and a 400-digit int in the profile that float() cannot hold
+    @example("tile", 1, [(4, "9" * 400, False)])
+    @example("desirability", 0, [(40, "9" * 400, False)])
+    def test_mutated_input_exits_0_or_2(self, fixtures_dir, command, target, mutations):
+        argv, targets = _FUZZ_COMMANDS[command]
+        target = targets[target % len(targets)]
+        with tempfile.TemporaryDirectory() as scratch:
+            root, out = Path(scratch) / "in", Path(scratch) / "out"
+            shutil.copytree(fixtures_dir, root)
+            text = (root / target).read_text(encoding="utf-8")
+            # a token is a run of characters other than whitespace and the CSV and JSON punctuation
+            tokens = [m.span() for m in re.finditer(r'[^\s,:{}\[\]"]+', text)]
+            # token k becomes the value, or the value followed by the token; the last mutation of a token wins
+            chosen = {tokens[k % len(tokens)]: (value, keep) for k, value, keep in mutations}
+            for (start, end), (value, keep) in sorted(chosen.items(), reverse=True):
+                text = text[:start] + value + (text[start:end] if keep else "") + text[end:]
+            (root / target).write_text(text, encoding="utf-8")
+            code = run_cli("--output-dir", out, *(root / a if isinstance(a, Path) else a for a in argv))
+            written = sorted(p.name for p in out.rglob("*") if p.is_file()) if out.exists() else []
+            assert code in (0, 2), (target, text)
+            if code == 2:
+                allowed = ["run_manifest.json", "stats.csv", "stats.json"] if command == "stats" else []
+                assert written in ([], allowed), (target, text, written)
+            for produced in (out / "tiles", out / "augmented"):
+                if code == 0 and any(produced.glob("*.txt")):
+                    again = run_cli("--output-dir", Path(scratch) / "again", "tile", "--ground-truth-dir",
+                                    produced, "--image-size", "416x416")
+                    assert again == 0, (target, text)
 
 
 class TestInputPaths:

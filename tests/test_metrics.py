@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -86,6 +87,41 @@ def brute_force_ap(confidences, tp_flags, npos) -> float:
         ap += (rec - prev_recall) * best
         prev_recall = rec
     return ap
+
+
+def scalar_average_precision(points, npos, interpolation="all-point"):
+    """Reference AP as sequential Python loops over (threshold, precision,
+    recall) points: the precision envelope by a running maximum from the last
+    point back, then recall increments times the envelope added in point
+    order, or the envelope at the first point reaching each 11-point recall
+    level added in level order."""
+    if not points or npos == 0:
+        return metrics.MetricValue(0.0, degenerate=True)
+    envelope = [0.0] * len(points)
+    running = 0.0
+    for i in range(len(points) - 1, -1, -1):
+        running = max(running, points[i][1])
+        envelope[i] = running
+    if interpolation == "11-point":
+        total = 0.0
+        for step in range(11):
+            level = step / 10.0
+            total += next((env for point, env in zip(points, envelope) if point[2] >= level), 0.0)
+        return metrics.MetricValue(total / 11.0)
+    ap = 0.0
+    prev_recall = 0.0
+    for point, env in zip(points, envelope):
+        ap += (point[2] - prev_recall) * env
+        prev_recall = point[2]
+    return metrics.MetricValue(ap)
+
+
+# PR-curve values: both zeros, the 11-point levels, a level just missed by
+# rounding, and anything in [0, 1]
+_CURVE_VALUE = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 0.30000000000000004, *(k / 10.0 for k in range(11)))),
+    st.floats(0.0, 1.0),
+)
 
 
 class TestMatch:
@@ -352,7 +388,7 @@ class TestMatcherOracle:
             points = scalar_sweep(events, npos)
             assert (entry.tally.tp, entry.tally.fp, entry.tally.fn) == tally
             assert _bits(entry.curve.points) == _bits(points)
-            ap = average_precision(PRCurve(class_id, npos, tuple(PRPoint(*p) for p in points)))
+            ap = average_precision(PRCurve(class_id, npos, *np.array(points, dtype=float).reshape(-1, 3).T))
             assert (entry.ap.hex(), entry.ap.degenerate) == (ap.hex(), ap.degenerate)
 
         confusion = [[0] * 4 for _ in range(4)]
@@ -537,6 +573,22 @@ class TestPRCurveAndAP:
         # envelope: 1.0 for recall <= 0.5, 2/3 beyond
         expected = (6 * 1.0 + 5 * (2 / 3)) / 11
         assert average_precision(curve, "11-point") == pytest.approx(expected, abs=1e-12)
+
+    @given(
+        st.lists(st.tuples(_CURVE_VALUE, _CURVE_VALUE, _CURVE_VALUE), max_size=40),
+        st.sampled_from((0, 1, 7)),
+        st.booleans(),
+        st.sampled_from(("all-point", "11-point")),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ap_equals_scalar_loops_bit_for_bit(self, points, npos, recall_sorted, interpolation):
+        # a library caller can build any curve: repeated, falling or sorted recall
+        if recall_sorted:
+            points = [(t, p, r) for (t, p, _), r in zip(points, sorted(r for _, _, r in points))]
+        curve = PRCurve(0, npos, *np.array(points, dtype=np.float64).reshape(-1, 3).T)
+        ours = average_precision(curve, interpolation)
+        oracle = scalar_average_precision(points, npos, interpolation)
+        assert (ours.hex(), ours.degenerate) == (oracle.hex(), oracle.degenerate)
 
     def test_small_exhaustive_against_oracle(self):
         grid = [0.25, 0.5, 0.75, 1.0]

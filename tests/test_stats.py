@@ -124,6 +124,11 @@ class TestAnova:
         assert result.f_ratio == pytest.approx(23.47, abs=0.01)
         assert result.p_value < 1e-4
 
+    def test_sum_of_squares_adds_left_to_right_on_every_python(self):
+        # builtin `sum` from Python 3.12 compensates, and gives 0x1.bd4aaaaaaaaaap+11 here
+        result = anova_oneway(_table([16, 29], [81, 81], [75, 8]))
+        assert result.ss_between.hex() == "0x1.bd4aaaaaaaaabp+11"
+
     def test_degenerate_zero_within_variance(self):
         result = anova_oneway(_table([0.0, 0.0], [1.0, 1.0]))
         assert result.degenerate
