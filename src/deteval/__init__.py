@@ -18,10 +18,9 @@ _EXPORTS = {
         overall_desirability select_best""".split(),
     "losses": """CellPrediction CellTarget LossConfig classification_loss giou_loss hard_swish
         objectness_loss swish""".split(),
-    "metrics": """ConfusionMatrix EvalSample EvaluationReport HeightRecord MatchReport MetricValue
-        PRCurve average_precision bag_based_accuracy confusion_matrix detection_accuracy
-        evaluate_detections f1 load_height_records match mean_average_precision pr_curve
-        precision recall""".split(),
+    "metrics": """ConfusionMatrix EvalSample EvaluationReport HeightRecord MetricValue PRCurve
+        average_precision bag_based_accuracy evaluate_detections load_height_records
+        mean_average_precision pr_curve""".split(),
     "prep": """AugmentOp AugmentPipeline SplitRatio SplitResult TileRect TileSpec augment plan_tiles
         retile_annotations sample_ids split_dataset""".split(),
     "stats": """AnovaResult ObservationTable SampleStats SWResult TTestResult anova_oneway describe

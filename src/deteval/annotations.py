@@ -299,8 +299,10 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
         size += len(data)
     convert()
     values = np.frombuffer(values, dtype=np.float64).reshape(-1, n_fields - 1)
-    # cx, cy and the confidence in [0, 1], w and h in (0, 1]; NaN fails both
-    if not (np.all((values >= 0.0) & (values <= 1.0)) and np.all(values[:, 2:4] > 0.0)):
+    # cx, cy and the confidence in [0, 1], w and h in (0, 1]; min and max
+    # carry a NaN through, which fails every comparison
+    if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0
+            and values[:, 2:4].min(initial=1.0) > 0.0):
         raise ValueError("value out of range")
     return BoxColumns(np.frombuffer(labels, dtype=np.int64), values, np.cumsum(counts))
 

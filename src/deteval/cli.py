@@ -47,9 +47,6 @@ TN_CONVENTION = (
     "accuracy = TP / (TP + FP + FN)"
 )
 
-_IMAGE_SUFFIXES = (".png", ".jpg", ".jpeg", ".tif", ".tiff", ".bmp")
-
-
 class CliError(Exception):
     """User-facing input/configuration failure (exit status 2)."""
 
@@ -158,7 +155,7 @@ def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
     return image_id, (width, height)
 
 
-def _image_sizes(tile: dict, ids: list[str], inputs: dict, images_dir: Path | None) -> dict[str, tuple[int, int]]:
+def _image_sizes(tile: dict, ids: list[str], inputs: dict) -> dict[str, tuple[int, int]]:
     if tile["image_sizes_csv"]:
         sizes: dict[str, tuple[int, int]] = {}
 
@@ -172,24 +169,9 @@ def _image_sizes(tile: dict, ids: list[str], inputs: dict, images_dir: Path | No
         if missing:
             raise CliError(f"image_sizes_csv lacks entries for: {missing}")
         return {i: sizes[i] for i in ids}
-    if images_dir:
-        from . import rasters
-
-        return {i: rasters.image_size(_find_image(images_dir, i)) for i in ids}
     if tile["image_width"] and tile["image_height"]:
         return {i: (tile["image_width"], tile["image_height"]) for i in ids}
-    raise CliError(
-        "image dimensions unknown: set tile.image_width/image_height, "
-        "tile.image_sizes_csv, or tile.images_dir"
-    )
-
-
-def _find_image(images_dir: Path, image_id: str) -> Path:
-    for suffix in _IMAGE_SUFFIXES:
-        candidate = images_dir / f"{image_id}{suffix}"
-        if candidate.is_file():
-            return candidate
-    raise CliError(f"no raster found for {image_id!r} under {images_dir}")
+    raise CliError("image dimensions unknown: set tile.image_width/image_height or tile.image_sizes_csv")
 
 
 def _ground_truth(config: dict, inputs: dict) -> tuple[Path, dict[str, bytes]]:
@@ -215,41 +197,29 @@ def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
     annotations = _ground_truth_rows(config, inputs)
     tile = config["tile"]
     spec = TileSpec(tile["width"], tile["height"], tile["edge_policy"], tile["min_visibility"])
-    images_dir = tile["images_dir"] and Path(tile["images_dir"])
-    sizes = _image_sizes(tile, list(annotations), inputs, images_dir)
+    sizes = _image_sizes(tile, list(annotations), inputs)
 
     # `tiles/` is there even when no tile is kept
-    artifacts, manifest_rows, discarded, crops = {"tiles": None}, [], [], []
+    artifacts, manifest_rows, discarded = {"tiles": None}, [], []
     for image_id, rows in annotations.items():
         width, height = sizes[image_id]
         try:
             tiles = plan_tiles(width, height, spec)
         except ValueError as exc:
             raise CliError(f"image {image_id!r}: {exc}") from exc
-        kept_rects, kept_ids = [], []
         for index, (rect, tile_rows) in enumerate(zip(tiles, retile_annotations(rows, width, height, tiles, spec))):
             tile_id = f"{image_id}_{index:03d}"
             manifest_rows.append((tile_id, image_id, rect.x0, rect.y0, rect.w, rect.h))
             if tile_rows:
                 artifacts[f"tiles/{tile_id}.txt"] = format_yolo_rows(tile_rows)
-                kept_rects.append(rect)
-                kept_ids.append(tile_id)
             else:
                 discarded.append(tile_id)
-        if images_dir and kept_rects:
-            crops.append((_find_image(images_dir, image_id), kept_rects, kept_ids))
 
     artifacts["tiles_manifest.csv"] = _csv_text(["tile_id", "src_image", "x0", "y0", "w", "h"], manifest_rows)
     artifacts["discarded_tiles.txt"] = "".join(f"{t}\n" for t in discarded)
-    out_dir = Path(config["output_dir"])
-    if crops:  # written here, before `main` writes the text artifacts
-        from . import rasters
-
-        for image, rects, tile_ids in crops:
-            rasters.write_tile_crops(image, rects, tile_ids, out_dir / "tiles")
     return artifacts, (
         f"tiled {len(annotations)} images into {len(manifest_rows)} tiles "
-        f"({len(discarded)} discardable); manifest: {out_dir / 'tiles_manifest.csv'}"
+        f"({len(discarded)} discardable); manifest: {Path(config['output_dir']) / 'tiles_manifest.csv'}"
     )
 
 
@@ -624,8 +594,6 @@ _FLAGS = (
         "type": _parse_wxh, "help": "WxH applied to every image"}),
     (("tile",), "--image-sizes-csv", "tile.image_sizes_csv", {
         "type": _path, "help": "CSV image_id,width_px,height_px"}),
-    (("tile",), "--images-dir", "tile.images_dir", {
-        "type": _path, "help": "optional rasters (enables tile crops)"}),
     (("tile",), "--edge-policy", "tile.edge_policy", {"help": "anchor-to-edge or pad"}),
     (("tile",), "--min-visibility", "tile.min_visibility", {"type": float}),
     (("augment",), "--samples", "augment.samples", {"type": int}),

@@ -110,7 +110,6 @@ SCHEMA = {
         "image_width": (None, POSITIVE),
         "image_height": (None, POSITIVE),
         "image_sizes_csv": (None, PATH),
-        "images_dir": (None, PATH),
     },
     "augment": {
         "samples": (1000, SAMPLES),

@@ -4,9 +4,7 @@ and per-stratum bag-detection accuracy."""
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,45 +29,10 @@ class MetricValue(float):
 
 
 @dataclass(frozen=True)
-class MatchedPair:
-    det_index: int
-    truth_index: int
-    iou: float
-
-
-@dataclass(frozen=True)
 class ClassTally:
     tp: int = 0
     fp: int = 0
     fn: int = 0
-
-
-@dataclass(frozen=True)
-class MatchReport:
-    """One-to-one detection/truth matching outcome at a fixed IoU threshold."""
-
-    detections: tuple[Detection, ...]
-    truths: tuple[GroundTruthObject, ...]
-    pairs: tuple[MatchedPair, ...]
-    iou_threshold: float
-    cross_class: bool = False
-
-    def tallies(self) -> dict[int, ClassTally]:
-        """Per-class TP/FP/FN counts. Cross-class pairs count as FP for the
-        predicted class and FN for the true class; pairs are one-to-one, so
-        what a class's same-class pairs do not take is its FP and FN."""
-        tp = Counter(
-            self.detections[p.det_index].label for p in self.pairs
-            if self.detections[p.det_index].label == self.truths[p.truth_index].label
-        )
-        dets, truths = Counter(d.label for d in self.detections), Counter(t.label for t in self.truths)
-        return {c: ClassTally(tp[c], dets[c] - tp[c], truths[c] - tp[c]) for c in sorted(dets | truths)}
-
-    def matched_det_indices(self) -> set[int]:
-        return {p.det_index for p in self.pairs}
-
-    def matched_truth_indices(self) -> set[int]:
-        return {p.truth_index for p in self.pairs}
 
 
 @dataclass(frozen=True)
@@ -92,9 +55,7 @@ class EvalColumns:
 
     @classmethod
     def from_samples(cls, samples, positions: dict[int, int]) -> EvalColumns:
-        """Columns of samples with `truths` and `detections` (EvalSamples,
-        MatchReports), class ids mapped to `positions`."""
-        samples = list(samples)
+        """Columns of a list of EvalSamples, class ids mapped to `positions`."""
 
         def columns(images, fields, width):
             objects = [o for image in images for o in image]
@@ -112,11 +73,6 @@ class EvalColumns:
                 5,
             ),
         )
-
-
-def _positions(*groups) -> dict[int, int]:
-    """Positions of the sorted class ids of the objects in `groups`."""
-    return {c: k for k, c in enumerate(sorted({o.label for group in groups for o in group}))}
 
 
 # Consecutive detection rows, across images, go into one IoU block until it
@@ -210,37 +166,6 @@ def _greedy(columns: EvalColumns, candidates, cross_class: bool):
     return rows[made], cols[made], ious[made]
 
 
-def match(
-    detections,
-    truths,
-    iou_threshold: float,
-    cross_class: bool = False,
-) -> MatchReport:
-    """Greedy one-to-one matching: detections in descending-confidence order
-    (input order breaks ties) each claim the unmatched truth of highest IoU
-    at or above the threshold. With cross_class=False only same-class truths
-    are eligible; with cross_class=True any truth is, which is the mode the
-    confusion matrix needs."""
-    detections = tuple(detections)
-    truths = tuple(truths)
-    sample = EvalSample("", detections, truths)
-    columns = EvalColumns.from_samples([sample], _positions(detections, truths))
-    pairs = _greedy(columns, _candidates(columns, iou_threshold), cross_class)
-    made = tuple(map(MatchedPair, *(column.tolist() for column in pairs)))
-    return MatchReport(detections, truths, made, iou_threshold, cross_class)
-
-
-def _sum_tallies(report: MatchReport, label: int | None) -> ClassTally:
-    tallies = report.tallies()
-    if label is not None:
-        return tallies.get(label, ClassTally())
-    return ClassTally(
-        tp=sum(t.tp for t in tallies.values()),
-        fp=sum(t.fp for t in tallies.values()),
-        fn=sum(t.fn for t in tallies.values()),
-    )
-
-
 def _rates(t: ClassTally) -> tuple[MetricValue, MetricValue, MetricValue, MetricValue]:
     """Precision, recall, F1 and accuracy of one tally. Accuracy is
     (TP+TN)/(TP+TN+FP+FN) with TN fixed at 0: open-scene detection has no
@@ -257,50 +182,16 @@ def _rates(t: ClassTally) -> tuple[MetricValue, MetricValue, MetricValue, Metric
     return p, r, f, ratio(t.tp + t.fp + t.fn)
 
 
-def precision(report: MatchReport, label: int | None = None) -> MetricValue:
-    return _rates(_sum_tallies(report, label))[0]
-
-
-def recall(report: MatchReport, label: int | None = None) -> MetricValue:
-    return _rates(_sum_tallies(report, label))[1]
-
-
-def f1(report: MatchReport, label: int | None = None) -> MetricValue:
-    return _rates(_sum_tallies(report, label))[2]
-
-
-def detection_accuracy(report: MatchReport, label: int | None = None) -> MetricValue:
-    """TP/(TP+FP+FN): true negatives are counted as 0 (see `_rates`)."""
-    return _rates(_sum_tallies(report, label))[3]
-
-
-class PRPoint(NamedTuple):
-    threshold: float
-    precision: float
-    recall: float
-
-
 @dataclass(frozen=True, eq=False)
 class PRCurve:
     """A class's PR sweep as float64 columns, one entry per distinct
-    confidence, highest first. `points` reads them as `PRPoint` tuples;
-    curves are equal when their class id, `npos` and points are."""
+    confidence, highest first. A curve is read through its columns."""
 
     class_id: int
     npos: int
     threshold: np.ndarray
     precision: np.ndarray
     recall: np.ndarray
-
-    @property
-    def points(self) -> tuple[PRPoint, ...]:
-        columns = (self.threshold.tolist(), self.precision.tolist(), self.recall.tolist())
-        return tuple(map(PRPoint._make, zip(*columns)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.class_id, self.npos, self.points) == (other.class_id, other.npos, other.points)
 
 
 def _sweep(confidence, is_tp, npos: int, class_id: int) -> PRCurve:
@@ -340,8 +231,8 @@ def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     folded into a single sweep step so the curve is independent of input
     ordering."""
     samples = list(samples)
-    positions = _positions(*(s.detections for s in samples), *(s.truths for s in samples))
-    positions.setdefault(class_id, len(positions))
+    labels = {o.label for s in samples for o in (*s.detections, *s.truths)} | {class_id}
+    positions = {c: k for k, c in enumerate(sorted(labels))}
     columns = EvalColumns.from_samples(samples, positions)
     is_tp = _true_positives(columns, _candidates(columns, iou_threshold))
     return _class_curve(columns, is_tp, positions[class_id], class_id)
@@ -408,19 +299,6 @@ def _confusion(det_labels, truth_labels, pairs, registry: ClassRegistry) -> Conf
     counts = np.bincount(cells, minlength=side * side).reshape(side, side)
     names = tuple(registry.name_of(class_id) for class_id in registry.ids()) + (BACKGROUND,)
     return ConfusionMatrix(names, tuple(map(tuple, counts.tolist())))
-
-
-def confusion_matrix(reports, registry: ClassRegistry) -> ConfusionMatrix:
-    """Fold cross-class match reports into an (N+1)x(N+1) confusion matrix."""
-    reports = list(reports)
-    for report in reports:
-        if not report.cross_class:
-            raise ValueError("confusion_matrix needs reports built with cross_class=True")
-    columns = EvalColumns.from_samples(reports, {class_id: k for k, class_id in enumerate(registry.ids())})
-    pairs = [(m, p) for m, report in enumerate(reports) for p in report.pairs]
-    rows = np.array([columns.detections.offsets[m] + p.det_index for m, p in pairs], dtype=np.intp)
-    cols = np.array([columns.truths.offsets[m] + p.truth_index for m, p in pairs], dtype=np.intp)
-    return _confusion(columns.detections.labels, columns.truths.labels, (rows, cols), registry)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ import json
 import os
 import re
 import shutil
-import sys
 import tempfile
-import types
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deteval import annotations, cli, metrics, rasters
+from deteval import annotations, cli, metrics
 from deteval.cli import main
 from deteval.config import DEFAULTS, SCHEMA, InputError, json_text, load_config, read_input
-from deteval.metrics import PRPoint
 
 
 def run_cli(*argv):
@@ -219,50 +216,6 @@ class TestTile:
         sizes.write_text("image_id,width_px,height_px\na,0,100\n")
         assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots, "--image-sizes-csv", sizes) == 2
         assert json.loads(capsys.readouterr().err.strip())["message"].startswith(f"{annots / 'b.txt'}: line 1: ")
-
-    def test_raster_adapter_reads_sizes_and_writes_crops(self, tmp_path):
-        Image = pytest.importorskip("PIL.Image")
-        images = tmp_path / "images"
-        annots = tmp_path / "annots"
-        images.mkdir(), annots.mkdir()
-        Image.new("RGB", (832, 832), (30, 120, 30)).save(images / "plot.png")
-        (annots / "plot.txt").write_text("0 0.250000 0.250000 0.100000 0.100000\n")
-        out = tmp_path / "out"
-        code = run_cli(
-            "--output-dir", out, "tile",
-            "--ground-truth-dir", annots,
-            "--images-dir", images,
-            "--tile-size", "416x416",
-        )
-        assert code == 0
-        rows = _read_csv(out / "tiles_manifest.csv")
-        assert len(rows) - 1 == 4  # sizes came from the raster itself
-        crops = sorted((out / "tiles").glob("*.png"))
-        assert len(crops) == 1  # only the populated tile is cropped
-        with Image.open(crops[0]) as crop:
-            assert crop.size == (416, 416)
-
-    def test_unreadable_raster_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
-        class Unidentified:  # stands in for PIL.Image on a file that is no image
-            @staticmethod
-            def open(path):
-                raise OSError(f"cannot identify image file {str(path)!r}")
-
-        monkeypatch.setitem(sys.modules, "PIL", types.SimpleNamespace(Image=Unidentified))
-        images, annots = tmp_path / "images", tmp_path / "annots"
-        images.mkdir(), annots.mkdir()
-        (images / "plot.png").write_bytes(b"not an image")
-        (annots / "plot.txt").write_text("0 0.250000 0.250000 0.100000 0.100000\n")
-        code = run_cli(
-            "--output-dir", tmp_path / "out", "tile", "--ground-truth-dir", annots, "--images-dir", images
-        )
-        assert code == 2
-        record = json.loads(capsys.readouterr().err.strip())
-        assert record["error"] == "InputError"
-        assert str(images / "plot.png") in record["message"]
-        with pytest.raises(InputError, match="plot.png"):
-            rasters.write_tile_crops(images / "plot.png", [], [], tmp_path / "crops")
-        assert not (tmp_path / "crops").exists()
 
 
 class TestAugment:
@@ -500,12 +453,12 @@ class TestEvaluate:
         text = io.StringIO(newline="")
         writer = csv.writer(text, lineterminator="\n")
         writer.writerow(["threshold", "precision", "recall"])
-        writer.writerows((f"{p.threshold:.6f}", f"{p.precision:.6f}", f"{p.recall:.6f}") for p in points)
+        writer.writerows((f"{t:.6f}", f"{p:.6f}", f"{r:.6f}") for t, p, r in points)
         return text.getvalue().encode("utf-8")
 
     def test_pr_curve_csv_equals_csv_writer_rendering(self, fixtures_dir, tmp_path, monkeypatch):
         values = (0.0, -0.0, 5e-7, 0.9999995, 1 / 3, 1.0)
-        points = tuple(itertools.starmap(PRPoint, itertools.product(values, repeat=3)))
+        points = tuple(itertools.product(values, repeat=3))
         evaluate_detections = metrics.evaluate_detections
 
         def with_points(*args, **kwargs):
@@ -1189,16 +1142,17 @@ class TestInputPaths:
         ("tile", {"class_registry": True}, "class_registry", "true"),
         pytest.param("tile", {"tile": {"image_width": 832, "image_height": 832, "image_sizes_csv": 5}},
                      "tile.image_sizes_csv", "5", id="tile-document4-image_sizes_csv-5"),
-        pytest.param("tile", {"tile": {"image_width": 832, "image_height": 832, "images_dir": 5}},
-                     "tile.images_dir", "5", id="tile-document5-images_dir-5"),
-        ("tile", {"tile": {"image_width": 832, "image_height": 832}, "output_dir": 5}, "output_dir", "5"),
-        ("split", {"output_dir": 5}, "output_dir", "5"),
+        pytest.param("tile", {"tile": {"image_width": 832, "image_height": 832}, "output_dir": 5}, "output_dir", "5",
+                     id="tile-document6-output_dir-5"),
+        pytest.param("split", {"output_dir": 5}, "output_dir", "5", id="split-document7-output_dir-5"),
         pytest.param("split", {"split": {"ids_file": {"path": "ids.txt"}}}, "split.ids_file", '{"path": "ids.txt"}',
                      id='split-document8-ids_file-{"path": "ids.txt"}'),
         pytest.param("stats", {"stats_inputs": ["STATS", 5]}, "stats_inputs[1]", "5", id="stats-document9-stats_inputs-5"),
-        ("desirability", {"desirability_profile": 1.5}, "desirability_profile", "1.5"),
-        ("desirability", {"candidates": [1]}, "candidates", "[1]"),
-        ("report", {"output_dir": 5}, "output_dir", "5"),
+        pytest.param("desirability", {"desirability_profile": 1.5}, "desirability_profile", "1.5",
+                     id="desirability-document10-desirability_profile-1.5"),
+        pytest.param("desirability", {"candidates": [1]}, "candidates", "[1]",
+                     id="desirability-document11-candidates-[1]"),
+        pytest.param("report", {"output_dir": 5}, "output_dir", "5", id="report-document12-output_dir-5"),
     ])
     def test_path_value_that_is_not_a_string_exits_2(
         self, fixtures_dir, tmp_path, capsys, command, document, key, shown
@@ -1570,12 +1524,16 @@ class TestManifest:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
-    def test_removed_with_replacement_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("document, key", [
+        ('{"split": {"with_replacement": true}}', "with_replacement"),
+        ('{"tile": {"images_dir": "images"}}', "images_dir"),
+    ], ids=["split.with_replacement", "tile.images_dir"])
+    def test_removed_key_rejected(self, tmp_path, capsys, document, key):
         config = tmp_path / "cfg.json"
-        config.write_text('{"split": {"with_replacement": true}}')
+        config.write_text(document)
         code = run_cli("--config", config, "--output-dir", tmp_path / "out", "report")
         assert code == 2
-        assert "unknown config key: 'with_replacement'" in capsys.readouterr().err
+        assert f"unknown config key: {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, document, problem", [
         ("tile", {"tile": 5}, "config key tile must be an object, got 5"),
@@ -1636,7 +1594,6 @@ FLAG_VALUES = {
     "--tile-size": (["320x240"], {"tile.width": 320, "tile.height": 240}),
     "--image-size": (["1600X1300"], {"tile.image_width": 1600, "tile.image_height": 1300}),
     "--image-sizes-csv": (["sizes//s.csv"], {"tile.image_sizes_csv": "sizes/s.csv"}),
-    "--images-dir": (["img/"], {"tile.images_dir": "img"}),
     "--edge-policy": (["pad"], {"tile.edge_policy": "pad"}),
     "--min-visibility": (["0.25"], {"tile.min_visibility": 0.25}),
     "--samples": (["12"], {"augment.samples": 12}),
@@ -1714,9 +1671,11 @@ class TestFlagTable:
         assert repr(argv[-1]) in record["message"]
         assert not (tmp_path / "out").exists()
 
-    def test_removed_with_replacement_flag_is_a_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("argv", [["split", "--with-replacement"], ["tile", "--images-dir", "images"]],
+                             ids=["--with-replacement", "--images-dir"])
+    def test_removed_flag_is_a_usage_error(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
-            run_cli("--output-dir", tmp_path / "out", "split", "--with-replacement")
+            run_cli("--output-dir", tmp_path / "out", *argv)
         assert exc.value.code == 2
 
 
@@ -1770,7 +1729,6 @@ BAD_CONFIG_VALUES = {
     "tile.image_width": _NOT_AN_INTEGER + [[832], 0, -832],
     "tile.image_height": _NOT_AN_INTEGER + [0, -832],
     "tile.image_sizes_csv": _NOT_A_PATH,
-    "tile.images_dir": _NOT_A_PATH,
     "augment": [5, 1.5, "augment", False, []],
     "augment.samples": _NOT_AN_INTEGER + [2.5, -1, 10_001],
     "augment.min_visibility": _NOT_A_NUMBER + [-0.1, 1.01, 2],

@@ -22,22 +22,16 @@ from deteval.annotations import (
     parse_yolo_prediction,
 )
 from deteval.metrics import (
+    ClassTally,
     EvalSample,
     HeightRecord,
     PRCurve,
-    PRPoint,
     average_precision,
     bag_based_accuracy,
-    confusion_matrix,
-    detection_accuracy,
     evaluate_detections,
-    f1,
     load_height_records,
-    match,
     mean_average_precision,
     pr_curve,
-    precision,
-    recall,
 )
 
 REGISTRY = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb")])
@@ -66,6 +60,18 @@ def _sample_from_pattern(confidences, tp_flags, npos, image_id="img"):
             dets.append(Detection(0, _slot_box(next_empty), conf))
             next_empty += 1
     return EvalSample(image_id, tuple(dets), tuple(truths))
+
+
+def matched_pairs(detections, truths, iou_threshold, cross_class=False):
+    """(det_index, truth_index, iou) of the pairs the columnar core makes in
+    one image of classes 0-2, in the order it makes them."""
+    columns = metrics.EvalColumns.from_samples([EvalSample("img", detections, truths)], {0: 0, 1: 1, 2: 2})
+    pairs = metrics._greedy(columns, metrics._candidates(columns, iou_threshold), cross_class)
+    return list(zip(*(column.tolist() for column in pairs)))
+
+
+def _evaluate(detections, truths, iou_threshold=0.5):
+    return evaluate_detections([EvalSample("img", tuple(detections), tuple(truths))], REGISTRY, iou_threshold)
 
 
 def brute_force_ap(confidences, tp_flags, npos) -> float:
@@ -126,38 +132,34 @@ _CURVE_VALUE = st.one_of(
 
 class TestMatch:
     def test_perfect_match(self):
-        rep = match([Detection(0, UNIT, 0.9)], [GroundTruthObject(0, UNIT)], 0.5)
-        t = rep.tallies()[0]
-        assert (t.tp, t.fp, t.fn) == (1, 0, 0)
+        report = _evaluate([Detection(0, UNIT, 0.9)], [GroundTruthObject(0, UNIT)])
+        assert report.per_class[0].tally == ClassTally(1, 0, 0)
 
     def test_detection_without_truth(self):
-        rep = match([Detection(0, UNIT, 0.9)], [], 0.5)
-        t = rep.tallies()[0]
-        assert (t.tp, t.fp, t.fn) == (0, 1, 0)
+        report = _evaluate([Detection(0, UNIT, 0.9)], [])
+        assert report.per_class[0].tally == ClassTally(0, 1, 0)
 
     def test_two_detections_one_truth(self):
         dets = [Detection(0, UNIT, 0.9), Detection(0, BoundingBox(0.52, 0.5, 0.2, 0.2), 0.8)]
-        rep = match(dets, [GroundTruthObject(0, UNIT)], 0.5)
-        t = rep.tallies()[0]
-        assert (t.tp, t.fp, t.fn) == (1, 1, 0)
-        assert rep.pairs[0].det_index == 0  # the higher-confidence one wins
+        truths = [GroundTruthObject(0, UNIT)]
+        assert _evaluate(dets, truths).per_class[0].tally == ClassTally(1, 1, 0)
+        assert matched_pairs(dets, truths, 0.5)[0][0] == 0  # the higher-confidence one wins
 
     def test_class_mismatch_is_not_matched(self):
-        rep = match([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)], 0.5)
-        tallies = rep.tallies()
-        assert tallies[1].fp == 1
-        assert tallies[0].fn == 1
+        report = _evaluate([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)])
+        assert report.per_class[1].tally.fp == 1
+        assert report.per_class[0].tally.fn == 1
 
     def test_cross_class_matching(self):
-        rep = match([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)], 0.5, cross_class=True)
-        assert len(rep.pairs) == 1
-        tallies = rep.tallies()
-        assert tallies[1].fp == 1  # still an FP for its own class
-        assert tallies[0].fn == 1
+        dets, truths = [Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)]
+        assert len(matched_pairs(dets, truths, 0.5, cross_class=True)) == 1
+        report = _evaluate(dets, truths)
+        assert report.per_class[1].tally.fp == 1  # still an FP for its own class
+        assert report.per_class[0].tally.fn == 1
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            match([], [], 0.0)
+            matched_pairs([], [], 0.0)
 
     @given(
         st.lists(
@@ -174,17 +176,17 @@ class TestMatch:
     def test_one_to_one(self, det_spec, truth_spec):
         dets = [Detection(lab, _slot_box(slot), conf) for lab, slot, conf in det_spec]
         truths = [GroundTruthObject(lab, _slot_box(slot)) for lab, slot in truth_spec]
-        rep = match(dets, truths, 0.5)
-        assert len(rep.matched_det_indices()) == len(rep.pairs)
-        assert len(rep.matched_truth_indices()) == len(rep.pairs)
-        total_tp = sum(t.tp for t in rep.tallies().values())
+        pairs = matched_pairs(dets, truths, 0.5)
+        assert len({i for i, _, _ in pairs}) == len(pairs)
+        assert len({j for _, j, _ in pairs}) == len(pairs)
+        total_tp = sum(c.tally.tp for c in _evaluate(dets, truths).per_class)
         assert total_tp <= min(len(dets), len(truths))
 
 
 def scalar_match(detections, truths, iou_threshold, cross_class=False):
     """Reference matcher: the scalar loop over every detection/truth pair
-    that `match` replaced with one vectorised IoU pass. Returns the pairs as
-    (det_index, truth_index, iou) in the order they were made."""
+    that the columnar core replaced with one vectorised IoU pass. Returns
+    the pairs as (det_index, truth_index, iou) in the order they were made."""
     taken = [False] * len(truths)
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
     pairs = []
@@ -309,8 +311,12 @@ def _yolo_text(objects) -> str:
 
 def _bits(points):
     """PR points as the hex of each float, so -0.0 and 0.0 differ."""
-    return [tuple(float.hex(float(v)) for v in point) for point in
-            ((p.threshold, p.precision, p.recall) if isinstance(p, PRPoint) else p for p in points)]
+    return [tuple(float.hex(float(v)) for v in point) for point in points]
+
+
+def _columns(curve):
+    """A curve's class id, positives and columns as lists."""
+    return curve.class_id, curve.npos, curve.threshold.tolist(), curve.precision.tolist(), curve.recall.tolist()
 
 
 def _random_image(rng, n_truths, n_dets):
@@ -345,8 +351,7 @@ class TestMatcherOracle:
              iou(BoundingBox(0.5, 0.5, 0.5, 0.5), BoundingBox(0.75, 0.5, 0.5, 0.5)), True, 7)
     def test_match_equals_scalar_loop(self, dets, truths, threshold, cross_class, block):
         with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
-            rep = match(dets, truths, threshold, cross_class=cross_class)
-        got = [(p.det_index, p.truth_index, p.iou) for p in rep.pairs]
+            got = matched_pairs(dets, truths, threshold, cross_class=cross_class)
         assert got == scalar_match(dets, truths, threshold, cross_class)
 
     @given(_DETECTIONS, _TRUTHS, _THRESHOLD, st.sampled_from((1, 7, 1 << 15)))
@@ -387,7 +392,7 @@ class TestMatcherOracle:
             tally = tuple(sum(per_class[class_id][2][k] for per_class, _ in summaries) for k in range(3))
             points = scalar_sweep(events, npos)
             assert (entry.tally.tp, entry.tally.fp, entry.tally.fn) == tally
-            assert _bits(entry.curve.points) == _bits(points)
+            assert _bits(zip(*_columns(entry.curve)[2:])) == _bits(points)
             ap = average_precision(PRCurve(class_id, npos, *np.array(points, dtype=float).reshape(-1, 3).T))
             assert (entry.ap.hex(), entry.ap.degenerate) == (ap.hex(), ap.degenerate)
 
@@ -408,8 +413,7 @@ class TestMatcherOracle:
             assert len(dets) * len(truths) > 2 * metrics._BLOCK_PAIRS
             for threshold in (0.1, 0.5):
                 for cross_class in (False, True):
-                    rep = match(dets, truths, threshold, cross_class=cross_class)
-                    got = [(p.det_index, p.truth_index, p.iou) for p in rep.pairs]
+                    got = matched_pairs(dets, truths, threshold, cross_class=cross_class)
                     assert got == scalar_match(dets, truths, threshold, cross_class)
 
     def test_uncontested_pairs_settle_around_contested_chains(self):
@@ -444,8 +448,7 @@ class TestMatcherOracle:
             per_truth = Counter(j for _, j in candidates)
             uncontested = [(i, j) for i, j in candidates if per_det[i] == per_truth[j] == 1]
             assert len(uncontested) == 2 + cross_class and len(candidates) == len(uncontested) + 4
-            rep = match(dets, truths, 0.3, cross_class=cross_class)
-            got = [(p.det_index, p.truth_index, p.iou.hex()) for p in rep.pairs]
+            got = [(i, j, v.hex()) for i, j, v in matched_pairs(dets, truths, 0.3, cross_class=cross_class)]
             assert got == [(i, j, v.hex()) for i, j, v in scalar_match(dets, truths, 0.3, cross_class)]
             assert [(i, j) for i, j, _ in got] == expected[cross_class]
 
@@ -453,28 +456,24 @@ class TestMatcherOracle:
         other = BoundingBox(0.5, 0.5, 0.2, 0.1999)
         dets = [Detection(0, other, 0.9), Detection(0, UNIT, 0.9), Detection(0, UNIT, 0.9)]
         truths = [GroundTruthObject(0, other), GroundTruthObject(0, UNIT)]
-        rep = match(dets, truths, 1.0)
-        assert [(p.det_index, p.truth_index, p.iou) for p in rep.pairs] == [
-            (0, 0, 1.0), (1, 1, 1.0)
-        ]
+        assert matched_pairs(dets, truths, 1.0) == [(0, 0, 1.0), (1, 1, 1.0)]
 
 
 class TestScalarMetrics:
     def test_precision_arithmetic(self):
-        rep = match(
+        report = _evaluate(
             [Detection(0, _slot_box(k), 0.9) for k in range(10)],
             [GroundTruthObject(0, _slot_box(k)) for k in range(9)],
-            0.5,
         )
-        assert precision(rep) == pytest.approx(0.9)
+        assert report.per_class[0].precision == pytest.approx(0.9)
 
     def test_empty_report_degenerate(self):
-        rep = match([], [], 0.5)
-        p = precision(rep)
+        entry = _evaluate([], []).per_class[0]
+        p = entry.precision
         assert p == 0.0 and p.degenerate
-        assert recall(rep).degenerate
-        assert f1(rep).degenerate
-        assert detection_accuracy(rep).degenerate
+        assert entry.recall.degenerate
+        assert entry.f1.degenerate
+        assert entry.accuracy.degenerate
 
     def test_f1_fixed_point(self):
         # P = R = 0.8: 8 TPs, 2 FPs, 2 FNs
@@ -482,39 +481,38 @@ class TestScalarMetrics:
         truths = [GroundTruthObject(0, _slot_box(k)) for k in range(8)] + [
             GroundTruthObject(0, _slot_box(k)) for k in range(20, 22)
         ]
-        rep = match(dets, truths, 0.5)
-        assert precision(rep) == pytest.approx(0.8)
-        assert recall(rep) == pytest.approx(0.8)
-        assert f1(rep) == pytest.approx(0.8)
+        entry = _evaluate(dets, truths).per_class[0]
+        assert entry.precision == pytest.approx(0.8)
+        assert entry.recall == pytest.approx(0.8)
+        assert entry.f1 == pytest.approx(0.8)
 
     def test_accuracy_examples(self):
-        rep = match(
+        report = _evaluate(
             [Detection(0, _slot_box(k), 0.9) for k in range(10)],
             [GroundTruthObject(0, _slot_box(k)) for k in range(9)],
-            0.5,
         )
-        assert detection_accuracy(rep) == pytest.approx(0.9)
-        rep = match([], [GroundTruthObject(0, _slot_box(k)) for k in range(5)], 0.5)
-        assert detection_accuracy(rep) == 0.0
+        assert report.per_class[0].accuracy == pytest.approx(0.9)
+        report = _evaluate([], [GroundTruthObject(0, _slot_box(k)) for k in range(5)])
+        assert report.per_class[0].accuracy == 0.0
         # tp=8, fp=1, fn=1
         dets = [Detection(0, _slot_box(k), 0.9) for k in range(9)]
         truths = [GroundTruthObject(0, _slot_box(k)) for k in range(8)] + [
             GroundTruthObject(0, _slot_box(30))
         ]
-        assert detection_accuracy(match(dets, truths, 0.5)) == pytest.approx(0.8)
+        assert _evaluate(dets, truths).per_class[0].accuracy == pytest.approx(0.8)
 
 
 class TestPRCurveAndAP:
     def test_single_correct_detection(self):
         sample = _sample_from_pattern([0.7], [True], 1)
         curve = pr_curve([sample], 0, 0.5)
-        assert curve.points == (PRPoint(0.7, 1.0, 1.0),)
+        assert _columns(curve)[2:] == ([0.7], [1.0], [1.0])
         assert average_precision(curve) == 1.0
 
     def test_no_detections(self):
         sample = EvalSample("img", (), (GroundTruthObject(0, UNIT),))
         curve = pr_curve([sample], 0, 0.5)
-        assert curve.points == ()
+        assert _columns(curve)[2:] == ([], [], [])
         ap = average_precision(curve)
         assert ap == 0.0 and ap.degenerate
 
@@ -522,10 +520,9 @@ class TestPRCurveAndAP:
         # confidences 0.9 (TP), 0.8 (FP), 0.7 (TP); two truths
         sample = _sample_from_pattern([0.9, 0.8, 0.7], [True, False, True], 2)
         curve = pr_curve([sample], 0, 0.5)
-        assert [
-            (pt.threshold, pytest.approx(pt.precision), pytest.approx(pt.recall))
-            for pt in curve.points
-        ] == [(0.9, 1.0, 0.5), (0.8, 0.5, 0.5), (0.7, 2 / 3, 1.0)]
+        assert curve.threshold.tolist() == [0.9, 0.8, 0.7]
+        assert curve.precision.tolist() == pytest.approx([1.0, 0.5, 2 / 3])
+        assert curve.recall.tolist() == pytest.approx([0.5, 0.5, 1.0])
         assert average_precision(curve) == pytest.approx(5 / 6, abs=1e-12)
         assert average_precision(curve) == pytest.approx(
             brute_force_ap([0.9, 0.8, 0.7], [True, False, True], 2), abs=1e-12
@@ -534,16 +531,16 @@ class TestPRCurveAndAP:
     def test_tied_confidences_single_step(self):
         sample = _sample_from_pattern([0.5, 0.5, 0.5], [True, True, False], 3)
         curve = pr_curve([sample], 0, 0.5)
-        assert len(curve.points) == 1
-        assert curve.points[0].precision == pytest.approx(2 / 3)
+        assert len(curve.threshold) == len(curve.precision) == len(curve.recall) == 1
+        assert curve.precision[0] == pytest.approx(2 / 3)
 
     def test_recall_monotone_along_sweep(self):
         sample = _sample_from_pattern(
             [0.9, 0.85, 0.8, 0.7, 0.6, 0.5], [True, False, True, False, True, True], 5
         )
         curve = pr_curve([sample], 0, 0.5)
-        thresholds = [pt.threshold for pt in curve.points]
-        recalls = [pt.recall for pt in curve.points]
+        thresholds = curve.threshold.tolist()
+        recalls = curve.recall.tolist()
         assert thresholds == sorted(thresholds, reverse=True)
         assert recalls == sorted(recalls)
 
@@ -565,7 +562,7 @@ class TestPRCurveAndAP:
         ]
         forward = pr_curve(samples, 0, 0.5)
         backward = pr_curve(list(reversed(samples)), 0, 0.5)
-        assert forward == backward
+        assert _columns(forward) == _columns(backward)
 
     def test_eleven_point_variant(self):
         sample = _sample_from_pattern([0.9, 0.8, 0.7], [True, False, True], 2)
@@ -621,30 +618,18 @@ class TestMeanAP:
 
 class TestConfusionMatrix:
     def test_perfect_single_class(self):
-        reports = [
-            match([Detection(0, UNIT, 0.9)], [GroundTruthObject(0, UNIT)], 0.5, cross_class=True)
-        ]
-        cm = confusion_matrix(reports, REGISTRY)
+        cm = _evaluate([Detection(0, UNIT, 0.9)], [GroundTruthObject(0, UNIT)]).confusion
         assert cm.class_names == ("wb", "bb", "background")
         assert cm.matrix[0][0] == 1
         assert cm.total() == 1
 
     def test_unmatched_detection_goes_to_background_column(self):
-        reports = [match([Detection(0, UNIT, 0.9)], [], 0.5, cross_class=True)]
-        cm = confusion_matrix(reports, REGISTRY)
+        cm = _evaluate([Detection(0, UNIT, 0.9)], []).confusion
         assert cm.matrix[0][2] == 1
 
     def test_cross_class_off_diagonal(self):
-        reports = [
-            match([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)], 0.5, cross_class=True)
-        ]
-        cm = confusion_matrix(reports, REGISTRY)
+        cm = _evaluate([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)]).confusion
         assert cm.matrix[1][0] == 1  # row bb (predicted), column wb (truth)
-
-    def test_requires_cross_class_reports(self):
-        rep = match([], [], 0.5)
-        with pytest.raises(ValueError, match="cross_class"):
-            confusion_matrix([rep], REGISTRY)
 
     @given(
         st.lists(
@@ -660,17 +645,16 @@ class TestConfusionMatrix:
     )
     @settings(max_examples=60)
     def test_total_entries_invariant(self, images):
-        reports = []
+        samples = []
         n_dets = 0
         n_unmatched_truths = 0
-        for det_spec, truth_spec in images:
-            dets = [Detection(lab, _slot_box(s), c) for lab, s, c in det_spec]
-            truths = [GroundTruthObject(lab, _slot_box(s)) for lab, s in truth_spec]
-            rep = match(dets, truths, 0.5, cross_class=True)
-            reports.append(rep)
+        for m, (det_spec, truth_spec) in enumerate(images):
+            dets = tuple(Detection(lab, _slot_box(s), c) for lab, s, c in det_spec)
+            truths = tuple(GroundTruthObject(lab, _slot_box(s)) for lab, s in truth_spec)
+            samples.append(EvalSample(f"img{m}", dets, truths))
             n_dets += len(dets)
-            n_unmatched_truths += len(truths) - len(rep.pairs)
-        cm = confusion_matrix(reports, REGISTRY)
+            n_unmatched_truths += len(truths) - len(matched_pairs(dets, truths, 0.5, cross_class=True))
+        cm = evaluate_detections(samples, REGISTRY, 0.5).confusion
         assert cm.total() == n_dets + n_unmatched_truths
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deteval import annotations, cli
@@ -132,8 +132,26 @@ def floats_in(value):
             yield from floats_in(item)
 
 
+def _row(*values):
+    """One row of `rows` whose class id 0 is followed by `values`."""
+    return ["0", *values, ""][:7], None, None
+
+
 @given(rows, st.sampled_from(["\n", "\r\n", "\r"]))
 @settings(max_examples=400, deadline=None)
+# the edges of `read_yolo`'s range check: no rows, NaN, the infinities, -0.0,
+# exact 0 and 1 and values just past them, and a zero width or height
+@example([], "\n")
+@example([_row("-1e-9", "0.5", "0.1", "0.1", "0.5")], "\n")
+@example([_row("0.5", "0.5", "0.1", "0.1", "1.0000001")], "\n")
+@example([_row("nan", "0.5", "0.1", "0.1", "0.5")], "\n")
+@example([_row("0.5", "0.5", "0.1", "0.1", "nan")], "\n")
+@example([_row("0.5", "inf", "0.1", "0.1", "0.5")], "\n")
+@example([_row("0.5", "0.5", "0.1", "0.1", "-inf")], "\n")
+@example([_row("-0.0", "0.5", "0.1", "0.1", "-0.0")], "\n")
+@example([_row("0", "1", "1", "1", "0"), _row("1", "0", "0.5", "0.5", "1")], "\n")
+@example([_row("0.5", "0.5", "0", "0.1", "0.5")], "\n")
+@example([_row("0.5", "0.5", "0.1", "0", "0.5")], "\n")
 def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
     for name, (parse, separator, n_fields, header, errors) in PARSERS.items():
         text = newline.join(
