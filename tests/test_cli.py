@@ -210,6 +210,20 @@ class TestTile:
             "message": f"image 'a': image or tile side above 2**53: image {side}x1300, tile {side}x416"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("document", [{}, {"tile": {"image_width": 832}}], ids=["no size", "width only"])
+    def test_unknown_image_size_exits_2_naming_the_ways_to_set_it(self, tmp_path, capsys, document):
+        # an image beside its annotation file is not read for its size
+        annots, out, config = tmp_path / "annots", tmp_path / "out", tmp_path / "cfg.json"
+        annots.mkdir()
+        (annots / "a.txt").write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        (annots / "a.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+        config.write_text(json.dumps(document))
+        assert run_cli("--config", config, "--output-dir", out, "tile", "--ground-truth-dir", annots) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError",
+            "message": "image dimensions unknown: set tile.image_width/image_height or tile.image_sizes_csv"}
+        assert not out.exists()
+
     def test_bad_annotation_is_reported_before_bad_image_sizes(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         sizes = tmp_path / "sizes.csv"

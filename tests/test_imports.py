@@ -1,7 +1,9 @@
 """What importing the package and running each command loads, and the
 package's public names."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import types
@@ -130,6 +132,14 @@ PUBLIC_NAMES = [
 ]
 
 
+# The names that left `deteval.metrics` with the object-shaped matcher;
+# evaluation goes through `evaluate_detections` and `pr_curve`.
+REMOVED_METRICS_NAMES = [
+    "MatchReport", "MatchedPair", "PRPoint", "_sum_tallies", "confusion_matrix", "detection_accuracy", "f1",
+    "match", "precision", "recall",
+]
+
+
 class TestPublicApi:
     def test_all_is_the_public_set(self):
         assert deteval.__all__ == PUBLIC_NAMES
@@ -151,6 +161,22 @@ class TestPublicApi:
         assert {name: namespace.get(name) for name in deteval.__all__} == {
             name: getattr(deteval, name) for name in deteval.__all__
         }
+
+    @pytest.mark.parametrize("name", REMOVED_METRICS_NAMES)
+    def test_removed_evaluation_name_is_gone(self, name):
+        from deteval import metrics
+
+        assert not hasattr(metrics, name)
+        assert name not in dir(deteval)
+        with pytest.raises(AttributeError, match=re.escape(repr(name))):
+            getattr(deteval, name)
+
+    def test_a_curve_is_read_through_its_columns(self):
+        from deteval import metrics
+
+        assert [f.name for f in dataclasses.fields(metrics.PRCurve)] == [
+            "class_id", "npos", "threshold", "precision", "recall"]
+        assert not hasattr(metrics.PRCurve, "points")
 
     def test_unknown_attribute_raises_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
