@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from statistics import NormalDist
 
-import numpy as np
-
 from .annotations import left_sum
 
 _LENTZ_TOL = 1e-14
@@ -96,6 +94,16 @@ def _t_sf_two_sided(t: float, df: float) -> float:
     return reg_inc_beta(df / (df + t * t), df / 2.0, 0.5)
 
 
+# Every sum below is a `left_sum` fold of Python floats: one rounding order on every CPU and Python.
+# Squares are `d * d`, which overflows to inf (`** 2` raises); the finiteness checks reject inf and NaN.
+def _mean(values) -> float:
+    return left_sum(values) / len(values)
+
+
+def _squares(deviations) -> float:
+    return left_sum(d * d for d in deviations)
+
+
 @dataclass(frozen=True)
 class ObservationTable:
     """Grouped response observations: the substrate of every effect test."""
@@ -146,8 +154,6 @@ class AnovaResult:
     degenerate: bool = False
 
 
-# overflow and NaN are caught by the finiteness checks, which raise a ValueError instead of numpy's warnings
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def anova_oneway(table: ObservationTable) -> AnovaResult:
     """One-way fixed-effects ANOVA by least squares.
 
@@ -158,20 +164,18 @@ def anova_oneway(table: ObservationTable) -> AnovaResult:
     variation either).
     """
     table.require_replicates()
-    groups = [np.asarray(obs, dtype=float) for _, obs in table.groups]
+    groups = [tuple(map(float, obs)) for _, obs in table.groups]
     labels = tuple(label for label, _ in table.groups)
-    all_obs = np.concatenate(groups)
-    n_total = all_obs.size
-    k = len(groups)
-    grand_mean = float(all_obs.mean())
-    group_means = [float(g.mean()) for g in groups]
+    all_obs = [v for g in groups for v in g]
+    grand_mean = _mean(all_obs)
+    group_means = [_mean(g) for g in groups]
     effects = tuple(m - grand_mean for m in group_means)
-    residuals = tuple(tuple(float(v) for v in g - m) for g, m in zip(groups, group_means))
-    ss_between = float(left_sum(g.size * e * e for g, e in zip(groups, effects)))
-    ss_within = float(left_sum(((g - m) ** 2).sum() for g, m in zip(groups, group_means)))
+    residuals = tuple(tuple(v - m for v in g) for g, m in zip(groups, group_means))
+    ss_between = left_sum(len(g) * e * e for g, e in zip(groups, effects))
+    ss_within = left_sum(_squares(r) for r in residuals)
     if not (math.isfinite(ss_between) and math.isfinite(ss_within)):
         raise ValueError("a sum of squares is not finite: the observations are too large")
-    df = (k - 1, n_total - k)
+    df = (len(groups) - 1, len(all_obs) - len(groups))
     ms_between = ss_between / df[0]
     ms_within = ss_within / df[1]
     if ms_within == 0.0:
@@ -211,22 +215,24 @@ class TTestResult:
 
 def t_test_pairwise(table: ObservationTable) -> list[TTestResult]:
     """Pooled-variance two-sample t for every unordered group pair,
-    two-sided p-values."""
+    two-sided p-values. A pair whose standard error is (or underflows to)
+    zero is flagged degenerate, with t = +-inf, or 0 for equal means."""
     table.require_replicates()
     results = []
     for (label_a, obs_a), (label_b, obs_b) in combinations(table.groups, 2):
-        a = np.asarray(obs_a, dtype=float)
-        b = np.asarray(obs_b, dtype=float)
-        n1, n2 = a.size, b.size
+        a, b = tuple(map(float, obs_a)), tuple(map(float, obs_b))
+        n1, n2 = len(a), len(b)
         df = n1 + n2 - 2
-        pooled = (((a - a.mean()) ** 2).sum() + ((b - b.mean()) ** 2).sum()) / df
-        diff = float(a.mean() - b.mean())
-        if pooled == 0.0:
+        mean_a, mean_b = _mean(a), _mean(b)
+        pooled = (_squares(v - mean_a for v in a) + _squares(v - mean_b for v in b)) / df
+        diff = mean_a - mean_b
+        se = math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
+        if se == 0.0:
             t = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
             p = 1.0 if diff == 0.0 else 0.0
             results.append(TTestResult(label_a, label_b, t, df, p, degenerate=True))
             continue
-        t = diff / math.sqrt(pooled * (1.0 / n1 + 1.0 / n2))
+        t = diff / se
         results.append(TTestResult(label_a, label_b, t, df, _t_sf_two_sided(t, df)))
     return results
 
@@ -241,14 +247,12 @@ class SampleStats:
 def describe(sample) -> SampleStats:
     """Mean and sample (n-1 denominator) standard deviation; sd is None when
     a single observation leaves it undefined."""
-    values = np.asarray(list(sample), dtype=float)
-    if values.size == 0:
+    values = [float(v) for v in sample]
+    if not values:
         raise ValueError("cannot describe an empty sample")
-    mean = float(values.mean())
-    sd = None
-    if values.size >= 2:
-        sd = float(math.sqrt(((values - mean) ** 2).sum() / (values.size - 1)))
-    return SampleStats(n=int(values.size), mean=mean, sd=sd)
+    mean = _mean(values)
+    sd = math.sqrt(_squares(v - mean for v in values) / (len(values) - 1)) if len(values) >= 2 else None
+    return SampleStats(n=len(values), mean=mean, sd=sd)
 
 
 @dataclass(frozen=True)
@@ -277,17 +281,38 @@ def _poly(coeffs, x: float) -> float:
     return result
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _sw_weights(n: int) -> tuple[float, ...]:
+    """Weights of a sorted sample of n >= 3: -a, a zero for odd n, reversed +a. a comes from the normal
+    order-statistic medians Phi^-1((i - 3/8)/(n + 1/4)), with Royston's corrections to the extremes."""
+    n2 = n // 2
+    if n == 3:
+        a = [math.sqrt(0.5)]
+    else:
+        nd = NormalDist()
+        m = [nd.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)]
+        summ2 = 2.0 * _squares(m)
+        ssumm2 = math.sqrt(summ2)
+        rsn = 1.0 / math.sqrt(n)
+        a1 = _poly(_SW_C1, rsn) - m[0] / ssumm2
+        if n > 5:
+            a2 = -m[1] / ssumm2 + _poly(_SW_C2, rsn)
+            fac = math.sqrt((summ2 - 2.0 * m[0] * m[0] - 2.0 * m[1] * m[1])
+                            / (1.0 - 2.0 * a1 * a1 - 2.0 * a2 * a2))
+            a = [a1, a2, *(-v / fac for v in m[2:])]
+        else:
+            fac = math.sqrt((summ2 - 2.0 * m[0] * m[0]) / (1.0 - 2.0 * a1 * a1))
+            a = [a1, *(-v / fac for v in m[1:])]
+    return (*(-v for v in a), *([0.0] * (n % 2)), *reversed(a))
+
+
 def shapiro_wilk(sample) -> SWResult:
     """Shapiro-Wilk W and its p-value via Royston's AS R94 approximation.
 
-    Valid for 3 <= n <= 5000. The coefficient vector comes from normal
-    order-statistic medians m_i = Phi^-1((i - 3/8)/(n + 1/4)) with Royston's
-    polynomial corrections to the two extreme weights; the p-value uses his
-    normalizing transforms of log(1 - W).
+    Valid for 3 <= n <= 5000. The p-value uses Royston's normalizing
+    transforms of log(1 - W).
     """
-    x = np.sort(np.asarray(list(sample), dtype=float))
-    n = int(x.size)
+    x = sorted(float(v) for v in sample)
+    n = len(x)
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
     if n > 5000:
@@ -295,38 +320,12 @@ def shapiro_wilk(sample) -> SWResult:
     if x[-1] == x[0]:
         raise ValueError("W is undefined for a constant sample")
 
-    nd = NormalDist()
-    n2 = n // 2
-    a = np.empty(n2)
-    if n == 3:
-        a[0] = math.sqrt(0.5)
-    else:
-        m = np.array([nd.inv_cdf((i - 0.375) / (n + 0.25)) for i in range(1, n2 + 1)])
-        summ2 = 2.0 * float(np.sum(m * m))
-        ssumm2 = math.sqrt(summ2)
-        rsn = 1.0 / math.sqrt(n)
-        a1 = _poly(_SW_C1, rsn) - m[0] / ssumm2
-        if n > 5:
-            a2 = -m[1] / ssumm2 + _poly(_SW_C2, rsn)
-            fac = math.sqrt(
-                (summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
-                / (1.0 - 2.0 * a1 ** 2 - 2.0 * a2 ** 2)
-            )
-            a[0], a[1] = a1, a2
-            a[2:] = -m[2:] / fac
-        else:
-            fac = math.sqrt((summ2 - 2.0 * m[0] ** 2) / (1.0 - 2.0 * a1 ** 2))
-            a[0] = a1
-            a[1:] = -m[1:] / fac
-
-    # Full antisymmetric weight vector: -a on the lower half, reversed +a on
-    # the upper half, zero middle for odd n. It sums to zero, so centering x
-    # only stabilizes the numerator.
-    coeffs = np.zeros(n)
-    coeffs[:n2] = -a
-    coeffs[n - n2:] = a[::-1]
-    centered = x - x.mean()
-    w = float((coeffs @ centered) ** 2 / (centered @ centered))
+    # The weights sum to zero, so centering x only stabilizes the numerator.
+    mean = _mean(x)
+    centered = [v - mean for v in x]
+    numerator = left_sum(c * v for c, v in zip(_sw_weights(n), centered))
+    denominator = _squares(centered)
+    w = numerator * numerator / denominator if denominator != 0.0 else math.nan
     if not math.isfinite(w):
         raise ValueError("W is not finite: the spread of the sample overflows or underflows")
     w = min(w, 1.0)
@@ -348,5 +347,5 @@ def shapiro_wilk(sample) -> SWResult:
         log_n = math.log(n)
         mu = _poly(_SW_C5, log_n)
         sigma = math.exp(_poly(_SW_C6, log_n))
-    pw = 1.0 - nd.cdf((y - mu) / sigma)
+    pw = 1.0 - NormalDist().cdf((y - mu) / sigma)
     return SWResult(statistic=w, p_value=min(max(pw, 0.0), 1.0), n=n)

@@ -729,7 +729,16 @@ class TestStats:
         entry = json.loads((out / "stats.json").read_text())["responses"][0]
         assert ">= 2 groups" in entry["error"]
 
-    @pytest.mark.filterwarnings("error")  # numpy's overflow warnings would precede the error record
+    def test_standard_error_that_underflows_is_a_degenerate_t(self, tmp_path):
+        # the pooled variance is subnormal, and its standard error rounds to zero
+        path = tmp_path / "tiny_se.csv"
+        path.write_text("group,observation\n" + "a,0\n" * 4 + "a,6.309573444801943e-162\n" + "b,1\n" * 5)
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "stats", "--inputs", path) == 0
+        (t,) = json.loads((out / "stats.json").read_text())["responses"][0]["pairwise_t"]
+        assert t["degenerate"] and t["t"] == "-inf" and t["p_value"] == 0.0
+
+    @pytest.mark.filterwarnings("error")  # an overflow warning would precede the error record
     def test_non_finite_statistic_fails_only_its_response(self, fixtures_dir, tmp_path, capsys):
         fixture = fixtures_dir / "stats" / "height_accuracy.csv"
         huge, tiny = tmp_path / "huge.csv", tmp_path / "tiny.csv"

@@ -75,7 +75,7 @@ def test_import_deteval_loads_no_module():
         ("report", ()),
         ("augment", ("deteval.prep", "numpy")),
         ("evaluate", ("deteval.metrics", "numpy")),
-        ("stats", ("deteval.stats", "numpy")),
+        ("stats", ("deteval.stats",)),
     ],
 )
 def test_command_loads_only_what_it_runs(fixtures_dir, tmp_path, command, modules):

@@ -1,4 +1,7 @@
+import csv
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -129,6 +132,40 @@ class TestAnova:
         result = anova_oneway(_table([16, 29], [81, 81], [75, 8]))
         assert result.ss_between.hex() == "0x1.bd4aaaaaaaaabp+11"
 
+    def test_every_statistic_folds_left_to_right(self, fixtures_dir):
+        # a pairwise sum or a BLAS dot product rounds these 10 terms in another order, and a dot
+        # product's order follows the CPU; a left fold has one order everywhere
+        def fold(terms):
+            return reduce(operator.add, terms, 0.0)
+
+        def mean(values):
+            return fold(values) / len(values)
+
+        def squares(values):
+            m = mean(values)
+            return fold((v - m) * (v - m) for v in values)
+
+        from deteval.stats import _sw_weights
+
+        with open(fixtures_dir / "stats" / "height_accuracy.csv", newline="") as f:
+            table = ObservationTable.from_rows("accuracy", list(csv.reader(f))[1:])
+        groups = [obs for _, obs in table.groups]
+        assert [len(obs) for obs in groups] == [10, 10, 10]
+
+        ss_within = fold(squares(obs) for obs in groups)
+        assert anova_oneway(table).ss_within.hex() == ss_within.hex()
+        for result, (a, b) in zip(t_test_pairwise(table), [(0, 1), (0, 2), (1, 2)]):
+            pooled = (squares(groups[a]) + squares(groups[b])) / 18
+            t = (mean(groups[a]) - mean(groups[b])) / math.sqrt(pooled * (1.0 / 10 + 1.0 / 10))
+            assert result.statistic.hex() == t.hex()
+        for obs in groups:
+            assert describe(obs).sd.hex() == math.sqrt(squares(obs) / 9).hex()
+            x = sorted(obs)
+            m = mean(x)
+            numerator = fold(c * (v - m) for c, v in zip(_sw_weights(10), x))
+            w = numerator * numerator / squares(x)
+            assert shapiro_wilk(obs).statistic.hex() == min(w, 1.0).hex()
+
     def test_degenerate_zero_within_variance(self):
         result = anova_oneway(_table([0.0, 0.0], [1.0, 1.0]))
         assert result.degenerate
@@ -141,7 +178,7 @@ class TestAnova:
         with pytest.raises(ValueError, match=">= 2 groups"):
             ObservationTable("y", (("only", (1.0, 2.0)),))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_sum_of_squares_that_overflows_rejected(self):
         with pytest.raises(ValueError, match="sum of squares is not finite"):
             anova_oneway(_table([1e308, -1e308, 1e308], [1e308, -1e308, -1e308]))
@@ -219,6 +256,12 @@ class TestTTest:
         apart = t_test_pairwise(_table([2.0, 2.0], [3.0, 3.0]))[0]
         assert apart.degenerate and math.isinf(apart.statistic) and apart.p_value == 0.0
 
+    def test_standard_error_that_underflows_is_degenerate(self):
+        # the pooled variance is the smallest subnormal, and times 1/5 + 1/5 it rounds to zero
+        table = _table([0.0, 0.0, 0.0, 0.0, 6.309573444801943e-162], [1.0] * 5)
+        result = t_test_pairwise(table)[0]
+        assert result.degenerate and result.statistic == -math.inf and result.p_value == 0.0
+
 
 class TestDescribe:
     def test_height_fixture_columns(self, fixtures_dir):
@@ -255,7 +298,7 @@ class TestShapiroWilk:
         with pytest.raises(ValueError, match="constant"):
             shapiro_wilk([1.0, 1.0, 1.0, 1.0])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("sample", [
         [1e-300, 2e-300, 4e-300],  # the squares underflow: W is 0/0
         [-1e308, 1e308, 1e308],  # the squares overflow: W is inf/inf
