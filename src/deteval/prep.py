@@ -211,17 +211,15 @@ def augment(rows, pipeline: AugmentPipeline, sample_count: int) -> list[list[tup
     """The rows of sample_count augmented variants of an image's sequence of
     (label, cx, cy, w, h) rows.
 
-    Each sample draws its RNG stream from (rng_seed, sample index), so any
-    sample can be regenerated independently and concurrent generation is
-    bit-identical to sequential.
+    Sample k draws from its own stdlib stream, `random.Random(f"{rng_seed}/{k}")`,
+    so it depends only on (rng_seed, k) and can be regenerated alone. Every
+    draw is a `random()` call, whose sequence Python keeps across versions.
     """
     if sample_count < 0:
         raise ValueError(f"sample_count must be >= 0: {sample_count}")
-    import numpy as np
-
     samples = []
     for k in range(sample_count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=pipeline.rng_seed, spawn_key=(k,)))
+        rng = random.Random(f"{pipeline.rng_seed}/{k}")
         boxes = rows
         for op in pipeline.operations:
             if rng.random() >= op.probability:
@@ -231,7 +229,7 @@ def augment(rows, pipeline: AugmentPipeline, sample_count: int) -> list[list[tup
             elif op.name == OP_FLIP_TB:
                 boxes = _flip_tb(boxes)
             elif op.name == OP_ROTATE:
-                angle = float(op.angles[int(rng.integers(len(op.angles)))]) % 360.0
+                angle = float(op.angles[int(rng.random() * len(op.angles))]) % 360.0
                 if angle == 0.0:
                     continue
                 if angle in (90.0, 180.0, 270.0):

@@ -328,7 +328,8 @@ def shapiro_wilk(sample) -> SWResult:
     w = numerator * numerator / denominator if denominator != 0.0 else math.nan
     if not math.isfinite(w):
         raise ValueError("W is not finite: the spread of the sample overflows or underflows")
-    w = min(w, 1.0)
+    if w >= 1.0:  # the limit of Royston's transforms, where log(1 - W) is undefined
+        return SWResult(statistic=1.0, p_value=1.0, n=n)
 
     if n == 3:
         pw = _SW_PI6 * (math.asin(math.sqrt(w)) - _SW_STQR)

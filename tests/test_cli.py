@@ -273,16 +273,22 @@ class TestAugment:
                        "--ground-truth-dir", src, "--samples", "2") == 0
         assert [p.read_text() for p in sorted((out / "augmented").iterdir())] == ["", ""]
 
-    @pytest.mark.parametrize("seed, samples", [(0, 1), (1, 3)], ids=["untouched", "right-angle turn"])
-    def test_box_with_a_side_written_as_zero_is_dropped_so_samples_read_back(self, tmp_path, seed, samples):
+    # The sizes of the kept 0.2 x 0.1 box show each case's premise: no zoom fires, and in the
+    # second case a sample turns 90 or 270 degrees. Seed 13's one sample fires only the two flips.
+    @pytest.mark.parametrize("seed, samples, sizes", [
+        (13, 1, {("0.200000", "0.100000")}),
+        (1, 3, {("0.200000", "0.100000"), ("0.100000", "0.200000")}),
+    ], ids=["untouched", "right-angle turn"])
+    def test_box_with_a_side_written_as_zero_is_dropped_so_samples_read_back(self, tmp_path, seed, samples, sizes):
         src = tmp_path / "annot"
         src.mkdir()
-        (src / "a.txt").write_text("0 0.5 0.5 2e-7 0.1\n1 0.3 0.3 0.2 0.2\n")
+        (src / "a.txt").write_text("0 0.5 0.5 2e-7 0.1\n1 0.3 0.3 0.2 0.1\n")
         out = tmp_path / "out"
         assert run_cli("--seed", seed, "--output-dir", out, "augment", "--ground-truth-dir", src,
                        "--samples", samples) == 0
         rows = [row.split() for p in sorted((out / "augmented").iterdir()) for row in p.read_text().splitlines()]
         assert len(rows) == samples and all(row[0] == "1" for row in rows)
+        assert {(row[3], row[4]) for row in rows} == sizes
         assert run_cli("--output-dir", tmp_path / "again", "tile", "--ground-truth-dir", out / "augmented",
                        "--image-size", "416x416") == 0
 
@@ -766,6 +772,16 @@ class TestStats:
         assert "anova" in entry and "error" not in entry
         assert entry["shapiro_wilk"][0]["error"].startswith("W is not finite")
         assert entry["shapiro_wilk"][1]["W"] > 0
+
+    def test_group_whose_w_rounds_to_1_gets_p_1(self, tmp_path):
+        from deteval.stats import _sw_weights
+
+        path = tmp_path / "exact.csv"
+        path.write_text("group,observation\n" + "".join(f"a,{v!r}\n" for v in _sw_weights(4)) + "b,1\nb,2\nb,4\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "stats", "--inputs", path) == 0
+        group = json.loads((out / "stats.json").read_text())["responses"][0]["shapiro_wilk"][0]
+        assert group == {"group": "a", "n": 4, "W": 1.0, "p_value": 1.0}
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_observation_names_file_and_line(self, tmp_path, capsys, value):

@@ -73,7 +73,7 @@ def test_import_deteval_loads_no_module():
         ("split", ("deteval.prep",)),
         ("desirability", ("deteval.desirability",)),
         ("report", ()),
-        ("augment", ("deteval.prep", "numpy")),
+        ("augment", ("deteval.prep",)),
         ("evaluate", ("deteval.metrics", "numpy")),
         ("stats", ("deteval.stats",)),
     ],

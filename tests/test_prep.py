@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from unittest import mock
 
 import numpy as np
@@ -309,6 +310,24 @@ class TestAugment:
         # a different seed diverges
         other = _augment(image, _pipeline(*pipeline.operations, seed=99), 20)
         assert other != first
+
+    def test_each_sample_replays_its_own_stdlib_stream(self):
+        # oracle: sample k flips when the first random() of Random(f"{seed}/{k}") is below 0.5
+        rows = [(0, 0.25, 0.5, 0.125, 0.25)]
+        samples = prep.augment(rows, _pipeline(AugmentOp("flip_left_right", 0.5), seed=11), 20)
+        flipped = [sample != rows for sample in samples]
+        assert flipped == [random.Random(f"11/{k}").random() < 0.5 for k in range(20)]
+        assert 0 < sum(flipped) < 20
+
+    def test_fewer_samples_are_a_prefix_of_more(self):
+        rows = [(0, 0.3, 0.4, 0.1, 0.2), (1, 0.7, 0.6, 0.2, 0.1)]
+        pipeline = _pipeline(
+            AugmentOp("rotate", 0.7, angles=(45.0, 90.0, 180.0, 270.0)),
+            AugmentOp("flip_left_right", 0.4),
+            AugmentOp("zoom_random", 0.4, percentage_area=0.8),
+            AugmentOp("flip_top_bottom", 0.4),
+        )
+        assert prep.augment(rows, pipeline, 3) == prep.augment(rows, pipeline, 8)[:3]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown augmentation op"):

@@ -307,6 +307,15 @@ class TestShapiroWilk:
         with pytest.raises(ValueError, match="W is not finite"):
             shapiro_wilk(sample)
 
+    @pytest.mark.parametrize("n", range(4, 30))
+    def test_sample_on_its_own_weights_has_w_1_and_p_1(self, n):
+        # W rounds to 1 for 19 of these sizes; the rest land a few ulps below
+        from deteval.stats import _sw_weights
+
+        result = shapiro_wilk(_sw_weights(n))
+        assert result.statistic == pytest.approx(1.0, abs=1e-15)
+        assert result.p_value == 1.0
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             shapiro_wilk([1.0, 2.0])
