@@ -215,6 +215,8 @@ def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
         class_id = int(raw)
     except ValueError:
         raise ValueError(f"class id is not an integer: {raw!r}") from None
+    if class_id < 0:  # as ClassLabel words it, so no registry could hold it
+        raise ValueError(f"class id must be non-negative: {class_id}")
     if registry is not None and class_id not in registry:
         raise RegistryError(f"unknown class id {class_id}")
     return class_id
@@ -264,40 +266,27 @@ class BoxColumns:
     offsets: np.ndarray
 
 
-_BLOCK_BYTES = 1 << 18  # input bytes `read_yolo` tokenises before it converts them and drops the tokens
-
-
 def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     """YOLO annotation (`n_fields` 5) or prediction (6) files, each given as
     its bytes, as one `BoxColumns` with labels as positions in
-    `registry.ids()`. Files are tokenised in blocks of at most `_BLOCK_BYTES`
-    (a larger file is a block of its own), and each block's values convert
-    with `int` and `float` as `yolo_rows` converts them, straight into typed
-    arrays. All are checked at once: all files convert, or a ValueError or
-    KeyError says nothing of where. `yolo_rows` does the same and names the line."""
+    `registry.ids()`. Each file's values convert as soon as it is split, with
+    `int` and `float` as `yolo_rows` converts them, straight into typed
+    arrays, so no more than one file's tokens are held at a time. All are
+    checked at once: all files convert, or a ValueError or KeyError says
+    nothing of where. `yolo_rows` does the same and names the line."""
     import numpy as np
 
     position = {class_id: k for k, class_id in enumerate(registry.ids())}
-    labels, values, counts, rows, size = array("q"), array("d"), [0], [], 0
-
-    def convert():
+    labels, values, counts = array("q"), array("d"), [0]
+    for data in files:
+        rows = [fields for fields in map(str.split, split_lines(decode_text(data))) if fields]
         if not set(map(len, rows)) <= {n_fields}:
             raise ValueError("wrong field count")
         tokens = list(itertools.chain.from_iterable(rows))
-        rows.clear()
         labels.fromlist([position[int(raw)] for raw in tokens[::n_fields]])
         del tokens[::n_fields]
         values.fromlist(list(map(float, tokens)))
-
-    for data in files:
-        if size + len(data) > _BLOCK_BYTES:
-            convert()
-            size = 0
-        lines = [fields for fields in map(str.split, split_lines(decode_text(data))) if fields]
-        rows += lines
-        counts.append(len(lines))
-        size += len(data)
-    convert()
+        counts.append(len(rows))
     values = np.frombuffer(values, dtype=np.float64).reshape(-1, n_fields - 1)
     # cx, cy and the confidence in [0, 1], w and h in (0, 1]; min and max
     # carry a NaN through, which fails every comparison

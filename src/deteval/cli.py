@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -207,8 +208,9 @@ def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
             tiles = plan_tiles(width, height, spec)
         except ValueError as exc:
             raise CliError(f"image {image_id!r}: {exc}") from exc
+        digits = max(3, len(str(len(tiles) - 1)))  # ids sort in tile order
         for index, (rect, tile_rows) in enumerate(zip(tiles, retile_annotations(rows, width, height, tiles, spec))):
-            tile_id = f"{image_id}_{index:03d}"
+            tile_id = f"{image_id}_{index:0{digits}d}"
             manifest_rows.append((tile_id, image_id, rect.x0, rect.y0, rect.w, rect.h))
             if tile_rows:
                 artifacts[f"tiles/{tile_id}.txt"] = format_yolo_rows(tile_rows)
@@ -411,6 +413,11 @@ def cmd_stats(config: dict, inputs: dict) -> tuple[dict, str | CliError]:
     if not config["stats_inputs"]:
         raise CliError("no stats inputs: set stats_inputs in the config or pass --inputs")
     paths = sorted(map(Path, config["stats_inputs"]), key=str)
+    stems = [path.stem for path in paths]
+    repeated = [stem for stem in stems if stems.count(stem) > 1]
+    if repeated:
+        named = ", ".join(str(path) for path in paths if path.stem == repeated[0])
+        raise CliError(f"stats_inputs: response {repeated[0]!r} is named by more than one input: {named}")
     entries = [_stats_for_file(inputs, i, path) for i, path in enumerate(paths)]
     summary = (
         [e["response"], e["effect"], e["anova"]["f_ratio"], e["anova"]["prob_gt_f"]]
@@ -672,5 +679,16 @@ def main(argv=None) -> int:
         return EXIT_FAILURE
 
 
+def run() -> int:
+    """`main` as the `deteval` process runs it: with no cyclic collection, during
+    the run or over what is left at exit (`--version` and usage errors exit
+    from inside `main`). `main` itself keeps the collector."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

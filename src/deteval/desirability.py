@@ -138,15 +138,17 @@ def component_desirabilities(candidate: Candidate, profile: DesirabilityProfile)
 
 def overall_desirability(candidate: Candidate, profile: DesirabilityProfile) -> float:
     """Weighted geometric mean of the per-goal desirabilities; any zero
-    component annihilates the whole score."""
+    component annihilates the whole score. Weights are relative: each is
+    scaled by the largest, which keeps the products and their total finite."""
     components = component_desirabilities(candidate, profile)
-    total_weight = left_sum(g.weight for g in profile.goals)
+    top = max(g.weight for g in profile.goals)
+    total_weight = left_sum(g.weight / top for g in profile.goals)
     log_sum = 0.0
     for goal in profile.goals:
         d = components[goal.name]
         if d == 0.0:
             return 0.0
-        log_sum += goal.weight * math.log(d)
+        log_sum += goal.weight / top * math.log(d)
     return math.exp(log_sum / total_weight)
 
 

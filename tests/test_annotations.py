@@ -107,6 +107,7 @@ class TestRows:
     @pytest.mark.parametrize("line, error, message", [
         ("x 2 -1 0 0 7", AnnotationError, "class id is not an integer: 'x'"),
         ("7 2 -1 0 0 x", RegistryError, "unknown class id 7"),
+        ("-1 2 -1 0 0 x", AnnotationError, "class id must be non-negative: -1"),
         ("0 0.5 x 0 0 x", AnnotationError, "not a number: 'x'"),
         ("0 2 -1 0 0 x", AnnotationError, r"box center out of \[0,1\]: \(2.0, -1.0\)"),
         ("0 0.5 0.5 0 2 x", AnnotationError, r"box size out of \(0,1\]: \(0.0, 2.0\)"),
@@ -116,6 +117,10 @@ class TestRows:
     def test_checks_run_in_field_order(self, registry, line, error, message):
         with pytest.raises(error, match=f"^line 2: {message}$"):
             yolo_rows(f"1 0.5 0.5 0.1 0.1 0.5\n{line}\n", 6, registry)
+
+    def test_negative_class_id_is_refused_without_a_registry(self):
+        with pytest.raises(AnnotationError, match="^line 1: class id must be non-negative: -1$"):
+            yolo_rows("-1 0.25 0.25 0.1 0.1\n", 5)
 
     def test_every_value_after_the_class_id_is_written_with_6_decimals(self):
         rows = [(1, 0.3, 1 / 3, 0.2, 1e-7, 0.91), (0, 0.5, 0.5, 1.0, 0.1)]

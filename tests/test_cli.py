@@ -2,6 +2,7 @@ import builtins
 import csv
 import dataclasses
 import errno
+import gc
 import hashlib
 import io
 import itertools
@@ -9,6 +10,7 @@ import json
 import os
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deteval import annotations, cli, metrics
+from deteval import cli, metrics
 from deteval.cli import main
 from deteval.config import DEFAULTS, SCHEMA, InputError, json_text, load_config, read_input
 
@@ -224,6 +226,19 @@ class TestTile:
             "message": "image dimensions unknown: set tile.image_width/image_height or tile.image_sizes_csv"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("size, count", [("4000x2500", 1000), ("4200x4200", 1764)])
+    def test_tile_ids_sort_in_tile_order(self, tmp_path, size, count):
+        # ids keep 3 digits up to 1,000 tiles and take as many as the last index needs beyond
+        src = tmp_path / "annot"
+        src.mkdir()
+        (src / "big.txt").write_text("0 0.5 0.5 0.1 0.1\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", src,
+                       "--tile-size", "100x100", "--image-size", size) == 0
+        ids = [row[0] for row in _read_csv(out / "tiles_manifest.csv")[1:]]
+        digits = max(3, len(str(count - 1)))
+        assert ids == [f"big_{k:0{digits}d}" for k in range(count)] == sorted(ids)
+
     def test_bad_annotation_is_reported_before_bad_image_sizes(self, tmp_path, capsys):
         annots, out = _good_then_bad(tmp_path)
         sizes = tmp_path / "sizes.csv"
@@ -309,6 +324,17 @@ class TestAugment:
         assert code == 2
         assert f"{annots / 'b.txt'}: line 1: " in json.loads(capsys.readouterr().err.strip())["message"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flags", [("tile", ("--image-size", "832x832")), ("augment", ("--samples", "2"))],
+                             ids=["tile", "augment"])
+    def test_negative_class_id_exits_2_naming_the_line_writing_nothing(self, tmp_path, capsys, command, flags):
+        annots, out = tmp_path / "annots", tmp_path / "out"
+        annots.mkdir()
+        (annots / "a.txt").write_text("0 0.5 0.5 0.1 0.1\n-1 0.25 0.25 0.1 0.1\n")
+        assert run_cli("--output-dir", out, command, "--ground-truth-dir", annots, *flags) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError", "message": f"{annots / 'a.txt'}: line 2: class id must be non-negative: -1"}
+        assert not out.exists()
 
     def test_seed_changes_outputs(self, fixtures_dir, tmp_path):
         outs = {}
@@ -558,29 +584,24 @@ class TestEvaluate:
             (("preds/img2.txt",), "preds/img2.txt"),
         ],
     )
-    def test_error_names_the_first_bad_file_in_image_order(
-        self, fixtures_dir, tmp_path, capsys, monkeypatch, bad, named
-    ):
+    def test_error_names_the_first_bad_file_in_image_order(self, fixtures_dir, tmp_path, capsys, bad, named):
         for side in ("truth", "preds"):
             shutil.copytree(fixtures_dir / "detection" / side, tmp_path / side)
         for rel in bad:
             (tmp_path / rel).write_text("0 0.5 0.5 0.1\n")
-        # all files in one block, then each file a block of its own
-        for block_bytes in (annotations._BLOCK_BYTES, 1):
-            monkeypatch.setattr(annotations, "_BLOCK_BYTES", block_bytes)
-            code = run_cli(
-                "--output-dir", tmp_path / "out", "evaluate",
-                "--ground-truth-dir", tmp_path / "truth",
-                "--predictions-dir", tmp_path / "preds",
-                "--class-registry", fixtures_dir / "detection" / "classes.txt",
-            )
-            assert code == 2
-            record = json.loads(capsys.readouterr().err.strip())
-            fields = 5 if named.startswith("truth") else 6
-            assert record == {
-                "error": "CliError",
-                "message": f"{tmp_path / named}: line 1: expected {fields} fields, got 4",
-            }
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "evaluate",
+            "--ground-truth-dir", tmp_path / "truth",
+            "--predictions-dir", tmp_path / "preds",
+            "--class-registry", fixtures_dir / "detection" / "classes.txt",
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        fields = 5 if named.startswith("truth") else 6
+        assert record == {
+            "error": "CliError",
+            "message": f"{tmp_path / named}: line 1: expected {fields} fields, got 4",
+        }
 
     def test_undecodable_file_is_named_in_image_order(self, fixtures_dir, tmp_path, capsys):
         for side in ("truth", "preds"):
@@ -712,6 +733,20 @@ class TestStats:
         assert len(entry["pairwise_t"]) == 3
         rows = _read_csv(out / "stats.csv")
         assert rows[0] == ["response", "effect", "F_ratio", "prob_gt_F"]
+
+    @pytest.mark.parametrize("dirs", [("a", "b"), ("a", "a")], ids=["two dirs", "one path twice"])
+    def test_two_inputs_of_one_response_exit_2_before_any_read(self, fixtures_dir, tmp_path, capsys, monkeypatch, dirs):
+        paths = [tmp_path / d / "x.csv" for d in dirs]
+        for path in paths:
+            path.parent.mkdir(exist_ok=True)
+            shutil.copy(fixtures_dir / "stats" / "height_accuracy.csv", path)
+        monkeypatch.setattr(cli, "read_input", lambda path: pytest.fail(f"{path} was read"))
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "stats", "--inputs", *reversed(paths)) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError",
+            "message": f"stats_inputs: response 'x' is named by more than one input: {paths[0]}, {paths[1]}"}
+        assert not out.exists()
 
     def test_two_identical_groups(self, tmp_path):
         path = tmp_path / "resp.csv"
@@ -976,6 +1011,23 @@ class TestJobs:
         assert record["error"] == "ConfigError"
         assert "jobs must be an integer of at least 1" in record["message"]
         assert not (tmp_path / "out").exists()
+
+
+class TestOneShotProcess:
+    def test_main_keeps_the_collector_and_run_turns_it_off(self, fixtures_dir, tmp_path, monkeypatch):
+        argv = ["--output-dir", str(tmp_path / "out"), "desirability",
+                "--profile", str(fixtures_dir / "desirability" / "profile.json"),
+                "--candidates", str(fixtures_dir / "desirability" / "candidates.csv")]
+        assert gc.isenabled()
+        assert main(argv) == 0
+        assert gc.isenabled()
+        monkeypatch.setattr(sys, "argv", ["deteval", *argv])
+        try:
+            assert cli.run() == 0
+            assert not gc.isenabled() and gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+            gc.enable()
 
 
 class TestExitStatus:

@@ -121,6 +121,24 @@ class TestOverallDesirability:
         heavy_b = overall_desirability(candidate, _profile(weights=(1.0, 3.0)))
         assert heavy_b == pytest.approx((0.25 * 1.0**3) ** 0.25, abs=1e-12)
 
+    def test_weights_whose_total_overflows_rank_as_equal_weights(self):
+        # two weights of 1e308 already sum past the largest float
+        def profile(weight):
+            return DesirabilityProfile(
+                tuple(ResponseGoal(name, "larger-is-better", 0.0, 0.5, 1.0, weight=weight) for name in "abc")
+            )
+
+        candidates = [Candidate("m1", {"a": 0.01, "b": 0.9, "c": 0.9}), Candidate("m2", {"a": 0.6, "b": 0.9, "c": 0.9})]
+        ranking = select_best(candidates, profile(1e308))
+        assert ranking == select_best(candidates, profile(1.0))
+        assert [entry.label for entry in ranking] == ["m2", "m1"]
+        assert all(0.0 < entry.overall < 1.0 for entry in ranking)
+
+    @pytest.mark.parametrize("weight", [1.0, 1e308])
+    def test_a_single_goal_of_any_weight_gives_its_desirability(self, weight):
+        profile = DesirabilityProfile((ResponseGoal("a", "larger-is-better", 0.0, 0.5, 1.0, weight=weight),))
+        assert overall_desirability(Candidate("c", {"a": 0.1}), profile) == pytest.approx(0.1, abs=1e-12)
+
     def test_missing_response_error(self):
         with pytest.raises(ValueError, match="missing response 'b'"):
             overall_desirability(Candidate("c", {"a": 1.0}), _profile())

@@ -12,13 +12,12 @@ import random
 import re
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deteval import annotations, cli
+from deteval import cli
 from deteval.annotations import (
     AnnotationError,
     BoundingBox,
@@ -69,29 +68,13 @@ NOT_LINE_ENDS = ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # and a file that parses
 COLUMNAR = {"annotation": (5, b"0 0.5 0.5 0.1 0.1\n"), "prediction": (6, b"0 0.5 0.5 0.1 0.1 0.5\n")}
 
-# `read_yolo` block budgets: every non-empty file a block of its own, a few
-# rows a block, and all files one block
-BLOCK_BYTES = (1, 100, 1 << 30)
 
-
-def read_yolo_in_blocks(files, n_fields):
-    """`read_yolo` of `files` under each budget of BLOCK_BYTES as (labels,
-    values as float hex, offsets), which must not depend on the budget;
-    otherwise the ValueError or KeyError that every budget raises."""
-    results, errors = set(), set()
-    for block_bytes in BLOCK_BYTES:
-        with mock.patch.object(annotations, "_BLOCK_BYTES", block_bytes):
-            try:
-                columns = read_yolo(files, n_fields, REGISTRY)
-            except (ValueError, KeyError) as exc:
-                errors.add(type(exc))
-                continue
-        values = tuple(tuple(map(float.hex, row)) for row in columns.values.tolist())
-        results.add((tuple(columns.labels.tolist()), values, tuple(columns.offsets.tolist())))
-    assert len(results) + bool(errors) == 1, (files, results, errors)
-    if errors:
-        raise errors.pop()
-    return results.pop()
+def read_yolo_columns(files, n_fields):
+    """`read_yolo` of `files` as (labels, values as float hex, offsets);
+    otherwise the ValueError or KeyError it raises."""
+    columns = read_yolo(files, n_fields, REGISTRY)
+    values = tuple(tuple(map(float.hex, row)) for row in columns.values.tolist())
+    return tuple(columns.labels.tolist()), values, tuple(columns.offsets.tolist())
 
 fields = st.one_of(
     st.integers(-3, 2000).map(str),
@@ -171,7 +154,7 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
                     # second of a good and a bad file as the scalar parser does
                     n_fields, good = COLUMNAR[name]
                     with pytest.raises((ValueError, KeyError)):
-                        read_yolo_in_blocks([good, text.encode()], n_fields)
+                        read_yolo_columns([good, text.encode()], n_fields)
                     bad_side = (Path("dir"), {"a": good, "b": text.encode()}, n_fields)
                     empty_side = (Path("other"), {}, 11 - n_fields)
                     sides = (bad_side, empty_side) if n_fields == 5 else (empty_side, bad_side)
@@ -182,7 +165,7 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
             else:
                 assert all(math.isfinite(v) for v in floats_in(result)), (name, text)
                 if name in COLUMNAR:
-                    labels, values, offsets = read_yolo_in_blocks([b"", text.encode(), b""], COLUMNAR[name][0])
+                    labels, values, offsets = read_yolo_columns([b"", text.encode(), b""], COLUMNAR[name][0])
                     assert offsets == (0, 0, len(result), len(result))
                     assert labels == tuple(REGISTRY.ids().index(o.label) for o in result)
                     assert values == tuple(
@@ -263,25 +246,25 @@ def test_read_yolo_reads_past_a_byte_order_mark(name):
 
 @given(st.lists(st.lists(st.tuples(st.integers(0, 1), boxes, coords), max_size=6), max_size=12))
 @settings(max_examples=100, deadline=None)
-def test_read_yolo_columns_do_not_depend_on_the_block_budget(images):
-    # images without boxes are empty files, which fall at block edges
+def test_read_yolo_columns_follow_the_files(images):
+    # images without boxes are empty files, which own no rows
     for n_fields in (5, 6):
         files = [
             "".join(f"{label} {' '.join(map(repr, [*dataclasses.astuple(box), conf][: n_fields - 1]))}\n"
                     for label, box, conf in rows).encode()
             for rows in images
         ]
-        labels, _, offsets = read_yolo_in_blocks(files, n_fields)
+        labels, _, offsets = read_yolo_columns(files, n_fields)
         assert offsets == tuple(itertools.accumulate(map(len, images), initial=0))
         assert labels == tuple(label for rows in images for label, _, _ in rows)
 
 
-def test_read_yolo_reads_the_fixtures_in_any_blocks(fixtures_dir):
+def test_read_yolo_reads_the_fixtures_between_empty_files(fixtures_dir):
     for directory, n_fields in (("detection/truth", 5), ("detection/preds", 6), ("tiling", 5)):
         # an empty file before and after each one
         files = [b""] + [part for path in sorted((fixtures_dir / directory).glob("*.txt"))
                          for part in (path.read_bytes(), b"")]
-        assert read_yolo_in_blocks(files, n_fields)
+        assert read_yolo_columns(files, n_fields)
 
 
 def test_read_yolo_memory_grows_with_the_columns_not_the_text():
@@ -294,25 +277,19 @@ def test_read_yolo_memory_grows_with_the_columns_not_the_text():
     ]
     read_yolo(files[:1], 6, REGISTRY)  # numpy is imported outside the traced calls
 
-    def grown(block_bytes):
-        """(traced peak, bytes of the returned columns) of reading 500 and 2,000 files."""
-        sizes = []
-        for count in (500, 2000):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                with mock.patch.object(annotations, "_BLOCK_BYTES", block_bytes):
-                    columns = read_yolo(files[:count], 6, REGISTRY)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            sizes.append((peak, sum(array.nbytes for array in dataclasses.astuple(columns))))
-        return sizes
-
-    (small_peak, small_bytes), (large_peak, large_bytes) = sizes = grown(annotations._BLOCK_BYTES)
+    sizes = []  # (traced peak, bytes of the returned columns) of reading 500 and 2,000 files
+    for count in (500, 2000):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            columns = read_yolo(files[:count], 6, REGISTRY)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        sizes.append((peak, sum(array.nbytes for array in dataclasses.astuple(columns))))
+    (small_peak, small_bytes), (large_peak, large_bytes) = sizes
     assert large_peak - small_peak < 2 * (large_bytes - small_bytes), sizes
-    # With blocks this small the columns outweigh any block's tokens, so a
-    # reader that held them twice at any point (per-block arrays and their
+    # One file's tokens are small beside the columns, so a reader that held
+    # the columns twice at any point (per-file arrays and their
     # concatenation) would grow beyond them by as much as they grow.
-    (small_peak, small_bytes), (large_peak, large_bytes) = sizes = grown(1 << 12)
     assert (large_peak - large_bytes) - (small_peak - small_bytes) < (large_bytes - small_bytes) / 2, sizes
