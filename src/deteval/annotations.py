@@ -6,7 +6,7 @@ import csv
 import itertools
 import math
 import operator
-from array import array
+import warnings
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -73,6 +73,8 @@ class ClassLabel:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"class id must be non-negative: {self.id}")
+        if self.id >= 2**63:  # `read_yolo` reads class ids as int64
+            raise ValueError(f"class id must be below 2**63: {self.id}")
         # names become parts of file names (pr_curve_<name>.csv)
         if not self.name or any(c.isspace() or c in "/\\\0" for c in self.name):
             raise ValueError(f"class name must be non-empty, without whitespace, '/', '\\' or NUL: {self.name!r}")
@@ -195,8 +197,11 @@ def read_csv(text: str, n_fields: int, convert, header: tuple[str, ...] | None =
 
 
 def number(raw: str) -> float:
-    """`float(raw)`; a ValueError unless that is a finite number."""
+    """`float(raw)`; a ValueError unless that is a finite number written in
+    ASCII without `_` (the forms numpy's reader takes, as in `read_yolo`)."""
     try:
+        if "_" in raw or not raw.isascii():
+            raise ValueError
         value = float(raw)
     except ValueError:
         raise ValueError(f"not a number: {raw!r}") from None
@@ -211,7 +216,10 @@ def left_sum(terms) -> float:
 
 
 def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
+    """`int(raw)` of an ASCII integer without `_`, as `number` reads numbers."""
     try:
+        if "_" in raw or not raw.isascii():
+            raise ValueError
         class_id = int(raw)
     except ValueError:
         raise ValueError(f"class id is not an integer: {raw!r}") from None
@@ -269,31 +277,43 @@ class BoxColumns:
 def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     """YOLO annotation (`n_fields` 5) or prediction (6) files, each given as
     its bytes, as one `BoxColumns` with labels as positions in
-    `registry.ids()`. Each file's values convert as soon as it is split, with
-    `int` and `float` as `yolo_rows` converts them, straight into typed
-    arrays, so no more than one file's tokens are held at a time. All are
-    checked at once: all files convert, or a ValueError or KeyError says
-    nothing of where. `yolo_rows` does the same and names the line."""
+    `registry.ids()`. numpy's reader converts the lines of every file, one
+    after another, into one array of (label, values) rows, of which labels
+    and values are views; it reads the ASCII number forms `number` and
+    `_class_id` read. All are checked at once: all files convert, or a
+    ValueError or KeyError says nothing of where. `yolo_rows` does the same
+    and names the line."""
     import numpy as np
 
-    position = {class_id: k for k, class_id in enumerate(registry.ids())}
-    labels, values, counts = array("q"), array("d"), [0]
-    for data in files:
-        rows = [fields for fields in map(str.split, split_lines(decode_text(data))) if fields]
-        if not set(map(len, rows)) <= {n_fields}:
-            raise ValueError("wrong field count")
-        tokens = list(itertools.chain.from_iterable(rows))
-        labels.fromlist([position[int(raw)] for raw in tokens[::n_fields]])
-        del tokens[::n_fields]
-        values.fromlist(list(map(float, tokens)))
-        counts.append(len(rows))
-    values = np.frombuffer(values, dtype=np.float64).reshape(-1, n_fields - 1)
+    counts = [0]
+
+    def lines(data: bytes) -> list[str]:
+        text = decode_text(data).split("\n")
+        counts.append(sum(1 for line in text if line.strip()))
+        return text
+
+    dtype = [("label", np.int64), ("values", np.float64, (n_fields - 1,))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # there may be no rows
+        # older numpy (1.23 to 1.26 at least) reads a class id such as 1.5 as a
+        # float, cuts it to 1 and only warns; as an error, it fails as
+        # `_class_id` does
+        warnings.simplefilter("error", DeprecationWarning)
+        table = np.loadtxt(itertools.chain.from_iterable(map(lines, files)), dtype=dtype, comments=None, ndmin=1)
+    if sum(counts) != len(table):
+        raise ValueError("row count")
+    labels, values = table["label"], table["values"]
+    ids = np.array(registry.ids(), dtype=np.int64)
+    positions = np.searchsorted(ids, labels)
+    if len(labels) and not (len(ids) and np.array_equal(ids.take(positions, mode="clip"), labels)):
+        raise KeyError("unknown class id")
+    labels[:] = positions
     # cx, cy and the confidence in [0, 1], w and h in (0, 1]; min and max
     # carry a NaN through, which fails every comparison
     if not (values.min(initial=0.0) >= 0.0 and values.max(initial=0.0) <= 1.0
             and values[:, 2:4].min(initial=1.0) > 0.0):
         raise ValueError("value out of range")
-    return BoxColumns(np.frombuffer(labels, dtype=np.int64), values, np.cumsum(counts))
+    return BoxColumns(labels, values, np.cumsum(counts))
 
 
 def format_yolo_rows(rows) -> str:

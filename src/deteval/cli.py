@@ -1,7 +1,8 @@
 """Command-line pipeline: tile, augment, split, evaluate, stats,
-desirability, and the consolidated report. A command reads its inputs through
-`_read` and returns its artifacts and the summary it prints (or the CliError it
-exits with); `main` writes them and the run manifest. Each command imports the
+desirability, and the consolidated report, each declared once in `_COMMANDS`.
+A command reads its inputs through `_read` and returns its artifacts and the
+summary it prints (or the CliError it exits with); `main` writes them, within
+the entries the command owns, and the run manifest. Each command imports the
 modules it uses beyond annotations and config itself, so that it pays start-up
 only for what it runs."""
 
@@ -17,7 +18,9 @@ import os
 import stat
 import sys
 from datetime import datetime, timezone
+from fnmatch import fnmatchcase
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .annotations import (
@@ -130,19 +133,23 @@ def _manifest(command: str, config: dict, inputs: dict) -> dict:
             "config": config, "input_digests": dict(inputs)}
 
 
-def _write_outputs(out_dir: Path, artifacts: dict[str, str | None], manifest: dict) -> None:
+def _write_outputs(out_dir: Path, artifacts: dict[str, str], manifest: dict, owns: tuple[str, ...]) -> None:
     """Every file a command writes: the artifacts, `{path under out_dir: text}`,
     as UTF-8 bytes in order, then the run manifest, so that a manifest is only
-    ever written after its artifacts. A None text names a directory that must
-    exist even when nothing is written into it. Each directory is made once."""
+    ever written after its artifacts. Each artifact must fall under one of
+    the top-level entries `owns` (see `Command`), or nothing is written; each
+    owned directory is made, even when nothing is written into it."""
+    for rel in artifacts:
+        head, sep, _ = rel.partition("/")
+        if not any(fnmatchcase(head + sep, entry) for entry in owns):
+            raise RuntimeError(f"{manifest['command']} does not own {rel!r}")
     created_utc = datetime.now(timezone.utc).isoformat()
     artifacts = {**artifacts, "run_manifest.json": json_text({**manifest, "created_utc": created_utc})}
     paths = [out_dir / rel for rel in artifacts]
-    for directory in dict.fromkeys(p if t is None else p.parent for p, t in zip(paths, artifacts.values())):
+    for directory in dict.fromkeys([out_dir / e for e in owns if e.endswith("/")] + [p.parent for p in paths]):
         directory.mkdir(parents=True, exist_ok=True)
     for path, text in zip(paths, artifacts.values()):
-        if text is not None:
-            path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(text.encode("utf-8"))
 
 
 def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
@@ -200,8 +207,7 @@ def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
     spec = TileSpec(tile["width"], tile["height"], tile["edge_policy"], tile["min_visibility"])
     sizes = _image_sizes(tile, list(annotations), inputs)
 
-    # `tiles/` is there even when no tile is kept
-    artifacts, manifest_rows, discarded = {"tiles": None}, [], []
+    artifacts, manifest_rows, discarded = {}, [], []
     for image_id, rows in annotations.items():
         width, height = sizes[image_id]
         try:
@@ -232,8 +238,7 @@ def cmd_augment(config: dict, inputs: dict) -> tuple[dict, str]:
     ops = tuple(map(AugmentOp.from_config, config["augment"]["operations"]))
     pipeline = AugmentPipeline(ops, config["seed"], config["augment"]["min_visibility"])
 
-    # `augmented/` is there even when there are no samples
-    artifacts, rows = {"augmented": None}, []
+    artifacts, rows = {}, []
     for image_id, boxes in annotations.items():
         for k, sample in enumerate(augment(boxes, pipeline, config["augment"]["samples"])):
             sample_id = f"{image_id}_aug{k:04d}"
@@ -517,15 +522,6 @@ def _report_section(text: str, load, render) -> tuple:
         raise ValueError(f"not a document the report can read: {type(exc).__name__}: {exc}") from None
 
 
-# (section name, the file a prior command wrote into the output dir, loader,
-# heading in report.txt, renderer)
-_REPORT_SECTIONS = (
-    ("evaluation", "evaluation.json", _load_json, "detection evaluation", _evaluation_lines),
-    ("stats", "stats.json", _load_json, "effect tests", _stats_lines),
-    ("desirability", "desirability_ranking.csv", _load_ranking_csv, "desirability ranking", _ranking_lines),
-)
-
-
 def cmd_report(config: dict, inputs: dict) -> tuple[dict, str]:
     out_dir = Path(config["output_dir"])
     if not out_dir.is_dir():
@@ -533,7 +529,7 @@ def cmd_report(config: dict, inputs: dict) -> tuple[dict, str]:
     sections, text = {}, [f"deteval run report (toolkit {__version__})", ""]
     if config["run_metadata"]:
         text += [f"metadata: {config['run_metadata']}", ""]
-    for name, filename, load, heading, render in _REPORT_SECTIONS:
+    for name, filename, load, heading, render in (c.section for c in _COMMANDS.values() if c.section):
         sections[name], lines = "absent", ["absent"]
         if (out_dir / filename).is_file():
             sections[name], lines = _read(inputs, name, out_dir / filename, _report_section, load, render)
@@ -551,14 +547,32 @@ def cmd_report(config: dict, inputs: dict) -> tuple[dict, str]:
     return artifacts, f"report: {out_dir / 'report.json'} and {out_dir / 'report.txt'}"
 
 
+class Command(NamedTuple):
+    """A command's handler, `--help` text, the top-level entries of the output
+    dir it owns and alone may write (a file name, a directory `name/` or a glob
+    family such as `pr_curve_*.csv`), and the `report` section it feeds:
+    (section name, file, loader, heading in report.txt, renderer)."""
+
+    run: Callable
+    help: str
+    owns: tuple[str, ...]
+    section: tuple | None = None
+
+
 _COMMANDS = {
-    "tile": (cmd_tile, "plan a tile grid and remap annotations per tile"),
-    "augment": (cmd_augment, "generate augmented annotation samples"),
-    "split": (cmd_split, "allocate images to train/val/test"),
-    "evaluate": (cmd_evaluate, "match predictions to ground truth and report metrics"),
-    "stats": (cmd_stats, "normality, ANOVA, and pairwise t per response CSV"),
-    "desirability": (cmd_desirability, "rank candidates by overall desirability"),
-    "report": (cmd_report, "combine prior outputs into one document"),
+    "tile": Command(cmd_tile, "plan a tile grid and remap annotations per tile",
+                    ("tiles/", "tiles_manifest.csv", "discarded_tiles.txt")),
+    "augment": Command(cmd_augment, "generate augmented annotation samples", ("augmented/", "augment_manifest.csv")),
+    "split": Command(cmd_split, "allocate images to train/val/test", ("split_manifest.csv",)),
+    "evaluate": Command(cmd_evaluate, "match predictions to ground truth and report metrics",
+                        ("evaluation.json", "pr_curve_*.csv"),
+                        ("evaluation", "evaluation.json", _load_json, "detection evaluation", _evaluation_lines)),
+    "stats": Command(cmd_stats, "normality, ANOVA, and pairwise t per response CSV", ("stats.json", "stats.csv"),
+                     ("stats", "stats.json", _load_json, "effect tests", _stats_lines)),
+    "desirability": Command(cmd_desirability, "rank candidates by overall desirability", ("desirability_ranking.csv",),
+                            ("desirability", "desirability_ranking.csv", _load_ranking_csv, "desirability ranking",
+                             _ranking_lines)),
+    "report": Command(cmd_report, "combine prior outputs into one document", ("report.json", "report.txt")),
 }
 
 
@@ -630,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"deteval {__version__}")
     parser.add_argument("--config", type=Path, help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    parsers = {name: sub.add_parser(name, help=command.help) for name, command in _COMMANDS.items()}
     for commands, flag, _, options in _FLAGS:
         for target in [parser] if commands is None else [parsers[c] for c in commands]:
             target.add_argument(flag, **options)
@@ -662,8 +676,9 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         config = load_config(args.config, _overrides(args))
         inputs: dict = {}
-        artifacts, outcome = _COMMANDS[args.command][0](config, inputs)
-        _write_outputs(Path(config["output_dir"]), artifacts, _manifest(args.command, config, inputs))
+        command = _COMMANDS[args.command]
+        artifacts, outcome = command.run(config, inputs)
+        _write_outputs(Path(config["output_dir"]), artifacts, _manifest(args.command, config, inputs), command.owns)
         if isinstance(outcome, CliError):
             raise outcome
         print(outcome)
@@ -674,7 +689,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # inputs that cannot be read raise InputError, so this is a write
         _emit_error(exc)
         return EXIT_OUTPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # an internal failure, such as an artifact the command does not own
         _emit_error(exc)
         return EXIT_FAILURE
 

@@ -104,27 +104,25 @@ def _candidates(columns: EvalColumns, iou_threshold: float):
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"iou_threshold out of (0,1]: {iou_threshold}")
     dets, truths = columns.detections, columns.truths
-    per_image = np.diff(dets.offsets)
-    # Pairs are numbered detection row by detection row; each row pairs with
-    # the truth rows of its image, and its pair p is with truth row
-    # p + shift[row].
-    n_pairs = np.repeat(np.diff(truths.offsets), per_image)
+    # each detection row pairs with the truth rows of its image
+    n_pairs = np.repeat(np.diff(truths.offsets), np.diff(dets.offsets))
     pairs_end = np.cumsum(n_pairs)
-    pairs_start = pairs_end - n_pairs
-    shift = np.repeat(truths.offsets[:-1], per_image) - pairs_start
-    d_box, t_box = _corners(dets.values), _corners(truths.values)
     found = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     start, n_dets = 0, len(n_pairs)
     # 0/0 arises only between boxes too thin to have area; NaN fails the test
     with np.errstate(divide="ignore", invalid="ignore"):
         while start < n_dets:
-            limit = pairs_start[start] + _BLOCK_PAIRS
+            limit = pairs_end[start] - n_pairs[start] + _BLOCK_PAIRS
             stop = max(start + 1, int(np.searchsorted(pairs_end, limit, "right")))
             counts = n_pairs[start:stop]
+            # first[k]: the first truth row of row start + k's image; the rows
+            # span consecutive images, so their truth rows are the run lo:hi
+            first = truths.offsets[np.searchsorted(dets.offsets, np.arange(start, stop), "right") - 1]
+            lo, hi = first[0], first[-1] + counts[-1]
             rows = np.repeat(np.arange(start, stop), counts)
-            cols = np.arange(pairs_start[start], pairs_end[stop - 1]) + np.repeat(shift[start:stop], counts)
-            d = np.repeat(d_box[:, start:stop], counts, axis=1)
-            t = t_box.take(cols, axis=1)
+            cols = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(rows))
+            d = np.repeat(_corners(dets.values[start:stop]), counts, axis=1)
+            t = _corners(truths.values[lo:hi]).take(cols - lo, axis=1)
             overlap = np.minimum(d[2:4], t[2:4])
             overlap -= np.maximum(d[:2], t[:2])
             np.maximum(overlap, 0.0, out=overlap)

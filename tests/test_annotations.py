@@ -113,6 +113,15 @@ class TestRows:
         ("0 0.5 0.5 0 2 x", AnnotationError, r"box size out of \(0,1\]: \(0.0, 2.0\)"),
         ("0 0.5 0.5 0.1 0.1 x", AnnotationError, "not a number: 'x'"),
         ("0 0.5 0.5 0.1 0.1 2", AnnotationError, r"confidence out of \[0,1\]: 2.0"),
+        # numbers are ASCII, without the `_` and other digits `int` and `float` take
+        ("0 0.1_0 0.5 0.1 0.1 x", AnnotationError, "not a number: '0.1_0'"),
+        ("1_0 0.5 0.5 0.1 0.1 x", AnnotationError, "class id is not an integer: '1_0'"),
+        ("0 0.5 0.5 0.1 0.1 \u0660.\u0665", AnnotationError, "not a number: '\u0660.\u0665'"),
+        ("\u0661 0.5 0.5 0.1 0.1 x", AnnotationError, "class id is not an integer: '\u0661'"),
+        # and class ids are integers, not numbers that equal or round to one
+        ("1.0 0.5 0.5 0.1 0.1 x", AnnotationError, "class id is not an integer: '1.0'"),
+        ("1.5 0.5 0.5 0.1 0.1 x", AnnotationError, "class id is not an integer: '1.5'"),
+        ("1e0 0.5 0.5 0.1 0.1 x", AnnotationError, "class id is not an integer: '1e0'"),
     ])
     def test_checks_run_in_field_order(self, registry, line, error, message):
         with pytest.raises(error, match=f"^line 2: {message}$"):
@@ -154,6 +163,7 @@ class TestRegistry:
         "text, problem",
         [
             ("0 wb\n-1 bb\n", "line 2: class id must be non-negative: -1"),
+            ("0 wb\n9223372036854775808 bb\n", "line 2: class id must be below 2**63: 9223372036854775808"),
             ("0 wb\n\n0 bb\n", "line 3: duplicate class ids: 0"),
             ("0 wb\n1 wb\n", "line 2: duplicate class names: 'wb'"),
             ("0 wb extra\n", "line 1: expected 2 fields, got 3"),

@@ -12,6 +12,7 @@ import re
 import shutil
 import sys
 import tempfile
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,29 @@ class TestEvaluate:
         assert code == 2
         message = json.loads(capsys.readouterr().err.strip())["message"]
         assert "img1.txt" in message and "line 2" in message
+
+    @pytest.mark.parametrize("row, problem", [
+        ("0 0.1_0 0.5 0.1 0.1", "not a number: '0.1_0'"),
+        ("1_0 0.5 0.5 0.1 0.1", "class id is not an integer: '1_0'"),
+        ("0 0.5 0.5 0.1 \u0660.\u0661", "not a number: '\u0660.\u0661'"),
+        ("1.0 0.5 0.5 0.1 0.1", "class id is not an integer: '1.0'"),
+        ("1.5 0.5 0.5 0.1 0.1", "class id is not an integer: '1.5'"),
+        ("1e0 0.5 0.5 0.1 0.1", "class id is not an integer: '1e0'"),
+    ])
+    def test_number_outside_the_ascii_forms_exits_2_naming_the_line(self, fixtures_dir, tmp_path, capsys, row, problem):
+        truth = tmp_path / "truth"
+        shutil.copytree(fixtures_dir / "detection" / "truth", truth)
+        text = (truth / "img2.txt").read_text()
+        (truth / "img2.txt").write_text(text + row + "\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "evaluate", "--ground-truth-dir", truth,
+            "--predictions-dir", fixtures_dir / "detection" / "preds",
+            "--class-registry", fixtures_dir / "detection" / "classes.txt",
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CliError", "message": f"{truth / 'img2.txt'}: line {len(text.splitlines()) + 1}: {problem}"}
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "bad, named",
@@ -1431,6 +1455,34 @@ class TestReport:
         assert (out / "report.txt").read_bytes() == lf
 
 
+def _fixture_chain(fixtures_dir, tmp_path):
+    """Every command over the fixtures, each into its own output dir
+    tmp_path/<command>: yields (command, its arguments, output dir) once the
+    inputs it reads from an earlier command are in place; `report`'s dir
+    holds copies of the outputs it reads, and nothing else."""
+    tiling, detection, ids = fixtures_dir / "tiling", fixtures_dir / "detection", tmp_path / "ids.txt"
+    runs = [
+        ("tile", ["--ground-truth-dir", tiling, "--image-sizes-csv", tiling / "image_sizes.csv"]),
+        ("augment", ["--ground-truth-dir", tmp_path / "tile" / "tiles", "--samples", "2"]),
+        ("split", ["--ids-file", ids]),
+        ("evaluate", ["--ground-truth-dir", detection / "truth", "--predictions-dir", detection / "preds",
+                      "--class-registry", detection / "classes.txt"]),
+        ("stats", ["--inputs", fixtures_dir / "stats" / "height_accuracy.csv"]),
+        ("desirability", ["--profile", fixtures_dir / "desirability" / "profile.json",
+                          "--candidates", fixtures_dir / "desirability" / "candidates.csv"]),
+        ("report", []),
+    ]
+    for command, argv in runs:
+        out = tmp_path / command
+        if command == "split":
+            ids.write_text("".join(row[0] + "\n" for row in _read_csv(tmp_path / "tile" / "tiles_manifest.csv")[1:]))
+        if command == "report":
+            out.mkdir()
+            for prior in ("evaluate/evaluation.json", "stats/stats.json", "desirability/desirability_ranking.csv"):
+                shutil.copy(tmp_path / prior, out)
+        yield command, argv, out
+
+
 class TestOneEnding:
     """`main` alone writes what a command returns, with the run manifest."""
 
@@ -1441,32 +1493,12 @@ class TestOneEnding:
         calls = []
         write_outputs = cli._write_outputs
 
-        def recording(out_dir, artifacts, manifest):
+        def recording(out_dir, artifacts, manifest, owns):
             calls.append((out_dir, manifest["command"], self._files(out_dir), list(artifacts)))
-            write_outputs(out_dir, artifacts, manifest)
+            write_outputs(out_dir, artifacts, manifest, owns)
 
         monkeypatch.setattr(cli, "_write_outputs", recording)
-        tiling, detection = fixtures_dir / "tiling", fixtures_dir / "detection"
-        ids, report = tmp_path / "ids.txt", tmp_path / "report"
-        runs = [
-            ("tile", ["--ground-truth-dir", tiling, "--image-sizes-csv", tiling / "image_sizes.csv"]),
-            ("augment", ["--ground-truth-dir", tmp_path / "tile" / "tiles", "--samples", "2"]),
-            ("split", ["--ids-file", ids]),
-            ("evaluate", ["--ground-truth-dir", detection / "truth", "--predictions-dir", detection / "preds",
-                          "--class-registry", detection / "classes.txt"]),
-            ("stats", ["--inputs", fixtures_dir / "stats" / "height_accuracy.csv"]),
-            ("desirability", ["--profile", fixtures_dir / "desirability" / "profile.json",
-                              "--candidates", fixtures_dir / "desirability" / "candidates.csv"]),
-            ("report", []),
-        ]
-        for command, argv in runs:
-            out = tmp_path / command
-            if command == "split":
-                ids.write_text("".join(row[0] + "\n" for row in _read_csv(tmp_path / "tile" / "tiles_manifest.csv")[1:]))
-            if command == "report":  # the outputs it reads, and nothing else
-                report.mkdir()
-                for prior in ("evaluate/evaluation.json", "stats/stats.json", "desirability/desirability_ranking.csv"):
-                    shutil.copy(tmp_path / prior, report)
+        for command, argv, out in _fixture_chain(fixtures_dir, tmp_path):
             before = self._files(out)
             del calls[:]
             assert run_cli("--output-dir", out, command, *argv) == 0, command
@@ -1474,6 +1506,72 @@ class TestOneEnding:
             written = {*before, "run_manifest.json", *calls[0][3]}
             written |= {str(Path(rel).parent) for rel in written} - {"."}
             assert self._files(out) == sorted(written), command
+
+
+class TestOwnedEntries:
+    """Each command writes only under the top-level entries of the output dir
+    that its `_COMMANDS` entry owns, and makes each directory it owns."""
+
+    def test_each_path_a_command_writes_falls_under_one_entry_it_owns(self, fixtures_dir, tmp_path):
+        seen, commands = set(), []
+        for command, argv, out in _fixture_chain(fixtures_dir, tmp_path):
+            commands.append(command)
+            before = set(out.rglob("*"))
+            assert run_cli("--output-dir", out, command, *argv) == 0, command
+            written = {path.relative_to(out).parts[0] for path in set(out.rglob("*")) - before}
+            entries = {top + "/" if (out / top).is_dir() else top for top in written} - {"run_manifest.json"}
+            owns = cli._COMMANDS[command].owns
+            assert entries and all(sum(fnmatchcase(e, own) for own in owns) == 1 for e in entries), (command, entries)
+            seen |= entries
+        assert commands == list(cli._COMMANDS)
+        # the owned directories and the family are among them
+        assert {"tiles/", "augmented/"} <= seen and any(e.startswith("pr_curve_") for e in seen), seen
+
+    def test_no_entry_is_owned_by_two_commands(self):
+        entries = [entry for command in cli._COMMANDS.values() for entry in command.owns]
+        for a, b in itertools.combinations(entries, 2):
+            assert not (fnmatchcase(a, b) or fnmatchcase(b, a)), (a, b)
+        assert "run_manifest.json" not in entries
+
+    def test_each_report_section_reads_a_file_its_command_owns(self):
+        sections = [(name, command.section) for name, command in cli._COMMANDS.items() if command.section]
+        assert [(name, section[0]) for name, section in sections] == [
+            ("evaluate", "evaluation"), ("stats", "stats"), ("desirability", "desirability")]
+        for name, section in sections:
+            assert section[1] in cli._COMMANDS[name].owns
+
+    @pytest.mark.parametrize(
+        "stray",
+        ["stray.csv", "tiles/a.txt", "evaluation.json", "run_manifest.json", "../split.csv", "split_manifest.csv/a"],
+    )
+    def test_artifact_it_does_not_own_exits_1_writing_nothing(self, tmp_path, capsys, monkeypatch, stray):
+        out, ids = tmp_path / "out", tmp_path / "ids.txt"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept\n")
+        ids.write_text("a\nb\nc\n")
+        split = cli._COMMANDS["split"]
+
+        def with_stray(config, inputs):
+            artifacts, summary = split.run(config, inputs)
+            return {**artifacts, stray: "x\n"}, summary
+
+        monkeypatch.setitem(cli._COMMANDS, "split", split._replace(run=with_stray))
+        assert run_cli("--output-dir", out, "split", "--ids-file", ids, "--ratio", "1:1:1") == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "RuntimeError", "message": f"split does not own {stray!r}"}
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == [
+            Path("ids.txt"), Path("out"), Path("out/earlier.txt")]
+
+    def test_owned_directories_exist_when_nothing_is_written_into_them(self, tmp_path):
+        src = tmp_path / "annots"
+        src.mkdir()
+        (src / "a.txt").write_text("")  # an image without boxes keeps no tile
+        assert run_cli("--output-dir", tmp_path / "tile", "tile", "--ground-truth-dir", src,
+                       "--image-size", "832x832") == 0
+        assert list((tmp_path / "tile" / "tiles").iterdir()) == []
+        assert run_cli("--output-dir", tmp_path / "augment", "augment", "--ground-truth-dir", src,
+                       "--samples", "0") == 0
+        assert list((tmp_path / "augment" / "augmented").iterdir()) == []
 
 
 class TestManifest:
@@ -1560,8 +1658,8 @@ class TestManifest:
                 return result
             return command
 
-        for name, (run, text) in cli._COMMANDS.items():
-            monkeypatch.setitem(cli._COMMANDS, name, (recording(run), text))
+        for name, command in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=recording(command.run)))
         for command, (out, argv, inputs) in runs.items():
             assert run_cli("--output-dir", out, *argv) == 0, command
             manifest = json.loads((out / "run_manifest.json").read_text())
@@ -1730,8 +1828,8 @@ class TestFlagTable:
             return {}, ""  # `main` writes the manifest, config included
 
         monkeypatch.chdir(tmp_path)
-        for name, (_, text) in cli._COMMANDS.items():
-            monkeypatch.setitem(cli._COMMANDS, name, (record_config, text))
+        for name, command in cli._COMMANDS.items():
+            monkeypatch.setitem(cli._COMMANDS, name, command._replace(run=record_config))
         for command in cli._COMMANDS:
             rows = [r for r in cli._FLAGS if r[0] is None or command in r[0]]
             argv = ["--output-dir", f"runs//{command}/"]

@@ -299,6 +299,20 @@ _IMAGES = st.lists(
     max_size=8,
 )
 
+# image 0 has detections, images 1-3 none (two of them with truths), images 4
+# and 5 have detections again, image 5 no truths
+_EMPTY_RUN = [
+    ([Detection(0, BoundingBox(0.3, 0.3, 0.2, 0.2), 0.9), Detection(1, BoundingBox(0.5, 0.5, 0.2, 0.2), 0.8)],
+     [GroundTruthObject(0, BoundingBox(0.3, 0.3, 0.2, 0.2))], "both"),
+    ([], [GroundTruthObject(0, BoundingBox(0.3, 0.3, 0.2, 0.2))], "both"),
+    ([], [], "both"),
+    ([], [GroundTruthObject(1, BoundingBox(0.5, 0.5, 0.2, 0.2))], "truth"),
+    ([Detection(0, BoundingBox(0.3, 0.3, 0.2, 0.2), 0.7)],
+     [GroundTruthObject(1, BoundingBox(0.3, 0.3, 0.2, 0.2)), GroundTruthObject(0, BoundingBox(0.3, 0.35, 0.2, 0.2))],
+     "both"),
+    ([Detection(1, BoundingBox(0.5, 0.5, 0.2, 0.2), 0.6)], [], "preds"),
+]
+
 
 def _yolo_text(objects) -> str:
     """YOLO text whose values parse back exactly."""
@@ -364,6 +378,11 @@ class TestMatcherOracle:
 
     @given(_IMAGES, _THRESHOLD, st.sampled_from((1, 7, 50, 1 << 15)))
     @settings(max_examples=100, deadline=None)
+    # a block that starts inside a run of images without detections, some
+    # with truths (block 1), and one block whose run of truth rows spans
+    # those images (block 50)
+    @example(_EMPTY_RUN, 0.5, 1)
+    @example(_EMPTY_RUN, 0.5, 50)
     def test_columnar_evaluation_equals_fold_of_scalar_image_summaries(self, images, threshold, block):
         # Files go through the columnar reader as `evaluate` reads them; the
         # oracle parses each file on its own, takes a missing file for an

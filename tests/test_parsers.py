@@ -33,6 +33,7 @@ from deteval.annotations import (
     read_csv,
     read_yolo,
     split_lines,
+    yolo_rows,
 )
 from deteval.desirability import load_candidates_csv
 from deteval.metrics import load_height_records
@@ -135,6 +136,19 @@ def _row(*values):
 @example([_row("0", "1", "1", "1", "0"), _row("1", "0", "0.5", "0.5", "1")], "\n")
 @example([_row("0.5", "0.5", "0", "0.1", "0.5")], "\n")
 @example([_row("0.5", "0.5", "0.1", "0", "0.5")], "\n")
+# numbers that `int` and `float` read but numpy's reader does not
+@example([_row("0.1_0", "0.5", "0.1", "0.1", "0.5")], "\n")
+@example([(["1_0", "0.5", "0.5", "0.1", "0.1", "0.5", ""], None, None)], "\n")
+@example([_row("0.5", "\u0660.\u0665", "0.1", "0.1", "0.5")], "\n")
+@example([(["\u0661", "0.5", "0.5", "0.1", "0.1", "0.5", ""], None, None)], "\n")
+# class ids that older numpy cuts to an integer with only a warning
+@example([(["1.5", "0.5", "0.5", "0.1", "0.1", "0.5", ""], None, None)], "\n")
+@example([(["0.9", "0.5", "0.5", "0.1", "0.1", "0.5", ""], None, None)], "\n")
+# lines of whitespace only, and CR and CRLF line ends
+@example([_row("0.5", "0.5", "0.1", "0.1", "0.5"), *((list(space * 7), 1, None) for space in "\x1c\x85\u2003"),
+          _row("0.25", "0.5", "0.1", "0.1", "0.5")], "\n")
+@example([_row("0.5", "0.5", "0.1", "0.1", "0.5"), _row("0.25", "0.5", "0.1", "0.1", "0.5")], "\r")
+@example([_row("0.5", "0.5", "0.1", "0.1", "0.5"), _row("0.25", "0.5", "0.1", "0.1", "0.5")], "\r\n")
 def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
     for name, (parse, separator, n_fields, header, errors) in PARSERS.items():
         text = newline.join(
@@ -265,6 +279,47 @@ def test_read_yolo_reads_the_fixtures_between_empty_files(fixtures_dir):
         files = [b""] + [part for path in sorted((fixtures_dir / directory).glob("*.txt"))
                          for part in (path.read_bytes(), b"")]
         assert read_yolo_columns(files, n_fields)
+
+
+ROW = "0 0.5 0.5 0.1 0.1 0.5"
+
+# prediction files that `read_yolo` reads as `yolo_rows` reads each one
+READER_CASES = {
+    "CR": [f"{ROW}\r{ROW}\r".encode()],
+    "CRLF": [f"{ROW}\r\n{ROW}\r\n".encode()],
+    "last line without a line end": [f"{ROW}\n{ROW}".encode(), f"{ROW}\r{ROW}".encode(), ROW.encode()],
+    "whitespace-only lines": [f"\x1c\n{ROW}\n\x85\n\u2003\n{ROW}\n \t\n".encode(), "\u2003".encode()],
+    "all files empty": [b"", b"", b""],
+    "all files blank": [b"\n", b"\r\n\r", " \x85".encode()],
+}
+
+
+@pytest.mark.parametrize("files", READER_CASES.values(), ids=READER_CASES)
+def test_read_yolo_reads_each_file_as_yolo_rows_does(files):
+    rows = [yolo_rows(data.decode(), 6, REGISTRY) for data in files]
+    labels, values, offsets = read_yolo_columns(files, 6)
+    assert offsets == tuple(itertools.accumulate(map(len, rows), initial=0))
+    assert labels == tuple(REGISTRY.ids().index(row[0]) for file in rows for row in file)
+    assert values == tuple(tuple(map(float.hex, row[1:])) for file in rows for row in file)
+
+
+def test_the_largest_class_id_reads_and_one_past_it_is_refused():
+    largest = ClassRegistry.from_text(f"{2**63 - 1} x\n")
+    assert read_yolo([f"{2**63 - 1} 0.5 0.5 0.1 0.1\n".encode()], 5, largest).labels.tolist() == [0]
+    with pytest.raises(ValueError):
+        read_yolo([f"{2**63} 0.5 0.5 0.1 0.1\n".encode()], 5, largest)
+    with pytest.raises(RegistryError, match=f"^line 1: unknown class id {2**63}$"):
+        yolo_rows(f"{2**63} 0.5 0.5 0.1 0.1\n", 5, largest)
+
+
+def test_rows_under_an_empty_registry_are_refused():
+    empty = ClassRegistry(())
+    assert read_yolo([b"", b"\n"], 5, empty).offsets.tolist() == [0, 0, 0]
+    with pytest.raises(KeyError):
+        read_yolo([b"", b"0 0.5 0.5 0.1 0.1\n"], 5, empty)
+    with pytest.raises(cli.CliError) as info:
+        cli._evaluation_columns(empty, ["a", "b"], (Path("t"), {"b": b"\n0 0.5 0.5 0.1 0.1\n"}, 5), (Path("p"), {}, 6))
+    assert str(info.value) == f"{Path('t') / 'b.txt'}: line 2: unknown class id 0"
 
 
 def test_read_yolo_memory_grows_with_the_columns_not_the_text():
