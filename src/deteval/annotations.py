@@ -242,14 +242,6 @@ def yolo_rows(text: str, n_fields: int, registry: ClassRegistry | None = None) -
     return read_rows(map(str.split, split_lines(text)), n_fields, partial(_yolo_row, registry), AnnotationError)
 
 
-def parse_yolo_annotation(text: str, registry: ClassRegistry | None = None) -> list[GroundTruthObject]:
-    return [GroundTruthObject(label, BoundingBox(*box)) for label, *box in yolo_rows(text, 5, registry)]
-
-
-def parse_yolo_prediction(text: str, registry: ClassRegistry | None = None) -> list[Detection]:
-    return [Detection(label, BoundingBox(*box), conf) for label, *box, conf in yolo_rows(text, 6, registry)]
-
-
 def decode_text(data: bytes) -> str:
     """The text of a UTF-8 file's bytes as text mode reads it with the `utf-8-sig`
     encoding: without a leading byte-order mark, CRLF and CR line ends as LF."""
@@ -281,8 +273,8 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     after another, into one array of (label, values) rows, of which labels
     and values are views; it reads the ASCII number forms `number` and
     `_class_id` read. All are checked at once: all files convert, or a
-    ValueError or KeyError says nothing of where. `yolo_rows` does the same
-    and names the line."""
+    ValueError (a RegistryError for an unknown class id) says nothing of
+    where. `yolo_rows` does the same and names the line."""
     import numpy as np
 
     counts = [0]
@@ -306,7 +298,7 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
     ids = np.array(registry.ids(), dtype=np.int64)
     positions = np.searchsorted(ids, labels)
     if len(labels) and not (len(ids) and np.array_equal(ids.take(positions, mode="clip"), labels)):
-        raise KeyError("unknown class id")
+        raise RegistryError("unknown class id")
     labels[:] = positions
     # cx, cy and the confidence in [0, 1], w and h in (0, 1]; min and max
     # carry a NaN through, which fails every comparison
@@ -319,14 +311,6 @@ def read_yolo(files, n_fields: int, registry: ClassRegistry) -> BoxColumns:
 def format_yolo_rows(rows) -> str:
     """YOLO text of `yolo_rows` rows, one line each, every value after the class id with 6 decimals."""
     return "".join(f"{label} {' '.join(map('{:.6f}'.format, values))}\n" for label, *values in rows)
-
-
-def format_yolo_annotation(objects) -> str:
-    return format_yolo_rows((o.label, o.box.cx, o.box.cy, o.box.w, o.box.h) for o in objects)
-
-
-def format_yolo_prediction(detections) -> str:
-    return format_yolo_rows((d.label, d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence) for d in detections)
 
 
 def _inter_union(a: BoundingBox, b: BoundingBox) -> tuple[float, float]:

@@ -287,7 +287,7 @@ def _evaluation_columns(registry: ClassRegistry, ids: list[str], *sides) -> Eval
     try:
         return EvalColumns(*(read_yolo([files.get(i, b"") for i in ids], n_fields, registry)
                              for _, files, n_fields in sides))
-    except (ValueError, KeyError):
+    except ValueError:
         pass
     for image_id in ids:
         for directory, files, n_fields in sides:

@@ -9,13 +9,9 @@ from deteval.annotations import (
     ClassLabel,
     ClassRegistry,
     RegistryError,
-    format_yolo_annotation,
-    format_yolo_prediction,
     format_yolo_rows,
     giou,
     iou,
-    parse_yolo_annotation,
-    parse_yolo_prediction,
     yolo_rows,
 )
 
@@ -32,70 +28,66 @@ def registry() -> ClassRegistry:
 
 class TestParsing:
     def test_single_line(self, registry):
-        objs = parse_yolo_annotation("0 0.5 0.5 0.1 0.2", registry)
+        objs = yolo_rows("0 0.5 0.5 0.1 0.2", 5, registry)
         assert len(objs) == 1
-        assert objs[0].label == 0
-        assert objs[0].box == BoundingBox(0.5, 0.5, 0.1, 0.2)
+        assert objs[0][0] == 0
+        assert objs == [(0, 0.5, 0.5, 0.1, 0.2)]
 
     def test_empty_file(self, registry):
-        assert parse_yolo_annotation("", registry) == []
-        assert parse_yolo_annotation("\n\n", registry) == []
+        assert yolo_rows("", 5, registry) == []
+        assert yolo_rows("\n\n", 5, registry) == []
 
     def test_out_of_range_width(self, registry):
         with pytest.raises(AnnotationError, match="line 1"):
-            parse_yolo_annotation("0 0.5 0.5 1.2 0.2", registry)
+            yolo_rows("0 0.5 0.5 1.2 0.2", 5, registry)
 
     def test_zero_area_rejected(self, registry):
         with pytest.raises(AnnotationError):
-            parse_yolo_annotation("0 0.5 0.5 0.0 0.2", registry)
+            yolo_rows("0 0.5 0.5 0.0 0.2", 5, registry)
 
     def test_wrong_field_count(self, registry):
         with pytest.raises(AnnotationError, match="expected 5 fields"):
-            parse_yolo_annotation("0 0.5 0.5 0.1", registry)
+            yolo_rows("0 0.5 0.5 0.1", 5, registry)
 
     def test_non_numeric(self, registry):
         with pytest.raises(AnnotationError, match="not a number"):
-            parse_yolo_annotation("0 0.5 x 0.1 0.2", registry)
+            yolo_rows("0 0.5 x 0.1 0.2", 5, registry)
 
     def test_line_number_in_error(self, registry):
         with pytest.raises(AnnotationError, match="line 2"):
-            parse_yolo_annotation("0 0.5 0.5 0.1 0.2\n0 0.5 0.5 0.1 1.5", registry)
+            yolo_rows("0 0.5 0.5 0.1 0.2\n0 0.5 0.5 0.1 1.5", 5, registry)
 
     def test_unknown_class(self, registry):
         with pytest.raises(RegistryError, match="unknown class id 7"):
-            parse_yolo_annotation("7 0.5 0.5 0.1 0.2", registry)
+            yolo_rows("7 0.5 0.5 0.1 0.2", 5, registry)
 
     def test_prediction_line(self, registry):
-        dets = parse_yolo_prediction("1 0.3 0.3 0.2 0.2 0.91", registry)
-        assert dets[0].label == 1
-        assert dets[0].confidence == 0.91
+        dets = yolo_rows("1 0.3 0.3 0.2 0.2 0.91", 6, registry)
+        assert dets[0][0] == 1
+        assert dets[0][5] == 0.91
 
     def test_prediction_confidence_range(self, registry):
         with pytest.raises(AnnotationError, match="confidence"):
-            parse_yolo_prediction("1 0.3 0.3 0.2 0.2 1.5", registry)
+            yolo_rows("1 0.3 0.3 0.2 0.2 1.5", 6, registry)
 
     def test_prediction_order_preserved(self, registry):
         text = "1 0.3 0.3 0.2 0.2 0.91\n0 0.6 0.6 0.1 0.1 0.40\n"
-        dets = parse_yolo_prediction(text, registry)
-        assert [d.label for d in dets] == [1, 0]
-        assert [d.confidence for d in dets] == [0.91, 0.40]
+        dets = yolo_rows(text, 6, registry)
+        assert [d[0] for d in dets] == [1, 0]
+        assert [d[5] for d in dets] == [0.91, 0.40]
 
     @given(st.lists(st.tuples(st.integers(0, 1), boxes), max_size=8))
     @settings(max_examples=50)
     def test_round_trip_preserves_values(self, items):
         # 6-decimal serialization round-trips exactly for 6-decimal inputs
-        from deteval.annotations import GroundTruthObject
-
-        objs = [GroundTruthObject(label, box) for label, box in items]
-        assert parse_yolo_annotation(format_yolo_annotation(objs)) == objs
+        rows = [(label, box.cx, box.cy, box.w, box.h) for label, box in items]
+        assert yolo_rows(format_yolo_rows(rows), 5) == rows
 
     @given(boxes, st.integers(0, 1_000_000).map(lambda k: k / 1e6))
     @settings(max_examples=50)
     def test_prediction_round_trip(self, box, conf):
-        from deteval.annotations import Detection
-
-        dets = [Detection(1, box, conf)]
-        assert parse_yolo_prediction(format_yolo_prediction(dets)) == dets
+        rows = [(1, box.cx, box.cy, box.w, box.h, conf)]
+        assert yolo_rows(format_yolo_rows(rows), 6) == rows
 
 
 class TestRows:

@@ -124,9 +124,9 @@ PUBLIC_NAMES = [
     "SplitResult", "TTestResult", "TileRect", "TileSpec", "annotations", "anova_oneway", "augment",
     "average_precision", "bag_based_accuracy", "classification_loss", "describe",
     "desirability", "desirability_of", "evaluate_detections", "f_sf",
-    "format_yolo_annotation", "format_yolo_prediction", "format_yolo_rows", "giou", "giou_loss", "hard_swish", "iou",
+    "format_yolo_rows", "giou", "giou_loss", "hard_swish", "iou",
     "load_height_records", "losses", "mean_average_precision", "metrics", "objectness_loss",
-    "overall_desirability", "parse_yolo_annotation", "parse_yolo_prediction", "plan_tiles", "pr_curve",
+    "overall_desirability", "plan_tiles", "pr_curve",
     "prep", "reg_inc_beta", "retile_annotations", "sample_ids", "select_best",
     "shapiro_wilk", "split_dataset", "stats", "swish", "t_test_pairwise", "yolo_rows",
 ]
@@ -137,6 +137,13 @@ PUBLIC_NAMES = [
 REMOVED_METRICS_NAMES = [
     "MatchReport", "MatchedPair", "PRPoint", "_sum_tallies", "confusion_matrix", "detection_accuracy", "f1",
     "match", "precision", "recall",
+]
+
+
+# The object-shaped YOLO wrappers that left `deteval.annotations`; YOLO text
+# is read with `yolo_rows` or `read_yolo` and written with `format_yolo_rows`.
+REMOVED_YOLO_NAMES = [
+    "format_yolo_annotation", "format_yolo_prediction", "parse_yolo_annotation", "parse_yolo_prediction",
 ]
 
 
@@ -171,6 +178,15 @@ class TestPublicApi:
         with pytest.raises(AttributeError, match=re.escape(repr(name))):
             getattr(deteval, name)
 
+    @pytest.mark.parametrize("name", REMOVED_YOLO_NAMES)
+    def test_removed_yolo_name_is_gone(self, name):
+        from deteval import annotations
+
+        assert not hasattr(annotations, name)
+        assert name not in dir(deteval)
+        with pytest.raises(AttributeError, match=re.escape(repr(name))):
+            getattr(deteval, name)
+
     def test_a_curve_is_read_through_its_columns(self):
         from deteval import metrics
 
@@ -181,3 +197,11 @@ class TestPublicApi:
     def test_unknown_attribute_raises_attribute_error_naming_it(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             deteval.no_such_name
+
+
+def test_the_readme_library_example_runs(monkeypatch):
+    # README's first python block, run from the repository root as its paths expect
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.S | re.M).group(1)
+    monkeypatch.chdir(readme.parent)
+    exec(compile(block, str(readme), "exec"), {})

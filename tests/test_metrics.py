@@ -18,8 +18,7 @@ from deteval.annotations import (
     Detection,
     GroundTruthObject,
     iou,
-    parse_yolo_annotation,
-    parse_yolo_prediction,
+    yolo_rows,
 )
 from deteval.metrics import (
     ClassTally,
@@ -399,8 +398,10 @@ class TestMatcherOracle:
         samples = [
             EvalSample(
                 i,
-                tuple(parse_yolo_prediction(pred_files[i].decode())) if i in pred_files else (),
-                tuple(parse_yolo_annotation(truth_files[i].decode())) if i in truth_files else (),
+                tuple(Detection(label, BoundingBox(*box), conf)
+                      for label, *box, conf in yolo_rows(pred_files.get(i, b"").decode(), 6)),
+                tuple(GroundTruthObject(label, BoundingBox(*box))
+                      for label, *box in yolo_rows(truth_files.get(i, b"").decode(), 5)),
             )
             for i in ids
         ]
@@ -719,17 +720,15 @@ class TestBagBasedAccuracy:
 
 class TestEvaluateDetections:
     def _samples(self, fixtures_dir):
-        from deteval.annotations import parse_yolo_annotation, parse_yolo_prediction
-
         samples = []
         for image_id in ("img1", "img2"):
-            truths = parse_yolo_annotation(
-                (fixtures_dir / "detection" / "truth" / f"{image_id}.txt").read_text(), REGISTRY
-            )
-            dets = parse_yolo_prediction(
-                (fixtures_dir / "detection" / "preds" / f"{image_id}.txt").read_text(), REGISTRY
-            )
-            samples.append(EvalSample(image_id, tuple(dets), tuple(truths)))
+            truths = yolo_rows((fixtures_dir / "detection" / "truth" / f"{image_id}.txt").read_text(), 5, REGISTRY)
+            dets = yolo_rows((fixtures_dir / "detection" / "preds" / f"{image_id}.txt").read_text(), 6, REGISTRY)
+            samples.append(EvalSample(
+                image_id,
+                tuple(Detection(label, BoundingBox(*box), conf) for label, *box, conf in dets),
+                tuple(GroundTruthObject(label, BoundingBox(*box)) for label, *box in truths),
+            ))
         return samples
 
     def test_fixture_metrics(self, fixtures_dir):

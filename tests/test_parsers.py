@@ -1,8 +1,8 @@
 """Properties shared by every text-input parser: a parser returns only finite
 values, or raises a ValueError subclass whose message starts `line N: `.
-The columnar YOLO reader accepts and rejects what the scalar YOLO parsers
-do, with the same values, and the CLI reports its failures with the scalar
-parsers' errors."""
+The columnar YOLO reader accepts and rejects what the row reader
+`yolo_rows` does, with the same values, and the CLI reports its failures
+with the row reader's errors."""
 
 import dataclasses
 import io
@@ -23,13 +23,8 @@ from deteval.annotations import (
     BoundingBox,
     ClassLabel,
     ClassRegistry,
-    Detection,
-    GroundTruthObject,
     RegistryError,
-    format_yolo_annotation,
-    format_yolo_prediction,
-    parse_yolo_annotation,
-    parse_yolo_prediction,
+    format_yolo_rows,
     read_csv,
     read_yolo,
     split_lines,
@@ -43,13 +38,9 @@ REGISTRY = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb")])
 # name: (parse(text), its field separator and number of fields, the header
 # row of its CSV format or "", the error types it may raise)
 PARSERS = {
-    "annotation": (
-        lambda text: parse_yolo_annotation(text, REGISTRY), " ", 5, "", (AnnotationError, RegistryError)
-    ),
-    "annotation, no registry": (parse_yolo_annotation, " ", 5, "", (AnnotationError,)),
-    "prediction": (
-        lambda text: parse_yolo_prediction(text, REGISTRY), " ", 6, "", (AnnotationError, RegistryError)
-    ),
+    "annotation": (lambda text: yolo_rows(text, 5, REGISTRY), " ", 5, "", (AnnotationError, RegistryError)),
+    "annotation, no registry": (lambda text: yolo_rows(text, 5), " ", 5, "", (AnnotationError,)),
+    "prediction": (lambda text: yolo_rows(text, 6, REGISTRY), " ", 6, "", (AnnotationError, RegistryError)),
     "registry": (ClassRegistry.from_text, " ", 2, "", (RegistryError,)),
     "height records": (load_height_records, ",", 4, "image_id,stratum,placed,detected", (ValueError,)),
     "candidates": (load_candidates_csv, ",", 3, "label,response,value", (ValueError,)),
@@ -72,7 +63,7 @@ COLUMNAR = {"annotation": (5, b"0 0.5 0.5 0.1 0.1\n"), "prediction": (6, b"0 0.5
 
 def read_yolo_columns(files, n_fields):
     """`read_yolo` of `files` as (labels, values as float hex, offsets);
-    otherwise the ValueError or KeyError it raises."""
+    otherwise the ValueError it raises."""
     columns = read_yolo(files, n_fields, REGISTRY)
     values = tuple(tuple(map(float.hex, row)) for row in columns.values.tolist())
     return tuple(columns.labels.tolist()), values, tuple(columns.offsets.tolist())
@@ -165,9 +156,9 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
                 assert isinstance(exc, errors), (name, text, type(exc))
                 if name in COLUMNAR:
                     # the columnar reader only refuses; the CLI names the
-                    # second of a good and a bad file as the scalar parser does
+                    # second of a good and a bad file as the row reader does
                     n_fields, good = COLUMNAR[name]
-                    with pytest.raises((ValueError, KeyError)):
+                    with pytest.raises(ValueError):
                         read_yolo_columns([good, text.encode()], n_fields)
                     bad_side = (Path("dir"), {"a": good, "b": text.encode()}, n_fields)
                     empty_side = (Path("other"), {}, 11 - n_fields)
@@ -181,11 +172,8 @@ def test_every_parser_returns_finite_values_or_names_the_line(body, newline):
                 if name in COLUMNAR:
                     labels, values, offsets = read_yolo_columns([b"", text.encode(), b""], COLUMNAR[name][0])
                     assert offsets == (0, 0, len(result), len(result))
-                    assert labels == tuple(REGISTRY.ids().index(o.label) for o in result)
-                    assert values == tuple(
-                        tuple(map(float.hex, dataclasses.astuple(o.box) + dataclasses.astuple(o)[2:]))
-                        for o in result
-                    ), (name, text)
+                    assert labels == tuple(REGISTRY.ids().index(row[0]) for row in result)
+                    assert values == tuple(tuple(map(float.hex, row[1:])) for row in result), (name, text)
 
 
 coords = st.integers(0, 1_000_000).map(lambda k: k / 1e6)
@@ -200,16 +188,12 @@ boxes = st.builds(BoundingBox, cx=coords, cy=coords, w=sizes, h=sizes)
 @settings(max_examples=100)
 def test_yolo_round_trip_with_registry_and_blank_lines(items, blanks):
     # 6-decimal values round-trip exactly; blank lines anywhere are skipped
-    objects = [GroundTruthObject(label, box) for label, box, _ in items]
-    detections = [Detection(label, box, conf) for label, box, conf in items]
-    for parse, format_, values in (
-        (parse_yolo_annotation, format_yolo_annotation, objects),
-        (parse_yolo_prediction, format_yolo_prediction, detections),
-    ):
-        rows = format_(values).splitlines()
+    for n_fields in (5, 6):
+        values = [(label, box.cx, box.cy, box.w, box.h, conf)[:n_fields] for label, box, conf in items]
+        rows = format_yolo_rows(values).splitlines()
         for k, blank in enumerate(blanks):
             rows.insert(k * 2 % (len(rows) + 1), blank)
-        assert parse("\n".join(rows), REGISTRY) == values
+        assert yolo_rows("\n".join(rows), n_fields, REGISTRY) == values
 
 
 @given(st.text(st.sampled_from(["a", " ", ",", "\n", "\r", *NOT_LINE_ENDS])))
@@ -220,9 +204,9 @@ def test_lines_end_where_text_mode_ends_them(text):
 @pytest.mark.parametrize("separator", NOT_LINE_ENDS)
 def test_only_text_mode_line_ends_count_as_lines(separator):
     with pytest.raises(AnnotationError, match="^line 2: expected 5 fields, got 4$"):
-        parse_yolo_annotation(f"0 0.5 0.5 0.2 0.2{separator}\n0 0.5 0.5 0.2\n")
+        yolo_rows(f"0 0.5 0.5 0.2 0.2{separator}\n0 0.5 0.5 0.2\n", 5)
     row = separator.join(["0", "0.5", "0.5", "0.2", "0.2"])
-    assert parse_yolo_annotation(row) == [GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))]
+    assert yolo_rows(row, 5) == [(0, 0.5, 0.5, 0.2, 0.2)]
     assert ClassRegistry.from_text(f"0 wb{separator}\n1 bb\n").labels == REGISTRY.labels
 
 
@@ -315,7 +299,7 @@ def test_the_largest_class_id_reads_and_one_past_it_is_refused():
 def test_rows_under_an_empty_registry_are_refused():
     empty = ClassRegistry(())
     assert read_yolo([b"", b"\n"], 5, empty).offsets.tolist() == [0, 0, 0]
-    with pytest.raises(KeyError):
+    with pytest.raises(RegistryError):
         read_yolo([b"", b"0 0.5 0.5 0.1 0.1\n"], 5, empty)
     with pytest.raises(cli.CliError) as info:
         cli._evaluation_columns(empty, ["a", "b"], (Path("t"), {"b": b"\n0 0.5 0.5 0.1 0.1\n"}, 5), (Path("p"), {}, 6))
