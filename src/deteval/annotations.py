@@ -6,11 +6,13 @@ import csv
 import itertools
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from functools import partial, reduce
 
 BACKGROUND = "background"  # the confusion matrix's row and column of unmatched boxes; ClassLabel refuses it
+_LINE_END = re.compile("\r\n?")  # CRLF or CR, each of which text mode reads as LF
 
 
 class AnnotationError(ValueError):
@@ -71,10 +73,7 @@ class ClassLabel:
     name: str
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"class id must be non-negative: {self.id}")
-        if self.id >= 2**63:  # `read_yolo` reads class ids as int64
-            raise ValueError(f"class id must be below 2**63: {self.id}")
+        _class_id_in_range(self.id)
         # names become parts of file names (pr_curve_<name>.csv)
         if not self.name or any(c.isspace() or c in "/\\\0" for c in self.name):
             raise ValueError(f"class name must be non-empty, without whitespace, '/', '\\' or NUL: {self.name!r}")
@@ -196,15 +195,19 @@ def read_csv(text: str, n_fields: int, convert, header: tuple[str, ...] | None =
     return first, read_rows(rows, n_fields, convert, start=2)
 
 
-def number(raw: str) -> float:
-    """`float(raw)`; a ValueError unless that is a finite number written in
-    ASCII without `_` (the forms numpy's reader takes, as in `read_yolo`)."""
+def _ascii_token(convert, raw: str, problem: str):
+    """`convert(raw)` of a token in ASCII without `_`, as numpy's reader in `read_yolo` takes; else `problem`."""
     try:
         if "_" in raw or not raw.isascii():
             raise ValueError
-        value = float(raw)
+        return convert(raw)
     except ValueError:
-        raise ValueError(f"not a number: {raw!r}") from None
+        raise ValueError(f"{problem}: {raw!r}") from None
+
+
+def number(raw: str) -> float:
+    """`float(raw)` of an `_ascii_token`; a ValueError unless that is a finite number."""
+    value = _ascii_token(float, raw, "not a number")
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {raw!r}")
     return value
@@ -215,16 +218,18 @@ def left_sum(terms) -> float:
     return reduce(operator.add, terms, 0.0)
 
 
-def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
-    """`int(raw)` of an ASCII integer without `_`, as `number` reads numbers."""
-    try:
-        if "_" in raw or not raw.isascii():
-            raise ValueError
-        class_id = int(raw)
-    except ValueError:
-        raise ValueError(f"class id is not an integer: {raw!r}") from None
-    if class_id < 0:  # as ClassLabel words it, so no registry could hold it
+def _class_id_in_range(class_id: int) -> None:
+    """A ValueError unless `class_id` is in [0, 2**63); `read_yolo` reads class ids as int64."""
+    if class_id < 0:
         raise ValueError(f"class id must be non-negative: {class_id}")
+    if class_id >= 2**63:
+        raise ValueError(f"class id must be below 2**63: {class_id}")
+
+
+def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
+    """`int(raw)` of an `_ascii_token` in `_class_id_in_range`, and in `registry` when one is given."""
+    class_id = _ascii_token(int, raw, "class id is not an integer")
+    _class_id_in_range(class_id)
     if registry is not None and class_id not in registry:
         raise RegistryError(f"unknown class id {class_id}")
     return class_id
@@ -245,12 +250,12 @@ def yolo_rows(text: str, n_fields: int, registry: ClassRegistry | None = None) -
 def decode_text(data: bytes) -> str:
     """The text of a UTF-8 file's bytes as text mode reads it with the `utf-8-sig`
     encoding: without a leading byte-order mark, CRLF and CR line ends as LF."""
-    return data.decode("utf-8").removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    return _LINE_END.sub("\n", data.decode("utf-8").removeprefix("\ufeff"))
 
 
 def split_lines(text: str) -> list[str]:
     """The lines of `text`, ended by LF, CRLF or CR only, as text mode reads them (`str.splitlines` ends more)."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = _LINE_END.sub("\n", text).split("\n")
     return lines if lines[-1] else lines[:-1]
 
 

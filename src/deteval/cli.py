@@ -15,10 +15,10 @@ import io
 import json
 import math
 import os
-import stat
 import sys
 from datetime import datetime, timezone
 from fnmatch import fnmatchcase
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -35,6 +35,7 @@ from .annotations import (
 )
 from .config import (
     SCHEMA_VERSION,
+    InputKindError,
     digest_inputs,
     json_text,
     load_config,
@@ -86,27 +87,16 @@ def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
     `name` (default `key`), a directory when `parse` is None and a file
     otherwise, read once by `read_input`, with its digest recorded as
     `inputs[key]` for `_manifest`. Returns the directory's `*.txt` bytes by
-    file name, or the file's `parse(text, *args)` as `_parse_file` gives it.
-    An unset `value` is a CliError naming the key."""
+    image id, or the file's `parse(text, *args)` as `_parse_file` gives it.
+    An unset `value`, or one missing or of the other kind, is a CliError naming the key."""
     if value is None:
         raise CliError(f"config key {name or key!r} is required for this command")
-    path = Path(value)
     try:
-        mode = path.stat().st_mode
-    except (OSError, ValueError):  # missing, or a name the OS cannot hold
-        mode = 0
-    if not (stat.S_ISDIR(mode) if parse is None else stat.S_ISREG(mode)):
-        raise CliError(f"{name or key}: not a {'directory' if parse is None else 'file'}: {path}")
-    data = read_input(path)
+        data = read_input(value, "directory" if parse is None else "file")
+    except InputKindError as exc:
+        raise CliError(f"{name or key}: {exc}") from None
     inputs[key] = digest_inputs(data)
-    return data if parse is None else _parse_file(parse, path, data, *args)
-
-
-def _annotation_files(inputs: dict, key: str, value) -> tuple[Path, dict[str, bytes]]:
-    """The directory `value` of config key `key` and the bytes of the
-    `<image_id>.txt` files `read_input` reads from it, by image id, in id order."""
-    files = _read(inputs, key, value)
-    return Path(value), dict(sorted((name[: -len(".txt")], data) for name, data in files.items()))
+    return data if parse is None else _parse_file(parse, Path(value), data, *args)
 
 
 def _registry(config: dict, inputs: dict) -> ClassRegistry:
@@ -182,21 +172,21 @@ def _image_sizes(tile: dict, ids: list[str], inputs: dict) -> dict[str, tuple[in
     raise CliError("image dimensions unknown: set tile.image_width/image_height or tile.image_sizes_csv")
 
 
-def _ground_truth(config: dict, inputs: dict) -> tuple[Path, dict[str, bytes]]:
-    """The ground-truth dir and its annotation files by image id; there must be at least one."""
-    gt_dir, annotations = _annotation_files(inputs, "ground_truth_dir", config["ground_truth_dir"])
+def _ground_truth(config: dict, inputs: dict) -> dict[str, bytes]:
+    """The ground-truth annotation files by image id; there must be at least one."""
+    annotations = _read(inputs, "ground_truth_dir", config["ground_truth_dir"])
     if not annotations:
-        raise CliError(f"no annotation files (*.txt) under {gt_dir}")
-    return gt_dir, annotations
+        raise CliError(f"no annotation files (*.txt) under {Path(config['ground_truth_dir'])}")
+    return annotations
 
 
 def _ground_truth_rows(config: dict, inputs: dict) -> dict[str, list]:
     """The `yolo_rows` of each ground-truth annotation file by image id, in id
     order, with class ids checked against the registry when one is set."""
     registry = _registry(config, inputs) if config["class_registry"] else None
-    gt_dir, annotations = _ground_truth(config, inputs)
+    gt_dir = Path(config["ground_truth_dir"])
     return {image_id: _parse_file(yolo_rows, gt_dir / f"{image_id}.txt", data, 5, registry)
-            for image_id, data in annotations.items()}
+            for image_id, data in _ground_truth(config, inputs).items()}
 
 
 def cmd_tile(config: dict, inputs: dict) -> tuple[dict, str]:
@@ -256,7 +246,7 @@ def cmd_split(config: dict, inputs: dict) -> tuple[dict, str]:
         source, lines = "split.ids_file", _read(inputs, "ids_file", split["ids_file"], split_lines)
         ids = [line.strip() for line in lines if line.strip()]
     else:
-        source, ids = "ground_truth_dir", list(_ground_truth(config, inputs)[1])
+        source, ids = "ground_truth_dir", list(_ground_truth(config, inputs))
     try:
         drawn = sample_ids(ids, split["sample_count"], config["seed"]) if split["sample_count"] else ids
         result = split_dataset(drawn, SplitRatio(*split["ratio"]), config["seed"])
@@ -299,8 +289,8 @@ def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
     from .metrics import evaluate_detections
 
     registry = _registry(config, inputs)
-    gt_dir, truth_files = _ground_truth(config, inputs)
-    pred_dir, pred_files = _annotation_files(inputs, "predictions_dir", config["predictions_dir"])
+    truth_files = _ground_truth(config, inputs)
+    pred_files = _read(inputs, "predictions_dir", config["predictions_dir"])
     iou_threshold = config["iou_threshold"]
 
     missing = sorted(set(truth_files) - set(pred_files))
@@ -313,7 +303,8 @@ def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
         )
 
     ids = sorted(set(truth_files) | set(pred_files))
-    columns = _evaluation_columns(registry, ids, (gt_dir, truth_files, 5), (pred_dir, pred_files, 6))
+    columns = _evaluation_columns(registry, ids, (Path(config["ground_truth_dir"]), truth_files, 5),
+                                  (Path(config["predictions_dir"]), pred_files, 6))
     del truth_files, pred_files  # the columns hold what evaluation reads of them
     interpolation = config["ap_interpolation"]
     report = evaluate_detections(columns, registry, iou_threshold, interpolation=interpolation)
@@ -633,6 +624,7 @@ _FLAGS = (
 )
 
 
+@cache  # built once per process: it reads only the names and help of `_COMMANDS`
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deteval",

@@ -7,6 +7,7 @@ import copy
 import hashlib
 import json
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -21,6 +22,10 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """An input file or directory that cannot be read."""
+
+
+class InputKindError(InputError):
+    """An input path that is missing or not of the kind it is read as."""
 
 
 def _kind(what: str, ok, convert=None):
@@ -164,12 +169,10 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
     file is read by `read_input` and decoded by `decode_text`, as every input is."""
     config = copy.deepcopy(DEFAULTS)
     if path is not None:
-        if Path(path).is_dir():  # `read_input` would read the directory's `*.txt` files
-            raise ConfigError(f"cannot read config {path}: is a directory")
         try:
-            loaded = json.loads(decode_text(read_input(path)))
+            loaded = json.loads(decode_text(read_input(path, "file")))
         except (ValueError, RecursionError) as exc:  # unreadable, undecodable, bad or too deeply nested JSON
-            # an InputError's cause is the OSError, which names the path once
+            # an InputError's cause, where it has one, is the OSError, which names the path once
             raise ConfigError(f"cannot read config {path}: {exc.__cause__ or exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"config root must be a JSON object: {path}")
@@ -178,18 +181,25 @@ def load_config(path: Path | None, overrides: dict | None = None) -> dict:
     return config
 
 
-def read_input(path: Path) -> bytes | dict[str, bytes]:
-    """The bytes of an input file, or of each regular `*.txt` file directly
-    in an input directory, keyed by file name, in name order; nothing else in
-    the directory is opened. Each file is opened once; its bytes serve both
-    parsing and the digest. A path that cannot be read raises InputError."""
+def read_input(path: Path, kind: str) -> bytes | dict[str, bytes]:
+    """The bytes of an input of `kind` "file", or of each regular `*.txt` file directly
+    in one of kind "directory", by image id (the name without `.txt`) in id order;
+    each file is opened once, and nothing else. A path its one `stat` finds missing
+    or of the other kind raises InputKindError; a file that cannot be read, InputError."""
     path = Path(path)
+    cause = None  # why the path cannot be stat'ed, if it cannot
     try:
-        if not path.is_dir():
+        mode = path.stat().st_mode
+    except (OSError, ValueError) as exc:  # missing, or a name the OS cannot hold
+        mode, cause = 0, exc
+    if not (stat.S_ISDIR(mode) if kind == "directory" else stat.S_ISREG(mode)):
+        raise InputKindError(f"not a {kind}: {path}") from cause
+    try:
+        if kind == "file":
             return _read_file(path)
         with os.scandir(path) as entries:
-            files = sorted((e.name, e.path) for e in entries if e.name.endswith(".txt") and e.is_file())
-        return {name: _read_file(file) for name, file in files}
+            files = sorted((e.name[:-4], e.path) for e in entries if e.name.endswith(".txt") and e.is_file())
+        return {image_id: _read_file(file) for image_id, file in files}
     except OSError as exc:
         raise InputError(f"cannot read input {path}: {exc}") from exc
 
@@ -213,11 +223,11 @@ def _read_file(path) -> bytes:
 def digest_inputs(data: bytes | dict[str, bytes]) -> str:
     """The `sha256:` digest of one input as `read_input` read it: a file's
     SHA-256, or for a directory the SHA-256 of each file's name, a NUL byte
-    and the SHA-256 of its bytes, file by file in `read_input` order."""
+    and the SHA-256 of its bytes, file by file in name order."""
     if isinstance(data, dict):
         digest = hashlib.sha256()
-        for rel, blob in data.items():
-            digest.update(rel.encode("utf-8") + b"\x00" + hashlib.sha256(blob).digest())
+        for name in sorted(f"{image_id}.txt" for image_id in data):
+            digest.update(name.encode("utf-8") + b"\x00" + hashlib.sha256(data[name.removesuffix(".txt")]).digest())
     else:
         digest = hashlib.sha256(data)
     return f"sha256:{digest.hexdigest()}"

@@ -30,25 +30,17 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _LENTZ_MAX_ITER + 1):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + coef / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + coef / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for coef in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                     -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + coef * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + coef / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _LENTZ_TOL:
             return h
     raise ConvergenceError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

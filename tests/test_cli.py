@@ -337,6 +337,30 @@ class TestAugment:
             "error": "CliError", "message": f"{annots / 'a.txt'}: line 2: class id must be non-negative: -1"}
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [("tile", ("--image-size", "832x832")), ("augment", ("--samples", "2"))],
+                             ids=["tile", "augment"])
+    def test_class_id_of_2_to_the_63_exits_2_naming_the_line_writing_nothing(self, tmp_path, capsys, command, flags):
+        # int64 holds the class ids `evaluate` reads; every command keeps to it
+        annots, out = tmp_path / "annots", tmp_path / "out"
+        annots.mkdir()
+        (annots / "a.txt").write_text(f"0 0.5 0.5 0.1 0.1\n{2**63} 0.2 0.2 0.1 0.1\n")
+        assert run_cli("--output-dir", out, command, "--ground-truth-dir", annots, *flags) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError", "message": f"{annots / 'a.txt'}: line 2: class id must be below 2**63: {2**63}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, written", [
+        ("tile", ("--image-size", "832x832"), "tiles/a_000.txt"),
+        ("augment", ("--samples", "1"), "augmented/a_aug0000.txt"),
+    ], ids=["tile", "augment"])
+    def test_largest_class_id_passes_without_a_registry(self, tmp_path, command, flags, written):
+        annots, out = tmp_path / "annots", tmp_path / "out"
+        annots.mkdir()
+        (annots / "a.txt").write_text(f"{2**63 - 1} 0.2 0.2 0.1 0.1\n")
+        assert run_cli("--output-dir", out, command, "--ground-truth-dir", annots, *flags) == 0
+        rows = [line.split() for line in (out / written).read_text().splitlines()]
+        assert [row[0] for row in rows] == [str(2**63 - 1)]
+
     def test_seed_changes_outputs(self, fixtures_dir, tmp_path):
         outs = {}
         for seed in (1, 2):
@@ -600,6 +624,23 @@ class TestEvaluate:
             "error": "CliError", "message": f"{truth / 'img2.txt'}: line {len(text.splitlines()) + 1}: {problem}"}
         assert not (tmp_path / "out").exists()
 
+    def test_class_id_of_2_to_the_63_exits_2_naming_the_line(self, fixtures_dir, tmp_path, capsys):
+        # refused on its line as `tile` and `augment` refuse it, before the registry is asked
+        truth = tmp_path / "truth"
+        shutil.copytree(fixtures_dir / "detection" / "truth", truth)
+        text = (truth / "img2.txt").read_text()
+        (truth / "img2.txt").write_text(f"{text}{2**63} 0.2 0.2 0.1 0.1\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "evaluate", "--ground-truth-dir", truth,
+            "--predictions-dir", fixtures_dir / "detection" / "preds",
+            "--class-registry", fixtures_dir / "detection" / "classes.txt",
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CliError",
+            "message": f"{truth / 'img2.txt'}: line {len(text.splitlines()) + 1}: class id must be below 2**63: {2**63}"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "bad, named",
         [
@@ -764,7 +805,7 @@ class TestStats:
         for path in paths:
             path.parent.mkdir(exist_ok=True)
             shutil.copy(fixtures_dir / "stats" / "height_accuracy.csv", path)
-        monkeypatch.setattr(cli, "read_input", lambda path: pytest.fail(f"{path} was read"))
+        monkeypatch.setattr(cli, "read_input", lambda path, kind: pytest.fail(f"{path} was read"))
         out = tmp_path / "out"
         assert run_cli("--output-dir", out, "stats", "--inputs", *reversed(paths)) == 2
         assert json.loads(capsys.readouterr().err.strip()) == {
@@ -1054,6 +1095,22 @@ class TestOneShotProcess:
             gc.enable()
 
 
+class TestParser:
+    def test_main_builds_the_parser_once_and_keeps_no_flag_between_calls(self, tmp_path):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("".join(f"id{k}\n" for k in range(8)))
+        cli._build_parser.cache_clear()
+        assert run_cli("--seed", "7", "--allow-partial", "--output-dir", tmp_path / "first", "split",
+                       "--ids-file", ids, "--ratio", "1:1:1") == 0
+        assert run_cli("--output-dir", tmp_path / "second", "split", "--ids-file", ids) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        configs = [json.loads((tmp_path / run / "run_manifest.json").read_text())["config"]
+                   for run in ("first", "second")]
+        assert [(c["seed"], c["allow_partial"], c["split"]["ratio"]) for c in configs] == [
+            (7, True, [1, 1, 1]), (0, False, [15, 3, 2])]
+
+
 class TestExitStatus:
     """Status 2 when an input is bad or cannot be read, 3 when an output
     cannot be written."""
@@ -1077,7 +1134,7 @@ class TestExitStatus:
         assert self.desirability(fixtures_dir, tmp_path / "out", missing) == 2
         assert str(missing) in json.loads(capsys.readouterr().err.strip())["message"]
         with pytest.raises(InputError) as exc:
-            read_input(missing)
+            read_input(missing, "file")
         assert str(missing) in str(exc.value)
 
     def test_unreadable_input_exits_2_naming_it(self, fixtures_dir, tmp_path, capsys, monkeypatch):
@@ -1304,8 +1361,8 @@ class TestReadInput:
 
     def test_empty_file(self, tmp_path):
         (tmp_path / "empty.txt").write_bytes(b"")
-        assert read_input(tmp_path / "empty.txt") == b""
-        assert read_input(tmp_path) == {"empty.txt": b""}
+        assert read_input(tmp_path / "empty.txt", "file") == b""
+        assert read_input(tmp_path, "directory") == {"empty": b""}
 
     def test_file_of_several_reads(self, tmp_path, monkeypatch):
         data = bytes(range(256)) * 700  # 175 KiB
@@ -1319,20 +1376,22 @@ class TestReadInput:
             return chunk
 
         monkeypatch.setattr(os, "read", counting_read)
-        assert read_input(tmp_path / "big.txt") == data
+        assert read_input(tmp_path / "big.txt", "file") == data
         assert len(sizes) > 2 and sizes[-1] == 0 and sum(sizes) == len(data)
-        assert read_input(tmp_path) == {"big.txt": data}
+        assert read_input(tmp_path, "directory") == {"big": data}
 
     def test_directory_is_its_txt_files(self, tmp_path):
-        # regular `*.txt` files directly inside, by name; not a subdirectory
-        # or its files, a directory named like a text file, or other names
+        # regular `*.txt` files directly inside, by image id, in id order,
+        # which is not name order ("a" < "a-b", "a-b.txt" < "a.txt"); not a
+        # subdirectory or its files, a directory named like a text file, or
+        # other names
         for rel in ("b.txt", "a-b.txt", "a.txt", "notes.md", "big.png", "a.TXT", "sub/c.txt"):
             (tmp_path / rel).parent.mkdir(exist_ok=True)
             (tmp_path / rel).write_text(rel)
         (tmp_path / "dir.txt").mkdir()
-        files = read_input(tmp_path)
-        assert list(files) == ["a-b.txt", "a.txt", "b.txt"]
-        assert files == {name: name.encode() for name in files}
+        files = read_input(tmp_path, "directory")
+        assert list(files) == ["a", "a-b", "b"]
+        assert files == {image_id: f"{image_id}.txt".encode() for image_id in files}
 
     def test_read_error_exits_2_naming_the_path(self, fixtures_dir, tmp_path, capsys, monkeypatch):
         def failing_read(fd, n):
@@ -1343,14 +1402,55 @@ class TestReadInput:
         truth = fixtures_dir / "detection" / "truth"
         # the first file that `read_input` reads from the directory
         first = truth / min(p.name for p in truth.glob("*.txt"))
-        for path, failed in ((profile, profile), (truth, first)):
+        for path, kind, failed in ((profile, "file", profile), (truth, "directory", first)):
             with pytest.raises(InputError, match="Input/output error") as exc:
-                read_input(path)
+                read_input(path, kind)
             assert str(path) in str(exc.value) and str(failed) in str(exc.value)
         assert TestExitStatus.desirability(fixtures_dir, tmp_path / "out") == 2
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "InputError"
         assert str(profile) in record["message"] and "Input/output error" in record["message"]
+
+
+class TestImageIdOrder:
+    """Commands take a directory's files by image id, in id order, which
+    differs from the name order of the files: "a" < "a-b", but "a-b.txt" <
+    "a.txt". The manifest still digests the files in name order."""
+
+    @staticmethod
+    def _dir(path, rows):
+        path.mkdir()
+        for image_id, row in rows.items():
+            (path / f"{image_id}.txt").write_text(row + "\n")
+        return path
+
+    def test_tile_writes_its_rows_in_id_order(self, tmp_path):
+        truth = self._dir(tmp_path / "truth", {"a-b": "0 0.2 0.2 0.1 0.1", "a": "1 0.7 0.7 0.1 0.1"})
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", truth, "--image-size", "832x832") == 0
+        rows = _read_csv(out / "tiles_manifest.csv")[1:]
+        assert [row[0] for row in rows] == [f"{i}_{k:03d}" for i in ("a", "a-b") for k in range(4)]
+        assert (out / "discarded_tiles.txt").read_text().split() == ["a_000", "a_001", "a_002", "a-b_001",
+                                                                     "a-b_002", "a-b_003"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["input_digests"] == oracle_digest_inputs({"ground_truth_dir": truth})
+
+    def test_evaluate_reads_both_sides_in_id_order(self, fixtures_dir, tmp_path, capsys):
+        registry = fixtures_dir / "detection" / "classes.txt"
+        truth = self._dir(tmp_path / "truth", {"a-b": "0 0.2 0.2 0.1 0.1", "a": "1 0.7 0.7 0.1 0.1"})
+        preds = self._dir(tmp_path / "preds", {"a-b": "0 0.2 0.2 0.1 0.1 0.9", "a": "1 0.7 0.7 0.1 0.1 0.8"})
+        argv = ["evaluate", "--ground-truth-dir", truth, "--predictions-dir", preds, "--class-registry", registry]
+        assert run_cli("--output-dir", tmp_path / "out", *argv) == 0
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest["input_digests"] == oracle_digest_inputs(
+            {"class_registry": registry, "ground_truth_dir": truth, "predictions_dir": preds})
+        assert json.loads((tmp_path / "out" / "evaluation.json").read_text())["map50"] == 1.0
+        # with both prediction files malformed, the first in id order is named
+        for image_id in ("a", "a-b"):
+            (preds / f"{image_id}.txt").write_text("0 0.5 0.5 0.1\n")
+        assert run_cli("--output-dir", tmp_path / "bad", *argv) == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError", "message": f"{preds / 'a.txt'}: line 1: expected 6 fields, got 4"}
 
 
 class TestReport:
@@ -2022,6 +2122,15 @@ class TestConfigSchema:
         assert record["error"] == "ConfigError"
         assert record["message"].startswith(f"cannot read config {config}: ")
         assert record["message"].count(str(config)) <= 2  # the prefix and the OS error, once each
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_a_directory_or_missing_says_why(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        for problem in (f"[Errno 2] No such file or directory: '{config}'", f"not a file: {config}"):
+            assert run_cli("--config", config, "--output-dir", tmp_path / "out", "report") == 2
+            assert json.loads(capsys.readouterr().err.strip()) == {
+                "error": "ConfigError", "message": f"cannot read config {config}: {problem}"}
+            config.mkdir(exist_ok=True)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("operation, problem", [

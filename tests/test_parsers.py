@@ -292,7 +292,7 @@ def test_the_largest_class_id_reads_and_one_past_it_is_refused():
     assert read_yolo([f"{2**63 - 1} 0.5 0.5 0.1 0.1\n".encode()], 5, largest).labels.tolist() == [0]
     with pytest.raises(ValueError):
         read_yolo([f"{2**63} 0.5 0.5 0.1 0.1\n".encode()], 5, largest)
-    with pytest.raises(RegistryError, match=f"^line 1: unknown class id {2**63}$"):
+    with pytest.raises(AnnotationError, match=f"^line 1: class id must be below 2\\*\\*63: {2**63}$"):
         yolo_rows(f"{2**63} 0.5 0.5 0.1 0.1\n", 5, largest)
 
 
