@@ -205,6 +205,11 @@ def _ascii_token(convert, raw: str, problem: str):
         raise ValueError(f"{problem}: {raw!r}") from None
 
 
+def integer(raw: str) -> int:
+    """`int(raw)` of an `_ascii_token`: every integer read from text, a CSV cell or a flag."""
+    return _ascii_token(int, raw, "not an integer")
+
+
 def number(raw: str) -> float:
     """`float(raw)` of an `_ascii_token`; a ValueError unless that is a finite number."""
     value = _ascii_token(float, raw, "not a number")

@@ -27,6 +27,7 @@ from .annotations import (
     ClassRegistry,
     decode_text,
     format_yolo_rows,
+    integer,
     number,
     read_csv,
     read_yolo,
@@ -82,19 +83,22 @@ def _parse_file(parse, path: Path, data: bytes, *args):
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _read(inputs: dict, key: str, value, parse=None, *args, name: str = ""):
+def _read(inputs: dict, key: str, value, parse=None, *args, name: str = "", output_dir=None):
     """The one way a command reads an input: the path `value` of config key
     `name` (default `key`), a directory when `parse` is None and a file
     otherwise, read once by `read_input`, with its digest recorded as
     `inputs[key]` for `_manifest`. Returns the directory's `*.txt` bytes by
     image id, or the file's `parse(text, *args)` as `_parse_file` gives it.
-    An unset `value`, or one missing or of the other kind, is a CliError naming the key."""
+    An unset `value`, one missing or of the other kind, or a directory that is
+    `output_dir`, whose artifacts it would read back, is a CliError naming the key."""
     if value is None:
         raise CliError(f"config key {name or key!r} is required for this command")
     try:
         data = read_input(value, "directory" if parse is None else "file")
     except InputKindError as exc:
         raise CliError(f"{name or key}: {exc}") from None
+    if output_dir and os.path.isdir(output_dir) and os.path.samefile(value, output_dir):
+        raise CliError(f"{name or key} and output_dir are one directory, whose outputs it would read: {value}")
     inputs[key] = digest_inputs(data)
     return data if parse is None else _parse_file(parse, Path(value), data, *args)
 
@@ -144,10 +148,7 @@ def _write_outputs(out_dir: Path, artifacts: dict[str, str], manifest: dict, own
 
 def _image_size_row(image_id: str, *cells: str) -> tuple[str, tuple[int, int]]:
     """One `image_id,width_px,height_px` row of an image-sizes CSV."""
-    try:
-        width, height = (int(cell) for cell in cells)
-    except ValueError:
-        raise ValueError(f"width and height must be integers: {list(cells)}") from None
+    width, height = map(integer, cells)
     if width <= 0 or height <= 0:
         raise ValueError(f"width and height must be positive: {list(cells)}")
     return image_id, (width, height)
@@ -174,7 +175,7 @@ def _image_sizes(tile: dict, ids: list[str], inputs: dict) -> dict[str, tuple[in
 
 def _ground_truth(config: dict, inputs: dict) -> dict[str, bytes]:
     """The ground-truth annotation files by image id; there must be at least one."""
-    annotations = _read(inputs, "ground_truth_dir", config["ground_truth_dir"])
+    annotations = _read(inputs, "ground_truth_dir", config["ground_truth_dir"], output_dir=config["output_dir"])
     if not annotations:
         raise CliError(f"no annotation files (*.txt) under {Path(config['ground_truth_dir'])}")
     return annotations
@@ -290,7 +291,7 @@ def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
 
     registry = _registry(config, inputs)
     truth_files = _ground_truth(config, inputs)
-    pred_files = _read(inputs, "predictions_dir", config["predictions_dir"])
+    pred_files = _read(inputs, "predictions_dir", config["predictions_dir"], output_dir=config["output_dir"])
     iou_threshold = config["iou_threshold"]
 
     missing = sorted(set(truth_files) - set(pred_files))
@@ -574,27 +575,27 @@ def _path(text: str) -> str:
 def _parse_wxh(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        return integer(w), integer(h)
     except ValueError:
         raise CliError(f"expected WxH (e.g. 416x416), got {text!r}") from None
 
 
 def _parse_ratio(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(":")]
+        return [integer(part) for part in text.split(":")]
     except ValueError:
         raise CliError(f"expected ratio A:B:C, got {text!r}") from None
 
 
 # Every flag that overrides a config key: (subcommands that take it, or None
 # for a flag given before the subcommand; flag; dotted config path, or a
-# tuple of paths that a tuple value is spread over; argparse options).
-# argparse turns only ValueError, TypeError and ArgumentTypeError from a
-# `type` into a usage error, so the CliError of a malformed WxH or ratio
-# reaches `main` and is reported as a JSON error record like any input error.
+# tuple of paths that a tuple value is spread over; argparse options). A
+# number is read as every number in text is, by `integer` or `number`, whose
+# ValueError argparse reports as a usage error; argparse passes a CliError on,
+# so that of a malformed WxH or ratio reaches `main` as a JSON error record.
 _FLAGS = (
-    (None, "--jobs", "jobs", {"type": int, "help": "accepted for compatibility, at least 1"}),
-    (None, "--seed", "seed", {"type": int, "help": "RNG seed for augment/split"}),
+    (None, "--jobs", "jobs", {"type": integer, "help": "accepted for compatibility, at least 1"}),
+    (None, "--seed", "seed", {"type": integer, "help": "RNG seed for augment/split"}),
     (None, "--allow-partial", "allow_partial", {"action": "store_true", "default": None, "help": (
         "evaluate: treat images missing on one side as empty instead of failing")}),
     (None, "--output-dir", "output_dir", {"type": _path, "help": "directory for outputs"}),
@@ -607,14 +608,14 @@ _FLAGS = (
     (("tile",), "--image-sizes-csv", "tile.image_sizes_csv", {
         "type": _path, "help": "CSV image_id,width_px,height_px"}),
     (("tile",), "--edge-policy", "tile.edge_policy", {"help": "anchor-to-edge or pad"}),
-    (("tile",), "--min-visibility", "tile.min_visibility", {"type": float}),
-    (("augment",), "--samples", "augment.samples", {"type": int}),
+    (("tile",), "--min-visibility", "tile.min_visibility", {"type": number}),
+    (("augment",), "--samples", "augment.samples", {"type": integer}),
     (("split",), "--ids-file", "split.ids_file", {"type": _path, "help": "one image id per line"}),
     (("split",), "--ratio", "split.ratio", {"type": _parse_ratio, "help": "A:B:C, e.g. 15:3:2"}),
     (("split",), "--sample-count", "split.sample_count", {
-        "type": int, "help": "draw this many ids before splitting"}),
+        "type": integer, "help": "draw this many ids before splitting"}),
     (("evaluate",), "--predictions-dir", "predictions_dir", {"type": _path}),
-    (("evaluate",), "--iou-threshold", "iou_threshold", {"type": float}),
+    (("evaluate",), "--iou-threshold", "iou_threshold", {"type": number}),
     (("stats",), "--inputs", "stats_inputs", {
         "type": _path, "nargs": "+", "help": "group,observation CSV files"}),
     (("desirability",), "--profile", "desirability_profile", {

@@ -29,13 +29,14 @@ class InputKindError(InputError):
 
 
 def _kind(what: str, ok, convert=None):
-    """A kind of config value: one that `ok` holds of, as `convert(value, key)`
-    makes it, or as given without `convert`. Any other is a ConfigError naming the key."""
+    """A kind of JSON value: one that `ok` holds of, as `convert(value, name)`
+    makes it, or as given without `convert`. Any other is a ConfigError that
+    says the value `name`, such as `config key seed`, must be `what`."""
 
-    def kind(value, key: str):
+    def kind(value, name: str):
         if not ok(value):
-            raise ConfigError(f"config key {key} must be {what}, got {json.dumps(value)}")
-        return convert(value, key) if convert else value
+            raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+        return convert(value, name) if convert else value
 
     return kind
 
@@ -49,7 +50,7 @@ def _array(item, length: int | None = None):
     """An array, of `length` items when that is set, each of kind `item`."""
     return _kind(f"an array of {length} items" if length else "an array",
                  lambda value: isinstance(value, list) and length in (None, len(value)),
-                 lambda value, key: [item(entry, f"{key}[{i}]") for i, entry in enumerate(value)])
+                 lambda value, name: [item(entry, f"{name}[{i}]") for i, entry in enumerate(value)])
 
 
 def _one_of(*choices: str):
@@ -77,16 +78,16 @@ _OPERATION = {
 }
 
 
-def _augment_op(value: dict, key: str) -> dict:
+def _augment_op(value: dict, name: str) -> dict:
     """The entry with each field as its kind converts it, if `prep.AugmentOp`,
     which holds the rules across fields, takes it; prep is loaded only here."""
     from .prep import AugmentOp
 
-    entry = {name: _OPERATION[name](field, f"{key}.{name}") for name, field in value.items()}
+    entry = {key: _OPERATION[key](field, f"{name}.{key}") for key, field in value.items()}
     try:
         AugmentOp.from_config(entry)
     except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from None
+        raise ConfigError(f"{name}: {exc}") from None
     return entry
 
 
@@ -157,10 +158,10 @@ def _merge(config: dict, schema: dict, values: dict, prefix: str = "") -> None:
             raise ConfigError(f"unknown config key: {name!r}")
         node, key = schema[name], prefix + name
         if isinstance(node, dict):
-            _merge(config[name], node, OBJECT(value, key), f"{key}.")
+            _merge(config[name], node, OBJECT(value, f"config key {key}"), f"{key}.")
         else:
             default, kind = node
-            config[name] = None if value is None and default is None else kind(value, key)
+            config[name] = None if value is None and default is None else kind(value, f"config key {key}")
 
 
 def load_config(path: Path | None, overrides: dict | None = None) -> dict:

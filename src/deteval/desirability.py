@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 from .annotations import left_sum, number, read_csv
+from .config import NUMBER
 
 LARGER_IS_BETTER = "larger-is-better"
 SMALLER_IS_BETTER = "smaller-is-better"
@@ -115,13 +116,13 @@ class DesirabilityProfile:
                     ResponseGoal(
                         name=g["name"],
                         direction=g["direction"],
-                        low=float(g["low"]),
-                        middle=float(g["middle"]),
-                        high=float(g["high"]),
-                        weight=float(g.get("weight", 1.0)),
+                        low=NUMBER(g["low"], "low"),
+                        middle=NUMBER(g["middle"], "middle"),
+                        high=NUMBER(g["high"], "high"),
+                        weight=NUMBER(g.get("weight", 1.0), "weight"),
                     )
                 )
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, ValueError) as exc:
                 problem = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"goal {index}: {problem}") from None
         return cls(goals=tuple(goals))

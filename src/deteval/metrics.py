@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import BACKGROUND, BoxColumns, ClassRegistry, Detection, GroundTruthObject, left_sum, read_csv
+from .annotations import (BACKGROUND, BoxColumns, ClassRegistry, Detection, GroundTruthObject, integer, left_sum,
+                          read_csv)
 
 STRATA = ("top", "middle", "bottom")
 
@@ -320,7 +321,7 @@ class HeightRecord:
 def load_height_records(text: str) -> list[HeightRecord]:
     """Parse `image_id,stratum,placed,detected` CSV rows into records."""
     def record(image_id, stratum, placed, detected):
-        return HeightRecord(image_id, stratum, int(placed), int(detected))
+        return HeightRecord(image_id, stratum, integer(placed), integer(detected))
 
     return read_csv(text, 4, record, ("image_id", "stratum", "placed", "detected"))[1]
 

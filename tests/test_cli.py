@@ -154,7 +154,9 @@ class TestTile:
     @pytest.mark.parametrize(
         "row, problem",
         [
-            ("a,nan,100", "width and height must be integers"),
+            ("a,nan,100", "not an integer: 'nan'"),
+            ("a,1_0,100", "not an integer: '1_0'"),
+            ("a,100,\u0661\u0660", "not an integer: '\u0661\u0660'"),
             ("a,100", "expected 3 fields, got 2"),
             ("a,0,100", "width and height must be positive"),
             ("a,1600,-1300", "width and height must be positive"),
@@ -1025,10 +1027,13 @@ class TestDesirabilityCommand:
     @pytest.mark.parametrize(
         "goal, problem",
         [
-            ({"low": float("-inf")}, "goal 0: low must be a finite number, got -inf"),
-            ({"weight": float("nan")}, "goal 0: weight must be a finite number, got nan"),
+            ({"low": float("-inf")}, "goal 0: low must be a finite number, got -Infinity"),
+            ({"weight": float("nan")}, "goal 0: weight must be a finite number, got NaN"),
             ({"name": ["map50"]}, "goal 0: goal name must be a non-empty string, got ['map50']"),
-            ({"low": 10**400}, "goal 0: int too large to convert to float"),
+            ({"low": 10**400}, f"goal 0: low must be a finite number, got {10**400}"),
+            # one number grammar: a string, true or false is not a JSON number
+            *(({key: value}, f"goal 0: {key} must be a finite number, got {json.dumps(value)}")
+              for key in ("low", "middle", "high", "weight") for value in ("1_0", "\u0663", "0.9", True, False)),
         ],
     )
     def test_bad_goal_value_names_profile_and_goal(self, tmp_path, capsys, goal, problem):
@@ -1348,6 +1353,70 @@ class TestInputPaths:
         record = json.loads(capsys.readouterr().err.strip())
         assert (record["error"], record["message"]) == ("ConfigError", f"config key {key} must be a path, got {shown}")
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["tile", "evaluate --allow-partial"])
+    def test_output_dir_read_as_an_input_dir_exits_2_naming_both_keys(self, fixtures_dir, tmp_path, capsys, command):
+        # tile's discarded_tiles.txt and report's report.txt would be read back as images;
+        # the second path names the output dir through a symlink, so paths are compared as files
+        detection, out = fixtures_dir / "detection", tmp_path / "out"
+        if command == "tile":
+            shutil.copytree(detection / "truth", out)
+            argv, key = ["tile", "--ground-truth-dir", out, "--image-size", "832x832"], "ground_truth_dir"
+        else:
+            shutil.copytree(detection / "preds", out)
+            assert run_cli("--output-dir", out, "report") == 0
+            (tmp_path / "link").symlink_to(out)
+            argv = ["--allow-partial", "evaluate", "--ground-truth-dir", detection / "truth",
+                    "--predictions-dir", tmp_path / "link", "--class-registry", detection / "classes.txt"]
+            key = "predictions_dir"
+        before = {p: p.read_bytes() for p in out.iterdir()}
+        assert run_cli("--output-dir", out, *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        value = out if key == "ground_truth_dir" else tmp_path / "link"
+        assert record == {"error": "CliError",
+                          "message": f"{key} and output_dir are one directory, whose outputs it would read: {value}"}
+        assert {p: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_directory_inside_the_output_dir_is_read(self, fixtures_dir, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", fixtures_dir / "detection" / "truth",
+                       "--image-size", "832x832") == 0
+        assert run_cli("--output-dir", out, "split", "--ground-truth-dir", out / "tiles", "--ratio", "1:1:1") == 0
+        assert json.loads((out / "run_manifest.json").read_text())["command"] == "split"
+
+
+class TestNumberRule:
+    """One number grammar for every input, numpy's ASCII one: a `_` separator
+    or a digit outside ASCII, which Python's int() and float() take, is
+    refused in a flag too."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tile", "--tile-size", "1_0x416"], ["tile", "--tile-size", "416x\u0664\u0661\u0666"],
+        ["tile", "--image-size", "1_600x1300"], ["tile", "--image-size", "\u0668\u0663\u0662x832"],
+        ["split", "--ratio", "1_5:3:2"], ["split", "--ratio", "\u0661:1:1"],
+    ])
+    def test_size_or_ratio_flag_exits_2_naming_its_value(self, tmp_path, capsys, argv):
+        assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
+        expected = "WxH (e.g. 416x416)" if argv[1] != "--ratio" else "ratio A:B:C"
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CliError", "message": f"expected {expected}, got {argv[2]!r}"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, command, kind, value", [
+        (flag, command, kind, value)
+        for flag, command, kind in [("--seed", None, "integer"), ("--jobs", None, "integer"),
+                                    ("--samples", "augment", "integer"), ("--sample-count", "split", "integer"),
+                                    ("--iou-threshold", "evaluate", "number"), ("--min-visibility", "tile", "number")]
+        for value in ["1_0", "\u0663", *(["nan", "inf"] if kind == "number" else [])]
+    ])
+    def test_number_flag_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, flag, command, kind, value):
+        argv = [flag, value, "split"] if command is None else [command, flag, value]
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--output-dir", tmp_path / "out", *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
 
 def test_json_text_refuses_non_finite_values():
     assert json_text({"W": 0.5}) == '{\n  "W": 0.5\n}\n'

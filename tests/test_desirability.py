@@ -239,7 +239,7 @@ class TestParsing:
             ('{"goals": 5}', "expected a list of goals, got 5"),
             (
                 '[{"name": "a", "direction": "larger-is-better", "low": null, "middle": 0.5, "high": 0.9}]',
-                "goal 0: float() argument must be",
+                "goal 0: low must be a finite number, got null",
             ),
         ],
     )

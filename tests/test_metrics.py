@@ -700,6 +700,13 @@ class TestBagBasedAccuracy:
         with pytest.raises(ValueError, match="^line 3: "):
             load_height_records(text)
 
+    @pytest.mark.parametrize("row, cell", [("b,top,1_0,1", "1_0"), ("b,top,4,\u0663", "\u0663")])
+    def test_count_outside_the_ascii_grammar_names_line(self, row, cell):
+        text = f"image_id,stratum,placed,detected\na,top,4,2\n{row}\n"
+        with pytest.raises(ValueError) as info:
+            load_height_records(text)
+        assert str(info.value) == f"line 3: not an integer: {cell!r}"
+
     def test_zero_placed_excluded_with_warning(self):
         records = [
             HeightRecord("a", "top", 4, 2),
