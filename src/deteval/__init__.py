@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # The public names of each module that the package exports.
 _EXPORTS = {
-    "annotations": """AnnotationError BoundingBox ClassLabel ClassRegistry Detection GroundTruthObject
-        RegistryError format_yolo_rows giou iou yolo_rows""".split(),
+    "annotations": """AnnotationError BoundingBox ClassLabel ClassRegistry RegistryError
+        format_yolo_rows giou iou yolo_rows""".split(),
     "desirability": """Candidate DesirabilityProfile RankedCandidate ResponseGoal desirability_of
         overall_desirability select_best""".split(),
     "losses": """CellPrediction CellTarget LossConfig classification_loss giou_loss hard_swish

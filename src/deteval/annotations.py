@@ -134,22 +134,6 @@ class ClassRegistry:
         return len(self._by_id)
 
 
-@dataclass(frozen=True)
-class GroundTruthObject:
-    label: int
-    box: BoundingBox
-
-
-@dataclass(frozen=True)
-class Detection:
-    label: int
-    box: BoundingBox
-    confidence: float
-
-    def __post_init__(self) -> None:
-        _confidence(self.confidence)
-
-
 def _box(cx: float, cy: float, w: float, h: float) -> tuple[float, float, float, float]:
     """(cx, cy, w, h) if the center is in [0, 1] and the size in (0, 1]; a ValueError otherwise."""
     if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):

@@ -18,7 +18,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from fnmatch import fnmatchcase
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -572,12 +572,12 @@ def _path(text: str) -> str:
     return text and str(Path(text))  # "" stays "", which is no path, not "."
 
 
-def _parse_wxh(text: str) -> tuple[int, int]:
+def _parse_wxh(flag: str, text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
         return integer(w), integer(h)
     except ValueError:
-        raise CliError(f"expected WxH (e.g. 416x416), got {text!r}") from None
+        raise CliError(f"{flag}: expected WxH (e.g. 416x416), got {text!r}") from None
 
 
 def _parse_ratio(text: str) -> list[int]:
@@ -602,9 +602,9 @@ _FLAGS = (
     (("tile", "augment", "split", "evaluate"), "--ground-truth-dir", "ground_truth_dir", {"type": _path}),
     (("tile", "augment", "evaluate"), "--class-registry", "class_registry", {"type": _path}),
     (("tile",), "--tile-size", ("tile.width", "tile.height"), {
-        "type": _parse_wxh, "help": "WxH, e.g. 416x416"}),
+        "type": partial(_parse_wxh, "--tile-size"), "help": "WxH, e.g. 416x416"}),
     (("tile",), "--image-size", ("tile.image_width", "tile.image_height"), {
-        "type": _parse_wxh, "help": "WxH applied to every image"}),
+        "type": partial(_parse_wxh, "--image-size"), "help": "WxH applied to every image"}),
     (("tile",), "--image-sizes-csv", "tile.image_sizes_csv", {
         "type": _path, "help": "CSV image_id,width_px,height_px"}),
     (("tile",), "--edge-policy", "tile.edge_policy", {"help": "anchor-to-edge or pad"}),

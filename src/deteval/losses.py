@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 from .annotations import BoundingBox, giou, left_sum
+from .config import NUMBER
 
 
 def swish(x: float) -> float:
@@ -137,23 +138,31 @@ def classification_loss(predictions, targets, cfg: LossConfig) -> float:
     return total
 
 
+def _numbers(rec: dict, key: str, record: str) -> tuple[float, ...]:
+    """Each entry of `rec[key]` as `config.NUMBER` reads it, named `<record>: <key>[k]`."""
+    return tuple(NUMBER(value, f"{record}: {key}[{k}]") for k, value in enumerate(rec[key]))
+
+
 def load_loss_records(text: str) -> tuple[list[CellPrediction], list[CellTarget]]:
     """Load aligned prediction/target pairs from the JSON fixture format:
-    a list of {cell, anchor, obj, pred_box, truth_box, C, C_hat, p, p_hat}."""
+    a list of {cell, anchor, obj, pred_box, truth_box, C, C_hat, p, p_hat}.
+    Every number is read with `config.NUMBER`, so a value that is not a
+    finite JSON number (true, a string) is a ValueError naming its record."""
     records = json.loads(text)
     if not isinstance(records, list):
         raise ValueError("loss fixture must be a JSON list of records")
     predictions, targets = [], []
-    for rec in records:
-        pred_box = BoundingBox(*rec["pred_box"])
-        truth_box = BoundingBox(*rec["truth_box"]) if rec.get("truth_box") else None
+    for index, rec in enumerate(records):
+        record = f"record {index}"
+        pred_box = BoundingBox(*_numbers(rec, "pred_box", record))
+        truth_box = BoundingBox(*_numbers(rec, "truth_box", record)) if rec.get("truth_box") else None
         predictions.append(
             CellPrediction(
                 cell=rec["cell"],
                 anchor=rec["anchor"],
                 box=pred_box,
-                objectness=rec["C"],
-                class_scores=tuple(rec["p"]),
+                objectness=NUMBER(rec["C"], f"{record}: C"),
+                class_scores=_numbers(rec, "p", record),
             )
         )
         targets.append(
@@ -162,8 +171,8 @@ def load_loss_records(text: str) -> tuple[list[CellPrediction], list[CellTarget]
                 anchor=rec["anchor"],
                 obj=bool(rec["obj"]),
                 box=truth_box,
-                objectness=rec["C_hat"],
-                class_probs=tuple(rec["p_hat"]),
+                objectness=NUMBER(rec["C_hat"], f"{record}: C_hat"),
+                class_probs=_numbers(rec, "p_hat", record),
             )
         )
     return predictions, targets

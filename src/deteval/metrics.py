@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import (BACKGROUND, BoxColumns, ClassRegistry, Detection, GroundTruthObject, integer, left_sum,
-                          read_csv)
+from .annotations import BACKGROUND, BoxColumns, ClassRegistry, _box, _confidence, integer, left_sum, read_csv
 
 STRATA = ("top", "middle", "bottom")
 
@@ -38,11 +37,23 @@ class ClassTally:
 
 @dataclass(frozen=True)
 class EvalSample:
-    """Detections and ground truth for one image, in one coordinate frame."""
+    """Detections and ground truth for one image, in one coordinate frame, as
+    the rows `yolo_rows` reads: (class_id, cx, cy, w, h, confidence) and
+    (class_id, cx, cy, w, h). A row of another length, a box outside
+    `BoundingBox`'s ranges or a confidence outside [0, 1] is a ValueError."""
 
     image_id: str
-    detections: tuple[Detection, ...]
-    truths: tuple[GroundTruthObject, ...]
+    detections: tuple[tuple, ...]
+    truths: tuple[tuple, ...]
+
+    def __post_init__(self) -> None:
+        for rows, n_fields in ((self.detections, 6), (self.truths, 5)):
+            for row in rows:
+                if len(row) != n_fields:
+                    raise ValueError(f"expected a row of {n_fields} fields, got {row!r}")
+                _box(*row[1:5])
+        for row in self.detections:
+            _confidence(row[5])
 
 
 @dataclass(frozen=True)
@@ -58,22 +69,15 @@ class EvalColumns:
     def from_samples(cls, samples, positions: dict[int, int]) -> EvalColumns:
         """Columns of a list of EvalSamples, class ids mapped to `positions`."""
 
-        def columns(images, fields, width):
-            objects = [o for image in images for o in image]
+        def columns(images, n_fields):
+            rows = [row for image in images for row in image]
             return BoxColumns(
-                np.array([positions[o.label] for o in objects], dtype=np.intp),
-                np.array([fields(o) for o in objects], dtype=np.float64).reshape(-1, width),
+                np.array([positions[row[0]] for row in rows], dtype=np.intp),
+                np.array(rows, dtype=np.float64).reshape(-1, n_fields)[:, 1:],
                 np.cumsum([0] + [len(image) for image in images]),
             )
 
-        return cls(
-            columns([s.truths for s in samples], lambda t: (t.box.cx, t.box.cy, t.box.w, t.box.h), 4),
-            columns(
-                [s.detections for s in samples],
-                lambda d: (d.box.cx, d.box.cy, d.box.w, d.box.h, d.confidence),
-                5,
-            ),
-        )
+        return cls(columns([s.truths for s in samples], 5), columns([s.detections for s in samples], 6))
 
 
 # Consecutive detection rows, across images, go into one IoU block until it
@@ -230,7 +234,7 @@ def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     folded into a single sweep step so the curve is independent of input
     ordering."""
     samples = list(samples)
-    labels = {o.label for s in samples for o in (*s.detections, *s.truths)} | {class_id}
+    labels = {row[0] for s in samples for row in (*s.detections, *s.truths)} | {class_id}
     positions = {c: k for k, c in enumerate(sorted(labels))}
     columns = EvalColumns.from_samples(samples, positions)
     is_tp = _true_positives(columns, _candidates(columns, iou_threshold))

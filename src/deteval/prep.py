@@ -96,23 +96,49 @@ def retile_annotations(rows, width: int, height: int, tiles, spec: TileSpec) -> 
 
 def _clip(lab, x1, y1, x2, y2, window, min_visibility):
     """Box (x1, y1, x2, y2) clipped to `window` (wx1, wy1, wx2, wy2), both in
-    the box's frame, as (lab, cx, cy, w, h) in the window's unit frame, each
-    v as (v - w1) / (w2 - w1); None when less than `min_visibility` of the
-    box's area is left (no overlap when it is 0), the box has no area, or a
-    side left would be written as 0.000000 by `format_yolo_rows`."""
+    the box's frame, as (lab, cx, cy, w, h) in the window's unit frame (see
+    `_span`); None when less than `min_visibility` of the box's area is left
+    (no overlap when it is 0), the box has no area, or a side would be
+    written as 0.000000 by `format_yolo_rows`."""
     wx1, wy1, wx2, wy2 = window
     cx1, cy1 = max(x1, wx1), max(y1, wy1)
     cx2, cy2 = min(x2, wx2), min(y2, wy2)
     if cx2 <= cx1 or cy2 <= cy1:
         return None
-    ux1, ux2 = (cx1 - wx1) / (wx2 - wx1), (cx2 - wx1) / (wx2 - wx1)
-    uy1, uy2 = (cy1 - wy1) / (wy2 - wy1), (cy2 - wy1) / (wy2 - wy1)
     area = (x2 - x1) * (y2 - y1)
-    if area == 0.0 or not _writable(ux2 - ux1, uy2 - uy1):
+    if area == 0.0 or (cx2 - cx1) * (cy2 - cy1) / area < min_visibility:
         return None
-    if (cx2 - cx1) * (cy2 - cy1) / area < min_visibility:
-        return None
-    return (lab, (ux1 + ux2) / 2.0, (uy1 + uy2) / 2.0, ux2 - ux1, uy2 - uy1)
+    cx, w = _span(x1, x2, cx1, cx2, wx1, wx2)
+    cy, h = _span(y1, y2, cy1, cy2, wy1, wy2)
+    return (lab, cx, cy, w, h) if _writable(w, h) else None
+
+
+# One unit of the 6 decimals `format_yolo_rows` writes, and a margin far
+# below it for the rounding error of reading a written side back.
+_WRITTEN_UNIT = 1e-6 + 1e-12
+
+
+def _span(v1, v2, c1, c2, w1, w2):
+    """(centre, size) of the box side v1..v2, clipped to c1..c2, in the unit
+    frame of the window w1..w2: each v as (v - w1) / (w2 - w1).
+
+    A side that sticks out of the window by at most one written unit stays
+    unclipped, as long as the row `format_yolo_rows` writes has a size of at
+    most 1 and both sides within one unit of the window. A written box has
+    its centre and size rounded apart, which can leave a side up to half a
+    unit out of its tile; so a tile tiled again at its own size is written
+    back as it was read."""
+    extent = w2 - w1
+    lo, hi = (c1 - w1) / extent, (c2 - w1) / extent
+    out_lo, out_hi = (v1 - w1) / extent, (v2 - w1) / extent
+    out_lo = out_lo if -_WRITTEN_UNIT <= out_lo < lo else lo
+    out_hi = out_hi if hi < out_hi <= 1.0 + _WRITTEN_UNIT else hi
+    if (out_lo, out_hi) != (lo, hi):
+        centre, size = round((out_lo + out_hi) / 2.0, 6), round(out_hi - out_lo, 6)
+        if size <= 1.0 and -_WRITTEN_UNIT <= centre - size / 2.0 and centre + size / 2.0 <= 1.0 + _WRITTEN_UNIT:
+            # the clamps move neither value off what is written
+            return min(max((out_lo + out_hi) / 2.0, 0.0), 1.0), min(out_hi - out_lo, 1.0)
+    return (lo + hi) / 2.0, hi - lo
 
 
 def _writable(w: float, h: float) -> bool:

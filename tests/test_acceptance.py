@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from deteval.annotations import BoundingBox, GroundTruthObject, giou, iou
+from deteval.annotations import BoundingBox, giou, iou
 from deteval.cli import main
 from deteval.desirability import DesirabilityProfile, load_candidates_csv, select_best
 from deteval.losses import (
@@ -140,10 +140,6 @@ def test_criterion_06_ap_oracle_equivalence():
     checked = 0
     worst = 0.0
     for npos in range(0, 5):
-        truths = tuple(
-            GroundTruthObject(0, BoundingBox(0.05 + 0.1 * k, 0.05, 0.08, 0.08))
-            for k in range(npos)
-        )
         for n_det in range(0, 7):
             for confs in itertools.combinations_with_replacement(grid, n_det):
                 for flags in itertools.product((False, True), repeat=n_det):

@@ -253,3 +253,14 @@ def test_bounding_box_invariants():
         BoundingBox(0.5, 0.5, 0.0, 0.2)
     with pytest.raises(ValueError):
         BoundingBox(0.5, 0.5, 0.2, 1.2)
+
+
+@pytest.mark.parametrize("lookup, key, message", [
+    ("name_of", 7, "unknown class id: 7"),
+    ("id_of", "gb", "unknown class name: 'gb'"),
+], ids=["name_of", "id_of"])
+def test_registry_lookup_of_an_unknown_class_is_refused(lookup, key, message):
+    registry = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb")])
+    with pytest.raises(RegistryError) as info:
+        getattr(registry, lookup)(key)
+    assert str(info.value) == message

@@ -1397,9 +1397,10 @@ class TestNumberRule:
     ])
     def test_size_or_ratio_flag_exits_2_naming_its_value(self, tmp_path, capsys, argv):
         assert run_cli("--output-dir", tmp_path / "out", *argv) == 2
-        expected = "WxH (e.g. 416x416)" if argv[1] != "--ratio" else "ratio A:B:C"
+        # a size names the flag it came from, as the two share one grammar
+        expected = f"{argv[1]}: expected WxH (e.g. 416x416)" if argv[1] != "--ratio" else "expected ratio A:B:C"
         assert json.loads(capsys.readouterr().err) == {
-            "error": "CliError", "message": f"expected {expected}, got {argv[2]!r}"}
+            "error": "CliError", "message": f"{expected}, got {argv[2]!r}"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, command, kind, value", [
@@ -1522,7 +1523,48 @@ class TestImageIdOrder:
             "error": "CliError", "message": f"{preds / 'a.txt'}: line 1: expected 6 fields, got 4"}
 
 
+def _run_metadata(fixtures_dir, out):
+    """A config with run metadata and an output dir of no prior outputs; the global flags it takes."""
+    out.mkdir()
+    (out.parent / "metadata.json").write_text('{"run_metadata": "bag study, day 3"}')
+    return ["--config", out.parent / "metadata.json"]
+
+
+def _class_without_boxes(fixtures_dir, out):
+    """An evaluation whose registry has a class no truth or prediction holds."""
+    (out.parent / "classes.txt").write_text("0 wb\n1 bb\n2 xb\n")
+    assert run_cli("--output-dir", out, "evaluate", "--ground-truth-dir", fixtures_dir / "detection" / "truth",
+                   "--predictions-dir", fixtures_dir / "detection" / "preds",
+                   "--class-registry", out.parent / "classes.txt") == 0
+    return []
+
+
+def _failed_response(fixtures_dir, out):
+    """Stats whose one response fails: its sums of squares overflow."""
+    (out.parent / "overflow.csv").write_text("group,observation\na,1e308\na,-1e308\na,1e308\n"
+                                             "b,1e308\nb,-1e308\nb,-1e308\n")
+    assert run_cli("--output-dir", out, "stats", "--inputs", out.parent / "overflow.csv") == 2
+    return []
+
+
 class TestReport:
+    @pytest.mark.parametrize("prepare, line", [
+        (_run_metadata, "metadata: bag study, day 3"),
+        (_class_without_boxes, "  degenerate: ap[xb], precision[xb], recall[xb], f1[xb], accuracy[xb]"),
+        (_failed_response, "  overflow: error: a sum of squares is not finite: the observations are too large"),
+    ], ids=["metadata", "degenerate", "failed-response"])
+    def test_report_line(self, fixtures_dir, tmp_path, prepare, line):
+        out = tmp_path / "out"
+        flags = prepare(fixtures_dir, out)
+        assert run_cli(*flags, "--output-dir", out, "report") == 0
+        assert line in (out / "report.txt").read_text().splitlines()
+
+    def test_missing_output_dir_exits_2_naming_it(self, tmp_path, capsys):
+        assert run_cli("--output-dir", tmp_path / "missing", "report") == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message == f"output dir with prior command outputs not found: {tmp_path / 'missing'}"
+        assert not (tmp_path / "missing").exists()
+
     def _populate(self, fixtures_dir, out):
         run_cli(
             "--output-dir", out, "evaluate",

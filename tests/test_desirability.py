@@ -252,3 +252,19 @@ class TestParsing:
         text = "label,response,value\nm1,map50,0.5\nm2,map50,0.7\nm1,map50,0.9\n"
         with pytest.raises(ValueError, match="^line 4: duplicate response 'map50' for candidate 'm1'$"):
             load_candidates_csv(text)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ResponseGoal("map50", "larger-is-better", 0.8, math.inf, 1.0), "middle must be a finite number, got inf"),
+    (lambda: ResponseGoal("map50", "larger-is-better", math.nan, 0.85, 1.0), "low must be a finite number, got nan"),
+    (lambda: ResponseGoal("map50", "sideways", 0.8, 0.85, 1.0),
+     "unknown direction 'sideways'; expected one of ('larger-is-better', 'smaller-is-better', 'target-is-best')"),
+    (lambda: ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0, weight=0.0),
+     "goal weight must be positive: 0.0"),
+    (lambda: ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0, weight=-2.0),
+     "goal weight must be positive: -2.0"),
+], ids=["infinite", "nan", "direction", "zero-weight", "negative-weight"])
+def test_goal_refusals(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

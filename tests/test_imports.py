@@ -118,7 +118,7 @@ def test_blas_thread_count_already_set_is_kept(fixtures_dir, tmp_path):
 PUBLIC_NAMES = [
     "AnnotationError", "AnovaResult", "AugmentOp", "AugmentPipeline", "BoundingBox",
     "Candidate", "CellPrediction", "CellTarget", "ClassLabel", "ClassRegistry", "ConfusionMatrix",
-    "DesirabilityProfile", "Detection", "EvalSample", "EvaluationReport", "GroundTruthObject",
+    "DesirabilityProfile", "EvalSample", "EvaluationReport",
     "HeightRecord", "LossConfig", "MetricValue", "ObservationTable", "PRCurve",
     "RankedCandidate", "RegistryError", "ResponseGoal", "SWResult", "SampleStats", "SplitRatio",
     "SplitResult", "TTestResult", "TileRect", "TileSpec", "annotations", "anova_oneway", "augment",
@@ -140,10 +140,12 @@ REMOVED_METRICS_NAMES = [
 ]
 
 
-# The object-shaped YOLO wrappers that left `deteval.annotations`; YOLO text
-# is read with `yolo_rows` or `read_yolo` and written with `format_yolo_rows`.
+# The object-shaped YOLO wrappers and box objects that left
+# `deteval.annotations`; YOLO text is read with `yolo_rows` or `read_yolo` and
+# written with `format_yolo_rows`, and an `EvalSample` holds `yolo_rows` rows.
 REMOVED_YOLO_NAMES = [
     "format_yolo_annotation", "format_yolo_prediction", "parse_yolo_annotation", "parse_yolo_prediction",
+    "Detection", "GroundTruthObject",
 ]
 
 

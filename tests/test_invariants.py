@@ -10,12 +10,14 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from deteval.annotations import format_yolo_rows
+from deteval.annotations import format_yolo_rows, yolo_rows
 from deteval.cli import main
 from deteval.config import json_text
+from deteval.prep import TileSpec, plan_tiles
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -166,3 +168,84 @@ def test_desirability_scaling_every_weight_by_a_power_of_two_keeps_the_ranking(d
     with tempfile.TemporaryDirectory() as root:
         (Path(root) / "candidates.csv").write_text(candidates_text)
         assert ranking(Path(root), "scaled", 2.0**k) == ranking(Path(root), "base", 1.0)
+
+
+@st.composite
+def _span_about(draw, extent: int, edges) -> tuple[int, int]:
+    """(centre, size) along one image axis in millionths of the side, the
+    grid `format_yolo_rows` writes: anywhere, or with one side within a few
+    millionths of one of `edges` (pixels), inside or outside it."""
+    size = draw(st.one_of(st.integers(1, 3), st.integers(1, 1_000_000)))
+    if draw(st.booleans()):
+        centre = draw(st.integers(0, 1_000_000))
+    else:
+        side = round(draw(st.sampled_from(edges)) / extent * 1_000_000) + draw(st.integers(-4, 4))
+        centre = side + (size // 2 if draw(st.booleans()) else -(size // 2))
+    return min(max(centre, 0), 1_000_000), size
+
+
+@st.composite
+def tilings(draw) -> tuple:
+    """(image width, image height, tile width, tile height, edge policy, YOLO
+    text of one image), its boxes drawn about the tile edges."""
+    tile_w, tile_h = draw(st.sampled_from([416, 300, 7])), draw(st.sampled_from([416, 300, 7]))
+    width, height = draw(st.integers(tile_w, 4 * tile_w)), draw(st.integers(tile_h, 4 * tile_h))
+    policy = draw(st.sampled_from(["anchor-to-edge", "pad"]))
+    tiles = plan_tiles(width, height, TileSpec(tile_w, tile_h, policy))
+    edges_x = sorted({x for t in tiles for x in (t.x0, t.x0 + t.w)})
+    edges_y = sorted({y for t in tiles for y in (t.y0, t.y0 + t.h)})
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        (cx, w), (cy, h) = draw(_span_about(width, edges_x)), draw(_span_about(height, edges_y))
+        rows.append(f"{draw(st.integers(0, 2))} {cx / 1e6:.6f} {cy / 1e6:.6f} {w / 1e6:.6f} {h / 1e6:.6f}\n")
+    return width, height, tile_w, tile_h, policy, "".join(rows)
+
+
+def _tiles(root: Path, name: str, source: Path, image: tuple[int, int], tile: tuple[int, int], policy: str) -> dict:
+    """The tile files `tile` writes of the annotation dir `source`, with --min-visibility 0."""
+    out = root / name
+    argv = ["--output-dir", out, "tile", "--ground-truth-dir", source, "--image-size", "{}x{}".format(*image),
+            "--tile-size", "{}x{}".format(*tile), "--edge-policy", policy, "--min-visibility", 0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(map(str, argv))) == 0
+    return {path.name: path.read_bytes() for path in sorted((out / "tiles").iterdir())}
+
+
+# The box of the first example sticks out of the tile by half a written unit
+# on the left; that of the second by under one unit on both sides, with a
+# size that would be written as 1.000001 if both sides stayed unclipped. The
+# boxes of the last two have their left side exactly one unit out of tile 1,
+# and overlap tile 0 by one unit, a sliver whose written centre is 1.000000.
+@given(tilings())
+@settings(max_examples=60, deadline=None)
+@example((416, 416, 416, 416, "anchor-to-edge", "0 0.083156 0.119479 0.166313 0.238957\n"))
+@example((832, 416, 416, 416, "anchor-to-edge", "0 0.7500001 0.5 0.5000004 0.2\n"))
+@example((832, 832, 416, 416, "anchor-to-edge", "0 0.644005 0.5 0.288011 0.2\n"))
+@example((832, 832, 416, 416, "anchor-to-edge", "0 0.585164 0.5 0.170329 0.2\n"))
+def test_tiling_a_tile_at_its_own_size_writes_it_back(tiling):
+    width, height, tile_w, tile_h, policy, text = tiling
+    with tempfile.TemporaryDirectory() as root:
+        source = Path(root) / "source"
+        source.mkdir()
+        (source / "a.txt").write_text(text)
+        tiles = _tiles(Path(root), "tiled", source, (width, height), (tile_w, tile_h), policy)
+        for data in tiles.values():
+            assert yolo_rows(data.decode(), 5)
+        if tiles:
+            again = _tiles(Path(root), "again", Path(root) / "tiled" / "tiles", (tile_w, tile_h), (tile_w, tile_h),
+                           policy)
+            assert again == {name.replace(".txt", "_000.txt"): data for name, data in tiles.items()}
+
+
+@pytest.mark.parametrize("text, written", [
+    # both sides out of tile 1 by under one unit, 2e-7 each: written at the size 1, clipped
+    ("0 0.75 0.5 0.5000002 0.2\n", {"a_001.txt": b"0 0.500000 0.500000 1.000000 0.200000\n"}),
+    # out by 2e-7 and 6e-7, which unclipped would be written 1.000001 wide: clipped
+    ("0 0.7500001 0.5 0.5000004 0.2\n", {"a_001.txt": b"0 0.500000 0.500000 1.000000 0.200000\n"}),
+])
+def test_a_box_out_of_both_sides_of_a_tile_by_under_one_unit_reads_back(tmp_path, text, written):
+    (tmp_path / "source").mkdir()
+    (tmp_path / "source" / "a.txt").write_text(text)
+    tiles = _tiles(tmp_path, "tiled", tmp_path / "source", (832, 416), (416, 416), "anchor-to-edge")
+    assert tiles == written
+    assert [yolo_rows(data.decode(), 5) for data in tiles.values()] == [[(0, 0.5, 0.5, 1.0, 0.2)]]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +203,38 @@ class TestAlignmentAndAdditivity:
 def test_record_loader_validation():
     with pytest.raises(ValueError, match="JSON list"):
         load_loss_records('{"cell": 0}')
+
+
+PERFECT = (Path(__file__).resolve().parent.parent / "fixtures" / "losses" / "perfect.json").read_text()
+
+
+def _records_with(key, value) -> str:
+    """The perfect-fit fixture with `key` of its record 1 set to `value`."""
+    records = json.loads(PERFECT)
+    records[1][key] = value
+    return json.dumps(records)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LossConfig(lambda_coord=-1.0), "penalty coefficients must be >= 0"),
+    (lambda: LossConfig(lambda_noobj=-0.5), "penalty coefficients must be >= 0"),
+    (lambda: LossConfig(grid_size=0), "grid_size and anchors_per_scale must be >= 1"),
+    (lambda: LossConfig(anchors_per_scale=0), "grid_size and anchors_per_scale must be >= 1"),
+    (lambda: _pred(0, 0, BOX, objectness=1.5), "objectness out of [0,1]: 1.5"),
+    (lambda: _pred(0, 0, BOX, scores=(0.5, -0.1)), "class scores out of [0,1]: (0.5, -0.1)"),
+    # a loss record's numbers are finite JSON numbers; true, false and strings are not
+    (lambda: load_loss_records(_records_with("C", True)), "record 1: C must be a finite number, got true"),
+    (lambda: load_loss_records(_records_with("C_hat", "1")), 'record 1: C_hat must be a finite number, got "1"'),
+    (lambda: load_loss_records(_records_with("p", [0.0, False])), "record 1: p[1] must be a finite number, got false"),
+    (lambda: load_loss_records(_records_with("p_hat", ["0", 1.0])),
+     'record 1: p_hat[0] must be a finite number, got "0"'),
+    (lambda: load_loss_records(_records_with("pred_box", [True, 0.5, 0.3, 0.4])),
+     "record 1: pred_box[0] must be a finite number, got true"),
+    (lambda: load_loss_records(_records_with("truth_box", [0.75, 0.5, 0.3, "0.4"])),
+     'record 1: truth_box[3] must be a finite number, got "0.4"'),
+], ids=["lambda_coord", "lambda_noobj", "grid_size", "anchors_per_scale", "objectness", "class_scores",
+        "C", "C_hat", "p", "p_hat", "pred_box", "truth_box"])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

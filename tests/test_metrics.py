@@ -15,8 +15,6 @@ from deteval.annotations import (
     BoundingBox,
     ClassLabel,
     ClassRegistry,
-    Detection,
-    GroundTruthObject,
     iou,
     yolo_rows,
 )
@@ -35,28 +33,33 @@ from deteval.metrics import (
 
 REGISTRY = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb")])
 
-UNIT = BoundingBox(0.5, 0.5, 0.2, 0.2)
+UNIT = (0.5, 0.5, 0.2, 0.2)
 
 
-def _slot_box(k: int) -> BoundingBox:
+def _row(label, box, *confidence) -> tuple:
+    """The `yolo_rows` row of a (cx, cy, w, h) box: a truth's, or a detection's with its confidence."""
+    return (label, *box, *confidence)
+
+
+def _slot_box(k: int) -> tuple:
     """Disjoint unit slots on a 10x10 grid; slot k and slot j never overlap."""
     row, col = divmod(k, 10)
-    return BoundingBox(0.05 + 0.1 * col, 0.05 + 0.1 * row, 0.08, 0.08)
+    return (0.05 + 0.1 * col, 0.05 + 0.1 * row, 0.08, 0.08)
 
 
 def _sample_from_pattern(confidences, tp_flags, npos, image_id="img"):
     """Build boxes realizing a (confidence, is_tp) pattern: TP detections sit
     exactly on distinct truths, FPs in empty slots."""
-    truths = [GroundTruthObject(0, _slot_box(k)) for k in range(npos)]
+    truths = [_row(0, _slot_box(k)) for k in range(npos)]
     dets = []
     next_truth = 0
     next_empty = npos
     for conf, is_tp in zip(confidences, tp_flags):
         if is_tp:
-            dets.append(Detection(0, _slot_box(next_truth), conf))
+            dets.append(_row(0, _slot_box(next_truth), conf))
             next_truth += 1
         else:
-            dets.append(Detection(0, _slot_box(next_empty), conf))
+            dets.append(_row(0, _slot_box(next_empty), conf))
             next_empty += 1
     return EvalSample(image_id, tuple(dets), tuple(truths))
 
@@ -131,26 +134,26 @@ _CURVE_VALUE = st.one_of(
 
 class TestMatch:
     def test_perfect_match(self):
-        report = _evaluate([Detection(0, UNIT, 0.9)], [GroundTruthObject(0, UNIT)])
+        report = _evaluate([_row(0, UNIT, 0.9)], [_row(0, UNIT)])
         assert report.per_class[0].tally == ClassTally(1, 0, 0)
 
     def test_detection_without_truth(self):
-        report = _evaluate([Detection(0, UNIT, 0.9)], [])
+        report = _evaluate([_row(0, UNIT, 0.9)], [])
         assert report.per_class[0].tally == ClassTally(0, 1, 0)
 
     def test_two_detections_one_truth(self):
-        dets = [Detection(0, UNIT, 0.9), Detection(0, BoundingBox(0.52, 0.5, 0.2, 0.2), 0.8)]
-        truths = [GroundTruthObject(0, UNIT)]
+        dets = [_row(0, UNIT, 0.9), _row(0, (0.52, 0.5, 0.2, 0.2), 0.8)]
+        truths = [_row(0, UNIT)]
         assert _evaluate(dets, truths).per_class[0].tally == ClassTally(1, 1, 0)
         assert matched_pairs(dets, truths, 0.5)[0][0] == 0  # the higher-confidence one wins
 
     def test_class_mismatch_is_not_matched(self):
-        report = _evaluate([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)])
+        report = _evaluate([_row(1, UNIT, 0.9)], [_row(0, UNIT)])
         assert report.per_class[1].tally.fp == 1
         assert report.per_class[0].tally.fn == 1
 
     def test_cross_class_matching(self):
-        dets, truths = [Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)]
+        dets, truths = [_row(1, UNIT, 0.9)], [_row(0, UNIT)]
         assert len(matched_pairs(dets, truths, 0.5, cross_class=True)) == 1
         report = _evaluate(dets, truths)
         assert report.per_class[1].tally.fp == 1  # still an FP for its own class
@@ -173,8 +176,8 @@ class TestMatch:
     )
     @settings(max_examples=100)
     def test_one_to_one(self, det_spec, truth_spec):
-        dets = [Detection(lab, _slot_box(slot), conf) for lab, slot, conf in det_spec]
-        truths = [GroundTruthObject(lab, _slot_box(slot)) for lab, slot in truth_spec]
+        dets = [_row(lab, _slot_box(slot), conf) for lab, slot, conf in det_spec]
+        truths = [_row(lab, _slot_box(slot)) for lab, slot in truth_spec]
         pairs = matched_pairs(dets, truths, 0.5)
         assert len({i for i, _, _ in pairs}) == len(pairs)
         assert len({j for _, j, _ in pairs}) == len(pairs)
@@ -187,18 +190,19 @@ def scalar_match(detections, truths, iou_threshold, cross_class=False):
     that the columnar core replaced with one vectorised IoU pass. Returns
     the pairs as (det_index, truth_index, iou) in the order they were made."""
     taken = [False] * len(truths)
-    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i][5], i))
+    truth_boxes = [(truth[0], BoundingBox(*truth[1:5])) for truth in truths]
     pairs = []
     for i in order:
-        det = detections[i]
+        label, box = detections[i][0], BoundingBox(*detections[i][1:5])
         best_j = -1
         best_iou = 0.0
-        for j, truth in enumerate(truths):
+        for j, (truth_label, truth_box) in enumerate(truth_boxes):
             if taken[j]:
                 continue
-            if not cross_class and truth.label != det.label:
+            if not cross_class and truth_label != label:
                 continue
-            value = iou(det.box, truth.box)
+            value = iou(box, truth_box)
             if value >= iou_threshold and value > best_iou:
                 best_j, best_iou = j, value
         if best_j >= 0:
@@ -213,12 +217,12 @@ def scalar_image_summary(sample, class_ids, iou_threshold):
     image."""
     per_class = {}
     for class_id in class_ids:
-        det_index = [i for i, d in enumerate(sample.detections) if d.label == class_id]
-        truths = [t for t in sample.truths if t.label == class_id]
+        det_index = [i for i, d in enumerate(sample.detections) if d[0] == class_id]
+        truths = [t for t in sample.truths if t[0] == class_id]
         dets = [sample.detections[i] for i in det_index]
         pairs = scalar_match(dets, truths, iou_threshold)
         tp = {i for i, _, _ in pairs}
-        events = [(d.confidence, k in tp) for k, d in enumerate(dets)]
+        events = [(d[5], k in tp) for k, d in enumerate(dets)]
         tally = (len(pairs), len(dets) - len(pairs), len(truths) - len(pairs))
         per_class[class_id] = (events, len(truths), tally)
     cross = scalar_match(sample.detections, sample.truths, iou_threshold, cross_class=True)
@@ -253,10 +257,10 @@ def columnar_image_summaries(samples, class_ids, iou_threshold):
         per_class = {}
         for class_id in class_ids:
             events = [
-                (d.confidence, is_tp[d_off[m] + i])
-                for i, d in enumerate(sample.detections) if d.label == class_id
+                (d[5], is_tp[d_off[m] + i])
+                for i, d in enumerate(sample.detections) if d[0] == class_id
             ]
-            npos = sum(1 for t in sample.truths if t.label == class_id)
+            npos = sum(1 for t in sample.truths if t[0] == class_id)
             tp = sum(1 for _, flag in events if flag)
             per_class[class_id] = (events, npos, (tp, len(events) - tp, npos - tp))
         pairs = [(i - d_off[m], j - t_off[m], v) for i, j, v in cross if d_off[m] <= i < d_off[m + 1]]
@@ -270,13 +274,13 @@ _COORD = st.one_of(st.sampled_from((0.3, 0.35, 0.4, 0.5)), st.floats(0.0, 1.0))
 _SIZE = st.one_of(
     st.sampled_from((0.1, 0.2, 0.3)), st.floats(0.0, 1.0, exclude_min=True)
 )
-_BOX = st.builds(BoundingBox, _COORD, _COORD, _SIZE, _SIZE)
+_BOX = st.tuples(_COORD, _COORD, _SIZE, _SIZE)
 _CONFIDENCE = st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 1.0))
 _THRESHOLD = st.one_of(
     st.sampled_from((0.5, 1.0, 1 / 3)), st.floats(0.0, 1.0, exclude_min=True)
 )
-_DETECTIONS = st.lists(st.builds(Detection, st.integers(0, 2), _BOX, _CONFIDENCE), max_size=25)
-_TRUTHS = st.lists(st.builds(GroundTruthObject, st.integers(0, 2), _BOX), max_size=25)
+_DETECTIONS = st.lists(st.builds(_row, st.integers(0, 2), _BOX, _CONFIDENCE), max_size=25)
+_TRUTHS = st.lists(st.builds(_row, st.integers(0, 2), _BOX), max_size=25)
 
 
 REGISTRY3 = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb"), ClassLabel(2, "xb")])
@@ -284,15 +288,13 @@ REGISTRY3 = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb"), ClassLabel(
 # Images whose boxes and confidences repeat within and across images, with
 # -0.0 and 0.0 both among the confidences; each keeps both files, or only
 # its ground truth ("truth") or only its predictions ("preds").
-_TIED_BOX = st.builds(
-    BoundingBox, *[st.sampled_from(values) for values in ((0.3, 0.5), (0.3, 0.5), (0.2, 0.3), (0.2, 0.3))]
-)
+_TIED_BOX = st.tuples(*[st.sampled_from(values) for values in ((0.3, 0.5), (0.3, 0.5), (0.2, 0.3), (0.2, 0.3))])
 _IMAGE_BOX = st.one_of(_TIED_BOX, _BOX)
 _IMAGES = st.lists(
     st.tuples(
-        st.lists(st.builds(Detection, st.integers(0, 2), _IMAGE_BOX, st.one_of(
+        st.lists(st.builds(_row, st.integers(0, 2), _IMAGE_BOX, st.one_of(
             st.sampled_from((-0.0, 0.0, 0.5, 1.0)), _CONFIDENCE)), max_size=14),
-        st.lists(st.builds(GroundTruthObject, st.integers(0, 2), _IMAGE_BOX), max_size=12),
+        st.lists(st.builds(_row, st.integers(0, 2), _IMAGE_BOX), max_size=12),
         st.sampled_from(("both", "both", "truth", "preds")),
     ),
     max_size=8,
@@ -301,25 +303,18 @@ _IMAGES = st.lists(
 # image 0 has detections, images 1-3 none (two of them with truths), images 4
 # and 5 have detections again, image 5 no truths
 _EMPTY_RUN = [
-    ([Detection(0, BoundingBox(0.3, 0.3, 0.2, 0.2), 0.9), Detection(1, BoundingBox(0.5, 0.5, 0.2, 0.2), 0.8)],
-     [GroundTruthObject(0, BoundingBox(0.3, 0.3, 0.2, 0.2))], "both"),
-    ([], [GroundTruthObject(0, BoundingBox(0.3, 0.3, 0.2, 0.2))], "both"),
+    ([_row(0, (0.3, 0.3, 0.2, 0.2), 0.9), _row(1, (0.5, 0.5, 0.2, 0.2), 0.8)], [_row(0, (0.3, 0.3, 0.2, 0.2))], "both"),
+    ([], [_row(0, (0.3, 0.3, 0.2, 0.2))], "both"),
     ([], [], "both"),
-    ([], [GroundTruthObject(1, BoundingBox(0.5, 0.5, 0.2, 0.2))], "truth"),
-    ([Detection(0, BoundingBox(0.3, 0.3, 0.2, 0.2), 0.7)],
-     [GroundTruthObject(1, BoundingBox(0.3, 0.3, 0.2, 0.2)), GroundTruthObject(0, BoundingBox(0.3, 0.35, 0.2, 0.2))],
-     "both"),
-    ([Detection(1, BoundingBox(0.5, 0.5, 0.2, 0.2), 0.6)], [], "preds"),
+    ([], [_row(1, (0.5, 0.5, 0.2, 0.2))], "truth"),
+    ([_row(0, (0.3, 0.3, 0.2, 0.2), 0.7)], [_row(1, (0.3, 0.3, 0.2, 0.2)), _row(0, (0.3, 0.35, 0.2, 0.2))], "both"),
+    ([_row(1, (0.5, 0.5, 0.2, 0.2), 0.6)], [], "preds"),
 ]
 
 
-def _yolo_text(objects) -> str:
+def _yolo_text(rows) -> str:
     """YOLO text whose values parse back exactly."""
-    return "".join(
-        " ".join(map(repr, (o.label, o.box.cx, o.box.cy, o.box.w, o.box.h)
-                     + ((o.confidence,) if isinstance(o, Detection) else ()))) + "\n"
-        for o in objects
-    )
+    return "".join(" ".join(map(repr, row)) + "\n" for row in rows)
 
 
 def _bits(points):
@@ -334,11 +329,10 @@ def _columns(curve):
 
 def _random_image(rng, n_truths, n_dets):
     def box():
-        return BoundingBox(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9),
-                           rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3))
+        return (rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), rng.uniform(0.02, 0.3), rng.uniform(0.02, 0.3))
 
-    truths = [GroundTruthObject(rng.randrange(2), box()) for _ in range(n_truths)]
-    dets = [Detection(rng.randrange(2), box(), rng.choice((0.25, 0.5, rng.random())))
+    truths = [_row(rng.randrange(2), box()) for _ in range(n_truths)]
+    dets = [_row(rng.randrange(2), box(), rng.choice((0.25, 0.5, rng.random())))
             for _ in range(n_dets)]
     # duplicates of earlier truths tie on IoU with them
     truths += truths[: n_truths // 10]
@@ -352,15 +346,13 @@ class TestMatcherOracle:
     @given(_DETECTIONS, _TRUTHS, _THRESHOLD, st.booleans(), st.sampled_from((1, 7, 1 << 15)))
     @settings(max_examples=200, deadline=None)
     # boxes that touch along x (no overlap there), then one that overlaps the detection
-    @example([Detection(0, BoundingBox(0.25, 0.5, 0.5, 0.2), 0.9)],
-             [GroundTruthObject(0, BoundingBox(0.75, 0.5, 0.5, 0.2)),
-              GroundTruthObject(0, BoundingBox(0.3, 0.5, 0.5, 0.2))], 0.5, False, 1)
+    @example([_row(0, (0.25, 0.5, 0.5, 0.2), 0.9)],
+             [_row(0, (0.75, 0.5, 0.5, 0.2)), _row(0, (0.3, 0.5, 0.5, 0.2))], 0.5, False, 1)
     # boxes that overlap along x and touch along y
-    @example([Detection(0, BoundingBox(0.5, 0.25, 0.2, 0.5), 0.9)],
-             [GroundTruthObject(0, BoundingBox(0.55, 0.75, 0.2, 0.5))], 0.5, True, 1 << 15)
+    @example([_row(0, (0.5, 0.25, 0.2, 0.5), 0.9)], [_row(0, (0.55, 0.75, 0.2, 0.5))], 0.5, True, 1 << 15)
     # an IoU equal to the threshold
-    @example([Detection(0, BoundingBox(0.5, 0.5, 0.5, 0.5), 0.9)],
-             [GroundTruthObject(1, BoundingBox(0.75, 0.5, 0.5, 0.5))],
+    @example([_row(0, (0.5, 0.5, 0.5, 0.5), 0.9)],
+             [_row(1, (0.75, 0.5, 0.5, 0.5))],
              iou(BoundingBox(0.5, 0.5, 0.5, 0.5), BoundingBox(0.75, 0.5, 0.5, 0.5)), True, 7)
     def test_match_equals_scalar_loop(self, dets, truths, threshold, cross_class, block):
         with mock.patch.object(metrics, "_BLOCK_PAIRS", block):
@@ -398,10 +390,8 @@ class TestMatcherOracle:
         samples = [
             EvalSample(
                 i,
-                tuple(Detection(label, BoundingBox(*box), conf)
-                      for label, *box, conf in yolo_rows(pred_files.get(i, b"").decode(), 6)),
-                tuple(GroundTruthObject(label, BoundingBox(*box))
-                      for label, *box in yolo_rows(truth_files.get(i, b"").decode(), 5)),
+                tuple(yolo_rows(pred_files.get(i, b"").decode(), 6)),
+                tuple(yolo_rows(truth_files.get(i, b"").decode(), 5)),
             )
             for i in ids
         ]
@@ -419,11 +409,11 @@ class TestMatcherOracle:
         confusion = [[0] * 4 for _ in range(4)]
         for sample, (_, cross) in zip(samples, summaries):
             for i, j, _ in cross:
-                confusion[sample.detections[i].label][sample.truths[j].label] += 1
+                confusion[sample.detections[i][0]][sample.truths[j][0]] += 1
             for i in set(range(len(sample.detections))) - {i for i, _, _ in cross}:
-                confusion[sample.detections[i].label][3] += 1
+                confusion[sample.detections[i][0]][3] += 1
             for j in set(range(len(sample.truths))) - {j for _, j, _ in cross}:
-                confusion[3][sample.truths[j].label] += 1
+                confusion[3][sample.truths[j][0]] += 1
         assert report.confusion.matrix == tuple(map(tuple, confusion))
 
     def test_images_spanning_several_row_blocks(self):
@@ -443,17 +433,15 @@ class TestMatcherOracle:
         # and 0) and 3 (0.1) each overlap a truth no other one does;
         # detection 5 (0.95) does too, but only across classes.
         def box(cx, cy):
-            return BoundingBox(cx, cy, 0.1, 0.1)
+            return (cx, cy, 0.1, 0.1)
 
         truths = [
-            GroundTruthObject(0, box(0.2, 0.5)), GroundTruthObject(0, box(0.25, 0.5)),
-            GroundTruthObject(0, box(0.5, 0.2)), GroundTruthObject(1, box(0.8, 0.8)),
-            GroundTruthObject(0, box(0.5, 0.8)),
+            _row(0, box(0.2, 0.5)), _row(0, box(0.25, 0.5)), _row(0, box(0.5, 0.2)), _row(1, box(0.8, 0.8)),
+            _row(0, box(0.5, 0.8)),
         ]
         dets = [
-            Detection(0, box(0.29, 0.5), 0.5), Detection(0, box(0.51, 0.21), 0.7),
-            Detection(0, box(0.23, 0.5), 0.9), Detection(1, box(0.8, 0.81), 0.1),
-            Detection(0, box(0.16, 0.5), 0.4), Detection(1, box(0.5, 0.79), 0.95),
+            _row(0, box(0.29, 0.5), 0.5), _row(0, box(0.51, 0.21), 0.7), _row(0, box(0.23, 0.5), 0.9),
+            _row(1, box(0.8, 0.81), 0.1), _row(0, box(0.16, 0.5), 0.4), _row(1, box(0.5, 0.79), 0.95),
         ]
         expected = {
             False: [(2, 1), (1, 2), (4, 0), (3, 3)],
@@ -462,7 +450,7 @@ class TestMatcherOracle:
         for cross_class in (False, True):
             candidates = [
                 (i, j) for i, d in enumerate(dets) for j, t in enumerate(truths)
-                if (cross_class or d.label == t.label) and iou(d.box, t.box) >= 0.3
+                if (cross_class or d[0] == t[0]) and iou(BoundingBox(*d[1:5]), BoundingBox(*t[1:5])) >= 0.3
             ]
             per_det = Counter(i for i, _ in candidates)
             per_truth = Counter(j for _, j in candidates)
@@ -473,17 +461,17 @@ class TestMatcherOracle:
             assert [(i, j) for i, j, _ in got] == expected[cross_class]
 
     def test_threshold_one_matches_only_identical_boxes(self):
-        other = BoundingBox(0.5, 0.5, 0.2, 0.1999)
-        dets = [Detection(0, other, 0.9), Detection(0, UNIT, 0.9), Detection(0, UNIT, 0.9)]
-        truths = [GroundTruthObject(0, other), GroundTruthObject(0, UNIT)]
+        other = (0.5, 0.5, 0.2, 0.1999)
+        dets = [_row(0, other, 0.9), _row(0, UNIT, 0.9), _row(0, UNIT, 0.9)]
+        truths = [_row(0, other), _row(0, UNIT)]
         assert matched_pairs(dets, truths, 1.0) == [(0, 0, 1.0), (1, 1, 1.0)]
 
 
 class TestScalarMetrics:
     def test_precision_arithmetic(self):
         report = _evaluate(
-            [Detection(0, _slot_box(k), 0.9) for k in range(10)],
-            [GroundTruthObject(0, _slot_box(k)) for k in range(9)],
+            [_row(0, _slot_box(k), 0.9) for k in range(10)],
+            [_row(0, _slot_box(k)) for k in range(9)],
         )
         assert report.per_class[0].precision == pytest.approx(0.9)
 
@@ -497,9 +485,9 @@ class TestScalarMetrics:
 
     def test_f1_fixed_point(self):
         # P = R = 0.8: 8 TPs, 2 FPs, 2 FNs
-        dets = [Detection(0, _slot_box(k), 0.9) for k in range(10)]
-        truths = [GroundTruthObject(0, _slot_box(k)) for k in range(8)] + [
-            GroundTruthObject(0, _slot_box(k)) for k in range(20, 22)
+        dets = [_row(0, _slot_box(k), 0.9) for k in range(10)]
+        truths = [_row(0, _slot_box(k)) for k in range(8)] + [
+            _row(0, _slot_box(k)) for k in range(20, 22)
         ]
         entry = _evaluate(dets, truths).per_class[0]
         assert entry.precision == pytest.approx(0.8)
@@ -508,16 +496,16 @@ class TestScalarMetrics:
 
     def test_accuracy_examples(self):
         report = _evaluate(
-            [Detection(0, _slot_box(k), 0.9) for k in range(10)],
-            [GroundTruthObject(0, _slot_box(k)) for k in range(9)],
+            [_row(0, _slot_box(k), 0.9) for k in range(10)],
+            [_row(0, _slot_box(k)) for k in range(9)],
         )
         assert report.per_class[0].accuracy == pytest.approx(0.9)
-        report = _evaluate([], [GroundTruthObject(0, _slot_box(k)) for k in range(5)])
+        report = _evaluate([], [_row(0, _slot_box(k)) for k in range(5)])
         assert report.per_class[0].accuracy == 0.0
         # tp=8, fp=1, fn=1
-        dets = [Detection(0, _slot_box(k), 0.9) for k in range(9)]
-        truths = [GroundTruthObject(0, _slot_box(k)) for k in range(8)] + [
-            GroundTruthObject(0, _slot_box(30))
+        dets = [_row(0, _slot_box(k), 0.9) for k in range(9)]
+        truths = [_row(0, _slot_box(k)) for k in range(8)] + [
+            _row(0, _slot_box(30))
         ]
         assert _evaluate(dets, truths).per_class[0].accuracy == pytest.approx(0.8)
 
@@ -530,7 +518,7 @@ class TestPRCurveAndAP:
         assert average_precision(curve) == 1.0
 
     def test_no_detections(self):
-        sample = EvalSample("img", (), (GroundTruthObject(0, UNIT),))
+        sample = EvalSample("img", (), (_row(0, UNIT),))
         curve = pr_curve([sample], 0, 0.5)
         assert _columns(curve)[2:] == ([], [], [])
         ap = average_precision(curve)
@@ -638,17 +626,17 @@ class TestMeanAP:
 
 class TestConfusionMatrix:
     def test_perfect_single_class(self):
-        cm = _evaluate([Detection(0, UNIT, 0.9)], [GroundTruthObject(0, UNIT)]).confusion
+        cm = _evaluate([_row(0, UNIT, 0.9)], [_row(0, UNIT)]).confusion
         assert cm.class_names == ("wb", "bb", "background")
         assert cm.matrix[0][0] == 1
         assert cm.total() == 1
 
     def test_unmatched_detection_goes_to_background_column(self):
-        cm = _evaluate([Detection(0, UNIT, 0.9)], []).confusion
+        cm = _evaluate([_row(0, UNIT, 0.9)], []).confusion
         assert cm.matrix[0][2] == 1
 
     def test_cross_class_off_diagonal(self):
-        cm = _evaluate([Detection(1, UNIT, 0.9)], [GroundTruthObject(0, UNIT)]).confusion
+        cm = _evaluate([_row(1, UNIT, 0.9)], [_row(0, UNIT)]).confusion
         assert cm.matrix[1][0] == 1  # row bb (predicted), column wb (truth)
 
     @given(
@@ -669,8 +657,8 @@ class TestConfusionMatrix:
         n_dets = 0
         n_unmatched_truths = 0
         for m, (det_spec, truth_spec) in enumerate(images):
-            dets = tuple(Detection(lab, _slot_box(s), c) for lab, s, c in det_spec)
-            truths = tuple(GroundTruthObject(lab, _slot_box(s)) for lab, s in truth_spec)
+            dets = tuple(_row(lab, _slot_box(s), c) for lab, s, c in det_spec)
+            truths = tuple(_row(lab, _slot_box(s)) for lab, s in truth_spec)
             samples.append(EvalSample(f"img{m}", dets, truths))
             n_dets += len(dets)
             n_unmatched_truths += len(truths) - len(matched_pairs(dets, truths, 0.5, cross_class=True))
@@ -731,11 +719,7 @@ class TestEvaluateDetections:
         for image_id in ("img1", "img2"):
             truths = yolo_rows((fixtures_dir / "detection" / "truth" / f"{image_id}.txt").read_text(), 5, REGISTRY)
             dets = yolo_rows((fixtures_dir / "detection" / "preds" / f"{image_id}.txt").read_text(), 6, REGISTRY)
-            samples.append(EvalSample(
-                image_id,
-                tuple(Detection(label, BoundingBox(*box), conf) for label, *box, conf in dets),
-                tuple(GroundTruthObject(label, BoundingBox(*box)) for label, *box in truths),
-            ))
+            samples.append(EvalSample(image_id, tuple(dets), tuple(truths)))
         return samples
 
     def test_fixture_metrics(self, fixtures_dir):
@@ -750,3 +734,19 @@ class TestEvaluateDetections:
         assert cm.matrix[0][0] == 3 and cm.matrix[1][1] == 1
         assert cm.matrix[0][2] == 1 and cm.matrix[1][2] == 1 and cm.matrix[2][1] == 1
         assert cm.total() == 7
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvalSample("img", ((0, *UNIT),), ()), "expected a row of 6 fields, got (0, 0.5, 0.5, 0.2, 0.2)"),
+    (lambda: EvalSample("img", (), ((0, *UNIT, 0.9),)), "expected a row of 5 fields, got (0, 0.5, 0.5, 0.2, 0.2, 0.9)"),
+    (lambda: EvalSample("img", (), ((0, 1.5, 0.5, 0.2, 0.2),)), "box center out of [0,1]: (1.5, 0.5)"),
+    (lambda: EvalSample("img", ((0, 0.5, 0.5, 0.0, 0.2, 0.9),), ()), "box size out of (0,1]: (0.0, 0.2)"),
+    (lambda: EvalSample("img", ((0, *UNIT, 1.5),), ()), "confidence out of [0,1]: 1.5"),
+    (lambda: EvalSample("img", ((0, *UNIT, float("nan")),), ()), "confidence out of [0,1]: nan"),
+    (lambda: average_precision(PRCurve(0, 1, np.ones(1), np.ones(1), np.ones(1)), "5-point"),
+     "unknown AP interpolation: '5-point'"),
+], ids=["detection-length", "truth-length", "center", "size", "confidence", "nan-confidence", "interpolation"])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

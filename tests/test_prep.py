@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deteval import prep
-from deteval.annotations import BoundingBox, GroundTruthObject
+from deteval.annotations import BoundingBox
 from deteval.prep import (
     MAX_TILES_PER_IMAGE,
     AugmentOp,
@@ -20,6 +21,13 @@ from deteval.prep import (
     sample_ids,
     split_dataset,
 )
+
+
+class Labelled(NamedTuple):
+    """A ground-truth box as the scalar references below read it: its class and its geometry."""
+
+    label: int
+    box: BoundingBox
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,7 +50,7 @@ def _rows(image):
 
 
 def _objects(rows):
-    return tuple(GroundTruthObject(label, BoundingBox(*box)) for label, *box in rows)
+    return tuple(Labelled(label, BoundingBox(*box)) for label, *box in rows)
 
 
 def _retile(image, tiles, spec):
@@ -56,6 +64,29 @@ def _augment(image, pipeline, sample_count):
     """`prep.augment` on the rows of `image`, each sample as a copy of `image` with the sample's objects."""
     return [dataclasses.replace(image, objects=_objects(rows))
             for rows in prep.augment(_rows(image), pipeline, sample_count)]
+
+
+def _reference_written(lo, hi, clipped_lo, clipped_hi):
+    """The (centre, size) the references write along one axis of the unit
+    frame, given the box's corners and its clipped ones: a side that sticks
+    out of [0, 1] by at most one written unit (1e-6, and a margin of 1e-12
+    for reading it back) stays unclipped when the row as written, to 6
+    decimals, has a size of at most 1 and both sides within one unit of
+    [0, 1]; the centre and size are then kept in [0, 1]. Otherwise the
+    clipped corners are written."""
+    unit = 1e-6 + 1e-12
+    kept_lo = lo if -unit <= lo < 0.0 else clipped_lo
+    kept_hi = hi if 1.0 < hi <= 1.0 + unit else clipped_hi
+    centre, size = float(f"{(kept_lo + kept_hi) / 2.0:.6f}"), float(f"{kept_hi - kept_lo:.6f}")
+    unclipped = (kept_lo, kept_hi) != (clipped_lo, clipped_hi)
+    if unclipped and size <= 1.0 and -unit <= centre - size / 2.0 and centre + size / 2.0 <= 1.0 + unit:
+        return min(max((kept_lo + kept_hi) / 2.0, 0.0), 1.0), min(kept_hi - kept_lo, 1.0)
+    return (clipped_lo + clipped_hi) / 2.0, clipped_hi - clipped_lo
+
+
+def _unwritable(w, h):
+    """Whether a w x h box would be written with a side of 0.000000."""
+    return "0.000000" in (f"{w:.6f}", f"{h:.6f}")
 
 
 def _reference_retile(image, tiles, spec):
@@ -80,13 +111,12 @@ def _reference_retile(image, tiles, spec):
             visibility = ((ix2 - ix1) * (iy2 - iy1)) / ((bx2 - bx1) * (by2 - by1))
             if visibility < spec.min_visibility:
                 continue
-            box = BoundingBox.from_corners(
-                (ix1 - tx1) / tile.w,
-                (iy1 - ty1) / tile.h,
-                (ix2 - tx1) / tile.w,
-                (iy2 - ty1) / tile.h,
-            )
-            kept.append(GroundTruthObject(obj.label, box))
+            cx, w = _reference_written((bx1 - tx1) / tile.w, (bx2 - tx1) / tile.w,
+                                       (ix1 - tx1) / tile.w, (ix2 - tx1) / tile.w)
+            cy, h = _reference_written((by1 - ty1) / tile.h, (by2 - ty1) / tile.h,
+                                       (iy1 - ty1) / tile.h, (iy2 - ty1) / tile.h)
+            if not _unwritable(w, h):
+                kept.append(Labelled(obj.label, BoundingBox(cx, cy, w, h)))
         out.append(AnnotatedImage(f"{image.image_id}_{index:03d}", tile.w, tile.h, tuple(kept)))
     return out
 
@@ -101,7 +131,8 @@ def _reference_clip_unit(lab, x1, y1, x2, y2, min_visibility):
     visibility = ((cx2 - cx1) * (cy2 - cy1)) / ((x2 - x1) * (y2 - y1))
     if visibility < min_visibility or visibility <= 0.0:
         return None
-    return (lab, (cx1 + cx2) / 2.0, (cy1 + cy2) / 2.0, cx2 - cx1, cy2 - cy1)
+    (cx, w), (cy, h) = _reference_written(x1, x2, cx1, cx2), _reference_written(y1, y2, cy1, cy2)
+    return None if _unwritable(w, h) else (lab, cx, cy, w, h)
 
 
 def _reference_clip(lab, x1, y1, x2, y2, window, min_visibility):
@@ -116,9 +147,8 @@ def _bits(objects):
 
 def _expected(reference, image, n_outputs):
     """The objects of each of `n_outputs` images that `reference(image)` makes,
-    one object at a time, without the two cases the toolkit drops: an object
-    whose area underflows to 0.0 (the reference divides by it) and a clipped
-    box whose width or height would be written as 0.000000."""
+    one object at a time, without an object whose area underflows to 0.0,
+    which the toolkit drops and the reference divides by."""
     kept = [[] for _ in range(n_outputs)]
     for obj in image.objects:
         try:
@@ -126,7 +156,7 @@ def _expected(reference, image, n_outputs):
         except ZeroDivisionError:
             continue
         for objects, output in zip(kept, outputs):
-            objects += [o for o in output.objects if "0.000000" not in (f"{o.box.w:.6f}", f"{o.box.h:.6f}")]
+            objects += output.objects
     return [_bits(objects) for objects in kept]
 
 
@@ -192,7 +222,7 @@ class TestRetile:
     def test_box_inside_one_tile_keeps_pixel_geometry(self):
         # 160x130-pixel box centered at (208, 208): entirely in tile (0, 0)
         box = BoundingBox(0.13, 0.16, 0.1, 0.1)
-        image = _image([GroundTruthObject(0, box)])
+        image = _image([Labelled(0, box)])
         spec = TileSpec(416, 416)
         tiles = plan_tiles(1600, 1300, spec)
         tiled = _retile(image, tiles, spec)
@@ -208,7 +238,7 @@ class TestRetile:
         # box spans x 272..464 (pixels): 75% in the first column, 25% in the
         # second; with min_visibility 0.5 only the 75% side keeps it
         box = BoundingBox(0.23, 0.1, 0.12, 0.1)
-        image = _image([GroundTruthObject(0, box)])
+        image = _image([Labelled(0, box)])
         spec = TileSpec(416, 416, min_visibility=0.5)
         tiles = plan_tiles(1600, 1300, spec)
         tiled = _retile(image, tiles, spec)
@@ -218,7 +248,7 @@ class TestRetile:
 
     def test_bag_free_tiles_discardable(self):
         box = BoundingBox(0.13, 0.16, 0.1, 0.1)
-        image = _image([GroundTruthObject(0, box)])
+        image = _image([Labelled(0, box)])
         spec = TileSpec(416, 416)
         tiled = _retile(image, plan_tiles(1600, 1300, spec), spec)
         empty = [t for t in tiled if not t.objects]
@@ -227,7 +257,7 @@ class TestRetile:
     def test_zero_visibility_keeps_every_intersecting_tile(self):
         # box straddles the interior corner at (416, 416)
         box = BoundingBox.from_corners(380 / 1600, 380 / 1300, 450 / 1600, 450 / 1300)
-        image = _image([GroundTruthObject(0, box)])
+        image = _image([Labelled(0, box)])
         keep_all = TileSpec(416, 416, min_visibility=0.0)
         strict = TileSpec(416, 416, min_visibility=1.0)
         tiles = plan_tiles(1600, 1300, keep_all)
@@ -244,7 +274,7 @@ def _pipeline(*ops, seed=7, min_visibility=0.3):
 
 class TestAugment:
     def test_identity_pipeline(self):
-        image = _image([GroundTruthObject(0, BoundingBox(0.3, 0.4, 0.1, 0.2))])
+        image = _image([Labelled(0, BoundingBox(0.3, 0.4, 0.1, 0.2))])
         pipeline = _pipeline(
             AugmentOp("rotate", 0.0),
             AugmentOp("flip_left_right", 0.0),
@@ -255,27 +285,27 @@ class TestAugment:
 
     def test_flip_twice_restores(self):
         # dyadic coordinates mirror exactly; see the module's flip note
-        image = _image([GroundTruthObject(0, BoundingBox(0.25, 0.5, 0.125, 0.25))])
+        image = _image([Labelled(0, BoundingBox(0.25, 0.5, 0.125, 0.25))])
         pipeline = _pipeline(AugmentOp("flip_left_right", 1.0), AugmentOp("flip_left_right", 1.0))
         for variant in _augment(image, pipeline, 3):
             assert variant.objects == image.objects
 
     def test_rotate_90_about_center(self):
-        image = _image([GroundTruthObject(0, BoundingBox(0.25, 0.5, 0.1, 0.2))])
+        image = _image([Labelled(0, BoundingBox(0.25, 0.5, 0.1, 0.2))])
         pipeline = _pipeline(AugmentOp("rotate", 1.0, angles=(90.0,)))
         variant = _augment(image, pipeline, 1)[0]
         assert variant.objects[0].box == BoundingBox(0.5, 0.25, 0.2, 0.1)
 
     def test_rotate_envelope_arbitrary_angle(self):
         # 45-degree rotation of a centered square: envelope side = diagonal
-        image = _image([GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))])
+        image = _image([Labelled(0, BoundingBox(0.5, 0.5, 0.2, 0.2))])
         pipeline = _pipeline(AugmentOp("rotate", 1.0, angles=(45.0,)))
         box = _augment(image, pipeline, 1)[0].objects[0].box
         assert box.cx == pytest.approx(0.5)
         assert box.w == pytest.approx(0.2 * 2**0.5)
 
     def test_zoom_centered_crop(self):
-        image = _image([GroundTruthObject(0, BoundingBox(0.5, 0.5, 0.2, 0.2))])
+        image = _image([Labelled(0, BoundingBox(0.5, 0.5, 0.2, 0.2))])
         pipeline = _pipeline(AugmentOp("zoom_random", 1.0, percentage_area=0.25))
         box = _augment(image, pipeline, 1)[0].objects[0].box
         assert (box.cx, box.cy) == (0.5, 0.5)
@@ -284,15 +314,15 @@ class TestAugment:
 
     def test_zoom_drops_low_visibility_boxes(self):
         edge_box = BoundingBox(0.05, 0.05, 0.1, 0.1)
-        image = _image([GroundTruthObject(0, edge_box)])
+        image = _image([Labelled(0, edge_box)])
         pipeline = _pipeline(AugmentOp("zoom_random", 1.0, percentage_area=0.25), min_visibility=0.5)
         assert _augment(image, pipeline, 1)[0].objects == ()
 
     def test_deterministic_per_seed_and_index(self):
         image = _image(
             [
-                GroundTruthObject(0, BoundingBox(0.3, 0.4, 0.1, 0.2)),
-                GroundTruthObject(1, BoundingBox(0.7, 0.6, 0.2, 0.1)),
+                Labelled(0, BoundingBox(0.3, 0.4, 0.1, 0.2)),
+                Labelled(1, BoundingBox(0.7, 0.6, 0.2, 0.1)),
             ]
         )
         pipeline = _pipeline(
@@ -368,7 +398,7 @@ def _objects_about(draw, edges_x, edges_y, width=1.0, height=1.0):
     for label in range(draw(st.integers(1, 4))):
         cx, w = draw(_span(edges_x, width))
         cy, h = draw(_span(edges_y, height))
-        objects.append(GroundTruthObject(label, BoundingBox(cx / width, cy / height, w / width, h / height)))
+        objects.append(Labelled(label, BoundingBox(cx / width, cy / height, w / width, h / height)))
     return objects
 
 
@@ -385,13 +415,13 @@ _ZOOMS = st.sampled_from([0.04, 0.25, 0.5, 0.8, 1.0]).flatmap(_zoom_objects)
 class TestOneClip:
     """Retiling, zoom and arbitrary-angle rotation share one clip; each keeps
     the boxes of its scalar reference bit for bit, except those the reference
-    divides by a zero area for or writes with a size of 0.000000."""
+    divides by a zero area for."""
 
     @given(_objects_about(_EDGES_X, _EDGES_Y, 1600.0, 1300.0), st.sampled_from(["anchor-to-edge", "pad"]), _VISIBILITIES)
-    @example([GroundTruthObject(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))], "anchor-to-edge", 0.3)
-    @example([GroundTruthObject(0, BoundingBox(0.22375003125, 0.115385, 0.0725000625, 0.076923))], "pad", 0.0)
+    @example([Labelled(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))], "anchor-to-edge", 0.3)
+    @example([Labelled(0, BoundingBox(0.22375003125, 0.115385, 0.0725000625, 0.076923))], "pad", 0.0)
     # visibility 0.3 exactly as a quotient of areas, though not as 0.3 times the area
-    @example([GroundTruthObject(0, BoundingBox(0.2995, 0.2, 0.1975, 77 / 1300))], "anchor-to-edge", 0.3)
+    @example([Labelled(0, BoundingBox(0.2995, 0.2, 0.1975, 77 / 1300))], "anchor-to-edge", 0.3)
     @settings(max_examples=200, deadline=None)
     def test_retile_matches_the_reference(self, objects, policy, min_visibility):
         image = _image(objects)
@@ -401,7 +431,7 @@ class TestOneClip:
         assert [_bits(t.objects) for t in _retile(image, tiles, spec)] == expected
 
     @given(_ZOOMS, _VISIBILITIES)
-    @example((1.0, [GroundTruthObject(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))]), 0.3)
+    @example((1.0, [Labelled(0, BoundingBox(1e-200, 1e-200, 2e-200, 2e-200))]), 0.3)
     @settings(max_examples=200, deadline=None)
     def test_zoom_matches_the_reference(self, zoom, min_visibility):
         percentage_area, objects = zoom
@@ -487,3 +517,25 @@ class TestSampleIds:
     def test_overdraw_error(self):
         with pytest.raises(ValueError, match="without replacement"):
             sample_ids(["a"], 2, 0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TileSpec(0, 416), "tile size must be positive: 0x416"),
+    (lambda: TileSpec(416, -1), "tile size must be positive: 416x-1"),
+    (lambda: TileSpec(416, 416, "crop"), "unknown edge policy: 'crop'"),
+    (lambda: TileSpec(416, 416, min_visibility=1.5), "min_visibility out of [0,1]: 1.5"),
+    (lambda: _pipeline(min_visibility=-0.1), "min_visibility out of [0,1]: -0.1"),
+    (lambda: prep.augment([(0, 0.5, 0.5, 0.2, 0.2)], _pipeline(), -1), "sample_count must be >= 0: -1"),
+    (lambda: sample_ids(["a", "b"], -1, 0), "count must be >= 0: -1"),
+], ids=["tile-width", "tile-height", "edge-policy", "tile-min-visibility", "augment-min-visibility",
+        "augment-sample-count", "sample-count"])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("angle", [0.0, 360.0])
+def test_rotate_by_a_whole_turn_leaves_the_rows_unchanged(angle):
+    rows = [(0, 0.3, 0.4, 0.1, 0.2), (1, 0.7, 0.6, 0.2, 0.1)]
+    assert prep.augment(rows, _pipeline(AugmentOp("rotate", 1.0, angles=(angle,))), 3) == [rows] * 3

@@ -344,3 +344,13 @@ class TestShapiroWilk:
         clean = shapiro_wilk(base).statistic
         polluted = shapiro_wilk(base[:-1] + [25.0]).statistic
         assert polluted < clean
+
+
+@pytest.mark.parametrize("groups, message", [
+    ((("a", (1.0, 2.0)), ("a", (3.0, 4.0))), "duplicate group labels: ['a', 'a']"),
+    ((("a", (1.0, 2.0)), ("b", ())), "group 'b' has no observations"),
+], ids=["duplicate-label", "empty-group"])
+def test_table_refusals(groups, message):
+    with pytest.raises(ValueError) as info:
+        ObservationTable("y", groups)
+    assert str(info.value) == message
