@@ -208,7 +208,9 @@ def left_sum(terms) -> float:
 
 
 def _class_id_in_range(class_id: int) -> None:
-    """A ValueError unless `class_id` is in [0, 2**63); `read_yolo` reads class ids as int64."""
+    """A ValueError unless `class_id` is an int (not a bool) in [0, 2**63); `read_yolo` reads class ids as int64."""
+    if type(class_id) is not int:
+        raise ValueError(f"class id must be an integer: {class_id!r}")
     if class_id < 0:
         raise ValueError(f"class id must be non-negative: {class_id}")
     if class_id >= 2**63:

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .annotations import BACKGROUND, BoxColumns, ClassRegistry, _box, _confidence, integer, left_sum, read_csv
+from .annotations import BACKGROUND, BoxColumns, ClassRegistry, RegistryError, _box, _class_id_in_range
+from .annotations import _confidence, integer, left_sum, read_csv
 
 STRATA = ("top", "middle", "bottom")
 
@@ -39,8 +40,9 @@ class ClassTally:
 class EvalSample:
     """Detections and ground truth for one image, in one coordinate frame, as
     the rows `yolo_rows` reads: (class_id, cx, cy, w, h, confidence) and
-    (class_id, cx, cy, w, h). A row of another length, a box outside
-    `BoundingBox`'s ranges or a confidence outside [0, 1] is a ValueError."""
+    (class_id, cx, cy, w, h). A row of another length, a class id that
+    `annotations._class_id_in_range` refuses, a box outside `BoundingBox`'s
+    ranges or a confidence outside [0, 1] is a ValueError."""
 
     image_id: str
     detections: tuple[tuple, ...]
@@ -51,6 +53,7 @@ class EvalSample:
             for row in rows:
                 if len(row) != n_fields:
                     raise ValueError(f"expected a row of {n_fields} fields, got {row!r}")
+                _class_id_in_range(row[0])
                 _box(*row[1:5])
         for row in self.detections:
             _confidence(row[5])
@@ -67,10 +70,12 @@ class EvalColumns:
 
     @classmethod
     def from_samples(cls, samples, positions: dict[int, int]) -> EvalColumns:
-        """Columns of a list of EvalSamples, class ids mapped to `positions`."""
+        """Columns of a list of EvalSamples, class ids mapped to `positions` (a RegistryError for one it lacks)."""
 
         def columns(images, n_fields):
             rows = [row for image in images for row in image]
+            if unknown := [row[0] for row in rows if row[0] not in positions]:
+                raise RegistryError(f"unknown class id {unknown[0]}")
             return BoxColumns(
                 np.array([positions[row[0]] for row in rows], dtype=np.intp),
                 np.array(rows, dtype=np.float64).reshape(-1, n_fields)[:, 1:],

@@ -185,25 +185,17 @@ class AugmentPipeline:
 
 
 # Boxes travel through the ops as (label, cx, cy, w, h) tuples so the
-# right-angle transforms stay exact (no corner round trip). Zoom and
+# flips and quarter turns stay exact (no corner round trip). Zoom and
 # arbitrary-angle rotation map the corners, then clip them to the unit square.
 _UNIT = (0.0, 0.0, 1.0, 1.0)
 
 
-def _flip_lr(boxes):
-    return [(lab, 1.0 - cx, cy, w, h) for lab, cx, cy, w, h in boxes]
-
-
-def _flip_tb(boxes):
-    return [(lab, cx, 1.0 - cy, w, h) for lab, cx, cy, w, h in boxes]
-
-
-def _rotate_right_angle(boxes, quarter_turns: int):
-    if quarter_turns == 1:
-        return [(lab, 1.0 - cy, cx, h, w) for lab, cx, cy, w, h in boxes]
-    if quarter_turns == 2:
-        return [(lab, 1.0 - cx, 1.0 - cy, w, h) for lab, cx, cy, w, h in boxes]
-    return [(lab, cy, 1.0 - cx, h, w) for lab, cx, cy, w, h in boxes]
+def _symmetry(boxes, swap: bool, mirror_x: bool, mirror_y: bool):
+    """Boxes under a symmetry of the unit square: cx with cy and w with h swapped if `swap`, then
+    each mirrored centre c as 1.0 - c, once (1.0 - (1.0 - c) need not be c: 0.1 gives 0.09999999999999998)."""
+    if swap:
+        boxes = [(lab, cy, cx, h, w) for lab, cx, cy, w, h in boxes]
+    return [(lab, 1.0 - cx if mirror_x else cx, 1.0 - cy if mirror_y else cy, w, h) for lab, cx, cy, w, h in boxes]
 
 
 def _rotate_envelope(boxes, angle_deg: float, min_visibility: float):
@@ -251,15 +243,13 @@ def augment(rows, pipeline: AugmentPipeline, sample_count: int) -> list[list[tup
             if rng.random() >= op.probability:
                 continue
             if op.name == OP_FLIP_LR:
-                boxes = _flip_lr(boxes)
+                boxes = _symmetry(boxes, False, True, False)
             elif op.name == OP_FLIP_TB:
-                boxes = _flip_tb(boxes)
+                boxes = _symmetry(boxes, False, False, True)
             elif op.name == OP_ROTATE:
                 angle = float(op.angles[int(rng.random() * len(op.angles))]) % 360.0
-                if angle == 0.0:
-                    continue
-                if angle in (90.0, 180.0, 270.0):
-                    boxes = _rotate_right_angle(boxes, int(angle // 90))
+                if angle in (0.0, 90.0, 180.0, 270.0):  # a whole number of quarter turns
+                    boxes = _symmetry(boxes, angle in (90.0, 270.0), angle in (90.0, 180.0), angle in (180.0, 270.0))
                 else:
                     boxes = _rotate_envelope(boxes, angle, pipeline.min_visibility)
             elif op.name == OP_ZOOM:

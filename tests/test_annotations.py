@@ -264,3 +264,15 @@ def test_registry_lookup_of_an_unknown_class_is_refused(lookup, key, message):
     with pytest.raises(RegistryError) as info:
         getattr(registry, lookup)(key)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ClassLabel(1.5, "x"), "class id must be an integer: 1.5"),
+    (lambda: ClassLabel(True, "x"), "class id must be an integer: True"),
+    (lambda: ClassRegistry([ClassLabel(0, "a"), ClassLabel(True, "b")]), "class id must be an integer: True"),
+    (lambda: BoundingBox.from_corners(0.5, 0.5, 0.4, 0.6), "degenerate corners: (0.5, 0.5, 0.4, 0.6)"),
+], ids=["fraction-class-id", "bool-class-id", "registry-of-a-bool-class-id", "degenerate-corners"])
+def test_refusals(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

@@ -178,6 +178,19 @@ class TestTile:
         assert record["error"] == "CliError"
         assert record["message"].startswith(f"{sizes}: line 3: {problem}")
 
+    def test_image_sizes_csv_without_an_image_exits_2_naming_it(self, tmp_path, capsys):
+        annots = tmp_path / "annots"
+        annots.mkdir()
+        for name in ("a.txt", "b.txt"):
+            (annots / name).write_text("0 0.500000 0.500000 0.200000 0.200000\n")
+        sizes = tmp_path / "sizes.csv"
+        sizes.write_text("image_id,width_px,height_px\na,1600,1300\n")
+        out = tmp_path / "out"
+        assert run_cli("--output-dir", out, "tile", "--ground-truth-dir", annots, "--image-sizes-csv", sizes) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert (record["error"], record["message"]) == ("CliError", "image_sizes_csv lacks entries for: ['b']")
+        assert not out.exists()
+
     def test_repeated_image_size_row_names_file_and_line(self, tmp_path, capsys):
         annots = tmp_path / "annots"
         annots.mkdir()
@@ -2242,6 +2255,14 @@ class TestConfigSchema:
             assert json.loads(capsys.readouterr().err.strip()) == {
                 "error": "ConfigError", "message": f"cannot read config {config}: {problem}"}
             config.mkdir(exist_ok=True)
+        assert not (tmp_path / "out").exists()
+
+    def test_config_whose_root_is_not_an_object_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text("[1]\n")
+        assert run_cli("--config", config, "--output-dir", tmp_path / "out", "report") == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "ConfigError", "message": f"config root must be a JSON object: {config}"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("operation, problem", [

@@ -17,8 +17,9 @@ SRC = Path(deteval.__file__).resolve().parent.parent
 
 # Runs `deteval.cli.main(argv)` in a fresh interpreter, then fails unless
 # it loaded numpy exactly when expected and exactly the deteval modules
-# expected, and left the process with one thread: numpy's BLAS started no
-# worker threads. Importing the CLI sets no environment variable.
+# expected, loaded neither test extra (scipy, hypothesis), and left the
+# process with one thread: numpy's BLAS started no worker threads.
+# Importing the CLI sets no environment variable.
 _RUN_COMMAND = """
 import os
 import sys
@@ -33,6 +34,8 @@ except SystemExit as exc:  # --version exits from argparse
 assert code == 0, f"exit {code}"
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("deteval."))
 assert ",".join(loaded) == expected, f"loaded {loaded}"
+extras = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "hypothesis"))
+assert not extras, f"loaded test extras {extras}"
 if os.path.isdir("/proc/self/task"):
     threads = os.listdir("/proc/self/task")
     assert len(threads) == 1, f"threads {threads}"

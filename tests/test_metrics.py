@@ -15,6 +15,7 @@ from deteval.annotations import (
     BoundingBox,
     ClassLabel,
     ClassRegistry,
+    RegistryError,
     iou,
     yolo_rows,
 )
@@ -706,6 +707,11 @@ class TestBagBasedAccuracy:
         assert result.image_ids == ("a",)
         assert any("no bags placed" in str(w.message) for w in caught)
 
+    def test_a_stratum_without_placed_bags_is_refused(self):
+        with pytest.warns(UserWarning, match="no bags placed"), pytest.raises(ValueError) as info:
+            bag_based_accuracy([HeightRecord("i", "top", 0, 0)], "top")
+        assert str(info.value) == "no usable records for stratum 'top'"
+
     def test_invalid_stratum(self):
         with pytest.raises(ValueError):
             bag_based_accuracy([], "sideways")
@@ -743,10 +749,27 @@ class TestEvaluateDetections:
     (lambda: EvalSample("img", ((0, 0.5, 0.5, 0.0, 0.2, 0.9),), ()), "box size out of (0,1]: (0.0, 0.2)"),
     (lambda: EvalSample("img", ((0, *UNIT, 1.5),), ()), "confidence out of [0,1]: 1.5"),
     (lambda: EvalSample("img", ((0, *UNIT, float("nan")),), ()), "confidence out of [0,1]: nan"),
+    (lambda: EvalSample("img", ((-1, *UNIT, 0.9),), ()), "class id must be non-negative: -1"),
+    (lambda: EvalSample("img", (), ((2**63, *UNIT),)), "class id must be below 2**63: 9223372036854775808"),
+    (lambda: EvalSample("img", (), ((2**1024, *UNIT),)), f"class id must be below 2**63: {2**1024}"),
+    (lambda: EvalSample("img", ((True, *UNIT, 0.9),), ()), "class id must be an integer: True"),
+    (lambda: EvalSample("img", (), ((1.5, *UNIT),)), "class id must be an integer: 1.5"),
     (lambda: average_precision(PRCurve(0, 1, np.ones(1), np.ones(1), np.ones(1)), "5-point"),
      "unknown AP interpolation: '5-point'"),
-], ids=["detection-length", "truth-length", "center", "size", "confidence", "nan-confidence", "interpolation"])
+], ids=["detection-length", "truth-length", "center", "size", "confidence", "nan-confidence",
+        "negative-class-id", "class-id-2-to-the-63", "class-id-2-to-the-1024", "bool-class-id", "fraction-class-id",
+        "interpolation"])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("detections, truths", [
+    (((7, *UNIT, 0.9),), ()),
+    ((), ((7, *UNIT),)),
+], ids=["detection", "truth"])
+def test_a_class_id_outside_the_registry_is_a_registry_error(detections, truths):
+    with pytest.raises(RegistryError) as info:
+        evaluate_detections([EvalSample("img", detections, truths)], REGISTRY, 0.5)
+    assert str(info.value) == "unknown class id 7"

@@ -284,7 +284,8 @@ class TestAugment:
             assert variant == image
 
     def test_flip_twice_restores(self):
-        # dyadic coordinates mirror exactly; see the module's flip note
+        # two flips restore 0.25, as 1.0 - (1.0 - 0.25) is 0.25, but would not restore 0.1: 1.0 - (1.0 - 0.1)
+        # is 0.09999999999999998
         image = _image([Labelled(0, BoundingBox(0.25, 0.5, 0.125, 0.25))])
         pipeline = _pipeline(AugmentOp("flip_left_right", 1.0), AugmentOp("flip_left_right", 1.0))
         for variant in _augment(image, pipeline, 3):
@@ -452,6 +453,38 @@ class TestOneClip:
                 return _augment(one, pipeline, 1)
 
         assert [_bits(v.objects) for v in _augment(image, pipeline, 1)] == _expected(reference, image, 1)
+
+
+# Each flip and quarter turn written out as its own map: the reference for
+# `prep._symmetry`, which makes them all.
+_REFERENCE_MAPS = {
+    "flip_left_right": lambda lab, cx, cy, w, h: (lab, 1.0 - cx, cy, w, h),
+    "flip_top_bottom": lambda lab, cx, cy, w, h: (lab, cx, 1.0 - cy, w, h),
+    0: lambda lab, cx, cy, w, h: (lab, cx, cy, w, h),
+    90: lambda lab, cx, cy, w, h: (lab, 1.0 - cy, cx, h, w),
+    180: lambda lab, cx, cy, w, h: (lab, 1.0 - cx, 1.0 - cy, w, h),
+    270: lambda lab, cx, cy, w, h: (lab, cy, 1.0 - cx, h, w),
+}
+_COORDINATES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 0.1, 0.25]), st.floats(0.0, 1.0))
+_SIZES = st.one_of(st.sampled_from([1.0, 0.1]), st.floats(1e-3, 1.0))
+
+
+@pytest.mark.parametrize("symmetry", ["flip_left_right", "flip_top_bottom", 0, 90, 180, 270, 360, 450, -90])
+@given(st.lists(st.tuples(st.integers(0, 3), _COORDINATES, _COORDINATES, _SIZES, _SIZES), min_size=1, max_size=6))
+@example([(0, -0.0, 0.0, 1.0, 0.5), (1, 1.0, -0.0, 0.1, 1.0), (2, 0.1, 0.25, 0.125, 0.3), (3, 0.0, 1.0, 0.2, 0.1)])
+@settings(max_examples=100, deadline=None)
+def test_flips_and_quarter_turns_match_their_own_maps_bit_for_bit(symmetry, rows):
+    """A flip, or a rotation by an angle that is a whole number of quarter turns, at probability 1."""
+
+    def bits(boxes):
+        return [(lab, *map(float.hex, values)) for lab, *values in boxes]
+
+    if isinstance(symmetry, str):
+        op, reference = AugmentOp(symmetry, 1.0), symmetry
+    else:
+        op, reference = AugmentOp("rotate", 1.0, angles=(float(symmetry),)), symmetry % 360
+    expected = bits(_REFERENCE_MAPS[reference](*row) for row in rows)
+    assert [bits(sample) for sample in prep.augment(rows, _pipeline(op), 2)] == [expected] * 2
 
 
 class TestSplit:
