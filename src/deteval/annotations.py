@@ -116,6 +116,7 @@ class ClassRegistry:
         return tuple(sorted(self._by_id))
 
     def name_of(self, class_id: int) -> str:
+        _class_id_in_range(class_id)
         try:
             return self._by_id[class_id].name
         except KeyError:
@@ -128,6 +129,7 @@ class ClassRegistry:
             raise RegistryError(f"unknown class name: {name!r}") from None
 
     def __contains__(self, class_id: int) -> bool:
+        _class_id_in_range(class_id)
         return class_id in self._by_id
 
     def __len__(self) -> int:
@@ -221,7 +223,7 @@ def _class_id(raw: str, registry: ClassRegistry | None = None) -> int:
     """`int(raw)` of an `_ascii_token` in `_class_id_in_range`, and in `registry` when one is given."""
     class_id = _ascii_token(int, raw, "class id is not an integer")
     _class_id_in_range(class_id)
-    if registry is not None and class_id not in registry:
+    if registry is not None and class_id not in registry._by_id:
         raise RegistryError(f"unknown class id {class_id}")
     return class_id
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .annotations import left_sum, number, read_csv
@@ -23,7 +24,7 @@ class ResponseGoal:
     One-sided goals interpolate linearly through (low, 0), (middle, 0.5),
     (high, 1) and clamp outside; for smaller-is-better the breakpoint values
     run downward. A target-is-best goal peaks at 1 on the middle value and
-    falls to 0 at both ends.
+    falls to 0 at both ends. The span `high - low` must be a finite float.
     """
 
     name: str
@@ -43,45 +44,35 @@ class ResponseGoal:
             raise ValueError(f"unknown direction {self.direction!r}; expected one of {_DIRECTIONS}")
         if self.weight <= 0.0:
             raise ValueError(f"goal weight must be positive: {self.weight}")
-        ordered = (
-            self.low > self.middle > self.high
-            if self.direction == SMALLER_IS_BETTER
-            else self.low < self.middle < self.high
-        )
-        if not ordered:
-            raise ValueError(
-                f"goal {self.name!r}: breakpoints {self.low}, {self.middle}, {self.high} "
-                f"are not ordered for {self.direction}"
-            )
+        low, middle, high = _upward(self, self.low, self.middle, self.high)
+        points = f"goal {self.name!r}: breakpoints {self.low}, {self.middle}, {self.high}"
+        if not low < middle < high:
+            raise ValueError(f"{points} are not ordered for {self.direction}")
+        if not math.isfinite(high - low):
+            raise ValueError(f"{points} span more than the largest float")
 
 
-def _interp(value: float, x0: float, d0: float, x1: float, d1: float) -> float:
-    return d0 + (d1 - d0) * (value - x0) / (x1 - x0)
+def _upward(goal: ResponseGoal, *values: float) -> tuple[float, ...]:
+    """`values` as a larger-is-better goal reads them: negated for smaller-is-better, which is exact."""
+    return tuple(-v for v in values) if goal.direction == SMALLER_IS_BETTER else values
 
 
 def desirability_of(value: float, goal: ResponseGoal) -> float:
-    """Map one response value into [0, 1] through the goal's breakpoints."""
+    """Map one response value into [0, 1] through the goal's breakpoints:
+    one piecewise-linear map through (low, 0), (middle, 0.5), (high, 1), or
+    (middle, 1), (high, 0) for target-is-best, taken on the negated value and
+    breakpoints for smaller-is-better."""
     if not math.isfinite(value):
         raise ValueError(f"response value must be finite: {value}")
-    if goal.direction == TARGET_IS_BEST:
-        if value <= min(goal.low, goal.high) or value >= max(goal.low, goal.high):
-            return 0.0
-        if value <= goal.middle:
-            return _interp(value, goal.low, 0.0, goal.middle, 1.0)
-        return _interp(value, goal.middle, 1.0, goal.high, 0.0)
-    if goal.direction == SMALLER_IS_BETTER:
-        if value >= goal.low:
-            return 0.0
-        if value <= goal.high:
-            return 1.0
-    else:
-        if value <= goal.low:
-            return 0.0
-        if value >= goal.high:
-            return 1.0
-    if (value <= goal.middle) == (goal.direction == LARGER_IS_BETTER):
-        return _interp(value, goal.low, 0.0, goal.middle, 0.5)
-    return _interp(value, goal.middle, 0.5, goal.high, 1.0)
+    value, low, middle, high = _upward(goal, value, goal.low, goal.middle, goal.high)
+    d_middle, d_high = (1.0, 0.0) if goal.direction == TARGET_IS_BEST else (0.5, 1.0)
+    if value <= low:
+        return 0.0
+    if value >= high:
+        return d_high
+    # the upper segment starts at the middle, where it gives d_middle exactly
+    x0, d0, x1, d1 = (low, 0.0, middle, d_middle) if value < middle else (middle, d_middle, high, d_high)
+    return d0 + (d1 - d0) * (value - x0) / (x1 - x0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +132,10 @@ def overall_desirability(candidate: Candidate, profile: DesirabilityProfile) -> 
     """Weighted geometric mean of the per-goal desirabilities; any zero
     component annihilates the whole score. Weights are relative: each is
     scaled by the largest, which keeps the products and their total finite."""
-    components = component_desirabilities(candidate, profile)
+    return _geometric_mean(component_desirabilities(candidate, profile), profile)
+
+
+def _geometric_mean(components: dict[str, float], profile: DesirabilityProfile) -> float:
     top = max(g.weight for g in profile.goals)
     total_weight = left_sum(g.weight / top for g in profile.goals)
     log_sum = 0.0
@@ -172,22 +166,14 @@ def select_best(candidates, profile: DesirabilityProfile) -> list[RankedCandidat
     candidates = list(candidates)
     if not candidates:
         raise ValueError("select_best needs at least one candidate")
-    scored = [
-        (overall_desirability(c, profile), c.label, component_desirabilities(c, profile))
-        for c in candidates
-    ]
+    scored = []
+    for c in candidates:
+        components = component_desirabilities(c, profile)
+        scored.append((_geometric_mean(components, profile), c.label, components))
     scored.sort(key=lambda item: (-item[0], item[1]))
-    counts: dict[float, int] = {}
-    for overall, _, _ in scored:
-        counts[overall] = counts.get(overall, 0) + 1
+    counts = Counter(overall for overall, _, _ in scored)
     return [
-        RankedCandidate(
-            rank=i + 1,
-            label=label,
-            overall=overall,
-            components=components,
-            tied=counts[overall] > 1,
-        )
+        RankedCandidate(i + 1, label, overall, components, tied=counts[overall] > 1)
         for i, (overall, label, components) in enumerate(scored)
     ]
 

@@ -238,6 +238,7 @@ def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     Tallies accumulate in descending-confidence order; tied confidences are
     folded into a single sweep step so the curve is independent of input
     ordering."""
+    _class_id_in_range(class_id)
     samples = list(samples)
     labels = {row[0] for s in samples for row in (*s.detections, *s.truths)} | {class_id}
     positions = {c: k for k, c in enumerate(sorted(labels))}

@@ -21,9 +21,12 @@ sizes = st.integers(1, 1_000_000).map(lambda k: k / 1e6)
 boxes = st.builds(BoundingBox, cx=coords, cy=coords, w=sizes, h=sizes)
 
 
+WB_BB = ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb")])
+
+
 @pytest.fixture
 def registry() -> ClassRegistry:
-    return ClassRegistry([ClassLabel(0, "wb"), ClassLabel(1, "bb")])
+    return WB_BB
 
 
 class TestParsing:
@@ -271,7 +274,13 @@ def test_registry_lookup_of_an_unknown_class_is_refused(lookup, key, message):
     (lambda: ClassLabel(True, "x"), "class id must be an integer: True"),
     (lambda: ClassRegistry([ClassLabel(0, "a"), ClassLabel(True, "b")]), "class id must be an integer: True"),
     (lambda: BoundingBox.from_corners(0.5, 0.5, 0.4, 0.6), "degenerate corners: (0.5, 0.5, 0.4, 0.6)"),
-], ids=["fraction-class-id", "bool-class-id", "registry-of-a-bool-class-id", "degenerate-corners"])
+    # a lookup by class id takes what ClassLabel takes, so 1.0 and True do not name class 1
+    (lambda: WB_BB.name_of(1.0), "class id must be an integer: 1.0"),
+    (lambda: WB_BB.name_of(True), "class id must be an integer: True"),
+    (lambda: 1.0 in WB_BB, "class id must be an integer: 1.0"),
+    (lambda: True in WB_BB, "class id must be an integer: True"),
+], ids=["fraction-class-id", "bool-class-id", "registry-of-a-bool-class-id", "degenerate-corners",
+        "name-of-a-fraction", "name-of-a-bool", "fraction-in-registry", "bool-in-registry"])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()

@@ -7,6 +7,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -1066,6 +1067,49 @@ class TestDesirabilityCommand:
         assert record["error"] == "CliError"
         assert record["message"] == f"{profile}: {problem}"
         assert not (tmp_path / "out").exists()
+
+    def test_a_goal_whose_span_overflows_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # middle - low overflowed to inf inside the map and wrote "1,a,nan,nan,false"
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"goals": [
+            {"name": "m", "direction": "larger-is-better", "low": -1e308, "middle": 1e308, "high": 1.5e308},
+        ]}))
+        candidates = tmp_path / "cands.csv"
+        candidates.write_text("label,response,value\na,m,1e308\nb,m,0\n")
+        code = run_cli(
+            "--output-dir", tmp_path / "out", "desirability",
+            "--profile", profile, "--candidates", candidates,
+        )
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CliError"
+        assert record["message"] == (
+            f"{profile}: goal 0: goal 'm': breakpoints -1e+308, 1e+308, 1.5e+308 span more than the largest float"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("low, middle, high", [
+        (0.0, 5e-324, 1.0),
+        (-3.666167959379102e-308, 0.0, 0.1),
+    ])
+    def test_a_response_on_the_middle_breakpoint_scores_one_half(self, tmp_path, low, middle, high):
+        # a sits on the middle breakpoint and b one float above it, where the upper segment gives 0.5 exactly;
+        # the old map gave a 0.0 for the first goal and 0.5000000000000001 for the second, so no tie
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps([
+            {"name": "m", "direction": "larger-is-better", "low": low, "middle": middle, "high": high},
+        ]))
+        candidates = tmp_path / "cands.csv"
+        above = math.nextafter(middle, math.inf)
+        candidates.write_text(f"label,response,value\nb,m,{above!r}\na,m,{middle!r}\n")
+        out = tmp_path / "out"
+        code = run_cli("--output-dir", out, "desirability", "--profile", profile, "--candidates", candidates)
+        assert code == 0
+        assert _read_csv(out / "desirability_ranking.csv") == [
+            ["rank", "label", "D", "d_m", "tied"],
+            ["1", "a", "0.500000", "0.500000", "true"],
+            ["2", "b", "0.500000", "0.500000", "true"],
+        ]
 
 
 class TestJobs:

@@ -2,9 +2,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from deteval import desirability
 from deteval.desirability import (
     Candidate,
     DesirabilityProfile,
@@ -79,6 +80,89 @@ class TestDesirabilityOf:
         d = desirability_of(value, MAP_GOAL)
         assert 0.0 <= d <= 1.0
         assert desirability_of(value + 0.01, MAP_GOAL) >= d
+
+
+def _three_branch_map(value, goal):
+    """The map as it was once written, one branch set per direction: the reference for `desirability_of`."""
+    def interp(x0, d0, x1, d1):
+        return d0 + (d1 - d0) * (value - x0) / (x1 - x0)
+
+    if goal.direction == "target-is-best":
+        if value <= min(goal.low, goal.high) or value >= max(goal.low, goal.high):
+            return 0.0
+        if value <= goal.middle:
+            return interp(goal.low, 0.0, goal.middle, 1.0)
+        return interp(goal.middle, 1.0, goal.high, 0.0)
+    if goal.direction == "smaller-is-better":
+        if value >= goal.low:
+            return 0.0
+        if value <= goal.high:
+            return 1.0
+    else:
+        if value <= goal.low:
+            return 0.0
+        if value >= goal.high:
+            return 1.0
+    if (value <= goal.middle) == (goal.direction == "larger-is-better"):
+        return interp(goal.low, 0.0, goal.middle, 0.5)
+    return interp(goal.middle, 0.5, goal.high, 1.0)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def goals(draw):
+    low, middle, high = sorted(draw(st.lists(finite, min_size=3, max_size=3, unique=True)))
+    assume(math.isfinite(high - low))
+    direction = draw(st.sampled_from(["larger-is-better", "smaller-is-better", "target-is-best"]))
+    if direction == "smaller-is-better":
+        low, high = high, low
+    return ResponseGoal("g", direction, low, middle, high)
+
+
+class TestOneMap:
+    @given(goals(), st.lists(finite, max_size=4))
+    @settings(max_examples=600)
+    @example(ResponseGoal("g", "larger-is-better", 0.0, 5e-324, 1.0), [])
+    @example(ResponseGoal("g", "smaller-is-better", 1.0, 5e-324, 0.0), [])
+    @example(ResponseGoal("g", "target-is-best", -7e307, 5e307, 1e308), [-6e307, 7e307])
+    @example(ResponseGoal("g", "larger-is-better", -3.666167959379102e-308, 0.0, 0.1), [])
+    def test_matches_the_three_branch_map_bit_for_bit(self, goal, drawn):
+        breakpoints = (goal.low, goal.middle, goal.high)
+        neighbours = [math.nextafter(x, to) for x in breakpoints for to in (-math.inf, math.inf)]
+        for value in (*breakpoints, *neighbours, -0.0, 0.0, *drawn):
+            if not math.isfinite(value):
+                continue
+            d = desirability_of(value, goal)
+            assert 0.0 <= d <= 1.0
+            if value == goal.middle:
+                # declared: the middle breakpoint gives its own desirability, where the old map could miss it
+                assert d == (1.0 if goal.direction == "target-is-best" else 0.5)
+                if goal.direction == "larger-is-better":
+                    continue
+            assert d.hex() == _three_branch_map(value, goal).hex(), (value, goal)
+
+    @pytest.mark.parametrize("low, middle, high", [
+        (0.0, 5e-324, 1.0),  # the old map gave 0.0
+        (-3.666167959379102e-308, 0.0, 0.1),  # the old map gave 0.5000000000000001
+    ])
+    def test_the_middle_breakpoint_is_one_half_however_close_to_low(self, low, middle, high):
+        assert desirability_of(middle, ResponseGoal("g", "larger-is-better", low, middle, high)) == 0.5
+
+    def test_select_best_scores_each_candidate_once(self, fixtures_dir, monkeypatch):
+        profile = DesirabilityProfile.from_json((fixtures_dir / "desirability" / "profile.json").read_text())
+        candidates = load_candidates_csv((fixtures_dir / "desirability" / "candidates.csv").read_text())
+        calls = []
+
+        def counting(value, goal):
+            calls.append(goal.name)
+            return desirability_of(value, goal)
+
+        monkeypatch.setattr(desirability, "desirability_of", counting)
+        assert len(candidates) == len(profile.goals) == 4
+        select_best(candidates, profile)
+        assert len(calls) == 16
 
 
 def _profile(weights=(1.0, 1.0)):
@@ -263,7 +347,14 @@ class TestParsing:
      "goal weight must be positive: 0.0"),
     (lambda: ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0, weight=-2.0),
      "goal weight must be positive: -2.0"),
-], ids=["infinite", "nan", "direction", "zero-weight", "negative-weight"])
+    (lambda: ResponseGoal("m", "larger-is-better", -1e308, 1e308, 1.5e308),
+     "goal 'm': breakpoints -1e+308, 1e+308, 1.5e+308 span more than the largest float"),
+    (lambda: ResponseGoal("m", "smaller-is-better", 1.5e308, 1e308, -1e308),
+     "goal 'm': breakpoints 1.5e+308, 1e+308, -1e+308 span more than the largest float"),
+    (lambda: ResponseGoal("m", "target-is-best", -1e308, 0.0, 1e308),
+     "goal 'm': breakpoints -1e+308, 0.0, 1e+308 span more than the largest float"),
+], ids=["infinite", "nan", "direction", "zero-weight", "negative-weight",
+        "larger-span", "smaller-span", "target-span"])
 def test_goal_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()

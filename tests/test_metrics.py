@@ -756,9 +756,19 @@ class TestEvaluateDetections:
     (lambda: EvalSample("img", (), ((1.5, *UNIT),)), "class id must be an integer: 1.5"),
     (lambda: average_precision(PRCurve(0, 1, np.ones(1), np.ones(1), np.ones(1)), "5-point"),
      "unknown AP interpolation: '5-point'"),
+    # pr_curve's class id takes what EvalSample's rows take, so none of these is a curve of npos 0
+    (lambda: pr_curve([EvalSample("img", ((0, *UNIT, 0.9),), ((0, *UNIT),))], -1, 0.5),
+     "class id must be non-negative: -1"),
+    (lambda: pr_curve([EvalSample("img", ((0, *UNIT, 0.9),), ((0, *UNIT),))], True, 0.5),
+     "class id must be an integer: True"),
+    (lambda: pr_curve([EvalSample("img", ((0, *UNIT, 0.9),), ((0, *UNIT),))], 1.5, 0.5),
+     "class id must be an integer: 1.5"),
+    (lambda: pr_curve([EvalSample("img", ((0, *UNIT, 0.9),), ((0, *UNIT),))], 2**63, 0.5),
+     "class id must be below 2**63: 9223372036854775808"),
 ], ids=["detection-length", "truth-length", "center", "size", "confidence", "nan-confidence",
         "negative-class-id", "class-id-2-to-the-63", "class-id-2-to-the-1024", "bool-class-id", "fraction-class-id",
-        "interpolation"])
+        "interpolation", "pr-curve-negative-class-id", "pr-curve-bool-class-id", "pr-curve-fraction-class-id",
+        "pr-curve-class-id-2-to-the-63"])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()
