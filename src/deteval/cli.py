@@ -307,6 +307,8 @@ def cmd_evaluate(config: dict, inputs: dict) -> tuple[dict, str]:
     columns = _evaluation_columns(registry, ids, (Path(config["ground_truth_dir"]), truth_files, 5),
                                   (Path(config["predictions_dir"]), pred_files, 6))
     del truth_files, pred_files  # the columns hold what evaluation reads of them
+    if not len(registry):  # which leaves no class AP to average into mAP
+        raise CliError(f"class_registry lists no class: {config['class_registry']}")
     interpolation = config["ap_interpolation"]
     report = evaluate_detections(columns, registry, iou_threshold, interpolation=interpolation)
 
@@ -462,7 +464,9 @@ def _load_json(text: str):
 
 
 def _load_ranking_csv(text: str) -> list[dict]:
-    return [dict(row) for row in csv.DictReader(io.StringIO(text, newline=""))]
+    """A prior ranking's rows as {header cell: cell}; a row not as wide as the header is a ValueError."""
+    header, rows = read_csv(text, len(next(csv.reader(split_lines(text)), ())), lambda *cells: cells)
+    return [dict(zip(header, cells)) for cells in rows]
 
 
 def _evaluation_lines(evaluation: dict) -> list[str]:

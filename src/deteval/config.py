@@ -29,13 +29,16 @@ class InputKindError(InputError):
 
 
 def _kind(what: str, ok, convert=None):
-    """A kind of JSON value: one that `ok` holds of, as `convert(value, name)`
-    makes it, or as given without `convert`. Any other is a ConfigError that
-    says the value `name`, such as `config key seed`, must be `what`."""
+    """A kind of value: one that `ok` holds of, as `convert(value, name)` makes it, or as given without
+    `convert`. Any other is a ConfigError: `name` (`config key seed`, `tile_w`) must be `what`, got its JSON or repr."""
 
     def kind(value, name: str):
         if not ok(value):
-            raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+            try:
+                shown = json.dumps(value)
+            except (TypeError, ValueError):
+                shown = repr(value)
+            raise ConfigError(f"{name} must be {what}, got {shown}")
         return convert(value, name) if convert else value
 
     return kind
@@ -43,18 +46,20 @@ def _kind(what: str, ok, convert=None):
 
 def _number(what: str, ok):
     """An integer or float that `ok` holds of, as a float; true and false are not numbers."""
-    return _kind(what, lambda value: type(value) in (int, float) and ok(value), lambda value, _: float(value))
+    return _kind(what, lambda value: isinstance(value, (int, float)) and not isinstance(value, bool) and ok(value),
+                 lambda value, _: float(value))
 
 
 def _array(item, length: int | None = None):
-    """An array, of `length` items when that is set, each of kind `item`."""
+    """A list or tuple, of `length` items when that is set, each of kind `item`, as a list."""
     return _kind(f"an array of {length} items" if length else "an array",
-                 lambda value: isinstance(value, list) and length in (None, len(value)),
+                 lambda value: isinstance(value, (list, tuple)) and length in (None, len(value)),
                  lambda value, name: [item(entry, f"{name}[{i}]") for i, entry in enumerate(value)])
 
 
 def _one_of(*choices: str):
-    return _kind("one of " + ", ".join(map(json.dumps, choices)), lambda value: value in choices)
+    return _kind("one of " + ", ".join(map(json.dumps, choices)),
+                 lambda value: isinstance(value, str) and value in choices)
 
 
 PATH = _kind("a path", lambda value: isinstance(value, str) and value != "")
@@ -69,9 +74,15 @@ NUMBER = _number("a finite number", lambda value: abs(value) <= sys.float_info.m
 FRACTION = _number("a number in [0, 1]", lambda value: 0 <= value <= 1)
 SHARE = _number("a number in (0, 1]", lambda value: 0 < value <= 1)
 
-# The kind of each field of an `augment.operations` entry, and of the entry.
+# The edge policy, AP interpolation and augment op names, which prep and metrics import, and kinds.
+EDGE_ANCHOR, EDGE_PAD = "anchor-to-edge", "pad"
+EDGE_POLICY = _one_of(EDGE_ANCHOR, EDGE_PAD)
+AP_ALL_POINT, AP_11_POINT = "all-point", "11-point"
+AP_INTERPOLATION = _one_of(AP_ALL_POINT, AP_11_POINT)
+OP_ROTATE, OP_FLIP_LR, OP_FLIP_TB, OP_ZOOM = "rotate", "flip_left_right", "flip_top_bottom", "zoom_random"
+# The kind of each field of an `augment.operations` entry (and `AugmentOp`), and of the entry.
 _OPERATION = {
-    "op": _one_of("rotate", "flip_left_right", "flip_top_bottom", "zoom_random"),
+    "op": _one_of(OP_ROTATE, OP_FLIP_LR, OP_FLIP_TB, OP_ZOOM),
     "probability": FRACTION,
     "angles": _array(NUMBER),
     "percentage_area": SHARE,
@@ -111,7 +122,7 @@ SCHEMA = {
     "tile": {
         "width": (416, POSITIVE),
         "height": (416, POSITIVE),
-        "edge_policy": ("anchor-to-edge", _one_of("anchor-to-edge", "pad")),
+        "edge_policy": (EDGE_ANCHOR, EDGE_POLICY),
         "min_visibility": (0.3, FRACTION),
         "image_width": (None, POSITIVE),
         "image_height": (None, POSITIVE),
@@ -121,10 +132,10 @@ SCHEMA = {
         "samples": (1000, SAMPLES),
         "min_visibility": (0.3, FRACTION),
         "operations": ([
-            {"op": "rotate", "probability": 0.7, "angles": [90, 180, 270]},
-            {"op": "flip_left_right", "probability": 0.4},
-            {"op": "zoom_random", "probability": 0.4, "percentage_area": 0.8},
-            {"op": "flip_top_bottom", "probability": 0.4},
+            {"op": OP_ROTATE, "probability": 0.7, "angles": [90, 180, 270]},
+            {"op": OP_FLIP_LR, "probability": 0.4},
+            {"op": OP_ZOOM, "probability": 0.4, "percentage_area": 0.8},
+            {"op": OP_FLIP_TB, "probability": 0.4},
         ], _array(_operation)),
     },
     "split": {
@@ -133,7 +144,7 @@ SCHEMA = {
         "ids_file": (None, PATH),
     },
     "stats_inputs": ([], _array(PATH)),
-    "ap_interpolation": ("all-point", _one_of("all-point", "11-point")),
+    "ap_interpolation": (AP_ALL_POINT, AP_INTERPOLATION),
     "desirability_profile": (None, PATH),
     "candidates": (None, PATH),
     "run_metadata": ("", STRING),

@@ -10,6 +10,7 @@ import numpy as np
 
 from .annotations import BACKGROUND, BoxColumns, ClassRegistry, RegistryError, _box, _class_id_in_range
 from .annotations import _confidence, integer, left_sum, read_csv
+from .config import AP_11_POINT, AP_ALL_POINT, AP_INTERPOLATION, SHARE
 
 STRATA = ("top", "middle", "bottom")
 
@@ -105,14 +106,13 @@ def _corners(values):
 
 def _candidates(columns: EvalColumns, iou_threshold: float):
     """(detection rows, truth rows, IoUs) of every pair within one image whose
-    IoU is at or above the threshold, detection-major.
+    IoU is at or above the threshold, in greedy order: -confidence, row, -IoU, col.
 
     Each IoU is bit-identical to `annotations.iou` of the two boxes. Negative
     overlaps are clipped to 0, which leaves every positive intersection
     unchanged and sends every other pair below the (positive) threshold, as
     the scalar early return does."""
-    if not (0.0 < iou_threshold <= 1.0):
-        raise ValueError(f"iou_threshold out of (0,1]: {iou_threshold}")
+    SHARE(iou_threshold, "iou_threshold")
     dets, truths = columns.detections, columns.truths
     # each detection row pairs with the truth rows of its image
     n_pairs = np.repeat(np.diff(truths.offsets), np.diff(dets.offsets))
@@ -143,26 +143,21 @@ def _candidates(columns: EvalColumns, iou_threshold: float):
             hit = value >= iou_threshold
             found.append((rows[hit], cols[hit], value[hit]))
             start = stop
-    return tuple(np.concatenate(column) for column in zip(*found))
+    rows, cols, ious = (np.concatenate(column) for column in zip(*found))
+    order = np.lexsort((cols, -ious, rows, -dets.values[rows, 4]))
+    return rows[order], cols[order], ious[order]
 
 
-def _greedy(columns: EvalColumns, candidates, cross_class: bool):
+def _greedy(rows, cols, ious):
     """(detection rows, truth rows, IoUs) of the pairs a greedy one-to-one
-    assignment makes, in the order it makes them: detections in
-    descending-confidence order (row order breaks ties) each claim the
-    untaken truth of highest IoU among their candidates; the first truth
-    wins an IoU tie. Without cross_class only same-class pairs are eligible.
-    Images share no truths, so one pass over all their candidates, sorted
-    once, pairs each image as a pass of its own would. A pair whose
-    detection and truth are in no other candidate pair is made wherever it
-    falls in that order and blocks no other pair, so all such pairs are
+    assignment makes of candidates in `_candidates`' order, in the order it
+    makes them: detections in descending-confidence order (row order breaks
+    ties) each claim the untaken truth of highest IoU among their candidates;
+    the first truth wins an IoU tie. Images share no truths, so one pass over
+    all their candidates pairs each image as a pass of its own would. A pair
+    whose detection and truth are in no other candidate pair is made wherever
+    it falls in that order and blocks no other pair, so all such pairs are
     settled at once and only the contested rest is walked in order."""
-    rows, cols, ious = candidates
-    if not cross_class:
-        same = columns.detections.labels[rows] == columns.truths.labels[cols]
-        rows, cols, ious = rows[same], cols[same], ious[same]
-    order = np.lexsort((cols, -ious, rows, -columns.detections.values[rows, 4]))
-    rows, cols, ious = rows[order], cols[order], ious[order]
     made = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
     contested = np.flatnonzero(~made)
     det_taken, truth_taken = set(), set()
@@ -226,9 +221,10 @@ def _class_curve(columns: EvalColumns, is_tp, position: int, class_id: int) -> P
 
 
 def _true_positives(columns: EvalColumns, candidates) -> np.ndarray:
-    """Whether each detection is matched by the same-class greedy pass."""
+    """Whether each detection is matched by the greedy pass over the same-class candidates."""
+    same = columns.detections.labels[candidates[0]] == columns.truths.labels[candidates[1]]
     is_tp = np.zeros(len(columns.detections.labels), dtype=bool)
-    is_tp[_greedy(columns, candidates, cross_class=False)[0]] = True
+    is_tp[_greedy(*(column[same] for column in candidates))[0]] = True
     return is_tp
 
 
@@ -247,10 +243,6 @@ def pr_curve(samples, class_id: int, iou_threshold: float) -> PRCurve:
     return _class_curve(columns, is_tp, positions[class_id], class_id)
 
 
-AP_ALL_POINT = "all-point"
-AP_11_POINT = "11-point"
-
-
 def average_precision(curve: PRCurve, interpolation: str = AP_ALL_POINT) -> MetricValue:
     """Interpolated AP over a PR sweep.
 
@@ -258,8 +250,7 @@ def average_precision(curve: PRCurve, interpolation: str = AP_ALL_POINT) -> Metr
     the monotone precision envelope (the largest precision at any recall at
     or beyond the increment); "11-point" averages that envelope at recalls
     0.0, 0.1, ..., 1.0, added in that order."""
-    if interpolation not in (AP_ALL_POINT, AP_11_POINT):
-        raise ValueError(f"unknown AP interpolation: {interpolation!r}")
+    AP_INTERPOLATION(interpolation, "interpolation")
     if not len(curve.recall) or curve.npos == 0:
         return MetricValue(0.0, degenerate=True)
     # the largest precision at or after each point, never below 0.0
@@ -434,11 +425,10 @@ def evaluate_detections(
             if value.degenerate:
                 flags.append(f"{metric_name}[{name}]")
         per_class.append(ClassEvaluation(class_id, name, tally, p, r, f, acc, ap, curve))
-    cross = _greedy(columns, candidates, cross_class=True)
     return EvaluationReport(
         iou_threshold=iou_threshold,
         per_class=tuple(per_class),
         map50=mean_average_precision(c.ap for c in per_class),
-        confusion=_confusion(det_labels, truth_labels, cross[:2], registry),
+        confusion=_confusion(det_labels, truth_labels, _greedy(*candidates)[:2], registry),
         degenerate_flags=tuple(flags),
     )

@@ -8,14 +8,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-EDGE_ANCHOR = "anchor-to-edge"
-EDGE_PAD = "pad"
-
-OP_ROTATE = "rotate"
-OP_FLIP_LR = "flip_left_right"
-OP_FLIP_TB = "flip_top_bottom"
-OP_ZOOM = "zoom_random"
-_KNOWN_OPS = (OP_ROTATE, OP_FLIP_LR, OP_FLIP_TB, OP_ZOOM)
+# A setting the CLI takes too is checked by its config key's kind, whose ConfigError names the field.
+from .config import _OPERATION, EDGE_ANCHOR, EDGE_PAD, EDGE_POLICY, FRACTION, POSITIVE
+from .config import OP_FLIP_LR, OP_FLIP_TB, OP_ROTATE, OP_ZOOM
 
 MAX_TILES_PER_IMAGE = 65_536
 # The largest side at which every pixel coordinate is exact as a float
@@ -30,12 +25,10 @@ class TileSpec:
     min_visibility: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.tile_w <= 0 or self.tile_h <= 0:
-            raise ValueError(f"tile size must be positive: {self.tile_w}x{self.tile_h}")
-        if self.edge_policy not in (EDGE_ANCHOR, EDGE_PAD):
-            raise ValueError(f"unknown edge policy: {self.edge_policy!r}")
-        if not (0.0 <= self.min_visibility <= 1.0):
-            raise ValueError(f"min_visibility out of [0,1]: {self.min_visibility}")
+        POSITIVE(self.tile_w, "tile_w")
+        POSITIVE(self.tile_h, "tile_h")
+        EDGE_POLICY(self.edge_policy, "edge_policy")
+        FRACTION(self.min_visibility, "min_visibility")
 
 
 @dataclass(frozen=True)
@@ -51,12 +44,14 @@ class TileRect:
 def plan_tiles(img_w: int, img_h: int, spec: TileSpec) -> list[TileRect]:
     """Lay out a ceil(w/tw) x ceil(h/th) tile grid covering the whole image;
     a grid of more than MAX_TILES_PER_IMAGE tiles, or a side above MAX_SIDE,
-    is a ValueError.
+    is a ValueError, as is a side that is not an integer of at least 1.
 
     Under the anchor-to-edge policy the last row/column is shifted back so
     tiles stay inside the image (adjacent tiles may overlap); under the pad
     policy tiles stay on the grid and may extend past the image.
     """
+    POSITIVE(img_w, "img_w")
+    POSITIVE(img_h, "img_h")
     if img_w < spec.tile_w or img_h < spec.tile_h:
         raise ValueError(f"image {img_w}x{img_h} smaller than tile {spec.tile_w}x{spec.tile_h}")
     nx, ny = -(-img_w // spec.tile_w), -(-img_h // spec.tile_h)
@@ -156,15 +151,15 @@ class AugmentOp:
     percentage_area: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _KNOWN_OPS:
-            raise ValueError(f"unknown augmentation op: {self.name!r}")
-        if not (0.0 <= self.probability <= 1.0):
-            raise ValueError(f"probability out of [0,1]: {self.probability}")
+        _OPERATION["op"](self.name, "name")
+        _OPERATION["probability"](self.probability, "probability")
+        _OPERATION["angles"](self.angles, "angles")
+        if self.percentage_area is not None:
+            _OPERATION["percentage_area"](self.percentage_area, "percentage_area")
         if self.name == OP_ROTATE and not self.angles:
             raise ValueError("rotate needs a non-empty angle set")
-        if self.name == OP_ZOOM:
-            if self.percentage_area is None or not (0.0 < self.percentage_area <= 1.0):
-                raise ValueError(f"zoom_random needs percentage_area in (0,1]: {self.percentage_area}")
+        if self.name == OP_ZOOM and self.percentage_area is None:
+            raise ValueError("zoom_random needs percentage_area in (0,1]: None")
 
     @classmethod
     def from_config(cls, entry: dict) -> AugmentOp:
@@ -180,8 +175,7 @@ class AugmentPipeline:
     min_visibility: float = 0.3
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.min_visibility <= 1.0):
-            raise ValueError(f"min_visibility out of [0,1]: {self.min_visibility}")
+        FRACTION(self.min_visibility, "min_visibility")
 
 
 # Boxes travel through the ops as (label, cx, cy, w, h) tuples so the
@@ -265,8 +259,8 @@ class SplitRatio:
     test: int
 
     def __post_init__(self) -> None:
-        if min(self.train, self.val, self.test) <= 0:
-            raise ValueError(f"ratio weights must be positive: {self.train}:{self.val}:{self.test}")
+        for name in ("train", "val", "test"):
+            POSITIVE(getattr(self, name), name)
 
     @property
     def weights(self) -> tuple[int, int, int]:

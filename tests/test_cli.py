@@ -521,6 +521,17 @@ class TestEvaluate:
         assert curve[0] == ["threshold", "precision", "recall"]
         assert len(curve) - 1 == 4
 
+    def test_registry_of_no_class_exits_2_naming_it(self, tmp_path, capsys):
+        for side in ("truth", "preds"):
+            (tmp_path / side).mkdir()
+            (tmp_path / side / "a.txt").write_text("")
+        (tmp_path / "classes.txt").write_text("")
+        assert run_cli("--output-dir", tmp_path / "out", "evaluate", "--ground-truth-dir", tmp_path / "truth",
+                       "--predictions-dir", tmp_path / "preds", "--class-registry", tmp_path / "classes.txt") == 2
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "CliError", "message": f"class_registry lists no class: {tmp_path / 'classes.txt'}"}
+        assert not (tmp_path / "out").exists()
+
     # SHA-256 of the fixture run's artifacts as `csv.writer` wrote the curves
     FIXTURE_DIGESTS = {
         "evaluation.json": "1b2e13ff4f2d8c53f782c623140eb63e68a6ce22db40875e163c4db6fe69e312",
@@ -1712,6 +1723,18 @@ class TestReport:
         assert message == f"{out / filename}: not a finite number: {constant!r}"
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("row, fields", [("1,yolov5m", 2), ("2,yolov5s,0.5,0.5,false,extra", 6)],
+                             ids=["short", "long"])
+    def test_ranking_row_not_as_wide_as_its_header_exits_2_naming_its_line(self, tmp_path, capsys, row, fields):
+        out = tmp_path / "out"
+        out.mkdir()
+        ranking = out / "desirability_ranking.csv"
+        ranking.write_text(f"rank,label,D,d_map50,tied\n{row}\n")
+        assert run_cli("--output-dir", out, "report") == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert message == f"{ranking}: line 2: expected 5 fields, got {fields}"
+        assert [path.name for path in out.iterdir()] == ["desirability_ranking.csv"]
+
     def test_crlf_ranking_reads_as_lf(self, fixtures_dir, tmp_path):
         out = tmp_path / "out"
         self._populate(fixtures_dir, out)
@@ -2383,13 +2406,13 @@ class TestConfigSchema:
 
     def test_each_set_of_names_takes_every_name_the_program_defines(self):
         from deteval.metrics import AP_11_POINT, AP_ALL_POINT
-        from deteval.prep import _KNOWN_OPS, EDGE_ANCHOR, EDGE_PAD
+        from deteval.prep import EDGE_ANCHOR, EDGE_PAD, OP_FLIP_LR, OP_FLIP_TB, OP_ROTATE, OP_ZOOM
 
         for policy in (EDGE_ANCHOR, EDGE_PAD):
             assert load_config(None, {"tile": {"edge_policy": policy}})["tile"]["edge_policy"] == policy
         for interpolation in (AP_ALL_POINT, AP_11_POINT):
             assert load_config(None, {"ap_interpolation": interpolation})["ap_interpolation"] == interpolation
-        for name in _KNOWN_OPS:
+        for name in (OP_ROTATE, OP_FLIP_LR, OP_FLIP_TB, OP_ZOOM):
             operation = {"op": name, "probability": 1, "percentage_area": 0.5}
             assert load_config(None, {"augment": {"operations": [operation]}})["augment"]["operations"] == [
                 {"op": name, "probability": 1.0, "percentage_area": 0.5}

@@ -69,8 +69,11 @@ def matched_pairs(detections, truths, iou_threshold, cross_class=False):
     """(det_index, truth_index, iou) of the pairs the columnar core makes in
     one image of classes 0-2, in the order it makes them."""
     columns = metrics.EvalColumns.from_samples([EvalSample("img", detections, truths)], {0: 0, 1: 1, 2: 2})
-    pairs = metrics._greedy(columns, metrics._candidates(columns, iou_threshold), cross_class)
-    return list(zip(*(column.tolist() for column in pairs)))
+    rows, cols, ious = metrics._candidates(columns, iou_threshold)
+    if not cross_class:
+        same = columns.detections.labels[rows] == columns.truths.labels[cols]
+        rows, cols, ious = rows[same], cols[same], ious[same]
+    return list(zip(*(column.tolist() for column in metrics._greedy(rows, cols, ious))))
 
 
 def _evaluate(detections, truths, iou_threshold=0.5):
@@ -251,7 +254,7 @@ def columnar_image_summaries(samples, class_ids, iou_threshold):
     columns = metrics.EvalColumns.from_samples(samples, {c: k for k, c in enumerate(class_ids)})
     candidates = metrics._candidates(columns, iou_threshold)
     is_tp = metrics._true_positives(columns, candidates).tolist()
-    cross = list(zip(*(c.tolist() for c in metrics._greedy(columns, candidates, cross_class=True))))
+    cross = list(zip(*(c.tolist() for c in metrics._greedy(*candidates))))
     d_off, t_off = columns.detections.offsets.tolist(), columns.truths.offsets.tolist()
     summaries = []
     for m, sample in enumerate(samples):
@@ -755,7 +758,7 @@ class TestEvaluateDetections:
     (lambda: EvalSample("img", ((True, *UNIT, 0.9),), ()), "class id must be an integer: True"),
     (lambda: EvalSample("img", (), ((1.5, *UNIT),)), "class id must be an integer: 1.5"),
     (lambda: average_precision(PRCurve(0, 1, np.ones(1), np.ones(1), np.ones(1)), "5-point"),
-     "unknown AP interpolation: '5-point'"),
+     'interpolation must be one of "all-point", "11-point", got "5-point"'),
     # pr_curve's class id takes what EvalSample's rows take, so none of these is a curve of npos 0
     (lambda: pr_curve([EvalSample("img", ((0, *UNIT, 0.9),), ((0, *UNIT),))], -1, 0.5),
      "class id must be non-negative: -1"),

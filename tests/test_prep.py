@@ -361,7 +361,7 @@ class TestAugment:
         assert prep.augment(rows, pipeline, 3) == prep.augment(rows, pipeline, 8)[:3]
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unknown augmentation op"):
+        with pytest.raises(ValueError, match="^name must be one of "):
             AugmentOp("sharpen", 0.5)
         with pytest.raises(ValueError, match="percentage_area"):
             AugmentOp("zoom_random", 0.5)
@@ -528,7 +528,7 @@ class TestSplit:
             split_dataset([], SplitRatio(15, 3, 2), 0)
         with pytest.raises(ValueError, match="2 ids leave the val partition empty"):
             split_dataset(["a", "b"], SplitRatio(15, 3, 2), 0)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="^val must be an integer of at least 1, got 0$"):
             SplitRatio(15, 0, 2)
 
 
@@ -553,15 +553,19 @@ class TestSampleIds:
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: TileSpec(0, 416), "tile size must be positive: 0x416"),
-    (lambda: TileSpec(416, -1), "tile size must be positive: 416x-1"),
-    (lambda: TileSpec(416, 416, "crop"), "unknown edge policy: 'crop'"),
-    (lambda: TileSpec(416, 416, min_visibility=1.5), "min_visibility out of [0,1]: 1.5"),
-    (lambda: _pipeline(min_visibility=-0.1), "min_visibility out of [0,1]: -0.1"),
+    (lambda: TileSpec(0, 416), "tile_w must be an integer of at least 1, got 0"),
+    (lambda: TileSpec(416, -1), "tile_h must be an integer of at least 1, got -1"),
+    (lambda: TileSpec(416, 416, "crop"), 'edge_policy must be one of "anchor-to-edge", "pad", got "crop"'),
+    (lambda: TileSpec(416, 416, min_visibility=1.5), "min_visibility must be a number in [0, 1], got 1.5"),
+    (lambda: TileSpec(416.5, 416), "tile_w must be an integer of at least 1, got 416.5"),
+    (lambda: plan_tiles(True, 416, TileSpec(416, 416)), "img_w must be an integer of at least 1, got true"),
+    (lambda: AugmentOp("rotate", 1.0, angles=(float("nan"),)), "angles[0] must be a finite number, got NaN"),
+    (lambda: SplitRatio(1.5, True, 1), "train must be an integer of at least 1, got 1.5"),
+    (lambda: _pipeline(min_visibility=-0.1), "min_visibility must be a number in [0, 1], got -0.1"),
     (lambda: prep.augment([(0, 0.5, 0.5, 0.2, 0.2)], _pipeline(), -1), "sample_count must be >= 0: -1"),
     (lambda: sample_ids(["a", "b"], -1, 0), "count must be >= 0: -1"),
-], ids=["tile-width", "tile-height", "edge-policy", "tile-min-visibility", "augment-min-visibility",
-        "augment-sample-count", "sample-count"])
+], ids=["tile-width", "tile-height", "edge-policy", "tile-min-visibility", "fractional-tile-width", "bool-image-width",
+        "nan-angle", "fractional-ratio", "augment-min-visibility", "augment-sample-count", "sample-count"])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()
