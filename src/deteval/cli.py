@@ -35,6 +35,8 @@ from .annotations import (
     yolo_rows,
 )
 from .config import (
+    EDGE_ANCHOR,
+    EDGE_PAD,
     SCHEMA_VERSION,
     InputKindError,
     digest_inputs,
@@ -611,7 +613,7 @@ _FLAGS = (
         "type": partial(_parse_wxh, "--image-size"), "help": "WxH applied to every image"}),
     (("tile",), "--image-sizes-csv", "tile.image_sizes_csv", {
         "type": _path, "help": "CSV image_id,width_px,height_px"}),
-    (("tile",), "--edge-policy", "tile.edge_policy", {"help": "anchor-to-edge or pad"}),
+    (("tile",), "--edge-policy", "tile.edge_policy", {"help": f"{EDGE_ANCHOR} or {EDGE_PAD}"}),
     (("tile",), "--min-visibility", "tile.min_visibility", {"type": number}),
     (("augment",), "--samples", "augment.samples", {"type": integer}),
     (("split",), "--ids-file", "split.ids_file", {"type": _path, "help": "one image id per line"}),

@@ -70,6 +70,9 @@ OBJECT = _kind("an object", lambda value: isinstance(value, dict))
 SAMPLES = _kind("an integer in [0, 10000]", lambda value: type(value) is int and 0 <= value <= 10_000)
 POSITIVE = _kind("an integer of at least 1", lambda value: type(value) is int and value >= 1)
 SEED = _kind("an integer in [0, 2**64 - 1]", lambda value: type(value) is int and 0 <= value < 2**64)
+# The library's counts and seeds, in a wider range than SAMPLES and SEED: any count, and any integer seed
+COUNT = _kind("an integer of at least 0", lambda value: type(value) is int and value >= 0)
+INTEGER = _kind("an integer", lambda value: type(value) is int)
 NUMBER = _number("a finite number", lambda value: abs(value) <= sys.float_info.max)
 FRACTION = _number("a number in [0, 1]", lambda value: 0 <= value <= 1)
 SHARE = _number("a number in (0, 1]", lambda value: 0 < value <= 1)

@@ -8,8 +8,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-# A setting the CLI takes too is checked by its config key's kind, whose ConfigError names the field.
-from .config import _OPERATION, EDGE_ANCHOR, EDGE_PAD, EDGE_POLICY, FRACTION, POSITIVE
+# A setting the CLI takes too is checked by its config key's kind, or a count or seed by the wider COUNT or
+# INTEGER; the ConfigError names the field.
+from .config import _OPERATION, COUNT, EDGE_ANCHOR, EDGE_PAD, EDGE_POLICY, FRACTION, INTEGER, POSITIVE
 from .config import OP_FLIP_LR, OP_FLIP_TB, OP_ROTATE, OP_ZOOM
 
 MAX_TILES_PER_IMAGE = 65_536
@@ -175,6 +176,7 @@ class AugmentPipeline:
     min_visibility: float = 0.3
 
     def __post_init__(self) -> None:
+        INTEGER(self.rng_seed, "rng_seed")
         FRACTION(self.min_visibility, "min_visibility")
 
 
@@ -227,8 +229,7 @@ def augment(rows, pipeline: AugmentPipeline, sample_count: int) -> list[list[tup
     so it depends only on (rng_seed, k) and can be regenerated alone. Every
     draw is a `random()` call, whose sequence Python keeps across versions.
     """
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be >= 0: {sample_count}")
+    COUNT(sample_count, "sample_count")
     samples = []
     for k in range(sample_count):
         rng = random.Random(f"{pipeline.rng_seed}/{k}")
@@ -305,6 +306,7 @@ def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
     sizes, each at least 1. Sizes depend only on the count and ratio;
     membership comes from a seeded shuffle.
     """
+    INTEGER(rng_seed, "rng_seed")
     ids = _distinct(image_ids)
     sizes = apportion(len(ids), ratio.weights)
     if 0 in sizes:
@@ -316,9 +318,9 @@ def split_dataset(image_ids, ratio: SplitRatio, rng_seed: int) -> SplitResult:
 
 def sample_ids(image_ids, count: int, rng_seed: int) -> list[str]:
     """Draw `count` of the distinct ids with a seeded RNG."""
+    COUNT(count, "count")
+    INTEGER(rng_seed, "rng_seed")
     ids = _distinct(image_ids)
-    if count < 0:
-        raise ValueError(f"count must be >= 0: {count}")
     if count > len(ids):
         raise ValueError(f"cannot draw {count} of {len(ids)} ids without replacement")
     return random.Random(rng_seed).sample(ids, count)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from deteval import cli, metrics
 from deteval.cli import main
-from deteval.config import DEFAULTS, SCHEMA, InputError, json_text, load_config, read_input
+from deteval.config import DEFAULTS, EDGE_POLICY, SCHEMA, ConfigError, InputError, json_text, load_config, read_input
 
 
 def run_cli(*argv):
@@ -2150,6 +2150,14 @@ class TestFlagTable:
         assert record["error"] == "CliError"
         assert repr(argv[-1]) in record["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_edge_policy_help_names_each_policy(self):
+        with pytest.raises(ConfigError) as info:  # the kind's refusal lists its policies
+            EDGE_POLICY(None, "edge_policy")
+        policies = json.loads("[" + re.fullmatch(r".* one of (.*), got null", str(info.value)).group(1) + "]")
+        (commands, _, _, options), = [row for row in cli._FLAGS if row[1] == "--edge-policy"]
+        assert commands == ("tile",)
+        assert options["help"].split(" or ") == policies
 
     @pytest.mark.parametrize("argv", [["split", "--with-replacement"], ["tile", "--images-dir", "images"]],
                              ids=["--with-replacement", "--images-dir"])

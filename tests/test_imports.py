@@ -2,9 +2,7 @@
 package's public names."""
 
 import dataclasses
-import os
 import re
-import subprocess
 import sys
 import types
 from pathlib import Path
@@ -12,8 +10,6 @@ from pathlib import Path
 import pytest
 
 import deteval
-
-SRC = Path(deteval.__file__).resolve().parent.parent
 
 # Runs `deteval.cli.main(argv)` in a fresh interpreter, then fails unless
 # it loaded numpy exactly when expected and exactly the deteval modules
@@ -45,27 +41,16 @@ if os.path.isdir("/proc/self/task"):
 _BASE = ("deteval.annotations", "deteval.cli", "deteval.config")
 
 
-# Variables that set the thread count of numpy's BLAS; the child runs
-# without them unless a test sets one.
-_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")
-
-
-def _child(code, *argv, **variables):
-    path = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARIABLES}
-    env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, env=env, timeout=120
-    )
+def _succeeds(proc):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_deteval_loads_no_module():
-    _child(
+def test_import_deteval_loads_no_module(child):
+    _succeeds(child(
         "import sys, deteval\n"
         "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('deteval.')]\n"
         "assert not loaded, loaded\n"
-    )
+    ))
 
 
 @pytest.mark.parametrize(
@@ -81,7 +66,7 @@ def test_import_deteval_loads_no_module():
         ("stats", ("deteval.stats",)),
     ],
 )
-def test_command_loads_only_what_it_runs(fixtures_dir, tmp_path, command, modules):
+def test_command_loads_only_what_it_runs(child, fixtures_dir, tmp_path, command, modules):
     out = tmp_path / "out"
     detection, desirability = fixtures_dir / "detection", fixtures_dir / "desirability"
     ids = tmp_path / "ids.txt"
@@ -100,12 +85,12 @@ def test_command_loads_only_what_it_runs(fixtures_dir, tmp_path, command, module
         "stats": ["stats", "--inputs", fixtures_dir / "stats" / "height_accuracy.csv"],
     }[command]
     out.mkdir()
-    _child(_RUN_COMMAND, ",".join(sorted(_BASE + modules)), "--output-dir", out, *argv)
+    _succeeds(child(_RUN_COMMAND, ",".join(sorted(_BASE + modules)), "--output-dir", out, *argv))
 
 
-def test_blas_thread_count_already_set_is_kept(fixtures_dir, tmp_path):
+def test_blas_thread_count_already_set_is_kept(child, fixtures_dir, tmp_path):
     detection = fixtures_dir / "detection"
-    _child(
+    _succeeds(child(
         "import os, sys\n"
         "from deteval.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
@@ -113,7 +98,7 @@ def test_blas_thread_count_already_set_is_kept(fixtures_dir, tmp_path):
         "--output-dir", tmp_path / "out", "evaluate", "--ground-truth-dir", detection / "truth",
         "--predictions-dir", detection / "preds", "--class-registry", detection / "classes.txt",
         OPENBLAS_NUM_THREADS="2",
-    )
+    ))
 
 
 # The package's public names; a name leaves or joins this list only by a

@@ -562,10 +562,22 @@ class TestSampleIds:
     (lambda: AugmentOp("rotate", 1.0, angles=(float("nan"),)), "angles[0] must be a finite number, got NaN"),
     (lambda: SplitRatio(1.5, True, 1), "train must be an integer of at least 1, got 1.5"),
     (lambda: _pipeline(min_visibility=-0.1), "min_visibility must be a number in [0, 1], got -0.1"),
-    (lambda: prep.augment([(0, 0.5, 0.5, 0.2, 0.2)], _pipeline(), -1), "sample_count must be >= 0: -1"),
-    (lambda: sample_ids(["a", "b"], -1, 0), "count must be >= 0: -1"),
+    (lambda: prep.augment([(0, 0.5, 0.5, 0.2, 0.2)], _pipeline(), -1),
+     "sample_count must be an integer of at least 0, got -1"),
+    (lambda: prep.augment([(0, 0.5, 0.5, 0.2, 0.2)], _pipeline(), True),
+     "sample_count must be an integer of at least 0, got true"),
+    (lambda: prep.augment([(0, 0.5, 0.5, 0.2, 0.2)], _pipeline(), 2.5),
+     "sample_count must be an integer of at least 0, got 2.5"),
+    (lambda: AugmentPipeline((), 1.5), "rng_seed must be an integer, got 1.5"),
+    (lambda: sample_ids(["a", "b"], -1, 0), "count must be an integer of at least 0, got -1"),
+    (lambda: sample_ids(["a", "b"], True, 0), "count must be an integer of at least 0, got true"),
+    (lambda: sample_ids(["a", "b"], 1.5, 0), "count must be an integer of at least 0, got 1.5"),
+    (lambda: sample_ids(["a", "b"], 1, 1.5), "rng_seed must be an integer, got 1.5"),
+    (lambda: split_dataset(["a", "b", "c"], SplitRatio(1, 1, 1), 1.5), "rng_seed must be an integer, got 1.5"),
 ], ids=["tile-width", "tile-height", "edge-policy", "tile-min-visibility", "fractional-tile-width", "bool-image-width",
-        "nan-angle", "fractional-ratio", "augment-min-visibility", "augment-sample-count", "sample-count"])
+        "nan-angle", "fractional-ratio", "augment-min-visibility", "augment-sample-count", "bool-augment-sample-count",
+        "fractional-augment-sample-count", "fractional-augment-seed", "sample-count", "bool-sample-count",
+        "fractional-sample-count", "fractional-sample-seed", "fractional-split-seed"])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()
