@@ -101,7 +101,10 @@ def _read(inputs: dict, key: str, value, parse=None, *args, name: str = "", outp
         raise CliError(f"{name or key}: {exc}") from None
     if output_dir and os.path.isdir(output_dir) and os.path.samefile(value, output_dir):
         raise CliError(f"{name or key} and output_dir are one directory, whose outputs it would read: {value}")
-    inputs[key] = digest_inputs(data)
+    try:
+        inputs[key] = digest_inputs(data)
+    except UnicodeEncodeError as exc:  # a file name UTF-8 cannot hold, which no manifest could record
+        raise CliError(f"{name or key}: not a UTF-8 file name: {os.fsencode(Path(value, exc.object))!r}") from None
     return data if parse is None else _parse_file(parse, Path(value), data, *args)
 
 
@@ -461,8 +464,14 @@ def cmd_desirability(config: dict, inputs: dict) -> tuple[dict, str]:
 
 
 def _load_json(text: str):
-    """A prior JSON output; `NaN` and `Infinity`, which no artifact may hold, are a ValueError."""
-    return json.loads(text, parse_constant=number)
+    """A prior JSON output; `NaN` and `Infinity`, which no artifact may hold, are a ValueError, as is
+    a lone surrogate such as `\\ud800`, which UTF-8 cannot hold and so no report could write."""
+    document = json.loads(text, parse_constant=number)
+    try:
+        json.dumps(document, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"holds text that UTF-8 cannot hold: {exc.object[exc.start:exc.end]!r}") from None
+    return document
 
 
 def _load_ranking_csv(text: str) -> list[dict]:

@@ -62,8 +62,18 @@ def _one_of(*choices: str):
                  lambda value: isinstance(value, str) and value in choices)
 
 
-PATH = _kind("a path", lambda value: isinstance(value, str) and value != "")
-STRING = _kind("a string", lambda value: isinstance(value, str))
+def _utf8(value: str, name: str) -> str:
+    """`value`, if UTF-8 can hold it. A lone surrogate, which a JSON `\\ud800` escape or an undecodable byte
+    of an OS name makes, could not be written to the run manifest."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{name} must be text that UTF-8 can hold, got {json.dumps(value)}") from None
+    return value
+
+
+PATH = _kind("a path", lambda value: isinstance(value, str) and value != "", _utf8)
+STRING = _kind("a string", lambda value: isinstance(value, str), _utf8)
 BOOLEAN = _kind("true or false", lambda value: isinstance(value, bool))
 OBJECT = _kind("an object", lambda value: isinstance(value, dict))
 # `augment` names sample k of a source `_aug{k:04d}`, four digits up to 10,000 samples

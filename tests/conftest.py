@@ -20,8 +20,8 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def child():
-    """`child(code, *argv, cwd=None, **variables)` runs `python -c code argv...`
-    in a fresh interpreter, in `cwd`, and returns its CompletedProcess with
+    """`child(code, *argv, **variables)` runs `python -c code argv...`
+    in a fresh interpreter and returns its CompletedProcess with
     text output. The child imports the deteval under test: its source
     directory comes first on PYTHONPATH. It has this process's environment
     with `variables` set, less the BLAS thread-count variables they do not set."""
@@ -29,11 +29,11 @@ def child():
 
     src = Path(deteval.__file__).resolve().parent.parent
 
-    def run(code, *argv, cwd=None, **variables) -> subprocess.CompletedProcess:
+    def run(code, *argv, **variables) -> subprocess.CompletedProcess:
         path = [str(src), os.environ.get("PYTHONPATH")]
         env = {name: value for name, value in os.environ.items() if name not in _THREAD_VARIABLES}
         env.update(variables, PYTHONPATH=os.pathsep.join(filter(None, path)))
         return subprocess.run([sys.executable, "-c", code, *map(str, argv)],
-                              capture_output=True, text=True, env=env, cwd=cwd, timeout=120)
+                              capture_output=True, text=True, env=env, timeout=120)
 
     return run

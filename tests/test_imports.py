@@ -1,7 +1,9 @@
-"""What importing the package and running each command loads, and the
-package's public names."""
+"""What only a fresh interpreter shows: what importing the package and
+running each command through the installed script's entry loads, a refusal
+through that entry, and the package's public names."""
 
 import dataclasses
+import json
 import re
 import sys
 import types
@@ -11,7 +13,8 @@ import pytest
 
 import deteval
 
-# Runs `deteval.cli.main(argv)` in a fresh interpreter, then fails unless
+# Runs `deteval.cli.run()`, the installed script's entry, with `sys.argv` set
+# to `deteval` and argv, in a fresh interpreter, then fails unless
 # it loaded numpy exactly when expected and exactly the deteval modules
 # expected, loaded neither test extra (scipy, hypothesis), and left the
 # process with one thread: numpy's BLAS started no worker threads.
@@ -19,12 +22,13 @@ import deteval
 _RUN_COMMAND = """
 import os
 import sys
-from deteval.cli import main
+from deteval.cli import run
 
 assert "OPENBLAS_NUM_THREADS" not in os.environ
 expected, *argv = sys.argv[1:]
+sys.argv = ["deteval", *argv]
 try:
-    code = main(argv)
+    code = run()
 except SystemExit as exc:  # --version exits from argparse
     code = exc.code
 assert code == 0, f"exit {code}"
@@ -92,13 +96,25 @@ def test_blas_thread_count_already_set_is_kept(child, fixtures_dir, tmp_path):
     detection = fixtures_dir / "detection"
     _succeeds(child(
         "import os, sys\n"
-        "from deteval.cli import main\n"
-        "assert main(sys.argv[1:]) == 0\n"
+        "from deteval.cli import run\n"
+        "sys.argv = ['deteval', *sys.argv[1:]]\n"
+        "assert run() == 0\n"
         "assert os.environ['OPENBLAS_NUM_THREADS'] == '2', os.environ['OPENBLAS_NUM_THREADS']\n",
         "--output-dir", tmp_path / "out", "evaluate", "--ground-truth-dir", detection / "truth",
         "--predictions-dir", detection / "preds", "--class-registry", detection / "classes.txt",
         OPENBLAS_NUM_THREADS="2",
     ))
+
+
+def test_refusal_through_the_script_is_one_record(child, tmp_path):
+    # 3 ids leave a partition empty at 15:3:2
+    (tmp_path / "ids.txt").write_text("a\nb\nc\n")
+    proc = child("import sys; from deteval.cli import run; sys.argv[0] = 'deteval'; sys.exit(run())",
+                 "--output-dir", tmp_path / "out", "split", "--ids-file", tmp_path / "ids.txt")
+    assert proc.returncode == 2, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["error"] == "CliError"
+    assert not (tmp_path / "out").exists()
 
 
 # The package's public names; a name leaves or joins this list only by a

@@ -1,4 +1,3 @@
-import itertools
 import random
 import warnings
 from collections import Counter
@@ -598,19 +597,6 @@ class TestPRCurveAndAP:
         ours = average_precision(curve, interpolation)
         oracle = scalar_average_precision(points, npos, interpolation)
         assert (ours.hex(), ours.degenerate) == (oracle.hex(), oracle.degenerate)
-
-    def test_small_exhaustive_against_oracle(self):
-        grid = [0.25, 0.5, 0.75, 1.0]
-        for n_det in range(0, 4):
-            for confs in itertools.combinations_with_replacement(grid, n_det):
-                for flags in itertools.product([False, True], repeat=n_det):
-                    for npos in range(0, 3):
-                        if sum(flags) > npos:
-                            continue
-                        sample = _sample_from_pattern(confs, flags, npos)
-                        ours = average_precision(pr_curve([sample], 0, 0.5))
-                        oracle = brute_force_ap(list(confs), list(flags), npos)
-                        assert abs(ours - oracle) <= 1e-12
 
 
 class TestMeanAP:
