@@ -62,6 +62,23 @@ def _one_of(*choices: str):
                  lambda value: isinstance(value, str) and value in choices)
 
 
+def _object(fields: dict, required: tuple, then=lambda entry: entry):
+    """An object that has each `required` key and no key outside `fields`, as `then` makes the dict of each field
+    as its kind in `fields` converts it, named `<name>.<key>`; a ValueError of `then` is a ConfigError naming it."""
+    optional = " and ".join(json.dumps(key) for key in fields if key not in required)
+    what = f"an object of {', '.join(map(json.dumps, required))}" + (f" and optionally {optional}" if optional else "")
+
+    def convert(value: dict, name: str):
+        entry = {key: fields[key](field, f"{name}.{key}") for key, field in value.items()}
+        try:
+            return then(entry)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from None
+
+    return _kind(what, lambda value: isinstance(value, dict) and set(required) <= value.keys() <= fields.keys(),
+                 convert)
+
+
 def _utf8(value: str, name: str) -> str:
     """`value`, if UTF-8 can hold it. A lone surrogate, which a JSON `\\ud800` escape or an undecodable byte
     of an OS name makes, could not be written to the run manifest."""
@@ -102,24 +119,15 @@ _OPERATION = {
 }
 
 
-def _augment_op(value: dict, name: str) -> dict:
-    """The entry with each field as its kind converts it, if `prep.AugmentOp`,
-    which holds the rules across fields, takes it; prep is loaded only here."""
+def _augment_op(entry: dict) -> dict:
+    """The entry, if `prep.AugmentOp`, which holds the rules across fields, takes it; prep is loaded only here."""
     from .prep import AugmentOp
 
-    entry = {key: _OPERATION[key](field, f"{name}.{key}") for key, field in value.items()}
-    try:
-        AugmentOp.from_config(entry)
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+    AugmentOp.from_config(entry)
     return entry
 
 
-_operation = _kind(
-    'an object of "op", "probability" and optionally "angles" and "percentage_area"',
-    lambda value: isinstance(value, dict) and {"op", "probability"} <= value.keys() <= _OPERATION.keys(),
-    _augment_op,
-)
+_operation = _object(_OPERATION, ("op", "probability"), _augment_op)
 
 
 # Every config key once: (default, kind), or an object of keys. A key whose

@@ -5,16 +5,28 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .annotations import left_sum, number, read_csv
-from .config import NUMBER
+from .config import NUMBER, _array, _kind, _number, _object, _one_of
 
 LARGER_IS_BETTER = "larger-is-better"
 SMALLER_IS_BETTER = "smaller-is-better"
 TARGET_IS_BEST = "target-is-best"
-_DIRECTIONS = (LARGER_IS_BETTER, SMALLER_IS_BETTER, TARGET_IS_BEST)
+# The kind of each field of a goal, named as `ResponseGoal` names it
+_GOAL = {
+    "name": _kind("a non-empty string", lambda value: isinstance(value, str) and value != ""),
+    "direction": _one_of(LARGER_IS_BETTER, SMALLER_IS_BETTER, TARGET_IS_BEST),
+    "low": NUMBER,
+    "middle": NUMBER,
+    "high": NUMBER,
+    "weight": _number("a positive finite number", lambda value: 0 < value <= sys.float_info.max),
+}
+# A profile as JSON: an object whose one key "goals" holds an array of goals, each made a `ResponseGoal`
+_PROFILE = _object({"goals": _array(_object(_GOAL, ("name", "direction", "low", "middle", "high"),
+                                            lambda goal: ResponseGoal(**goal)))}, ("goals",))
 
 
 @dataclass(frozen=True)
@@ -35,15 +47,8 @@ class ResponseGoal:
     weight: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ValueError(f"goal name must be a non-empty string, got {self.name!r}")
-        for key in ("low", "middle", "high", "weight"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be a finite number, got {getattr(self, key)}")
-        if self.direction not in _DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}; expected one of {_DIRECTIONS}")
-        if self.weight <= 0.0:
-            raise ValueError(f"goal weight must be positive: {self.weight}")
+        for key, kind in _GOAL.items():
+            kind(getattr(self, key), key)
         low, middle, high = _upward(self, self.low, self.middle, self.high)
         points = f"goal {self.name!r}: breakpoints {self.low}, {self.middle}, {self.high}"
         if not low < middle < high:
@@ -94,29 +99,9 @@ class DesirabilityProfile:
 
     @classmethod
     def from_json(cls, text: str) -> DesirabilityProfile:
+        """The profile of a JSON array of goals, or of an object whose one key "goals" holds that array."""
         data = json.loads(text)
-        entries = data.get("goals", []) if isinstance(data, dict) else data
-        if not isinstance(entries, list):
-            raise ValueError(f"expected a list of goals, got {entries!r}")
-        goals = []
-        for index, g in enumerate(entries):
-            try:
-                if not isinstance(g, dict):
-                    raise ValueError(f"expected an object, got {g!r}")
-                goals.append(
-                    ResponseGoal(
-                        name=g["name"],
-                        direction=g["direction"],
-                        low=NUMBER(g["low"], "low"),
-                        middle=NUMBER(g["middle"], "middle"),
-                        high=NUMBER(g["high"], "high"),
-                        weight=NUMBER(g.get("weight", 1.0), "weight"),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
-                problem = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"goal {index}: {problem}") from None
-        return cls(goals=tuple(goals))
+        return cls(tuple(_PROFILE({"goals": data} if isinstance(data, list) else data, "profile")["goals"]))
 
 
 def component_desirabilities(candidate: Candidate, profile: DesirabilityProfile) -> dict[str, float]:

@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .annotations import BoundingBox, giou, left_sum
-from .config import NUMBER
+from .config import BOOLEAN, COUNT, FRACTION, NUMBER, POSITIVE, _array, _number, _object
+
+_PENALTY = _number("a finite number of at least 0", lambda value: 0 <= value <= sys.float_info.max)
+_SCORES = _array(FRACTION)
 
 
 def swish(x: float) -> float:
@@ -37,10 +41,10 @@ class LossConfig:
     anchors_per_scale: int = 3
 
     def __post_init__(self) -> None:
-        if self.lambda_coord < 0.0 or self.lambda_noobj < 0.0:
-            raise ValueError("penalty coefficients must be >= 0")
-        if self.grid_size < 1 or self.anchors_per_scale < 1:
-            raise ValueError("grid_size and anchors_per_scale must be >= 1")
+        _PENALTY(self.lambda_coord, "lambda_coord")
+        _PENALTY(self.lambda_noobj, "lambda_noobj")
+        POSITIVE(self.grid_size, "grid_size")
+        POSITIVE(self.anchors_per_scale, "anchors_per_scale")
 
     @property
     def cell_count(self) -> int:
@@ -56,10 +60,8 @@ class CellPrediction:
     class_scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.objectness <= 1.0):
-            raise ValueError(f"objectness out of [0,1]: {self.objectness}")
-        if any(not (0.0 <= s <= 1.0) for s in self.class_scores):
-            raise ValueError(f"class scores out of [0,1]: {self.class_scores}")
+        FRACTION(self.objectness, "objectness")
+        _SCORES(self.class_scores, "class_scores")
 
 
 @dataclass(frozen=True)
@@ -138,41 +140,28 @@ def classification_loss(predictions, targets, cfg: LossConfig) -> float:
     return total
 
 
-def _numbers(rec: dict, key: str, record: str) -> tuple[float, ...]:
-    """Each entry of `rec[key]` as `config.NUMBER` reads it, named `<record>: <key>[k]`."""
-    return tuple(NUMBER(value, f"{record}: {key}[{k}]") for k, value in enumerate(rec[key]))
+def _pair(record: dict) -> tuple[CellPrediction, CellTarget]:
+    truth_box = record.get("truth_box")
+    return (
+        CellPrediction(record["cell"], record["anchor"], BoundingBox(*record["pred_box"]), record["C"],
+                       tuple(record["p"])),
+        CellTarget(record["cell"], record["anchor"], record["obj"], truth_box and BoundingBox(*truth_box),
+                   record["C_hat"], tuple(record["p_hat"])),
+    )
+
+
+_BOX = _array(NUMBER, 4)
+# A loss record: a prediction and its target at one cell and anchor; `truth_box` is null or absent without an object
+_RECORDS = _array(_object({
+    "cell": COUNT, "anchor": COUNT, "obj": BOOLEAN, "pred_box": _BOX,
+    "truth_box": lambda value, name: value if value is None else _BOX(value, name),
+    "C": FRACTION, "C_hat": NUMBER, "p": _SCORES, "p_hat": _array(NUMBER),
+}, ("cell", "anchor", "obj", "pred_box", "C", "C_hat", "p", "p_hat"), _pair))
 
 
 def load_loss_records(text: str) -> tuple[list[CellPrediction], list[CellTarget]]:
-    """Load aligned prediction/target pairs from the JSON fixture format:
-    a list of {cell, anchor, obj, pred_box, truth_box, C, C_hat, p, p_hat}.
-    Every number is read with `config.NUMBER`, so a value that is not a
-    finite JSON number (true, a string) is a ValueError naming its record."""
-    records = json.loads(text)
-    if not isinstance(records, list):
-        raise ValueError("loss fixture must be a JSON list of records")
-    predictions, targets = [], []
-    for index, rec in enumerate(records):
-        record = f"record {index}"
-        pred_box = BoundingBox(*_numbers(rec, "pred_box", record))
-        truth_box = BoundingBox(*_numbers(rec, "truth_box", record)) if rec.get("truth_box") else None
-        predictions.append(
-            CellPrediction(
-                cell=rec["cell"],
-                anchor=rec["anchor"],
-                box=pred_box,
-                objectness=NUMBER(rec["C"], f"{record}: C"),
-                class_scores=_numbers(rec, "p", record),
-            )
-        )
-        targets.append(
-            CellTarget(
-                cell=rec["cell"],
-                anchor=rec["anchor"],
-                obj=bool(rec["obj"]),
-                box=truth_box,
-                objectness=NUMBER(rec["C_hat"], f"{record}: C_hat"),
-                class_probs=_numbers(rec, "p_hat", record),
-            )
-        )
-    return predictions, targets
+    """Load aligned prediction/target pairs from the JSON fixture format, an array of records
+    {cell, anchor, obj, pred_box, truth_box, C, C_hat, p, p_hat}. Each field is read by its kind in
+    `_RECORDS`, so a missing or unknown key or a value of the wrong kind is a ConfigError naming it."""
+    pairs = _RECORDS(json.loads(text), "records")
+    return [prediction for prediction, _ in pairs], [target for _, target in pairs]

@@ -10,9 +10,10 @@ import numpy as np
 
 from .annotations import BACKGROUND, BoxColumns, ClassRegistry, RegistryError, _box, _class_id_in_range
 from .annotations import _confidence, integer, left_sum, read_csv
-from .config import AP_11_POINT, AP_ALL_POINT, AP_INTERPOLATION, SHARE
+from .config import AP_11_POINT, AP_ALL_POINT, AP_INTERPOLATION, COUNT, SHARE, _one_of
 
 STRATA = ("top", "middle", "bottom")
+_STRATUM = _one_of(*STRATA)
 
 
 class MetricValue(float):
@@ -311,12 +312,11 @@ class HeightRecord:
     detected: int
 
     def __post_init__(self) -> None:
-        if self.stratum not in STRATA:
-            raise ValueError(f"stratum must be one of {STRATA}: {self.stratum!r}")
-        if self.placed < 0 or not (0 <= self.detected <= max(self.placed, 0)):
-            raise ValueError(
-                f"need 0 <= detected <= placed, got {self.detected}/{self.placed}"
-            )
+        _STRATUM(self.stratum, "stratum")
+        COUNT(self.placed, "placed")
+        COUNT(self.detected, "detected")
+        if self.detected > self.placed:
+            raise ValueError(f"need 0 <= detected <= placed, got {self.detected}/{self.placed}")
 
 
 def load_height_records(text: str) -> list[HeightRecord]:
@@ -339,8 +339,7 @@ class StratumAccuracy:
 def bag_based_accuracy(records, stratum: str) -> StratumAccuracy:
     """Per-image detected/placed percentages for one stratum, with the
     across-image mean and sample (n-1) standard deviation."""
-    if stratum not in STRATA:
-        raise ValueError(f"stratum must be one of {STRATA}: {stratum!r}")
+    _STRATUM(stratum, "stratum")
     ids, pcts = [], []
     for rec in records:
         if rec.stratum != stratum:

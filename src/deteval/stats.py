@@ -82,10 +82,6 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     return reg_inc_beta(d2 / (d2 + d1 * f), d2 / 2.0, d1 / 2.0)
 
 
-def _t_sf_two_sided(t: float, df: float) -> float:
-    return reg_inc_beta(df / (df + t * t), df / 2.0, 0.5)
-
-
 # Every sum below is a `left_sum` fold of Python floats: one rounding order on every CPU and Python.
 # Squares are `d * d`, which overflows to inf (`** 2` raises); the finiteness checks reject inf and NaN.
 def _mean(values) -> float:
@@ -225,7 +221,7 @@ def t_test_pairwise(table: ObservationTable) -> list[TTestResult]:
             results.append(TTestResult(label_a, label_b, t, df, p, degenerate=True))
             continue
         t = diff / se
-        results.append(TTestResult(label_a, label_b, t, df, _t_sf_two_sided(t, df)))
+        results.append(TTestResult(label_a, label_b, t, df, f_sf(t * t, 1, df)))
     return results
 
 

@@ -116,13 +116,17 @@ def _ids(count: int) -> dict:
 _GOAL = {"name": "map50", "direction": "larger-is-better", "low": 0.0, "middle": 0.5, "high": 1.0}
 _BAD_GOALS = [
     ("low=-Infinity", {"low": float("-inf")}, "low must be a finite number, got -Infinity"),
-    ("weight=NaN", {"weight": float("nan")}, "weight must be a finite number, got NaN"),
-    ("name=[map50]", {"name": ["map50"]}, "goal name must be a non-empty string, got ['map50']"),
+    ("weight=NaN", {"weight": float("nan")}, "weight must be a positive finite number, got NaN"),
+    ("name=[map50]", {"name": ["map50"]}, 'name must be a non-empty string, got ["map50"]'),
     ("low=10**400", {"low": 10**400}, f"low must be a finite number, got {10**400}"),
+    ("weight=10**400", {"weight": 10**400}, f"weight must be a positive finite number, got {10**400}"),
     # one number grammar: a string, true or false is not a JSON number
-    *((f"{key}={json.dumps(value)}", {key: value}, f"{key} must be a finite number, got {json.dumps(value)}")
-      for key in ("low", "middle", "high", "weight") for value in ("1_0", "٣", "0.9", True, False)),
+    *((f"{key}={json.dumps(value)}", {key: value}, f"{key} must be {kind}, got {json.dumps(value)}")
+      for key, kind in [("low", "a finite number"), ("middle", "a finite number"), ("high", "a finite number"),
+                        ("weight", "a positive finite number")]
+      for value in ("1_0", "٣", "0.9", True, False)),
 ]
+_GOAL_OBJECT = 'an object of "name", "direction", "low", "middle", "high" and optionally "weight"'
 
 # Per numeric flag: the subcommand that takes it (None for a global flag) and the kind argparse names
 _NUMBER_FLAGS = [("--seed", None, "integer"), ("--jobs", None, "integer"), ("--samples", "augment", "integer"),
@@ -420,24 +424,31 @@ CASES = {
             "invalid JSON at line 2 column 20: Expecting property name enclosed in double quotes"),
            ("nested-too-deeply", _DEEP, _TOO_DEEP),
            ("goal-missing-a-key", b'{"goals": [{"name": "map50", "direction": "larger-is-better"}]}',
-            "goal 0: missing key 'low'"),
-           ("goal-not-an-object", b'{"goals": ["map50"]}', "goal 0: expected an object, got 'map50'"),
-           ("a-number", b"7", "expected a list of goals, got 7"),
-           ("goals-a-number", b'{"goals": 5}', "expected a list of goals, got 5")]},
+            f'profile.goals[0] must be {_GOAL_OBJECT}, got {{"name": "map50", "direction": "larger-is-better"}}'),
+           ("goal-not-an-object", b'{"goals": ["map50"]}', f'profile.goals[0] must be {_GOAL_OBJECT}, got "map50"'),
+           ("a-number", b"7", 'profile must be an object of "goals", got 7'),
+           ("goals-a-number", b'{"goals": 5}', "profile.goals must be an array, got 5"),
+           ("unknown-key", b'{"goals": [], "goal": []}',
+            'profile must be an object of "goals", got {"goals": [], "goal": []}'),
+           # a misspelt key is refused, where the goal was read without it
+           ("goal-misspelt-key",
+            _edited("desirability/profile.json", rb'"high": 142}', rb'"high": 142, "wieght": 5}', 1),
+            f'profile.goals[3] must be {_GOAL_OBJECT}, got {{"name": "speed_fps", "direction": "larger-is-better", '
+            '"low": 35, "middle": 85, "high": 142, "wieght": 5}')]},
     **{f"goal-{name}": _refused(
         "desirability --profile profile.json --candidates cands.csv",
         {"profile.json": json.dumps([{**_GOAL, **goal}]).encode(),
          "cands.csv": b"label,response,value\nm1,map50,0.3\nm2,map50,0.4\n"},
-        _cli_error(f"profile.json: goal 0: {problem}"))
+        _cli_error(f"profile.json: profile.goals[0].{problem}"))
        for name, goal, problem in _BAD_GOALS},
     "profile-number-true": _refused("desirability --profile true.json --candidates {fx}/desirability/candidates.csv", {
         "true.json": _edited("desirability/profile.json", _HIGH, rb'"high": true}', 4)},
-        _cli_error("true.json: goal 0: high must be a finite number, got true")),
+        _cli_error("true.json: profile.goals[0].high must be a finite number, got true")),
     # a goal whose span high - low overflows a float is refused, where it wrote nan into the ranking
     "goal-span-overflows": _refused("desirability --profile span.json --candidates span.csv", {
         "span.json": b'{"goals": [{"name": "m", "direction": "larger-is-better", "low": -1e308, "middle": 1e308,'
                      b' "high": 1.5e308}]}\n', "span.csv": b"label,response,value\na,m,1e308\nb,m,0\n"},
-        _cli_error("span.json: goal 0: goal 'm': breakpoints -1e+308, 1e+308, 1.5e+308 span more than the "
+        _cli_error("span.json: profile.goals[0]: goal 'm': breakpoints -1e+308, 1e+308, 1.5e+308 span more than the "
                    "largest float")),
     # --- report
     "report-of-a-missing-output-dir": Case(

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from deteval import desirability
+from deteval.config import ConfigError
 from deteval.desirability import (
     Candidate,
     DesirabilityProfile,
@@ -17,6 +18,7 @@ from deteval.desirability import (
 )
 
 MAP_GOAL = ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0)
+GOAL_OBJECT = 'an object of "name", "direction", "low", "middle", "high" and optionally "weight"'
 
 
 class TestDesirabilityOf:
@@ -308,29 +310,34 @@ class TestParsing:
             {"name": "b", "direction": "larger-is-better", "low": 0.1, "middle": 0.5, "high": 0.9},
         ]
         del goals[1][key]
-        with pytest.raises(ValueError, match=f"^goal 1: missing key '{key}'$"):
+        with pytest.raises(ConfigError) as info:
             DesirabilityProfile.from_json(json.dumps({"goals": goals}))
+        assert str(info.value) == f"profile.goals[1] must be {GOAL_OBJECT}, got {json.dumps(goals[1])}"
 
     def test_profile_without_goals_rejected(self):
-        with pytest.raises(ValueError, match="at least one goal"):
+        with pytest.raises(ConfigError) as info:
             DesirabilityProfile.from_json('{"goal": []}')
+        assert str(info.value) == 'profile must be an object of "goals", got {"goal": []}'
+        with pytest.raises(ValueError, match="^profile needs at least one goal$"):
+            DesirabilityProfile.from_json('{"goals": []}')
 
     @pytest.mark.parametrize(
         "text, problem",
         [
-            ('{"goals": ["map50"]}', "goal 0: expected an object, got 'map50'"),
-            ("7", "expected a list of goals, got 7"),
-            ('{"goals": 5}', "expected a list of goals, got 5"),
+            ('{"goals": ["map50"]}', f'profile.goals[0] must be {GOAL_OBJECT}, got "map50"'),
+            ("7", 'profile must be an object of "goals", got 7'),
+            ('{"goals": 5}', "profile.goals must be an array, got 5"),
             (
                 '[{"name": "a", "direction": "larger-is-better", "low": null, "middle": 0.5, "high": 0.9}]',
-                "goal 0: low must be a finite number, got null",
+                "profile.goals[0].low must be a finite number, got null",
             ),
         ],
+        ids=["goal-not-an-object", "a-number", "goals-a-number", "null-low"],
     )
     def test_entries_of_the_wrong_type_rejected(self, text, problem):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ConfigError) as info:
             DesirabilityProfile.from_json(text)
-        assert str(info.value).startswith(problem)
+        assert str(info.value) == problem
 
     def test_duplicate_candidate_row_rejected(self):
         text = "label,response,value\nm1,map50,0.5\nm2,map50,0.7\nm1,map50,0.9\n"
@@ -339,21 +346,24 @@ class TestParsing:
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: ResponseGoal("map50", "larger-is-better", 0.8, math.inf, 1.0), "middle must be a finite number, got inf"),
-    (lambda: ResponseGoal("map50", "larger-is-better", math.nan, 0.85, 1.0), "low must be a finite number, got nan"),
+    (lambda: ResponseGoal("map50", "larger-is-better", 0.8, math.inf, 1.0),
+     "middle must be a finite number, got Infinity"),
+    (lambda: ResponseGoal("map50", "larger-is-better", math.nan, 0.85, 1.0), "low must be a finite number, got NaN"),
     (lambda: ResponseGoal("map50", "sideways", 0.8, 0.85, 1.0),
-     "unknown direction 'sideways'; expected one of ('larger-is-better', 'smaller-is-better', 'target-is-best')"),
+     'direction must be one of "larger-is-better", "smaller-is-better", "target-is-best", got "sideways"'),
     (lambda: ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0, weight=0.0),
-     "goal weight must be positive: 0.0"),
+     "weight must be a positive finite number, got 0.0"),
     (lambda: ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0, weight=-2.0),
-     "goal weight must be positive: -2.0"),
+     "weight must be a positive finite number, got -2.0"),
+    (lambda: ResponseGoal("map50", "larger-is-better", 0.8, 0.85, 1.0, weight=True),
+     "weight must be a positive finite number, got true"),
     (lambda: ResponseGoal("m", "larger-is-better", -1e308, 1e308, 1.5e308),
      "goal 'm': breakpoints -1e+308, 1e+308, 1.5e+308 span more than the largest float"),
     (lambda: ResponseGoal("m", "smaller-is-better", 1.5e308, 1e308, -1e308),
      "goal 'm': breakpoints 1.5e+308, 1e+308, -1e+308 span more than the largest float"),
     (lambda: ResponseGoal("m", "target-is-best", -1e308, 0.0, 1e308),
      "goal 'm': breakpoints -1e+308, 0.0, 1e+308 span more than the largest float"),
-], ids=["infinite", "nan", "direction", "zero-weight", "negative-weight",
+], ids=["infinite", "nan", "direction", "zero-weight", "negative-weight", "bool-weight",
         "larger-span", "smaller-span", "target-span"])
 def test_goal_refusals(make, message):
     with pytest.raises(ValueError) as info:

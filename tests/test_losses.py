@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from deteval.annotations import BoundingBox
+from deteval.config import ConfigError
 from deteval.losses import (
     CellPrediction,
     CellTarget,
@@ -201,8 +202,9 @@ class TestAlignmentAndAdditivity:
 
 
 def test_record_loader_validation():
-    with pytest.raises(ValueError, match="JSON list"):
+    with pytest.raises(ConfigError) as info:
         load_loss_records('{"cell": 0}')
+    assert str(info.value) == 'records must be an array, got {"cell": 0}'
 
 
 PERFECT = (Path(__file__).resolve().parent.parent / "fixtures" / "losses" / "perfect.json").read_text()
@@ -215,26 +217,42 @@ def _records_with(key, value) -> str:
     return json.dumps(records)
 
 
+RECORD = ('an object of "cell", "anchor", "obj", "pred_box", "C", "C_hat", "p", "p_hat" and optionally '
+          '"truth_box"')
+
+
 @pytest.mark.parametrize("make, message", [
-    (lambda: LossConfig(lambda_coord=-1.0), "penalty coefficients must be >= 0"),
-    (lambda: LossConfig(lambda_noobj=-0.5), "penalty coefficients must be >= 0"),
-    (lambda: LossConfig(grid_size=0), "grid_size and anchors_per_scale must be >= 1"),
-    (lambda: LossConfig(anchors_per_scale=0), "grid_size and anchors_per_scale must be >= 1"),
-    (lambda: _pred(0, 0, BOX, objectness=1.5), "objectness out of [0,1]: 1.5"),
-    (lambda: _pred(0, 0, BOX, scores=(0.5, -0.1)), "class scores out of [0,1]: (0.5, -0.1)"),
+    (lambda: LossConfig(lambda_coord=-1.0), "lambda_coord must be a finite number of at least 0, got -1.0"),
+    (lambda: LossConfig(lambda_coord=math.nan), "lambda_coord must be a finite number of at least 0, got NaN"),
+    (lambda: LossConfig(lambda_noobj=-0.5), "lambda_noobj must be a finite number of at least 0, got -0.5"),
+    (lambda: LossConfig(lambda_noobj=10**400), f"lambda_noobj must be a finite number of at least 0, got {10**400}"),
+    (lambda: LossConfig(grid_size=0), "grid_size must be an integer of at least 1, got 0"),
+    (lambda: LossConfig(grid_size=1.5), "grid_size must be an integer of at least 1, got 1.5"),
+    (lambda: LossConfig(anchors_per_scale=0), "anchors_per_scale must be an integer of at least 1, got 0"),
+    (lambda: _pred(0, 0, BOX, objectness=1.5), "objectness must be a number in [0, 1], got 1.5"),
+    (lambda: _pred(0, 0, BOX, objectness=True), "objectness must be a number in [0, 1], got true"),
+    (lambda: _pred(0, 0, BOX, scores=(0.5, -0.1)), "class_scores[1] must be a number in [0, 1], got -0.1"),
     # a loss record's numbers are finite JSON numbers; true, false and strings are not
-    (lambda: load_loss_records(_records_with("C", True)), "record 1: C must be a finite number, got true"),
-    (lambda: load_loss_records(_records_with("C_hat", "1")), 'record 1: C_hat must be a finite number, got "1"'),
-    (lambda: load_loss_records(_records_with("p", [0.0, False])), "record 1: p[1] must be a finite number, got false"),
+    (lambda: load_loss_records(_records_with("C", True)), "records[1].C must be a number in [0, 1], got true"),
+    (lambda: load_loss_records(_records_with("C_hat", "1")), 'records[1].C_hat must be a finite number, got "1"'),
+    (lambda: load_loss_records(_records_with("p", [0.0, False])),
+     "records[1].p[1] must be a number in [0, 1], got false"),
     (lambda: load_loss_records(_records_with("p_hat", ["0", 1.0])),
-     'record 1: p_hat[0] must be a finite number, got "0"'),
+     'records[1].p_hat[0] must be a finite number, got "0"'),
     (lambda: load_loss_records(_records_with("pred_box", [True, 0.5, 0.3, 0.4])),
-     "record 1: pred_box[0] must be a finite number, got true"),
+     "records[1].pred_box[0] must be a finite number, got true"),
     (lambda: load_loss_records(_records_with("truth_box", [0.75, 0.5, 0.3, "0.4"])),
-     'record 1: truth_box[3] must be a finite number, got "0.4"'),
-], ids=["lambda_coord", "lambda_noobj", "grid_size", "anchors_per_scale", "objectness", "class_scores",
-        "C", "C_hat", "p", "p_hat", "pred_box", "truth_box"])
+     'records[1].truth_box[3] must be a finite number, got "0.4"'),
+    # a record is an object of the loader's keys: none missing, none unknown
+    (lambda: load_loss_records("[{}]"), f"records[0] must be {RECORD}, got {{}}"),
+    (lambda: load_loss_records("[3]"), f"records[0] must be {RECORD}, got 3"),
+    (lambda: load_loss_records(_records_with("c_hat", 1.0)),
+     f"records[1] must be {RECORD}, got {json.dumps(json.loads(_records_with('c_hat', 1.0))[1])}"),
+], ids=["lambda_coord", "nan-lambda_coord", "lambda_noobj", "huge-lambda_noobj", "grid_size", "fractional-grid_size",
+        "anchors_per_scale", "objectness", "bool-objectness", "class_scores",
+        "C", "C_hat", "p", "p_hat", "pred_box", "truth_box", "empty-record", "record-not-an-object",
+        "record-unknown-key"])
 def test_refusals(make, message):
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ConfigError) as info:
         make()
     assert str(info.value) == message

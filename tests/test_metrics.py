@@ -754,10 +754,17 @@ class TestEvaluateDetections:
      "class id must be an integer: 1.5"),
     (lambda: pr_curve([EvalSample("img", ((0, *UNIT, 0.9),), ((0, *UNIT),))], 2**63, 0.5),
      "class id must be below 2**63: 9223372036854775808"),
+    # a height record's counts are integers of at least 0, and its stratum one of STRATA, as `bag_based_accuracy`'s is
+    (lambda: HeightRecord("a", "top", True, True), "placed must be an integer of at least 0, got true"),
+    (lambda: HeightRecord("a", "top", 2.5, 1), "placed must be an integer of at least 0, got 2.5"),
+    (lambda: HeightRecord("a", "top", 2, -1), "detected must be an integer of at least 0, got -1"),
+    (lambda: HeightRecord("a", "side", 2, 1), 'stratum must be one of "top", "middle", "bottom", got "side"'),
+    (lambda: bag_based_accuracy([], "side"), 'stratum must be one of "top", "middle", "bottom", got "side"'),
 ], ids=["detection-length", "truth-length", "center", "size", "confidence", "nan-confidence",
         "negative-class-id", "class-id-2-to-the-63", "class-id-2-to-the-1024", "bool-class-id", "fraction-class-id",
         "interpolation", "pr-curve-negative-class-id", "pr-curve-bool-class-id", "pr-curve-fraction-class-id",
-        "pr-curve-class-id-2-to-the-63"])
+        "pr-curve-class-id-2-to-the-63", "bool-height-counts", "fractional-placed", "negative-detected",
+        "height-record-stratum", "bag-accuracy-stratum"])
 def test_refusals(make, message):
     with pytest.raises(ValueError) as info:
         make()

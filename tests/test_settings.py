@@ -1,7 +1,9 @@
 """Each run setting that the library takes as well as the CLI is checked by
 the kind of its config key: the library's check and `load_config` accept and
-refuse the same values, in the same words but for the name."""
+refuse the same values, in the same words but for the name. So is each field
+of a desirability goal, by `ResponseGoal` and by the profile reader."""
 
+import json
 import math
 
 import numpy as np
@@ -9,12 +11,13 @@ import pytest
 
 from deteval.annotations import ClassRegistry
 from deteval.config import ConfigError, load_config
+from deteval.desirability import DesirabilityProfile, ResponseGoal
 from deteval.metrics import PRCurve, average_precision, evaluate_detections
 from deteval.prep import AugmentOp, AugmentPipeline, SplitRatio, TileSpec, plan_tiles
 
 NAMES = ("anchor-to-edge", "pad", "rotate", "flip_left_right", "flip_top_bottom", "zoom_random", "all-point",
-         "11-point")
-VALUES = (True, 0, -1, 1, 416, 416.5, 0.0, 0.5, 1.5, math.nan, math.inf, "x", *NAMES)
+         "11-point", "larger-is-better")
+VALUES = (True, 0, -1, 1, 416, 416.5, 0.0, 0.5, 1.5, math.nan, math.inf, "", "x", *NAMES)
 
 REGISTRY = ClassRegistry.from_text("0 a\n")
 CURVE = PRCurve(0, 1, np.ones(1), np.ones(1), np.ones(1))
@@ -63,16 +66,36 @@ def _refusal(make, value) -> str | None:
     return None
 
 
+def _same_refusals(field, library, name, reader):
+    """`library` and `reader` accept and refuse the same VALUES, in the same words after the names `field` and
+    `name`; each refuses some and accepts some."""
+    by_reader = [_refusal(reader, value) for value in VALUES]
+    by_library = [_refusal(library, value) for value in VALUES]
+    assert [message is None for message in by_library] == [message is None for message in by_reader]
+    assert any(by_library) and not all(by_library)
+    for in_reader, in_library in zip(by_reader, by_library):
+        if in_reader:
+            assert in_library.startswith(f"{field} must be ")
+            assert in_library.removeprefix(field) == in_reader.removeprefix(name)
+
+
 @pytest.mark.parametrize("key, field, library, overrides", SETTINGS, ids=[case[0] for case in SETTINGS])
 def test_library_and_config_refuse_the_same_values_in_the_same_words(key, field, library, overrides):
-    by_config = [_refusal(lambda v: load_config(None, overrides(v)), value) for value in VALUES]
-    by_library = [_refusal(library, value) for value in VALUES]
-    assert [message is None for message in by_library] == [message is None for message in by_config]
-    assert any(by_library) and not all(by_library)
-    for in_config, in_library in zip(by_config, by_library):
-        if in_config:
-            assert in_library.startswith(f"{field} must be ")
-            assert in_library.removeprefix(field) == in_config.removeprefix(f"config key {key}")
+    _same_refusals(field, library, f"config key {key}", lambda v: load_config(None, overrides(v)))
+
+
+# A goal, and the breakpoints around a value of `low` or `high` that keep each number of VALUES in order
+GOAL = {"name": "g", "direction": "larger-is-better", "low": -1e300, "middle": 0.0, "high": 1e300}
+AROUND = {"low": {"middle": 1e300, "high": 1e301}, "high": {"low": -1e301, "middle": -1e300}}
+
+
+@pytest.mark.parametrize("field", ["name", "direction", "low", "middle", "high", "weight"])
+def test_a_goal_and_the_profile_reader_refuse_the_same_values_in_the_same_words(field):
+    def goal(value):
+        return {**GOAL, **AROUND.get(field, {}), field: value}
+
+    _same_refusals(field, lambda v: ResponseGoal(**goal(v)), f"profile.goals[0].{field}",
+                   lambda v: DesirabilityProfile.from_json(json.dumps([goal(v)])))
 
 
 def test_a_value_json_cannot_encode_is_shown_by_repr():
